@@ -7,10 +7,10 @@ cargo test -q
 # Shard-equivalence gate: sharded replay must be bit-identical to serial
 # for every scheme, on random traces and the pinned workbench matrix.
 cargo test -q -p dircc-sim --test sharding
-# Mono-equivalence gate: the monomorphized SoA replay must be
-# bit-identical to the dyn reference for every scheme, serial and sharded,
-# finite caches and verifier included.
-cargo test -q -p dircc-sim --test mono
+# Golden replay gate: every batch source of the one replay loop must
+# reproduce the recorded counters of every scheme, serial and sharded,
+# finite caches, windows and verifier included.
+cargo test -q -p dircc-sim --test replay
 # Correctness gate: bounded exhaustive model check of every protocol,
 # plus the serial-vs-sharded replay equivalence check it ends with.
 ./target/release/dircc check --smoke
@@ -22,11 +22,10 @@ cargo test -q -p dircc-sim --test mono
 # fails here — and running it at --shards 2 makes the shard merge itself
 # part of the drift surface.
 ./target/release/dircc bench --smoke --shards 2 --repeat 3 --out /tmp/BENCH_smoke.json
-./target/release/dircc benchcmp --smoke --shards 2 --engine mono --in BENCH_smoke.json
-# Same gate on the dyn reference engine: its counter digests must match
-# the same (mono-written) baseline, pinning mono-vs-dyn bit-identity in
-# CI on top of the test suite.
-./target/release/dircc benchcmp --smoke --shards 2 --engine dyn --in BENCH_smoke.json
+./target/release/dircc benchcmp --smoke --shards 2 --in BENCH_smoke.json
+# Paper-output gate: `dircc all` at the default scale and seed must
+# print exactly the archived output.
+./target/release/dircc all | diff - experiments_full_output.txt
 # Observability smoke: windowed time series + span profile of the
 # scalability work list.
 ./target/release/dircc profile scaling --smoke \
@@ -44,7 +43,7 @@ diff /tmp/replay_file.txt /tmp/replay_mem.txt
 diff /tmp/replay_file.txt /tmp/replay_sharded.txt
 # Serve gate: the HTTP daemon on an ephemeral port — served /run
 # responses diffed byte-for-byte against `dircc replay --json` (cache
-# miss, cache hit, sharded dyn-engine), a mixed-workload load run with
+# miss, cache hit, sharded), a mixed-workload load run with
 # zero errors writing BENCH_serve.json, a request-ID log/span join, an
 # exact /metrics reconciliation against the scripted load (scrape kept
 # as SERVE_metrics.prom), a `dircc top --once` snapshot check, then a

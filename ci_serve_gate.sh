@@ -2,7 +2,7 @@
 # Serve smoke gate, shared by ci.sh and .github/workflows/ci.yml: boot
 # the daemon on an ephemeral port, prove served /run responses are
 # byte-identical to a local `dircc replay --json` (and invariant across
-# shards/engine), observe the repeat as a cache hit, drive a mixed
+# shards), observe the repeat as a cache hit, drive a mixed
 # hit/miss workload with zero errors, then drain via /shutdown and fail
 # on any orphaned daemon. Callers wrap this in `timeout` for a hard
 # ceiling; every step inside is bounded regardless (client timeouts,
@@ -55,10 +55,10 @@ diff "$TMP/served_miss.json" "$TMP/local.json"
 "$DIRCC" submit --serve "$URL" --scheme Dir1NB --profile pops --refs 20000 \
     --expect-cache hit >"$TMP/served_hit.json"
 diff "$TMP/served_miss.json" "$TMP/served_hit.json"
-# ...and once more sharded on the dyn engine (a distinct cache key, so a
-# miss) — counters are pinned shard- and engine-invariant.
+# ...and once more sharded (a distinct cache key, so a miss) — counters
+# are pinned shard-invariant.
 "$DIRCC" submit --serve "$URL" --scheme Dir1NB --profile pops --refs 20000 \
-    --shards 3 --engine dyn --expect-cache miss >"$TMP/served_sharded.json"
+    --shards 3 --expect-cache miss >"$TMP/served_sharded.json"
 diff "$TMP/served_miss.json" "$TMP/served_sharded.json"
 
 # The other routes answer: health (with live queue/in-flight state), a

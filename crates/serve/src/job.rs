@@ -11,24 +11,6 @@
 
 use crate::json::{self, Json};
 
-/// Which replay engine a job asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JobEngine {
-    /// Dynamic-dispatch replay loop.
-    Dyn,
-    /// Monomorphized replay loop (the default: it is the fast path).
-    Mono,
-}
-
-impl JobEngine {
-    pub fn label(self) -> &'static str {
-        match self {
-            JobEngine::Dyn => "dyn",
-            JobEngine::Mono => "mono",
-        }
-    }
-}
-
 /// One simulation request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
@@ -44,8 +26,6 @@ pub struct JobSpec {
     pub filter: String,
     /// Block shards for parallel replay, 1..=64.
     pub shards: u64,
-    /// Replay engine.
-    pub engine: JobEngine,
     /// Window size for `/series` streaming; `None` = auto.
     pub window: Option<u64>,
 }
@@ -73,8 +53,7 @@ impl std::fmt::Display for JobError {
 /// CLI default.
 pub const DEFAULT_SEED: u64 = 1988;
 
-const KNOWN_FIELDS: &[&str] =
-    &["scheme", "trace", "refs", "seed", "filter", "shards", "engine", "window"];
+const KNOWN_FIELDS: &[&str] = &["scheme", "trace", "refs", "seed", "filter", "shards", "window"];
 
 impl JobSpec {
     /// Parses and validates a job body. Every failure names a field.
@@ -132,41 +111,31 @@ impl JobSpec {
         if !(1..=64).contains(&shards) {
             return Err(JobError::new("shards", "must be between 1 and 64"));
         }
-        let engine = match obj.get("engine") {
-            None | Some(Json::Null) => JobEngine::Mono,
-            Some(Json::Str(s)) if s == "mono" => JobEngine::Mono,
-            Some(Json::Str(s)) if s == "dyn" => JobEngine::Dyn,
-            Some(Json::Str(s)) => {
-                return Err(JobError::new("engine", format!("must be 'mono' or 'dyn', got {s:?}")))
-            }
-            Some(_) => return Err(JobError::new("engine", "must be a string")),
-        };
         let window = optional_u64("window")?;
         if window == Some(0) {
             return Err(JobError::new("window", "must be at least 1"));
         }
 
-        Ok(JobSpec { scheme, trace, refs, seed, filter, shards, engine, window })
+        Ok(JobSpec { scheme, trace, refs, seed, filter, shards, window })
     }
 
     /// The canonical cache key. Scheme and trace names are
     /// case-folded so `"tang"` and `"Tang"` share a cache entry; the
     /// window is *excluded* because it only shapes `/series` streaming,
-    /// never the counters a `/run` response carries. Shards and engine
-    /// are *included* even though results are bit-identical across them
-    /// — the cache also memoizes which execution produced the spans, and
+    /// never the counters a `/run` response carries. Shards are
+    /// *included* even though results are bit-identical across them — the
+    /// cache also memoizes which execution produced the spans, and
     /// keeping the key total makes the bit-identity property something
     /// CI asserts rather than something the cache assumes.
     pub fn canonical(&self) -> String {
         format!(
-            "scheme={};trace={};refs={};seed={};filter={};shards={};engine={}",
+            "scheme={};trace={};refs={};seed={};filter={};shards={}",
             self.scheme.to_ascii_lowercase(),
             self.trace.to_ascii_lowercase(),
             self.refs.map_or_else(|| "profile".to_string(), |n| n.to_string()),
             self.seed,
             self.filter,
             self.shards,
-            self.engine.label(),
         )
     }
 }
@@ -188,20 +157,18 @@ mod tests {
         assert_eq!(j.seed, DEFAULT_SEED);
         assert_eq!(j.filter, "full");
         assert_eq!(j.shards, 1);
-        assert_eq!(j.engine, JobEngine::Mono);
         assert_eq!(j.window, None);
     }
 
     #[test]
     fn full_job_parses() {
         let j = job(r#"{"scheme": "tang", "trace": "pero", "refs": 50000, "seed": 7,
-                "filter": "no-spins", "shards": 8, "engine": "dyn", "window": 1000}"#)
+                "filter": "no-spins", "shards": 8, "window": 1000}"#)
         .expect("valid");
         assert_eq!(j.refs, Some(50_000));
         assert_eq!(j.seed, 7);
         assert_eq!(j.filter, "no-spins");
         assert_eq!(j.shards, 8);
-        assert_eq!(j.engine, JobEngine::Dyn);
         assert_eq!(j.window, Some(1000));
     }
 
@@ -217,7 +184,7 @@ mod tests {
             (r#"{"scheme": "Tang", "trace": "POPS", "filter": "spins"}"#, "filter"),
             (r#"{"scheme": "Tang", "trace": "POPS", "shards": 0}"#, "shards"),
             (r#"{"scheme": "Tang", "trace": "POPS", "shards": 65}"#, "shards"),
-            (r#"{"scheme": "Tang", "trace": "POPS", "engine": "turbo"}"#, "engine"),
+            (r#"{"scheme": "Tang", "trace": "POPS", "engine": "mono"}"#, "engine"),
             (r#"{"scheme": "Tang", "trace": "POPS", "window": 0}"#, "window"),
             (r#"{"scheme": "Tang", "trace": "POPS", "color": "red"}"#, "color"),
         ] {

@@ -128,6 +128,17 @@ fn bad_job_json_is_a_field_level_400() {
     .expect("bad shards");
     assert_eq!(shards.status, 400);
     assert!(shards.text().contains("field 'shards'"), "{}", shards.text());
+
+    // The retired replay-engine switch is an unknown field now.
+    let engine = client::request(
+        &url,
+        "POST",
+        "/run",
+        Some(br#"{"scheme": "Tang", "trace": "POPS", "engine": "dyn"}"#),
+    )
+    .expect("unknown engine field");
+    assert_eq!(engine.status, 400);
+    assert!(engine.text().contains("field 'engine': unknown field"), "{}", engine.text());
     assert_eq!(handler.runs.load(Ordering::SeqCst), 0, "invalid jobs must not reach the handler");
 
     shutdown(&url);

@@ -17,45 +17,69 @@
 //!   an invalidation protocol, and data must never be supplied from stale
 //!   memory.
 //!
-//! # Dense block ids
+//! # One loop, several batch sources
 //!
-//! The engine *interns* blocks: each distinct block is renamed to a dense
-//! index in first-appearance order before it reaches the protocol, so every
-//! per-block table downstream (tag arrays, directory entries, verifier
-//! state) is a flat vector instead of a hash map. [`run`] interns on the
-//! fly — one hash probe per reference, doubling as the first-reference
-//! check — while [`run_indexed`] replays a prebuilt dense-id stream (from
-//! [`dircc_trace::TraceStore::dense_blocks`]) with *zero* hashing in the
-//! loop. Renaming is a bijection and protocols only compare blocks for
-//! identity, so both paths produce bit-identical counters; finite tag
-//! stores still hash on the **original** address because set selection
-//! uses raw address bits.
+//! Every entry point drives the same loop, `Core::replay`, with
+//! structure-of-arrays batches ([`SoaStream`]): flat `kind` / `cache_idx`
+//! / dense `block_id` / `first_ref` arrays, the matching records (read
+//! only by the finite-cache and diagnostics cold paths) and, for shard
+//! sub-streams, global reference numbers. The loop is generic over
+//! `P: Protocol + ?Sized`, so a `Box<dyn Protocol>` is just another type
+//! argument. Per batch it takes a quiet body when every cold path is
+//! provably dead — [`Recorder::IS_NOOP`], no verifier, infinite caches,
+//! no invariant cadence, and a batch `max_cache_idx` below the cache
+//! count — and the full checking body otherwise.
+//!
+//! The sources differ only in how a batch is filled:
+//!
+//! * [`run_indexed`] replays a prebuilt stream (e.g. the
+//!   [`TraceStore::soa`](dircc_trace::TraceStore::soa) memo) as one batch
+//!   through an instance of the scheme resolved to its concrete type
+//!   ([`dispatch_sized`]), so `access` is statically dispatched;
+//! * [`run`] and [`run_chunked`] refill one reusable batch per chunk,
+//!   interning blocks on the fly in first-appearance order;
+//! * [`run_sharded`] and [`run_sharded_spilled`] replay block shards — in
+//!   memory, or streamed from spill files — on scoped threads and merge
+//!   them exactly.
+//!
+//! Renaming blocks to dense ids is a bijection and protocols only compare
+//! blocks for identity, so every source produces bit-identical counters;
+//! finite tag stores still key on the **original** address because set
+//! selection uses raw address bits.
 //!
 //! # Observability
 //!
-//! Both entry points have `_with` variants ([`run_with`],
-//! [`run_indexed_with`]) that take a [`Recorder`] — a statically
-//! dispatched per-reference hook called after every counter mutation.
-//! The plain entry points pass [`NoopRecorder`], whose empty inline
-//! methods monomorphize away, so the hot loop is byte- and
-//! speed-identical with observability off (the `benchcmp` CI gate pins
-//! the counters against the checked-in baseline).
+//! [`run_indexed_with`] takes a [`Recorder`] — a statically dispatched
+//! per-reference hook called after every counter mutation. The other
+//! entry points pass [`NoopRecorder`], whose `IS_NOOP` selects the quiet
+//! body at compile time, so the hot loop is unchanged with observability
+//! off (the `benchcmp` CI gate pins the counters against the checked-in
+//! baseline).
 
 use dircc_cache::{FiniteCacheConfig, Lookup, SetAssocCache};
-use dircc_core::{split_shards, CoherenceStyle, Event, EventCounters, Protocol, ProtocolKind};
+use dircc_core::{
+    dispatch_sized, CoherenceStyle, Event, EventCounters, Outcome, Protocol, ProtocolKind,
+    ProtocolVisitor,
+};
 use dircc_obs::{NoopRecorder, Recorder};
+use dircc_trace::chunk::IterChunks;
 use dircc_trace::spill::spill_shards;
 use dircc_trace::{
-    BlockInterner, ChunkSource, Shard, ShardedStream, SpilledShard, SpilledShards, TraceRecord,
+    BlockInterner, ChunkSource, FirstRefs, ShardedStream, SoaStream, SpilledShard, SpilledShards,
+    TraceRecord,
 };
 use dircc_types::{AccessKind, BlockAddr, BlockGeometry, CacheId};
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 pub use dircc_types::SharingModel;
+
+/// References per batch for sources without chunks of their own
+/// (iterators, spill files), and per dispatch of the quiet loop. One
+/// batch's arrays stay comfortably inside L1 alongside the protocol's
+/// working set.
+const BATCH: usize = 4096;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -218,176 +242,34 @@ impl Verifier {
 /// Replays `records` through `protocol`, returning counters and any
 /// verifier findings.
 ///
-/// Blocks are interned on the fly: the interning map doubles as the
-/// first-reference set, so the loop pays exactly one hash probe per data
-/// reference and the protocol sees dense block addresses throughout.
+/// Blocks are interned on the fly, one batch at a time: the interning map
+/// doubles as the first-reference set, so the loop pays exactly one hash
+/// probe per data reference and the protocol sees dense block addresses
+/// throughout.
 ///
 /// # Errors
 ///
-/// Returns an error string if a protocol invariant check fails (the
-/// verifier's value-level findings are reported in
-/// [`RunResult::violations`] instead, so a run can surface several).
+/// Returns an error string if a reference names a cache the protocol does
+/// not have or a protocol invariant check fails (the verifier's
+/// value-level findings are reported in [`RunResult::violations`] instead,
+/// so a run can surface several).
 pub fn run<P: Protocol + ?Sized, I: IntoIterator<Item = TraceRecord>>(
     protocol: &mut P,
     records: I,
     cfg: &RunConfig,
 ) -> Result<RunResult, String> {
-    run_with(protocol, records, cfg, &mut NoopRecorder)
-}
-
-/// [`run`] with a [`Recorder`] observing the cumulative counters after
-/// every reference (e.g. a
-/// [`WindowedRecorder`](dircc_obs::WindowedRecorder) sampling
-/// time-resolved deltas). Counters are unaffected by the recorder.
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_with<P, I, R>(
-    protocol: &mut P,
-    records: I,
-    cfg: &RunConfig,
-    recorder: &mut R,
-) -> Result<RunResult, String>
-where
-    P: Protocol + ?Sized,
-    I: IntoIterator<Item = TraceRecord>,
-    R: Recorder,
-{
-    let mut interner: HashMap<u64, u32> = HashMap::new();
-    run_core(
-        protocol,
-        records.into_iter().zip(1u64..),
-        cfg,
-        0,
-        move |orig, _| {
-            let next = u32::try_from(interner.len()).expect("more than u32::MAX distinct blocks");
-            let mut first_ref = false;
-            let id = *interner.entry(orig.index()).or_insert_with(|| {
-                first_ref = true;
-                next
-            });
-            (BlockAddr::from_index(u64::from(id)), first_ref)
-        },
-        |b| b,
-        recorder,
-    )
-    .map(finish_result)
-    .map_err(|e| e.msg)
-}
-
-/// Replays `records` through `protocol` using a prebuilt dense-id stream
-/// (one id per record, aligned with `records`, as produced by
-/// [`dircc_trace::TraceStore::dense_blocks`]). `num_blocks` is the
-/// interner's distinct-block count and sizes the first-reference bit
-/// vector up front.
-///
-/// This is the zero-hashing hot path: the replay loop performs no hash
-/// probe at all for infinite-cache runs. Counters are bit-identical to
-/// [`run`] on the same records — pinned by this crate's equality tests.
-///
-/// # Errors
-///
-/// As [`run`]; additionally errs if `dense` is not aligned with `records`.
-pub fn run_indexed<P: Protocol + ?Sized>(
-    protocol: &mut P,
-    records: &[TraceRecord],
-    dense: &[u32],
-    num_blocks: usize,
-    cfg: &RunConfig,
-) -> Result<RunResult, String> {
-    run_indexed_with(protocol, records, dense, num_blocks, cfg, &mut NoopRecorder)
-}
-
-/// [`run_indexed`] with a [`Recorder`] observing the cumulative counters
-/// after every reference. Counters are unaffected by the recorder.
-///
-/// # Errors
-///
-/// As [`run_indexed`].
-pub fn run_indexed_with<P: Protocol + ?Sized, R: Recorder>(
-    protocol: &mut P,
-    records: &[TraceRecord],
-    dense: &[u32],
-    num_blocks: usize,
-    cfg: &RunConfig,
-    recorder: &mut R,
-) -> Result<RunResult, String> {
-    if records.len() != dense.len() {
-        return Err(format!(
-            "dense-id stream has {} entries for {} records; rebuild it from the same stream",
-            dense.len(),
-            records.len()
-        ));
-    }
-    let mut seen = vec![0u64; num_blocks.div_ceil(64)];
-    run_core(
-        protocol,
-        records.iter().copied().zip(1u64..),
-        cfg,
-        num_blocks,
-        move |_, idx| {
-            let id = dense[idx];
-            let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
-            if word >= seen.len() {
-                seen.resize(word + 1, 0);
-            }
-            let first_ref = seen[word] & bit == 0;
-            seen[word] |= bit;
-            (BlockAddr::from_index(u64::from(id)), first_ref)
-        },
-        |b| b,
-        recorder,
-    )
-    .map(finish_result)
-    .map_err(|e| e.msg)
-}
-
-/// Iterator adapter feeding [`run_core`] from a [`ChunkSource`]: yields
-/// `(record, gref)` pairs one chunk at a time, reusing one buffer so peak
-/// resident trace memory is bounded by the chunk size. An I/O error ends
-/// the stream and is parked in `err` for the caller to surface (the
-/// iterator contract has no error channel).
-struct ChunkRecords<'a, S: ChunkSource> {
-    source: &'a mut S,
-    buf: Vec<TraceRecord>,
-    pos: usize,
-    gref: u64,
-    err: &'a RefCell<Option<io::Error>>,
-}
-
-impl<S: ChunkSource> Iterator for ChunkRecords<'_, S> {
-    type Item = (TraceRecord, u64);
-
-    fn next(&mut self) -> Option<(TraceRecord, u64)> {
-        loop {
-            if self.pos < self.buf.len() {
-                let r = self.buf[self.pos];
-                self.pos += 1;
-                self.gref += 1;
-                return Some((r, self.gref));
-            }
-            self.pos = 0;
-            match self.source.next_chunk(&mut self.buf) {
-                Ok(true) => continue,
-                Ok(false) => return None,
-                Err(e) => {
-                    *self.err.borrow_mut() = Some(e);
-                    return None;
-                }
-            }
-        }
-    }
+    run_chunked(protocol, &mut IterChunks::new(records.into_iter().map(Ok), BATCH), cfg)
 }
 
 /// Replays a streamed trace — any [`ChunkSource`], e.g. a
 /// [`ChunkedReader`](dircc_trace::ChunkedReader) over an on-disk v2 file —
-/// through `protocol`, holding at most one chunk of records in memory.
+/// through `protocol`, holding at most one chunk of records (and its SoA
+/// batch) in memory.
 ///
 /// Blocks are interned incrementally as chunks arrive, in the same
 /// first-appearance order the in-memory paths use, so counters are
-/// bit-identical to [`run`]/[`run_indexed`] on the same records (pinned by
-/// this crate's streaming equality tests).
+/// bit-identical to [`run_indexed`] on the same records (pinned by this
+/// crate's streaming equality tests).
 ///
 /// # Errors
 ///
@@ -397,50 +279,95 @@ pub fn run_chunked<P: Protocol + ?Sized, S: ChunkSource>(
     source: &mut S,
     cfg: &RunConfig,
 ) -> Result<RunResult, String> {
-    run_chunked_with(protocol, source, cfg, &mut NoopRecorder)
+    let mut interner = BlockInterner::new(cfg.geometry);
+    let mut records = Vec::new();
+    let mut batch = SoaStream::new(cfg.sharing);
+    let mut recorder = NoopRecorder;
+    let mut core = Core::new(protocol, cfg, 0, None, &mut recorder);
+    while source.next_chunk(&mut records).map_err(|e| format!("trace read failed: {e}"))? {
+        // Cache-sized batches: each is filled and replayed while hot.
+        for chunk in records.chunks(BATCH) {
+            batch.clear();
+            for r in chunk {
+                let (id, first_ref) = if r.is_data() {
+                    interner.intern(cfg.geometry.block_of(r.addr))
+                } else {
+                    (0, false)
+                };
+                batch.push(r, id, first_ref);
+            }
+            core.replay(chunk, &batch, None).map_err(|e| e.msg)?;
+        }
+    }
+    core.finish().map(finish_result).map_err(|e| e.msg)
 }
 
-/// [`run_chunked`] with a [`Recorder`] observing the cumulative counters
-/// after every reference. Counters are unaffected by the recorder.
+/// Replays a structure-of-arrays stream through a fresh instance of
+/// `kind` sized for `soa.num_blocks`, resolved to its concrete type so
+/// the loop is monomorphized per scheme.
+///
+/// `records` must be the stream `soa` was built from (e.g. the
+/// [`TraceStore::records`](dircc_trace::TraceStore::records) /
+/// [`TraceStore::soa`](dircc_trace::TraceStore::soa) pair): the hot loop
+/// never touches it, but finite-cache set selection and diagnostics do.
 ///
 /// # Errors
 ///
-/// As [`run_chunked`].
-pub fn run_chunked_with<P, S, R>(
-    protocol: &mut P,
-    source: &mut S,
+/// As [`run`]; additionally errs if `soa` is misaligned with `records` or
+/// was built under a different sharing model than `cfg` uses.
+pub fn run_indexed(
+    kind: ProtocolKind,
+    n_caches: usize,
+    records: &[TraceRecord],
+    soa: &SoaStream,
     cfg: &RunConfig,
-    recorder: &mut R,
-) -> Result<RunResult, String>
-where
-    P: Protocol + ?Sized,
-    S: ChunkSource,
-    R: Recorder,
-{
-    let mut interner = BlockInterner::new(cfg.geometry);
-    let io_err: RefCell<Option<io::Error>> = RefCell::new(None);
-    let records = ChunkRecords { source, buf: Vec::new(), pos: 0, gref: 0, err: &io_err };
-    let res = run_core(
-        protocol,
-        records,
-        cfg,
-        0,
-        |orig, _| {
-            let (id, first_ref) = interner.intern(orig);
-            (BlockAddr::from_index(u64::from(id)), first_ref)
-        },
-        |b| b,
-        recorder,
-    );
-    // An I/O error truncates the stream; the engine would otherwise treat
-    // it as a clean end of trace, so check the side channel first.
-    if let Some(e) = io_err.into_inner() {
-        return Err(format!("trace read failed: {e}"));
-    }
-    res.map(finish_result).map_err(|e| e.msg)
+) -> Result<RunResult, String> {
+    run_indexed_with(kind, n_caches, records, soa, cfg, &mut NoopRecorder)
 }
 
-/// Builds the block-sharded partition of a dense-id stream for `cfg`.
+/// [`run_indexed`] with a [`Recorder`] observing the cumulative counters
+/// after every reference (e.g. a
+/// [`WindowedRecorder`](dircc_obs::WindowedRecorder) sampling
+/// time-resolved deltas). Counters are unaffected by the recorder.
+///
+/// # Errors
+///
+/// As [`run_indexed`].
+pub fn run_indexed_with<R: Recorder>(
+    kind: ProtocolKind,
+    n_caches: usize,
+    records: &[TraceRecord],
+    soa: &SoaStream,
+    cfg: &RunConfig,
+    recorder: &mut R,
+) -> Result<RunResult, String> {
+    check_aligned(records, soa, cfg)?;
+    let stream = Stream::Memory { records, soa, shard: None };
+    replay_dispatched(kind, n_caches, soa.num_blocks, stream, cfg, recorder)
+        .map(finish_result)
+        .map_err(|e| e.msg)
+}
+
+fn check_aligned(records: &[TraceRecord], soa: &SoaStream, cfg: &RunConfig) -> Result<(), String> {
+    if records.len() != soa.len() {
+        return Err(format!(
+            "soa stream has {} entries for {} records; rebuild it from the same stream",
+            soa.len(),
+            records.len()
+        ));
+    }
+    if soa.sharing != cfg.sharing {
+        return Err(format!(
+            "soa stream was built under {:?} sharing but the run uses {:?}; rebuild it for this \
+             sharing model",
+            soa.sharing, cfg.sharing
+        ));
+    }
+    Ok(())
+}
+
+/// Builds the block-sharded partition of a dense-id stream for `cfg`,
+/// each shard split under `cfg.sharing`.
 ///
 /// Infinite-cache runs shard by `block_id % shards` — the same router
 /// [`dircc_trace::TraceStore::sharded`] memoizes, so engine-level and
@@ -459,23 +386,23 @@ pub fn shard_stream(
 ) -> ShardedStream {
     let shards = shards.max(1);
     match cfg.finite_cache {
-        None => {
-            ShardedStream::build(records, dense, num_blocks, shards, |_, gid| gid as usize % shards)
-        }
+        None => ShardedStream::build(records, dense, num_blocks, shards, cfg.sharing, |_, gid| {
+            gid as usize % shards
+        }),
         Some(fc) => {
             let shards = shards.min(fc.sets);
             let geometry = cfg.geometry;
-            ShardedStream::build(records, dense, num_blocks, shards, |r, _| {
+            ShardedStream::build(records, dense, num_blocks, shards, cfg.sharing, |r, _| {
                 fc.set_of(geometry.block_of(r.addr)) % shards
             })
         }
     }
 }
 
-/// Replays a block-sharded stream through one protocol instance per shard
-/// (constructed via [`dircc_core::split_shards`]) and folds the per-shard
-/// results into one [`RunResult`] **bit-identical to [`run_indexed`]** on
-/// the unsharded stream.
+/// Replays a block-sharded stream through one monomorphized instance of
+/// `kind` per shard and folds the per-shard results into one
+/// [`RunResult`] **bit-identical to [`run_indexed`]** on the unsharded
+/// stream.
 ///
 /// Why the fold is exact:
 ///
@@ -504,37 +431,28 @@ pub fn shard_stream(
 ///
 /// # Errors
 ///
-/// As [`run_indexed`]; across shards the error with the smallest global
-/// reference number wins, deterministically.
+/// As [`run_indexed`], checked per shard; across shards the error with
+/// the smallest global reference number wins, deterministically.
 pub fn run_sharded(
     kind: ProtocolKind,
     n_caches: usize,
     sharded: &ShardedStream,
     cfg: &RunConfig,
 ) -> Result<RunResult, String> {
-    run_sharded_with(
-        split_shards(kind, n_caches, &sharded.shard_blocks()),
-        sharded,
-        cfg,
-        noop_observer,
-    )
+    run_sharded_with(kind, n_caches, sharded, cfg, |_, _, _, _| ())
 }
 
-/// A [`run_sharded_with`] observer that records nothing.
-pub(crate) fn noop_observer(_shard: usize, _started: Instant, _dur: Duration, _refs: u64) {}
-
-/// [`run_sharded`] over caller-built protocol instances (one per shard,
-/// e.g. from [`dircc_core::split_shards`]), with an observer called once
-/// per shard replay — `observe(shard, started, wall, refs)` — from the
-/// thread that replayed it, so callers can attribute per-shard spans.
-/// Counters are unaffected by the observer.
+/// [`run_sharded`] with an observer called once per shard replay —
+/// `observe(shard, started, wall, refs)` — from the thread that replayed
+/// it, so callers can attribute per-shard spans. Counters are unaffected
+/// by the observer.
 ///
 /// # Errors
 ///
-/// As [`run_sharded`]; additionally errs if the instance count does not
-/// match the shard count.
+/// As [`run_sharded`].
 pub fn run_sharded_with<O>(
-    protocols: Vec<Box<dyn Protocol>>,
+    kind: ProtocolKind,
+    n_caches: usize,
     sharded: &ShardedStream,
     cfg: &RunConfig,
     observe: O,
@@ -543,75 +461,23 @@ where
     O: Fn(usize, Instant, Duration, u64) + Sync,
 {
     let shards = sharded.shards();
-    if protocols.len() != shards.len() {
-        return Err(format!(
-            "{} protocol instance(s) for {} shard(s); build one per shard",
-            protocols.len(),
-            shards.len()
-        ));
+    for sh in shards {
+        check_aligned(&sh.records, &sh.soa, cfg)?;
     }
-    let slots: Vec<std::sync::Mutex<Option<Result<CoreResult, EngineError>>>> =
-        shards.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    {
-        let run_one = |idx: usize, protocol: &mut dyn Protocol| {
-            let started = Instant::now();
-            let res = replay_shard(protocol, &shards[idx], cfg);
-            let refs = match &res {
-                Ok(o) => o.refs,
-                Err(_) => shards[idx].records.len() as u64,
-            };
-            observe(idx, started, started.elapsed(), refs);
-            *slots[idx].lock().expect("shard slot poisoned") = Some(res);
+    fan_out(shards.len(), |idx| {
+        let sh = &shards[idx];
+        let started = Instant::now();
+        let stream = Stream::Memory {
+            records: &sh.records,
+            soa: &sh.soa,
+            shard: Some((&sh.global_refs, &sh.global_ids)),
         };
-        if shards.len() == 1 {
-            let mut protocols = protocols;
-            run_one(0, protocols[0].as_mut());
-        } else {
-            std::thread::scope(|scope| {
-                for (idx, mut protocol) in protocols.into_iter().enumerate() {
-                    let run_one = &run_one;
-                    scope.spawn(move || run_one(idx, protocol.as_mut()));
-                }
-            });
-        }
-    }
-
-    merge_shard_results(slots)
-}
-
-/// Folds per-shard replay results into one [`RunResult`] — additive
-/// counter merge in shard order, findings re-sorted by global reference
-/// number then capped, smallest `(gref, shard)` error winning — shared by
-/// the in-memory ([`run_sharded_with`]) and spilled
-/// ([`run_sharded_spilled`]) parallel paths so both merge identically.
-pub(crate) fn merge_shard_results(
-    slots: Vec<std::sync::Mutex<Option<Result<CoreResult, EngineError>>>>,
-) -> Result<RunResult, String> {
-    let mut counters = EventCounters::new();
-    let mut refs = 0u64;
-    let mut findings: Vec<(u64, String)> = Vec::new();
-    let mut first_err: Option<(u64, usize, String)> = None;
-    for (idx, slot) in slots.into_iter().enumerate() {
-        let res = slot.into_inner().expect("shard slot poisoned").expect("shard replay completed");
-        match res {
-            Ok(o) => {
-                counters.merge(&o.counters);
-                refs += o.refs;
-                findings.extend(o.violations);
-            }
-            Err(e) => {
-                if first_err.as_ref().is_none_or(|(g, s, _)| (e.gref, idx) < (*g, *s)) {
-                    first_err = Some((e.gref, idx, e.msg));
-                }
-            }
-        }
-    }
-    if let Some((_, _, msg)) = first_err {
-        return Err(msg);
-    }
-    findings.sort_by_key(|(gref, _)| *gref);
-    findings.truncate(MAX_VIOLATIONS);
-    Ok(finish_result(CoreResult { counters, refs, violations: findings }))
+        let res =
+            replay_dispatched(kind, n_caches, sh.soa.num_blocks, stream, cfg, &mut NoopRecorder);
+        let refs = res.as_ref().map_or(sh.records.len() as u64, |o| o.refs);
+        observe(idx, started, started.elapsed(), refs);
+        res
+    })
 }
 
 /// Partitions a streamed trace into per-shard spill files under `dir`
@@ -645,11 +511,12 @@ pub fn spill_sharded<S: ChunkSource>(
 }
 
 /// Replays a spilled partition (from [`spill_sharded`]) through one
-/// protocol instance per shard, streaming each shard's spill file with
-/// bounded memory, and folds the results **bit-identically to
-/// [`run_sharded`]** on the same stream: the spill files carry exactly the
-/// record / shard-local id / global reference triples an in-memory
-/// [`Shard`] carries, and the merge is [`merge_shard_results`].
+/// instance of `kind` per shard, streaming each shard's spill file in
+/// batches with bounded memory, and folds the results **bit-identically
+/// to [`run_sharded`]** on the same stream: the spill files carry exactly
+/// the record / shard-local id / global reference triples an in-memory
+/// [`Shard`](dircc_trace::Shard) carries, and the fan-out and merge are
+/// the same.
 ///
 /// # Errors
 ///
@@ -660,63 +527,132 @@ pub fn run_sharded_spilled(
     spilled: &SpilledShards,
     cfg: &RunConfig,
 ) -> Result<RunResult, String> {
-    let protocols = split_shards(kind, n_caches, &spilled.shard_blocks());
     let shards = spilled.shards();
-    let slots: Vec<std::sync::Mutex<Option<Result<CoreResult, EngineError>>>> =
-        shards.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    {
-        let run_one = |idx: usize, protocol: &mut dyn Protocol| {
-            let res = replay_spilled_shard(protocol, &shards[idx], cfg);
-            *slots[idx].lock().expect("shard slot poisoned") = Some(res);
-        };
-        if shards.len() == 1 {
-            let mut protocols = protocols;
-            run_one(0, protocols[0].as_mut());
-        } else {
-            std::thread::scope(|scope| {
-                for (idx, mut protocol) in protocols.into_iter().enumerate() {
-                    let run_one = &run_one;
-                    scope.spawn(move || run_one(idx, protocol.as_mut()));
+    fan_out(shards.len(), |idx| {
+        let sh = &shards[idx];
+        replay_dispatched(
+            kind,
+            n_caches,
+            sh.num_blocks,
+            Stream::Spilled(sh),
+            cfg,
+            &mut NoopRecorder,
+        )
+    })
+}
+
+/// Replays shards `0..shards` — `replay_shard(idx)` each — on scoped
+/// threads (inline for one shard) and merges the results with
+/// [`merge_shard_results`]. The one fan-out behind both in-memory and
+/// spilled sharded replay.
+pub(crate) fn fan_out<F>(shards: usize, replay_shard: F) -> Result<RunResult, String>
+where
+    F: Fn(usize) -> Result<CoreResult, EngineError> + Sync,
+{
+    let results = if shards == 1 {
+        vec![replay_shard(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let replay_shard = &replay_shard;
+            let handles: Vec<_> =
+                (0..shards).map(|idx| scope.spawn(move || replay_shard(idx))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
+        })
+    };
+    merge_shard_results(results)
+}
+
+/// Folds per-shard replay results into one [`RunResult`] — additive
+/// counter merge in shard order, findings re-sorted by global reference
+/// number then capped, smallest `(gref, shard)` error winning.
+fn merge_shard_results(results: Vec<Result<CoreResult, EngineError>>) -> Result<RunResult, String> {
+    let mut counters = EventCounters::new();
+    let mut refs = 0u64;
+    let mut findings: Vec<(u64, String)> = Vec::new();
+    let mut first_err: Option<(u64, usize, String)> = None;
+    for (idx, res) in results.into_iter().enumerate() {
+        match res {
+            Ok(o) => {
+                counters.merge(&o.counters);
+                refs += o.refs;
+                findings.extend(o.violations);
+            }
+            Err(e) => {
+                if first_err.as_ref().is_none_or(|(g, s, _)| (e.gref, idx) < (*g, *s)) {
+                    first_err = Some((e.gref, idx, e.msg));
                 }
-            });
+            }
         }
     }
-    merge_shard_results(slots)
+    if let Some((_, _, msg)) = first_err {
+        return Err(msg);
+    }
+    findings.sort_by_key(|(gref, _)| *gref);
+    findings.truncate(MAX_VIOLATIONS);
+    Ok(finish_result(CoreResult { counters, refs, violations: findings }))
 }
 
-/// Iterator feeding [`run_core`] from a spill file. The shard-local dense
-/// id travels through a [`Cell`] side channel: `next` stores it, the
-/// resolve closure reads it — safe because [`run_core`] is single-threaded
-/// and resolves each record before pulling the next.
-struct SpilledRecords<'a> {
-    entries: dircc_trace::spill::SpilledEntries,
-    lid: &'a Cell<u32>,
-    err: &'a RefCell<Option<io::Error>>,
+/// What one monomorphized replay reads.
+enum Stream<'a> {
+    /// An in-memory stream; `shard` carries a shard sub-stream's global
+    /// reference numbers and shard-local → global dense ids.
+    Memory { records: &'a [TraceRecord], soa: &'a SoaStream, shard: Option<(&'a [u64], &'a [u32])> },
+    /// One spilled shard, streamed from its file.
+    Spilled(&'a SpilledShard),
 }
 
-impl Iterator for SpilledRecords<'_> {
-    type Item = (TraceRecord, u64);
-
-    fn next(&mut self) -> Option<(TraceRecord, u64)> {
-        match self.entries.next() {
-            Some(Ok(e)) => {
-                self.lid.set(e.local_id);
-                Some((e.record, e.gref))
+/// Replays `stream` through a fresh instance of `kind` sized for `blocks`
+/// and resolved to its concrete type ([`dispatch_sized`]), so
+/// [`Protocol::access`] is statically dispatched and inlinable.
+fn replay_dispatched<R: Recorder>(
+    kind: ProtocolKind,
+    n_caches: usize,
+    blocks: usize,
+    stream: Stream<'_>,
+    cfg: &RunConfig,
+    recorder: &mut R,
+) -> Result<CoreResult, EngineError> {
+    struct Replay<'a, R> {
+        stream: Stream<'a>,
+        cfg: &'a RunConfig,
+        recorder: &'a mut R,
+    }
+    impl<R: Recorder> ProtocolVisitor for Replay<'_, R> {
+        type Output = Result<CoreResult, EngineError>;
+        fn visit<P: Protocol>(self, mut protocol: P) -> Self::Output {
+            match self.stream {
+                Stream::Memory { records, soa, shard } => {
+                    replay_memory(&mut protocol, records, soa, shard, self.cfg, self.recorder)
+                }
+                Stream::Spilled(shard) => replay_spilled(&mut protocol, shard, self.cfg),
             }
-            Some(Err(e)) => {
-                *self.err.borrow_mut() = Some(e);
-                None
-            }
-            None => None,
         }
     }
+    dispatch_sized(kind, n_caches, blocks, Replay { stream, cfg, recorder })
 }
 
-/// Replays one spilled shard: [`run_core`] over the shard's spill file
-/// with its shard-local dense ids, first-ref bitvec and global reference
-/// numbers — the streaming twin of [`replay_shard`].
-fn replay_spilled_shard(
-    protocol: &mut dyn Protocol,
+/// Replays one in-memory stream (or shard sub-stream) as a single batch.
+pub(crate) fn replay_memory<P: Protocol + ?Sized, R: Recorder>(
+    protocol: &mut P,
+    records: &[TraceRecord],
+    soa: &SoaStream,
+    shard: Option<(&[u64], &[u32])>,
+    cfg: &RunConfig,
+    recorder: &mut R,
+) -> Result<CoreResult, EngineError> {
+    let mut core = Core::new(protocol, cfg, soa.num_blocks, shard.map(|s| s.1), recorder);
+    core.replay(records, soa, shard.map(|s| s.0))?;
+    core.finish()
+}
+
+/// Replays one spilled shard, refilling one batch of up to [`BATCH`]
+/// entries at a time with the shard-local ids, first-reference bits and
+/// global reference numbers the spill file carries.
+fn replay_spilled<P: Protocol + ?Sized>(
+    protocol: &mut P,
     shard: &SpilledShard,
     cfg: &RunConfig,
 ) -> Result<CoreResult, EngineError> {
@@ -726,202 +662,255 @@ fn replay_spilled_shard(
         gref: 0,
         msg: format!("spilled shard read failed: {e}"),
     };
-    let entries = shard.entries().map_err(read_err)?;
-    let mut seen = vec![0u64; shard.num_blocks.div_ceil(64)];
-    let lid = Cell::new(0u32);
-    let io_err: RefCell<Option<io::Error>> = RefCell::new(None);
-    let records = SpilledRecords { entries, lid: &lid, err: &io_err };
-    let global_ids = &shard.global_ids;
-    let res = run_core(
-        protocol,
-        records,
-        cfg,
-        shard.num_blocks,
-        |_, _| {
-            let id = lid.get();
-            let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
-            if word >= seen.len() {
-                seen.resize(word + 1, 0);
+    let mut entries = shard.entries().map_err(read_err)?;
+    let mut recorder = NoopRecorder;
+    let mut core =
+        Core::new(protocol, cfg, shard.num_blocks, Some(&shard.global_ids), &mut recorder);
+    let mut seen = FirstRefs::new(shard.num_blocks);
+    let (mut records, mut grefs, mut batch) = (Vec::new(), Vec::new(), SoaStream::new(cfg.sharing));
+    loop {
+        records.clear();
+        grefs.clear();
+        batch.clear();
+        let mut failed = None;
+        for entry in entries.by_ref().take(BATCH) {
+            match entry {
+                Ok(e) => {
+                    let first_ref = e.record.is_data() && seen.first(e.local_id);
+                    batch.push(&e.record, e.local_id, first_ref);
+                    records.push(e.record);
+                    grefs.push(e.gref);
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
             }
-            let first_ref = seen[word] & bit == 0;
-            seen[word] |= bit;
-            (BlockAddr::from_index(u64::from(id)), first_ref)
-        },
-        // Violation messages name blocks by *global* dense id, matching
-        // the serial run byte-for-byte.
-        |b| BlockAddr::from_index(u64::from(global_ids[b.index() as usize])),
-        &mut NoopRecorder,
-    );
-    if let Some(e) = io_err.into_inner() {
-        return Err(read_err(e));
+        }
+        // The entries before a read failure still replay, so an engine
+        // error among them wins exactly as it would in memory.
+        core.replay(&records, &batch, Some(&grefs))?;
+        if let Some(e) = failed {
+            return Err(read_err(e));
+        }
+        if records.len() < BATCH {
+            return core.finish();
+        }
     }
-    res
 }
 
-/// Replays one shard: [`run_core`] over the shard's records with its
-/// shard-local dense ids, first-ref bitvec and global reference numbers.
-fn replay_shard<P: Protocol + ?Sized>(
-    protocol: &mut P,
-    shard: &Shard,
-    cfg: &RunConfig,
-) -> Result<CoreResult, EngineError> {
-    let mut seen = vec![0u64; shard.num_blocks.div_ceil(64)];
-    let dense = &shard.dense;
-    run_core(
-        protocol,
-        shard.records.iter().copied().zip(shard.global_refs.iter().copied()),
-        cfg,
-        shard.num_blocks,
-        move |_, idx| {
-            let id = dense[idx];
-            let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
-            let first_ref = seen[word] & bit == 0;
-            seen[word] |= bit;
-            (BlockAddr::from_index(u64::from(id)), first_ref)
-        },
-        // Violation messages name blocks by *global* dense id, matching
-        // the serial run byte-for-byte.
-        |b| BlockAddr::from_index(u64::from(shard.global_ids[b.index() as usize])),
-        &mut NoopRecorder,
-    )
+/// The replay loop's state, carried across the batches of one stream.
+struct Core<'a, P: ?Sized, R> {
+    protocol: &'a mut P,
+    cfg: &'a RunConfig,
+    recorder: &'a mut R,
+    /// Shard-local → global dense ids (`None` for unsharded streams), so
+    /// sharded violation text names blocks exactly as the serial run does.
+    global_ids: Option<&'a [u32]>,
+    counters: EventCounters,
+    verifier: Option<Verifier>,
+    violations: Vec<(u64, String)>,
+    /// Finite-mode tag stores mirror each cache's resident blocks; LRU
+    /// victims are evicted from the protocol. Tags invalidated by remote
+    /// writes linger until replaced (as in real caches). Set selection
+    /// uses raw address bits, so the stores are keyed on the ORIGINAL
+    /// block address and carry the dense address as their state.
+    tag_stores: Option<Vec<SetAssocCache<BlockAddr>>>,
+    /// References replayed so far.
+    refs: u64,
 }
 
-/// The shared replay loop. `records` yields `(record, gref)` pairs where
-/// `gref` is the record's 1-based *global* reference number (equal to the
-/// loop count for unsharded runs; the original trace position for shard
-/// sub-streams) — used in error and violation messages so sharded
-/// findings merge back in trace order. `resolve(orig_block, index)`
-/// returns the dense block address and whether this is the block's global
-/// first reference (`index` is the 0-based position within this stream);
-/// `display` maps a dense block to the label violation messages print —
-/// identity for unsharded runs, shard-local → global dense id for shard
-/// sub-streams, so sharded violation text is byte-identical to serial
-/// (it is only called on the verify path, never in the hot loop);
-/// `block_capacity` pre-sizes the verifier's dense tables. The recorder
-/// sees the cumulative counters once per record, after every counter
-/// mutation that record caused (eviction traffic included), so windowed
-/// deltas partition the run exactly.
-fn run_core<P, I, F, D, R>(
-    protocol: &mut P,
-    records: I,
-    cfg: &RunConfig,
-    block_capacity: usize,
-    mut resolve: F,
-    display: D,
-    recorder: &mut R,
-) -> Result<CoreResult, EngineError>
-where
-    P: Protocol + ?Sized,
-    I: IntoIterator<Item = (TraceRecord, u64)>,
-    F: FnMut(BlockAddr, usize) -> (BlockAddr, bool),
-    D: Fn(BlockAddr) -> BlockAddr,
-    R: Recorder,
-{
-    let mut counters = EventCounters::new();
-    let n = protocol.num_caches();
-    let mut verifier = cfg.verify.then(|| Verifier::new(n, block_capacity));
-    let mut violations = Vec::new();
-    let mut refs = 0u64;
-    // Finite-mode tag stores mirror each cache's resident blocks; LRU
-    // victims are evicted from the protocol. Tags invalidated by remote
-    // writes linger until replaced (as in real caches). Set selection uses
-    // raw address bits, so the stores are keyed on the ORIGINAL block
-    // address and carry the dense address as their state.
-    let mut tag_stores: Option<Vec<SetAssocCache<BlockAddr>>> =
-        cfg.finite_cache.map(|fc| (0..n).map(|_| SetAssocCache::new(fc)).collect());
+impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
+    /// `block_capacity` pre-sizes the verifier's dense tables.
+    fn new(
+        protocol: &'a mut P,
+        cfg: &'a RunConfig,
+        block_capacity: usize,
+        global_ids: Option<&'a [u32]>,
+        recorder: &'a mut R,
+    ) -> Self {
+        let n = protocol.num_caches();
+        Core {
+            verifier: cfg.verify.then(|| Verifier::new(n, block_capacity)),
+            tag_stores: cfg.finite_cache.map(|fc| (0..n).map(|_| SetAssocCache::new(fc)).collect()),
+            protocol,
+            cfg,
+            recorder,
+            global_ids,
+            counters: EventCounters::new(),
+            violations: Vec::new(),
+            refs: 0,
+        }
+    }
 
-    // One reference, shared by both loops below (`r`, `gref`, and the
-    // surrounding mutable state bind at the expansion site).
-    macro_rules! step {
-        ($r:ident, $gref:ident) => {{
-            refs += 1;
-            if $r.kind == AccessKind::InstrFetch {
-                counters.observe(&dircc_core::Outcome::quiet(Event::Instr));
-                recorder.record(refs, &counters);
-                continue;
+    /// The replay loop: the one place references reach
+    /// [`Protocol::access`]. Replays one batch — `records` and `soa`
+    /// aligned, `grefs` the 1-based *global* reference numbers of a shard
+    /// sub-stream (`None`: the running reference count), used in error
+    /// and violation messages so sharded findings merge back in trace
+    /// order. The recorder sees the cumulative counters once per record,
+    /// after every counter mutation that record caused (eviction traffic
+    /// included), so windowed deltas partition the run exactly.
+    fn replay(
+        &mut self,
+        records: &[TraceRecord],
+        soa: &SoaStream,
+        grefs: Option<&[u64]>,
+    ) -> Result<(), EngineError> {
+        let n = self.protocol.num_caches();
+        let len = soa.len();
+        let base = self.refs;
+        let cfg = self.cfg;
+        let every = cfg.check_invariants_every;
+
+        // Every cold branch constant-false? Then no reference can error
+        // (max_cache_idx proves the bounds check dead), no state beyond
+        // the protocol and counters exists, and the batch specializes
+        // down to the quiet loop.
+        let quiet = R::IS_NOOP
+            && !cfg.verify
+            && cfg.finite_cache.is_none()
+            && every == 0
+            && usize::from(soa.max_cache_idx) < n;
+        if quiet {
+            let protocol = &mut *self.protocol;
+            let counters = &mut self.counters;
+            let kind = &soa.kind[..len];
+            let cache_idx = &soa.cache_idx[..len];
+            let block_id = &soa.block_id[..len];
+            let first_ref = &soa.first_ref[..len];
+            let mut i = 0usize;
+            while i < len {
+                let end = (i + BATCH).min(len);
+                for j in i..end {
+                    let k = kind[j];
+                    if k == AccessKind::InstrFetch {
+                        counters.observe(&Outcome::quiet(Event::Instr));
+                        continue;
+                    }
+                    let out = protocol.access(
+                        CacheId::new(cache_idx[j]),
+                        k,
+                        BlockAddr::from_index(u64::from(block_id[j])),
+                        first_ref[j],
+                    );
+                    counters.observe(&out);
+                }
+                i = end;
             }
-            let cache_idx = match cfg.sharing {
-                SharingModel::Processor => $r.cpu.raw(),
-                SharingModel::Process => $r.pid.raw(),
+            self.refs = base + len as u64;
+            return Ok(());
+        }
+
+        // Full loop: every check, reference for reference, with the
+        // invariant modulo test hoisted to segment boundaries (segments
+        // end exactly where the cadence checks).
+        let mut i = 0usize;
+        while i < len {
+            // Next running count that is a multiple of `every` (or the
+            // whole batch when the cadence is off).
+            let end = match every {
+                0 => len,
+                _ => {
+                    let next = ((base + i as u64) / every + 1) * every;
+                    ((next - base) as usize).min(len)
+                }
             };
-            if usize::from(cache_idx) >= n {
-                return Err(EngineError {
-                    gref: $gref,
-                    msg: format!(
-                        "reference {}: cache index {cache_idx} out of range for {n} caches \
-                         ({}, {}, {:?} at {}; did you size the protocol for the sharing model?)",
-                        $gref, $r.cpu, $r.pid, $r.kind, $r.addr
-                    ),
-                });
-            }
-            let cache = CacheId::new(cache_idx);
-            let orig_block = cfg.geometry.block_of($r.addr);
-            let (block, first_ref) = resolve(orig_block, (refs - 1) as usize);
-            let out = protocol.access(cache, $r.kind, block, first_ref);
-            counters.observe(&out);
+            for j in i..end {
+                let refs = base + j as u64 + 1;
+                let k = soa.kind[j];
+                if k == AccessKind::InstrFetch {
+                    self.counters.observe(&Outcome::quiet(Event::Instr));
+                    self.recorder.record(refs, &self.counters);
+                    continue;
+                }
+                let gref = grefs.map_or(refs, |g| g[j]);
+                let cache_idx = soa.cache_idx[j];
+                if usize::from(cache_idx) >= n {
+                    let r = &records[j];
+                    return Err(EngineError {
+                        gref,
+                        msg: format!(
+                            "reference {gref}: cache index {cache_idx} out of range for {n} \
+                             caches ({}, {}, {:?} at {}; did you size the protocol for the \
+                             sharing model?)",
+                            r.cpu, r.pid, r.kind, r.addr
+                        ),
+                    });
+                }
+                let cache = CacheId::new(cache_idx);
+                let block = BlockAddr::from_index(u64::from(soa.block_id[j]));
+                let out = self.protocol.access(cache, k, block, soa.first_ref[j]);
+                self.counters.observe(&out);
 
-            if let Some(v) = verifier.as_mut() {
-                verify_access(
-                    protocol,
-                    v,
-                    cache,
-                    $r.kind,
-                    block,
-                    display(block),
-                    &out,
-                    &mut violations,
-                    $gref,
-                );
-            }
-            if let Some(stores) = tag_stores.as_mut() {
-                let store = &mut stores[cache.index()];
-                if let Lookup::Inserted { evicted: Some(victim) } =
-                    store.lookup_or_insert(orig_block, block)
-                {
-                    let evo = protocol.evict(cache, victim.state);
-                    counters.observe_eviction(&evo);
-                    if evo.write_back {
-                        if let Some(v) = verifier.as_mut() {
-                            // The evicted copy holds the latest data in
-                            // every protocol that answers WRITE_BACK.
-                            let ver = v.copy_version(cache, victim.state);
-                            v.set_memory(victim.state, ver);
+                if let Some(v) = self.verifier.as_mut() {
+                    let shown = match self.global_ids {
+                        None => block,
+                        Some(g) => BlockAddr::from_index(u64::from(g[block.index() as usize])),
+                    };
+                    verify_access(
+                        &*self.protocol,
+                        v,
+                        cache,
+                        k,
+                        block,
+                        shown,
+                        &out,
+                        &mut self.violations,
+                        gref,
+                    );
+                }
+                if let Some(stores) = self.tag_stores.as_mut() {
+                    let orig_block = cfg.geometry.block_of(records[j].addr);
+                    let store = &mut stores[cache.index()];
+                    if let Lookup::Inserted { evicted: Some(victim) } =
+                        store.lookup_or_insert(orig_block, block)
+                    {
+                        let evo = self.protocol.evict(cache, victim.state);
+                        self.counters.observe_eviction(&evo);
+                        if evo.write_back {
+                            if let Some(v) = self.verifier.as_mut() {
+                                // The evicted copy holds the latest data in
+                                // every protocol that answers WRITE_BACK.
+                                let ver = v.copy_version(cache, victim.state);
+                                v.set_memory(victim.state, ver);
+                            }
                         }
                     }
                 }
+                self.recorder.record(refs, &self.counters);
             }
-            recorder.record(refs, &counters);
-        }};
+            i = end;
+            // The cadence only checks when the boundary reference is a
+            // data reference (the instruction path skips the check).
+            let done = base + i as u64;
+            if every > 0 && done.is_multiple_of(every) && soa.kind[i - 1] != AccessKind::InstrFetch
+            {
+                if let Err(e) = self.protocol.check_invariants() {
+                    let gref = grefs.map_or(done, |g| g[i - 1]);
+                    return Err(EngineError {
+                        gref,
+                        msg: format!("invariant violation at reference {gref}: {e}"),
+                    });
+                }
+            }
+        }
+        self.refs = base + len as u64;
+        Ok(())
     }
 
-    // The invariant cadence is hoisted out of the common (cadence 0)
-    // configuration: that loop carries no per-reference modulo test at
-    // all, instead of a dead branch per reference.
-    let every = cfg.check_invariants_every;
-    let records = records.into_iter();
-    if every == 0 {
-        for (r, gref) in records {
-            step!(r, gref);
+    /// Ends the stream: the final invariant check (when a cadence is set)
+    /// and the recorder's `finish`.
+    fn finish(self) -> Result<CoreResult, EngineError> {
+        if self.cfg.check_invariants_every > 0 {
+            self.protocol.check_invariants().map_err(|e| EngineError {
+                gref: u64::MAX,
+                msg: format!("final invariant violation: {e}"),
+            })?;
         }
-    } else {
-        for (r, gref) in records {
-            step!(r, gref);
-            if refs.is_multiple_of(every) {
-                protocol.check_invariants().map_err(|e| EngineError {
-                    gref,
-                    msg: format!("invariant violation at reference {gref}: {e}"),
-                })?;
-            }
-        }
+        self.recorder.finish(self.refs, &self.counters);
+        Ok(CoreResult { counters: self.counters, refs: self.refs, violations: self.violations })
     }
-    if cfg.check_invariants_every > 0 {
-        protocol.check_invariants().map_err(|e| EngineError {
-            gref: u64::MAX,
-            msg: format!("final invariant violation: {e}"),
-        })?;
-    }
-    recorder.finish(refs, &counters);
-    Ok(CoreResult { counters, refs, violations })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1223,14 +1212,21 @@ mod tests {
         assert!(!res.violations.is_empty(), "stale copies must be detected");
     }
 
+    /// The SoA split of `records` under `cfg`'s geometry and sharing.
+    fn soa(records: &[TraceRecord], cfg: &RunConfig) -> SoaStream {
+        let (dense, num_blocks) = interned(records, cfg.geometry);
+        SoaStream::build(records, &dense, num_blocks, cfg.sharing)
+    }
+
     #[test]
     fn noop_recorder_is_bit_identical_to_the_plain_entry_point() {
         let trace = patterns::migratory(4, 80);
-        let mut p = build(ProtocolKind::Berkeley, 4);
-        let plain = run(p.as_mut(), trace.clone(), &RunConfig::default()).unwrap();
-        let mut p = build(ProtocolKind::Berkeley, 4);
+        let cfg = RunConfig::default();
+        let soa = soa(&trace, &cfg);
+        let kind = ProtocolKind::Berkeley;
+        let plain = run_indexed(kind, 4, &trace, &soa, &cfg).unwrap();
         let mut rec = dircc_obs::NoopRecorder;
-        let with = run_with(p.as_mut(), trace, &RunConfig::default(), &mut rec).unwrap();
+        let with = run_indexed_with(kind, 4, &trace, &soa, &cfg, &mut rec).unwrap();
         assert_eq!(plain.counters, with.counters);
         assert_eq!(plain.refs, with.refs);
     }
@@ -1242,9 +1238,9 @@ mod tests {
         // too; instruction fetches so every record kind is covered.
         let trace = patterns::with_instr_stream(patterns::migratory(4, 120));
         let cfg = RunConfig::default().with_finite_caches(FiniteCacheConfig::new(2, 2));
-        let mut p = build(ProtocolKind::WriteOnce, 4);
+        let kind = ProtocolKind::WriteOnce;
         let mut rec = dircc_obs::WindowedRecorder::new(17);
-        let res = run_with(p.as_mut(), trace.clone(), &cfg, &mut rec).unwrap();
+        let res = run_indexed_with(kind, 4, &trace, &soa(&trace, &cfg), &cfg, &mut rec).unwrap();
         let samples = rec.into_samples();
         assert!(samples.len() > 2, "windowing at 17 refs must produce several windows");
         assert_eq!(samples.last().unwrap().end_ref, res.refs);
@@ -1266,12 +1262,9 @@ mod tests {
         let store = TraceStore::new(vec![Profile::pops().with_total_refs(5_000)], 11);
         let cfg = RunConfig::default().with_process_sharing();
         let records = store.records(0, TraceFilter::Full);
-        let dense = store.dense_blocks(0, TraceFilter::Full, cfg.geometry);
-        let num_blocks = store.interner(0, cfg.geometry).num_blocks();
-        let mut p = dircc_core::build_sized(ProtocolKind::Dir0B, 4, num_blocks);
+        let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
         let mut rec = dircc_obs::WindowedRecorder::new(512);
-        let res =
-            run_indexed_with(p.as_mut(), &records, &dense, num_blocks, &cfg, &mut rec).unwrap();
+        let res = run_indexed_with(ProtocolKind::Dir0B, 4, &records, &soa, &cfg, &mut rec).unwrap();
         let mut sum = EventCounters::new();
         for s in rec.samples() {
             sum.merge(&s.counters);
@@ -1292,6 +1285,7 @@ mod tests {
             Generator::new(Profile::pops().with_total_refs(6_000), 9).collect();
         let cfg = RunConfig { verify: true, ..RunConfig::default().with_process_sharing() };
         let (dense, num_blocks) = interned(&records, cfg.geometry);
+        let soa = SoaStream::build(&records, &dense, num_blocks, cfg.sharing);
         for kind in [
             ProtocolKind::DirNb { pointers: 1 },
             ProtocolKind::DirNb { pointers: 4 },
@@ -1307,8 +1301,7 @@ mod tests {
             ProtocolKind::Firefly,
             ProtocolKind::Mesi,
         ] {
-            let mut p = build(kind, 4);
-            let serial = run_indexed(p.as_mut(), &records, &dense, num_blocks, &cfg).unwrap();
+            let serial = run_indexed(kind, 4, &records, &soa, &cfg).unwrap();
             for shards in [1, 2, 3, 8] {
                 let sharded = shard_stream(&records, &dense, num_blocks, shards, &cfg);
                 assert_eq!(sharded.num_shards(), shards, "infinite caches honour the count");
@@ -1343,8 +1336,7 @@ mod tests {
         };
         let (dense, num_blocks) = interned(&trace, cfg.geometry);
         for kind in [ProtocolKind::Dir0B, ProtocolKind::Berkeley, ProtocolKind::Mesi] {
-            let mut p = build(kind, 4);
-            let serial = run_indexed(p.as_mut(), &trace, &dense, num_blocks, &cfg).unwrap();
+            let serial = run_indexed(kind, 4, &trace, &soa(&trace, &cfg), &cfg).unwrap();
             assert!(serial.counters.cache_evictions() > 0, "exercise eviction traffic");
             for shards in [2, 3, 4, 8] {
                 let sharded = shard_stream(&trace, &dense, num_blocks, shards, &cfg);
@@ -1414,14 +1406,17 @@ mod tests {
         let cfg = RunConfig::verifying(0);
         let (dense, num_blocks) = interned(&trace, cfg.geometry);
         let mut p = Stale(dircc_cache::CacheArray::new(4));
-        let serial = run_indexed(&mut p, &trace, &dense, num_blocks, &cfg).unwrap();
+        let serial = run(&mut p, trace.clone(), &cfg).unwrap();
         assert_eq!(serial.violations.len(), MAX_VIOLATIONS);
         for shards in [2, 3, 5] {
             let sharded = shard_stream(&trace, &dense, num_blocks, shards, &cfg);
-            let protocols: Vec<Box<dyn Protocol>> = (0..shards)
-                .map(|_| Box::new(Stale(dircc_cache::CacheArray::new(4))) as Box<dyn Protocol>)
-                .collect();
-            let res = run_sharded_with(protocols, &sharded, &cfg, |_, _, _, _| ()).unwrap();
+            let res = fan_out(shards, |idx| {
+                let sh = &sharded.shards()[idx];
+                let mut p = Stale(dircc_cache::CacheArray::new(4));
+                let shard = Some((&sh.global_refs[..], &sh.global_ids[..]));
+                replay_memory(&mut p, &sh.records, &sh.soa, shard, &cfg, &mut NoopRecorder)
+            })
+            .unwrap();
             assert_eq!(serial.violations, res.violations, "{shards} shards");
         }
     }
@@ -1438,8 +1433,8 @@ mod tests {
         );
         let cfg = RunConfig::default();
         let (dense, num_blocks) = interned(&trace, cfg.geometry);
-        let mut p = build(ProtocolKind::Dir0B, 4);
-        let serial = run_indexed(p.as_mut(), &trace, &dense, num_blocks, &cfg).unwrap_err();
+        let soa = SoaStream::build(&trace, &dense, num_blocks, cfg.sharing);
+        let serial = run_indexed(ProtocolKind::Dir0B, 4, &trace, &soa, &cfg).unwrap_err();
         for shards in [1, 2, 4] {
             let sharded = shard_stream(&trace, &dense, num_blocks, shards, &cfg);
             let err = run_sharded(ProtocolKind::Dir0B, 4, &sharded, &cfg).unwrap_err();
@@ -1455,8 +1450,7 @@ mod tests {
         let (dense, num_blocks) = interned(&trace, cfg.geometry);
         let sharded = shard_stream(&trace, &dense, num_blocks, 3, &cfg);
         let seen: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::new());
-        let protocols = dircc_core::split_shards(ProtocolKind::Mesi, 4, &sharded.shard_blocks());
-        let res = run_sharded_with(protocols, &sharded, &cfg, |shard, _, _, refs| {
+        let res = run_sharded_with(ProtocolKind::Mesi, 4, &sharded, &cfg, |shard, _, _, refs| {
             seen.lock().unwrap().push((shard, refs));
         })
         .unwrap();
@@ -1465,18 +1459,6 @@ mod tests {
         assert_eq!(seen.len(), 3);
         assert_eq!(seen.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(seen.iter().map(|(_, r)| *r).sum::<u64>(), res.refs);
-    }
-
-    #[test]
-    fn mismatched_instance_count_is_an_error() {
-        let trace = patterns::migratory(4, 20);
-        let cfg = RunConfig::default();
-        let (dense, num_blocks) = interned(&trace, cfg.geometry);
-        let sharded = shard_stream(&trace, &dense, num_blocks, 2, &cfg);
-        let err =
-            run_sharded_with(vec![build(ProtocolKind::Dir0B, 4)], &sharded, &cfg, |_, _, _, _| ())
-                .unwrap_err();
-        assert!(err.contains("one per shard"), "{err}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   capture more spatial locality but invite more false sharing) and the
 //!   transfer costs.
 
-use crate::engine::{run, RunConfig};
+use crate::engine::{run, run_indexed, RunConfig};
 use crate::metrics::{mean, Evaluation};
 use crate::par::par_map_indexed;
 use crate::report::{cycles, Table};
@@ -27,7 +27,7 @@ use dircc_cache::{FiniteCacheConfig, SetAssocCache};
 use dircc_core::{build, ProtocolKind};
 use dircc_trace::gen::Profile;
 use dircc_trace::store::TraceStore;
-use dircc_types::BlockGeometry;
+use dircc_types::{BlockGeometry, SharingModel};
 
 /// One cache-capacity point of the finite-cache study.
 #[derive(Debug, Clone)]
@@ -346,14 +346,17 @@ pub fn footnote2(wb: &Workbench) -> Footnote2Study {
         let mut total = Vec::new();
         let mut wbs = Vec::new();
         for t in 0..wb.num_traces() {
+            // The workbench's memoized process-sharing SoA split of the
+            // full trace: interned once for the paper matrix, not per run.
+            let records = wb.records(t, TraceFilter::Full);
+            let soa =
+                wb.store().soa(t, TraceFilter::Full, BlockGeometry::PAPER, SharingModel::Process);
             let miss_pct = |kind: ProtocolKind| -> (f64, f64) {
-                let mut protocol = build(kind, wb.n_caches());
                 let mut cfg = RunConfig::default().with_process_sharing();
                 if let Some(capacity) = cap {
                     cfg = cfg.with_finite_caches(FiniteCacheConfig::with_capacity(capacity, 4));
                 }
-                let records = wb.records(t, TraceFilter::Full);
-                let result = run(protocol.as_mut(), records.iter().copied(), &cfg)
+                let result = run_indexed(kind, wb.n_caches(), &records, &soa, &cfg)
                     .expect("footnote2 replay");
                 let c = result.counters;
                 (c.pct(c.rm() + c.wm()), 1000.0 * c.cache_evictions() as f64 / c.total() as f64)

@@ -4,13 +4,12 @@
 //! *"An Evaluation of Directory Schemes for Cache Coherence"* (Agarwal,
 //! Simoni, Hennessy, Horowitz — ISCA 1988).
 //!
-//! * [`engine`] — replays traces through any
-//!   [`Protocol`](dircc_core::Protocol), with an optional value-level
+//! * [`engine`] — the one replay loop: structure-of-arrays batches
+//!   (precomputed `kind`/`cache_idx`/`block_id`/`first_ref` arrays) from
+//!   in-memory, streamed, sharded or spilled sources, replayed through
+//!   any [`Protocol`](dircc_core::Protocol) — statically dispatched per
+//!   scheme where the source allows — with an optional value-level
 //!   coherence verifier;
-//! * [`mono`] — the monomorphized structure-of-arrays fast path:
-//!   per-scheme statically dispatched replay loops over precomputed
-//!   `kind`/`cache_idx`/`block_id`/`first_ref` arrays, bit-identical to
-//!   [`engine`] and severalfold faster;
 //! * [`metrics`] — bus-cycles-per-reference and per-transaction metrics;
 //! * [`workbench`] — the three synthetic paper traces plus memoized runs,
 //!   with a [`Workbench::warm`](workbench::Workbench::warm) fan-out that
@@ -46,24 +45,21 @@ pub mod busqueue;
 pub mod engine;
 pub mod experiments;
 pub mod metrics;
-pub mod mono;
 pub mod par;
 pub mod report;
 pub mod service;
 pub mod workbench;
 
 pub use engine::{
-    run, run_chunked, run_chunked_with, run_indexed, run_indexed_with, run_sharded,
-    run_sharded_spilled, run_sharded_with, run_with, shard_stream, spill_sharded, RunConfig,
-    RunResult, SharingModel,
+    run, run_chunked, run_indexed, run_indexed_with, run_sharded, run_sharded_spilled,
+    run_sharded_with, shard_stream, spill_sharded, RunConfig, RunResult, SharingModel,
 };
 pub use metrics::Evaluation;
-pub use mono::{run_indexed_mono, run_indexed_mono_with, run_sharded_mono, run_sharded_mono_with};
 pub use par::{default_jobs, par_map_indexed};
 pub use service::{
     load_generate, load_pool, percentile, profile_by_name, run_response_json, scheme_by_name,
     LoadReport, WorkbenchHandler,
 };
 pub use workbench::{
-    filter_from_label, filter_label, ReplayEngine, RunSeries, RunTiming, TraceFilter, Workbench,
+    filter_from_label, filter_label, RunSeries, RunTiming, TraceFilter, Workbench,
 };

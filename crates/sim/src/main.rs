@@ -64,8 +64,7 @@ use dircc_sim::experiments::{extensions, figures, network, studies, system, tabl
 use dircc_sim::{
     default_jobs, filter_from_label, filter_label, load_generate, profile_by_name, report,
     run_chunked, run_indexed, run_response_json, run_sharded, run_sharded_spilled, shard_stream,
-    spill_sharded, Evaluation, ReplayEngine, RunConfig, RunResult, TraceFilter, Workbench,
-    WorkbenchHandler,
+    spill_sharded, Evaluation, RunConfig, RunResult, TraceFilter, Workbench, WorkbenchHandler,
 };
 use dircc_trace::chunk::{DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS};
 use dircc_trace::codec::BinaryWriter;
@@ -73,7 +72,7 @@ use dircc_trace::gen::{Generator, Profile};
 use dircc_trace::sharing::SharingProfile;
 use dircc_trace::stats::TraceStats;
 use dircc_trace::store::TraceStore;
-use dircc_trace::{open_trace, BlockInterner, ChunkedWriter, Records, TraceRecord};
+use dircc_trace::{open_trace, BlockInterner, ChunkedWriter, Records, SoaStream, TraceRecord};
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -201,7 +200,6 @@ struct Args {
     chunk: Option<usize>,
     verify: bool,
     repeat: Option<u64>,
-    engine: Option<ReplayEngine>,
     json: bool,
     addr: Option<String>,
     workers: Option<usize>,
@@ -242,7 +240,6 @@ fn parse_args() -> Result<Args, String> {
         chunk: None,
         verify: false,
         repeat: None,
-        engine: None,
         json: false,
         addr: None,
         workers: None,
@@ -317,13 +314,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--repeat must be at least 1".to_string());
                 }
                 parsed.repeat = Some(n);
-            }
-            "--engine" => {
-                let label = value("--engine")?;
-                parsed.engine = Some(
-                    ReplayEngine::from_label(&label)
-                        .ok_or_else(|| format!("--engine must be dyn or mono, not {label}"))?,
-                );
             }
             "--json" => parsed.json = true,
             "--addr" => parsed.addr = Some(value("--addr")?),
@@ -462,12 +452,6 @@ fn validate_io(args: &Args) -> Result<(), String> {
     if args.repeat.is_some() && spec.name != "bench" {
         return Err(format!("--repeat only applies to bench, not {}", spec.name));
     }
-    if args.engine.is_some() && !matches!(spec.name, "bench" | "benchcmp" | "submit") {
-        return Err(format!(
-            "--engine only applies to bench, benchcmp and submit, not {}",
-            spec.name
-        ));
-    }
     if args.json && spec.name != "replay" {
         return Err(format!("--json only applies to replay, not {}", spec.name));
     }
@@ -545,7 +529,7 @@ fn usage() -> String {
     let mut lines = vec!["usage: dircc <command> [target] [--refs N] [--seed S] [--jobs N] \
          [--shards N] [--profile pops|thor|pero|custom] [--out FILE | --in FILE] [--smoke] \
          [--verbose] [--window K] [--spans FILE] [--cpus N] [--blocks M] [--depth D] \
-         [--scheme S] [--chunk N] [--verify] [--repeat N] [--engine dyn|mono] [--json] \
+         [--scheme S] [--chunk N] [--verify] [--repeat N] [--json] \
          [--addr HOST:PORT] [--workers N] [--cache-entries N] [--queue N] [--serve URL] \
          [--op run|series|health|metrics|spans|shutdown] [--filter full|no-spins] \
          [--expect-cache hit|miss] [--clients N] [--requests M] [--log-json] \
@@ -696,13 +680,8 @@ fn replay_memory(
     let dense = interner.dense_stream(&records);
     let num_blocks = interner.num_blocks();
     if args.shards <= 1 {
-        kinds
-            .iter()
-            .map(|&kind| {
-                let mut p = dircc_core::build(kind, cpus);
-                run_indexed(p.as_mut(), &records, &dense, num_blocks, cfg)
-            })
-            .collect()
+        let soa = SoaStream::build(&records, &dense, num_blocks, cfg.sharing);
+        kinds.iter().map(|&kind| run_indexed(kind, cpus, &records, &soa, cfg)).collect()
     } else {
         let sharded = shard_stream(&records, &dense, num_blocks, args.shards, cfg);
         kinds.iter().map(|&kind| run_sharded(kind, cpus, &sharded, cfg)).collect()
@@ -940,9 +919,8 @@ fn bench_profiles(args: &Args) -> Vec<Profile> {
 /// Counter digests of every bench-matrix run, keyed by the (scheme,
 /// trace, filter) labels the timing rows carry. Counters are memoized, so
 /// this replays nothing on a warmed workbench. The digest is
-/// engine-invariant (mono and dyn are bit-identical), which is exactly
-/// what lets `benchcmp` pin one engine's fresh counters against a
-/// baseline written by the other.
+/// shard-invariant, which is what lets `benchcmp` pin fresh counters at
+/// any `--shards` against one baseline.
 fn run_digests(wb: &Workbench) -> std::collections::HashMap<(String, String, String), u64> {
     let mut map = std::collections::HashMap::new();
     let names = wb.trace_names();
@@ -960,10 +938,10 @@ fn run_digests(wb: &Workbench) -> std::collections::HashMap<(String, String, Str
 /// (protocol, filter) x trace work list `dircc all` warms) `--repeat`
 /// times (default 3) and writes a machine-readable throughput report with
 /// the **median** wall per run. Every run row records the `--shards`
-/// count and `--engine` it replayed with plus the run's counter digest
-/// (counters are shard-, repeat- and engine-invariant; only wall-clock
-/// changes). Repeats share one trace store, so generation/interning is
-/// paid once while every repeat's replay starts from a cold run memo.
+/// count it replayed with plus the run's counter digest (counters are
+/// shard- and repeat-invariant; only wall-clock changes). Repeats share
+/// one trace store, so generation/interning is paid once while every
+/// repeat's replay starts from a cold run memo.
 /// Replay wall-clock sums CPU time across workers, so `--jobs 1` is the
 /// number to quote; with `--shards N` each run's wall is the outer replay
 /// span (shard threads overlap inside it). `--smoke` runs a tiny matrix
@@ -972,16 +950,13 @@ fn bench(args: &Args) -> Result<(), String> {
     if args.serve_url.is_some() {
         return bench_serve(args);
     }
-    let engine = args.engine.unwrap_or_default();
     let repeat = args.repeat.unwrap_or(3);
     let store = std::sync::Arc::new(TraceStore::new(bench_profiles(args), args.seed));
     let mut repeats: Vec<Vec<dircc_sim::RunTiming>> = Vec::new();
     let mut executed = 0usize;
     let mut warm_wb = None;
     for _ in 0..repeat {
-        let wb = Workbench::with_store(std::sync::Arc::clone(&store))
-            .with_shards(args.shards)
-            .with_engine(engine);
+        let wb = Workbench::with_store(std::sync::Arc::clone(&store)).with_shards(args.shards);
         executed = wb.warm(&wb.paper_workload(), args.jobs);
         repeats.push(wb.timings());
         warm_wb = Some(wb);
@@ -1022,13 +997,12 @@ fn bench(args: &Args) -> Result<(), String> {
         let _ = write!(
             json,
             "    {{\"scheme\": \"{}\", \"trace\": \"{}\", \"filter\": \"{}\", \
-             \"shards\": {}, \"engine\": \"{}\", \"digest\": \"{:016x}\", \"refs\": {}, \
-             \"wall_ms\": {:.3}, \"refs_per_sec\": {:.0}}}",
+             \"shards\": {}, \"digest\": \"{:016x}\", \"refs\": {}, \"wall_ms\": {:.3}, \
+             \"refs_per_sec\": {:.0}}}",
             t.scheme,
             t.trace,
             filter,
             args.shards,
-            engine.label(),
             digest,
             t.refs,
             t.wall.as_secs_f64() * 1e3,
@@ -1085,11 +1059,10 @@ fn bench(args: &Args) -> Result<(), String> {
         if total_wall.is_zero() { 0.0 } else { total_refs as f64 / total_wall.as_secs_f64() };
     let _ = write!(
         json,
-        "  ],\n  \"totals\": {{\"runs\": {}, \"shards\": {}, \"engine\": \"{}\", \
-         \"repeat\": {}, \"refs\": {}, \"wall_ms\": {:.3}, \"refs_per_sec\": {:.0}}}\n}}\n",
+        "  ],\n  \"totals\": {{\"runs\": {}, \"shards\": {}, \"repeat\": {}, \"refs\": {}, \
+         \"wall_ms\": {:.3}, \"refs_per_sec\": {:.0}}}\n}}\n",
         executed,
         args.shards,
-        engine.label(),
         repeat,
         total_refs,
         total_wall.as_secs_f64() * 1e3,
@@ -1099,9 +1072,8 @@ fn bench(args: &Args) -> Result<(), String> {
     let path = args.out.clone().unwrap_or_else(|| "BENCH_replay.json".to_string());
     write_output(&path, &json)?;
     println!(
-        "bench: {executed} runs x {repeat} repeat(s), {} engine, {total_refs} refs, \
+        "bench: {executed} runs x {repeat} repeat(s), {total_refs} refs, \
          {:.1} ms median replay (cpu), {:.1}M refs/sec -> {path}",
-        engine.label(),
         total_wall.as_secs_f64() * 1e3,
         total_rps / 1e6
     );
@@ -1181,9 +1153,6 @@ fn submit_job_json(args: &Args) -> Result<String, String> {
     if args.shards > 1 {
         let _ = write!(body, ", \"shards\": {}", args.shards);
     }
-    if let Some(engine) = args.engine {
-        let _ = write!(body, ", \"engine\": \"{}\"", engine.label());
-    }
     if let Some(window) = args.window {
         let _ = write!(body, ", \"window\": {window}");
     }
@@ -1246,9 +1215,9 @@ fn submit_cmd(args: &Args) -> Result<(), String> {
 /// writes per-request latency percentiles to `BENCH_serve.json`.
 fn bench_serve(args: &Args) -> Result<(), String> {
     let url = args.serve_url.clone().expect("bench_serve called with --serve");
-    if args.repeat.is_some() || args.engine.is_some() || args.shards > 1 || args.smoke {
+    if args.repeat.is_some() || args.shards > 1 || args.smoke {
         return Err("bench --serve takes --clients/--requests/--refs/--seed; \
-             --repeat/--engine/--shards/--smoke configure the local replay bench"
+             --repeat/--shards/--smoke configure the local replay bench"
             .to_string());
     }
     let clients = args.clients.unwrap_or(8);
@@ -1568,9 +1537,9 @@ fn check(args: &Args) -> Result<(), String> {
 
 /// Replay-equivalence pass run after the model-check table: every checked
 /// scheme replays a short trace through the sharded engine (one protocol
-/// instance per shard via `split_shards`) and must reproduce the serial
-/// replay's counters, first-ref classification and verifier verdicts bit
-/// for bit. Uses `--shards` (at least 2, so the per-shard construction
+/// instance per shard, sized for that shard's blocks) and must reproduce
+/// the serial replay's counters, first-ref classification and verifier
+/// verdicts bit for bit. Uses `--shards` (at least 2, so the per-shard construction
 /// path is always exercised — including in `--smoke --scheme X` CI runs).
 fn shard_check(kinds: &[ProtocolKind], args: &Args) -> Result<(), String> {
     let shards = args.shards.max(2);
@@ -1582,10 +1551,10 @@ fn shard_check(kinds: &[ProtocolKind], args: &Args) -> Result<(), String> {
     let dense = interner.dense_stream(&records);
     let num_blocks = interner.num_blocks();
     let sharded = shard_stream(&records, &dense, num_blocks, shards, &cfg);
+    let soa = SoaStream::build(&records, &dense, num_blocks, cfg.sharing);
     let n_caches = usize::from(Profile::pops().cpus);
     for &kind in kinds {
-        let mut p = dircc_core::build_sized(kind, n_caches, num_blocks);
-        let serial = run_indexed(p.as_mut(), &records, &dense, num_blocks, &cfg)
+        let serial = run_indexed(kind, n_caches, &records, &soa, &cfg)
             .map_err(|e| format!("shard check: {kind}: serial replay failed: {e}"))?;
         let split = run_sharded(kind, n_caches, &sharded, &cfg)
             .map_err(|e| format!("shard check: {kind}: sharded replay failed: {e}"))?;
@@ -1612,11 +1581,7 @@ struct BenchRun {
     scheme: String,
     trace: String,
     filter: String,
-    /// `None` when the report predates the `shards` schema field.
-    shards: Option<u64>,
-    /// `None` when the report predates the monomorphized-replay schema.
-    /// Deliberately **excluded** from the comparison key: digests are
-    /// engine-invariant, so one baseline gates both engines.
+    /// `None` when the report predates the counter-digest schema.
     digest: Option<String>,
     refs: u64,
     wall_ms: f64,
@@ -1685,7 +1650,6 @@ fn parse_bench_runs(text: &str) -> Vec<BenchRun> {
                 scheme: json_str_field(l, "scheme")?,
                 trace: json_str_field(l, "trace")?,
                 filter: json_str_field(l, "filter")?,
-                shards: json_num_field(l, "shards").map(|s| s as u64),
                 digest: json_str_field(l, "digest"),
                 refs: json_num_field(l, "refs")? as u64,
                 wall_ms: json_num_field(l, "wall_ms")?,
@@ -1813,17 +1777,16 @@ fn profile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `dircc benchcmp`: re-runs the bench matrix (on `--engine`, default
-/// mono) and compares the deterministic per-run fields (scheme, trace,
-/// filter, shards, refs, counter digest) against a baseline report
-/// (`--in`, default `BENCH_smoke.json` with `--smoke`, else
-/// `BENCH_replay.json`). Runs are matched by sorted key — a bench report
-/// lists runs in completion order, which varies with `--jobs`. The
-/// baseline's engine is ignored: digests are engine-invariant, so one
-/// baseline gates both engines (the mono-vs-dyn bit-identity check CI
-/// leans on). A baseline whose schema predates the `shards` or `digest`
-/// field is rejected with a pointer to regenerate it. Any drift fails the
-/// process; wall-clock changes are reported but never fatal.
+/// `dircc benchcmp`: re-runs the bench matrix (at `--shards`, default 1)
+/// and compares the deterministic per-run fields (scheme, trace, filter,
+/// refs, counter digest) against a baseline report (`--in`, default
+/// `BENCH_smoke.json` with `--smoke`, else `BENCH_replay.json`). Runs are
+/// matched by sorted key — a bench report lists runs in completion order,
+/// which varies with `--jobs`. The shard count the baseline was written
+/// at is not part of the key: counters are shard-invariant, so one
+/// baseline gates every `--shards`. A baseline whose schema predates the
+/// `digest` field is rejected with a pointer to regenerate it. Any drift
+/// fails the process; wall-clock changes are reported but never fatal.
 fn benchcmp(args: &Args) -> Result<(), String> {
     let path = args.input.clone().unwrap_or_else(|| {
         if args.smoke {
@@ -1837,19 +1800,11 @@ fn benchcmp(args: &Args) -> Result<(), String> {
     if baseline.is_empty() {
         return Err(format!("{path}: no runs found (not a dircc bench report?)"));
     }
-    let missing = baseline.iter().filter(|b| b.shards.is_none()).count();
-    if missing > 0 {
-        return Err(format!(
-            "{path}: {missing} of {} run(s) lack the \"shards\" field — the baseline predates \
-             the sharded-replay schema; regenerate it with `dircc bench`",
-            baseline.len()
-        ));
-    }
     let missing = baseline.iter().filter(|b| b.digest.is_none()).count();
     if missing > 0 {
         return Err(format!(
             "{path}: {missing} of {} run(s) lack the \"digest\" field — the baseline predates \
-             the monomorphized-replay schema; regenerate it with `dircc bench`",
+             the counter-digest schema; regenerate it with `dircc bench`",
             baseline.len()
         ));
     }
@@ -1866,8 +1821,7 @@ fn benchcmp(args: &Args) -> Result<(), String> {
         (None, true) => Workbench::paper_scaled(20_000, args.seed),
         (None, false) => Workbench::paper(args.seed),
     }
-    .with_shards(args.shards)
-    .with_engine(args.engine.unwrap_or_default());
+    .with_shards(args.shards);
     wb.warm(&wb.paper_workload(), args.jobs);
     let timings = wb.timings();
     let digests = run_digests(&wb);
@@ -1876,23 +1830,17 @@ fn benchcmp(args: &Args) -> Result<(), String> {
     if timings.len() != baseline.len() {
         drift.push(format!("run count: baseline {}, fresh {}", baseline.len(), timings.len()));
     }
-    // The comparison key carries the counter digest but not the engine:
-    // mono and dyn are bit-identical, so a baseline written by either
-    // engine gates both.
-    let mut base_keys: Vec<(String, String, String, u64, u64, String)> = baseline
+    // The comparison key carries the counter digest but not the shard
+    // count: counters are shard-invariant, so a baseline written at any
+    // `--shards` gates every other.
+    let mut base_keys: Vec<(String, String, String, u64, String)> = baseline
         .iter()
         .map(|b| {
-            (
-                b.scheme.clone(),
-                b.trace.clone(),
-                b.filter.clone(),
-                b.shards.unwrap_or(1),
-                b.refs,
-                b.digest.clone().unwrap_or_default(),
-            )
+            let digest = b.digest.clone().unwrap_or_default();
+            (b.scheme.clone(), b.trace.clone(), b.filter.clone(), b.refs, digest)
         })
         .collect();
-    let mut fresh_keys: Vec<(String, String, String, u64, u64, String)> = timings
+    let mut fresh_keys: Vec<(String, String, String, u64, String)> = timings
         .iter()
         .map(|t| {
             let filter = filter_label(t.filter).to_string();
@@ -1900,7 +1848,7 @@ fn benchcmp(args: &Args) -> Result<(), String> {
                 .get(&(t.scheme.clone(), t.trace.clone(), filter.clone()))
                 .map(|d| format!("{d:016x}"))
                 .unwrap_or_default();
-            (t.scheme.clone(), t.trace.clone(), filter, args.shards as u64, t.refs, digest)
+            (t.scheme.clone(), t.trace.clone(), filter, t.refs, digest)
         })
         .collect();
     base_keys.sort();
@@ -1908,9 +1856,8 @@ fn benchcmp(args: &Args) -> Result<(), String> {
     for (b, f) in base_keys.iter().zip(fresh_keys.iter()) {
         if b != f {
             drift.push(format!(
-                "baseline {}/{}/{} shards={} refs={} digest={} vs fresh {}/{}/{} shards={} \
-                 refs={} digest={}",
-                b.0, b.1, b.2, b.3, b.4, b.5, f.0, f.1, f.2, f.3, f.4, f.5
+                "baseline {}/{}/{} refs={} digest={} vs fresh {}/{}/{} refs={} digest={}",
+                b.0, b.1, b.2, b.3, b.4, f.0, f.1, f.2, f.3, f.4
             ));
         }
     }

@@ -18,12 +18,12 @@ use dircc_core::{EventCounters, ProtocolKind};
 use dircc_obs::{
     chrome_trace, counters_json, window_jsonl_line, Counter, Histogram, MetricsRegistry, Span,
 };
-use dircc_serve::{client, HandlerError, JobEngine, JobSpec, Lru};
+use dircc_serve::{client, HandlerError, JobSpec, Lru};
 use dircc_trace::gen::Profile;
 use dircc_trace::store::TraceStore;
 
 use crate::metrics::Evaluation;
-use crate::workbench::{filter_from_label, filter_label, ReplayEngine, Workbench};
+use crate::workbench::{filter_from_label, filter_label, Workbench};
 
 /// Resolves a trace-profile name (`pops`, `THOR`, …) case-insensitively.
 pub fn profile_by_name(name: &str) -> Result<Profile, String> {
@@ -57,9 +57,9 @@ pub fn scheme_by_name(name: &str, cpus: usize) -> Result<ProtocolKind, String> {
 /// the full counter state (with digest) and the paper's pipelined-model
 /// evaluation. One JSON line. `dircc replay --json` prints this same
 /// rendering from a local replay, so served-vs-local diffs are
-/// byte-exact. The echo deliberately omits shards/engine: counters are
-/// invariant across both (pinned elsewhere), so responses describing
-/// the same run compare equal however it was executed.
+/// byte-exact. The echo deliberately omits shards: counters are
+/// shard-invariant (pinned elsewhere), so responses describing the same
+/// run compare equal however it was executed.
 pub fn run_response_json(
     eval: &Evaluation,
     trace: &str,
@@ -183,7 +183,7 @@ impl WorkbenchHandler {
         Ok(store)
     }
 
-    /// Resolves the job's scheme/filter/engine and runs it on a fresh
+    /// Resolves the job's scheme/filter and runs it on a fresh
     /// workbench over the shared store, returning everything a
     /// response needs. Spans from the run are stamped with
     /// `request_id`, so `/spans` exports join against response headers
@@ -199,13 +199,7 @@ impl WorkbenchHandler {
         let kind = scheme_by_name(&job.scheme, n_caches).map_err(HandlerError::bad_request)?;
         let filter = filter_from_label(&job.filter)
             .ok_or_else(|| HandlerError::bad_request(format!("unknown filter {}", job.filter)))?;
-        let engine = match job.engine {
-            JobEngine::Mono => ReplayEngine::Mono,
-            JobEngine::Dyn => ReplayEngine::Dyn,
-        };
-        let mut wb = Workbench::with_store(Arc::clone(&store))
-            .with_shards(job.shards as usize)
-            .with_engine(engine);
+        let mut wb = Workbench::with_store(Arc::clone(&store)).with_shards(job.shards as usize);
         if let Some(w) = window {
             wb = wb.with_window(w);
         }

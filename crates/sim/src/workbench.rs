@@ -29,14 +29,14 @@
 //! run's `replay` span; windowed runs pin shards to 1 (a window is a
 //! slice of the global reference stream).
 
-use crate::engine::{run_indexed, run_indexed_with, RunConfig};
+use crate::engine::{run_indexed, run_indexed_with, run_sharded_with, RunConfig};
 use crate::metrics::Evaluation;
-use crate::mono::{run_indexed_mono, run_indexed_mono_with, run_sharded_mono_with};
-use dircc_core::{build_sized, EventCounters, ProtocolKind};
+use dircc_core::{EventCounters, ProtocolKind};
 use dircc_obs::{RunMeta, SpanLog, WindowSample, WindowedRecorder};
 use dircc_trace::gen::Profile;
 use dircc_trace::stats::TraceStats;
 use dircc_trace::store::TraceStore;
+use dircc_trace::{ShardedStream, SoaStream};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -49,44 +49,6 @@ struct MemoKey {
     kind: ProtocolKind,
     trace: usize,
     filter: TraceFilter,
-}
-
-/// Which replay loop [`Workbench::counters`] drives.
-///
-/// Both engines produce **bit-identical** counters for every scheme,
-/// trace, filter and shard count (pinned by the `mono` test suite and the
-/// `benchcmp` digest gate); they differ only in speed. [`Mono`] is the
-/// default.
-///
-/// [`Mono`]: ReplayEngine::Mono
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReplayEngine {
-    /// The reference path: `Box<dyn Protocol>` replaying the AoS record
-    /// stream through [`crate::engine`], one vtable call per reference.
-    Dyn,
-    /// The fast path: a per-scheme monomorphized loop over the store's
-    /// memoized structure-of-arrays stream ([`crate::mono`]).
-    #[default]
-    Mono,
-}
-
-impl ReplayEngine {
-    /// The label this engine carries in bench reports and CLI flags.
-    pub fn label(self) -> &'static str {
-        match self {
-            ReplayEngine::Dyn => "dyn",
-            ReplayEngine::Mono => "mono",
-        }
-    }
-
-    /// Inverse of [`label`](Self::label).
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "dyn" => Some(ReplayEngine::Dyn),
-            "mono" => Some(ReplayEngine::Mono),
-            _ => None,
-        }
-    }
 }
 
 /// The stable label a [`TraceFilter`] carries in reports, span metadata
@@ -163,7 +125,6 @@ pub struct Workbench {
     spans: SpanLog,
     window: Option<u64>,
     shards: usize,
-    engine: ReplayEngine,
     series: Mutex<Vec<RunSeries>>,
 }
 
@@ -210,7 +171,6 @@ impl Workbench {
             spans: SpanLog::new(),
             window: None,
             shards: 1,
-            engine: ReplayEngine::default(),
             series: Mutex::new(Vec::new()),
         }
     }
@@ -232,7 +192,7 @@ impl Workbench {
     }
 
     /// Splits every subsequently executed replay into `shards` block
-    /// shards replayed on worker threads ([`crate::engine::run_sharded_with`]),
+    /// shards replayed on worker threads ([`run_sharded_with`]),
     /// with per-shard `replay-shard` spans in the log. Counters are
     /// **bit-identical** to the unsharded replay (pinned by tests); only
     /// wall-clock changes.
@@ -254,18 +214,6 @@ impl Workbench {
     /// The shard count replays use (1 = serial replay).
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// Selects the replay engine for subsequently executed runs. Counters
-    /// are bit-identical across engines; only wall-clock changes.
-    pub fn with_engine(mut self, engine: ReplayEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The replay engine runs use ([`ReplayEngine::Mono`] by default).
-    pub fn engine(&self) -> ReplayEngine {
-        self.engine
     }
 
     /// Number of caches (= CPUs) in the simulated machine.
@@ -365,86 +313,56 @@ impl Workbench {
                 .time("generate", Some(meta(0)), || self.store.records(trace, TraceFilter::Full));
             let records =
                 self.spans.time("filter", Some(meta(0)), || self.store.records(trace, filter));
-            // Dense replay: the store's interner renames blocks to dense
-            // u32 ids once per trace; the replay loop then runs with zero
-            // hashing and every per-block table pre-sized. Bit-identical
-            // to un-interned replay (renaming is a bijection; pinned by
-            // the engine's equality tests). The mono engine additionally
-            // pulls the memoized structure-of-arrays split here — SoA
-            // construction is intern-phase work, so replay spans compare
-            // replay work only across engines.
-            let mono = self.engine == ReplayEngine::Mono;
-            let sharding = self.shards > 1 && self.window.is_none();
-            let (dense, num_blocks, soa) = self.spans.time("intern", Some(meta(0)), || {
-                let dense = self.store.dense_blocks(trace, filter, cfg.geometry);
-                let num_blocks = self.store.interner(trace, cfg.geometry).num_blocks();
-                let soa = (mono && !sharding)
-                    .then(|| self.store.soa(trace, filter, cfg.geometry, cfg.sharing));
-                (dense, num_blocks, soa)
-            });
-            // Sharded replay reuses the store's memoized partition (same
-            // mod router as the engine's infinite-cache `shard_stream`),
-            // built before the replay span so throughput numbers compare
-            // replay work only.
-            let sharded =
-                sharding.then(|| self.store.sharded(trace, filter, cfg.geometry, self.shards));
-            let sharded_soa = (mono && sharding).then(|| {
-                self.store.sharded_soa(trace, filter, cfg.geometry, self.shards, cfg.sharing)
-            });
-            let timer = self.spans.start();
-            let result = if let Some(window) = self.window {
-                let mut recorder = WindowedRecorder::new(window);
-                let result = if let Some(soa) = &soa {
-                    run_indexed_mono_with(kind, self.n_caches(), &records, soa, &cfg, &mut recorder)
-                        .expect("trace replay failed")
+            // Dense SoA replay: the store's interner renames blocks to
+            // dense u32 ids once per trace and splits the stream into flat
+            // arrays (or block shards of them, with the same mod router as
+            // the engine's infinite-cache `shard_stream`); the replay loop
+            // then runs with zero hashing and every per-block table
+            // pre-sized. Bit-identical to un-interned replay (renaming is
+            // a bijection; pinned by the engine's equality tests). Built
+            // inside the intern span so replay spans time replay work
+            // only.
+            enum Stream {
+                Serial(Arc<SoaStream>),
+                Sharded(Arc<ShardedStream>),
+            }
+            let stream = self.spans.time("intern", Some(meta(0)), || {
+                let g = cfg.geometry;
+                if self.shards > 1 && self.window.is_none() {
+                    Stream::Sharded(self.store.sharded(trace, filter, g, self.shards, cfg.sharing))
                 } else {
-                    let mut protocol = build_sized(kind, self.n_caches(), num_blocks);
-                    run_indexed_with(
-                        protocol.as_mut(),
-                        &records,
-                        &dense,
-                        num_blocks,
-                        &cfg,
-                        &mut recorder,
-                    )
-                    .expect("trace replay failed")
-                };
-                self.series.lock().expect("series poisoned").push(RunSeries {
-                    kind,
-                    scheme: scheme.clone(),
-                    trace,
-                    trace_name: trace_name.clone(),
-                    filter,
-                    refs: result.refs,
-                    windows: recorder.into_samples(),
-                });
-                result
-            } else if let Some(sharded) = &sharded {
-                let observe = |shard: usize, at: std::time::Instant, dur: Duration, refs: u64| {
-                    self.spans.record_at(
-                        "replay-shard",
-                        at,
-                        dur,
-                        Some(RunMeta { shard: Some(shard), ..meta(refs) }),
-                    );
-                };
-                if let Some(soa) = &sharded_soa {
-                    run_sharded_mono_with(kind, self.n_caches(), sharded, soa, &cfg, observe)
-                        .expect("trace replay failed")
-                } else {
-                    let protocols =
-                        dircc_core::split_shards(kind, self.n_caches(), &sharded.shard_blocks());
-                    crate::engine::run_sharded_with(protocols, sharded, &cfg, observe)
-                        .expect("trace replay failed")
+                    Stream::Serial(self.store.soa(trace, filter, g, cfg.sharing))
                 }
-            } else if let Some(soa) = &soa {
-                run_indexed_mono(kind, self.n_caches(), &records, soa, &cfg)
-                    .expect("trace replay failed")
-            } else {
-                let mut protocol = build_sized(kind, self.n_caches(), num_blocks);
-                run_indexed(protocol.as_mut(), &records, &dense, num_blocks, &cfg)
-                    .expect("trace replay failed")
-            };
+            });
+            let n = self.n_caches();
+            let timer = self.spans.start();
+            let result = match (&stream, self.window) {
+                (Stream::Sharded(sharded), _) => {
+                    let observe = |shard: usize, at: std::time::Instant, dur: Duration, refs| {
+                        let meta = RunMeta { shard: Some(shard), ..meta(refs) };
+                        self.spans.record_at("replay-shard", at, dur, Some(meta));
+                    };
+                    run_sharded_with(kind, n, sharded, &cfg, observe)
+                }
+                (Stream::Serial(soa), Some(window)) => {
+                    let mut recorder = WindowedRecorder::new(window);
+                    let result = run_indexed_with(kind, n, &records, soa, &cfg, &mut recorder);
+                    if let Ok(result) = &result {
+                        self.series.lock().expect("series poisoned").push(RunSeries {
+                            kind,
+                            scheme: scheme.clone(),
+                            trace,
+                            trace_name: trace_name.clone(),
+                            filter,
+                            refs: result.refs,
+                            windows: recorder.into_samples(),
+                        });
+                    }
+                    result
+                }
+                (Stream::Serial(soa), None) => run_indexed(kind, n, &records, soa, &cfg),
+            }
+            .expect("trace replay failed");
             self.spans.finish(timer, "replay", Some(meta(result.refs)));
             Arc::new(result.counters)
         })

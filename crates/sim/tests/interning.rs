@@ -2,7 +2,7 @@
 //! (dense-id) replay is bit-identical to on-the-fly replay for every
 //! paper workload, protocol family, filter and cache model.
 
-use dircc_core::{build, build_sized, ProtocolKind};
+use dircc_core::{build, ProtocolKind};
 use dircc_sim::engine::{run, run_indexed, RunConfig};
 use dircc_sim::{TraceFilter, Workbench};
 use dircc_trace::gen::Profile;
@@ -25,14 +25,12 @@ fn indexed_replay_matches_streaming_replay_on_all_workloads() {
     for trace in 0..wb.num_traces() {
         for filter in TraceFilter::ALL {
             let records = store.records(trace, filter);
-            let dense = store.dense_blocks(trace, filter, cfg.geometry);
-            let num_blocks = store.interner(trace, cfg.geometry).num_blocks();
+            let soa = store.soa(trace, filter, cfg.geometry, cfg.sharing);
             for &kind in KINDS {
                 let mut raw = build(kind, wb.n_caches());
                 let a = run(raw.as_mut(), records.iter().copied(), &cfg).expect("streaming run");
-                let mut idx = build_sized(kind, wb.n_caches(), num_blocks);
-                let b = run_indexed(idx.as_mut(), &records, &dense, num_blocks, &cfg)
-                    .expect("indexed run");
+                let b =
+                    run_indexed(kind, wb.n_caches(), &records, &soa, &cfg).expect("indexed run");
                 assert_eq!(
                     a.counters, b.counters,
                     "{kind} on trace {trace} {filter:?}: dense replay diverged"
@@ -57,13 +55,11 @@ fn indexed_replay_matches_with_finite_caches_and_verifier() {
             .with_finite_caches(FiniteCacheConfig::new(64, 2))
     };
     let records = store.records(0, TraceFilter::Full);
-    let dense = store.dense_blocks(0, TraceFilter::Full, cfg.geometry);
-    let num_blocks = store.interner(0, cfg.geometry).num_blocks();
+    let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
     for &kind in KINDS {
         let mut raw = build(kind, wb.n_caches());
         let a = run(raw.as_mut(), records.iter().copied(), &cfg).expect("streaming run");
-        let mut idx = build_sized(kind, wb.n_caches(), num_blocks);
-        let b = run_indexed(idx.as_mut(), &records, &dense, num_blocks, &cfg).expect("indexed run");
+        let b = run_indexed(kind, wb.n_caches(), &records, &soa, &cfg).expect("indexed run");
         assert_eq!(a.counters, b.counters, "{kind}: finite-cache dense replay diverged");
         assert!(a.violations.is_empty(), "{kind}: {:?}", a.violations);
         assert!(b.violations.is_empty(), "{kind}: {:?}", b.violations);
@@ -77,10 +73,10 @@ fn misaligned_dense_stream_is_an_error() {
     let store = wb.store();
     let cfg = RunConfig::default().with_process_sharing();
     let records = store.records(0, TraceFilter::Full);
-    let dense = store.dense_blocks(0, TraceFilter::Full, cfg.geometry);
-    let mut p = build(ProtocolKind::Dir0B, wb.n_caches());
-    let err = run_indexed(p.as_mut(), &records, &dense[1..], 10, &cfg).unwrap_err();
-    assert!(err.contains("dense-id stream"), "{err}");
+    let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
+    let err =
+        run_indexed(ProtocolKind::Dir0B, wb.n_caches(), &records[1..], &soa, &cfg).unwrap_err();
+    assert!(err.contains("rebuild it from the same stream"), "{err}");
 }
 
 #[test]

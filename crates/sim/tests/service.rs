@@ -5,10 +5,10 @@
 
 use std::sync::Arc;
 
-use dircc_serve::{client, json, JobEngine, JobHandler, JobSpec, Json, ServeConfig, Server};
+use dircc_serve::{client, json, JobHandler, JobSpec, Json, ServeConfig, Server};
 use dircc_sim::{profile_by_name, run_indexed, RunConfig, WorkbenchHandler};
 use dircc_trace::gen::Generator;
-use dircc_trace::{BlockInterner, TraceRecord};
+use dircc_trace::{BlockInterner, SoaStream, TraceRecord};
 
 fn job(scheme: &str, trace: &str, refs: u64) -> JobSpec {
     JobSpec {
@@ -18,7 +18,6 @@ fn job(scheme: &str, trace: &str, refs: u64) -> JobSpec {
         seed: dircc_serve::DEFAULT_SEED,
         filter: "full".to_string(),
         shards: 1,
-        engine: JobEngine::Mono,
         window: None,
     }
 }
@@ -69,27 +68,23 @@ fn served_digest_matches_a_direct_run_indexed_replay() {
     let records: Vec<TraceRecord> = Generator::new(profile, dircc_serve::DEFAULT_SEED).collect();
     let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
     let dense = interner.dense_stream(&records);
-    let mut p = dircc_core::build(dircc_core::ProtocolKind::DirNb { pointers: 1 }, cpus);
-    let res =
-        run_indexed(p.as_mut(), &records, &dense, interner.num_blocks(), &cfg).expect("replay");
+    let soa = SoaStream::build(&records, &dense, interner.num_blocks(), cfg.sharing);
+    let kind = dircc_core::ProtocolKind::DirNb { pointers: 1 };
+    let res = run_indexed(kind, cpus, &records, &soa, &cfg).expect("replay");
 
     assert_eq!(digest_of(&body), format!("{:016x}", res.counters.digest()));
     assert!(body.contains(&format!("\"refs\": {}", res.refs)));
 }
 
-/// Counters are pinned shard- and engine-invariant, so any (shards,
-/// engine) combination serves the same bytes for the same run.
+/// Counters are pinned shard-invariant, so any shard count serves the
+/// same bytes for the same run.
 #[test]
-fn served_body_is_invariant_across_shards_and_engine() {
+fn served_body_is_invariant_across_shards() {
     let handler = WorkbenchHandler::new();
     let base = handler.run(&job("Wti", "THOR", 3000), "test-req-2").expect("run");
-    for (shards, engine) in [(4, JobEngine::Mono), (1, JobEngine::Dyn), (2, JobEngine::Dyn)] {
-        let spec = JobSpec { shards, engine, ..job("Wti", "THOR", 3000) };
-        assert_eq!(
-            handler.run(&spec, "test-req-2").expect("run"),
-            base,
-            "{shards} shard(s) {engine:?}"
-        );
+    for shards in [4, 2, 3] {
+        let spec = JobSpec { shards, ..job("Wti", "THOR", 3000) };
+        assert_eq!(handler.run(&spec, "test-req-2").expect("run"), base, "{shards} shard(s)");
     }
 }
 

@@ -11,9 +11,9 @@
 //! through the `Workbench`.
 
 use dircc_cache::FiniteCacheConfig;
-use dircc_core::{build_sized, ProtocolKind};
+use dircc_core::ProtocolKind;
 use dircc_sim::{run_indexed, run_sharded, shard_stream, RunConfig, TraceFilter, Workbench};
-use dircc_trace::{BlockInterner, TraceRecord};
+use dircc_trace::{BlockInterner, SoaStream, TraceRecord};
 use dircc_types::{AccessKind, Address, CpuId, ProcessId};
 use proptest::prelude::*;
 
@@ -75,8 +75,8 @@ fn assert_shard_equivalent(kind: ProtocolKind, records: &[TraceRecord], cfg: &Ru
     let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
     let dense = interner.dense_stream(records);
     let num_blocks = interner.num_blocks();
-    let mut p = build_sized(kind, CPUS, num_blocks);
-    let serial = run_indexed(p.as_mut(), records, &dense, num_blocks, cfg);
+    let soa = SoaStream::build(records, &dense, num_blocks, cfg.sharing);
+    let serial = run_indexed(kind, CPUS, records, &soa, cfg);
     for shards in [1usize, 2, 3, 8] {
         let sharded = shard_stream(records, &dense, num_blocks, shards, cfg);
         let split = run_sharded(kind, CPUS, &sharded, cfg);
@@ -149,8 +149,8 @@ fn more_shards_than_blocks_still_merges_exactly() {
     let dense = interner.dense_stream(&records);
     let num_blocks = interner.num_blocks();
     assert!(num_blocks < 8);
-    let mut p = build_sized(ProtocolKind::Mesi, CPUS, num_blocks);
-    let serial = run_indexed(p.as_mut(), &records, &dense, num_blocks, &cfg).unwrap();
+    let soa = SoaStream::build(&records, &dense, num_blocks, cfg.sharing);
+    let serial = run_indexed(ProtocolKind::Mesi, CPUS, &records, &soa, &cfg).unwrap();
     let sharded = shard_stream(&records, &dense, num_blocks, 8, &cfg);
     let split = run_sharded(ProtocolKind::Mesi, CPUS, &sharded, &cfg).unwrap();
     assert_eq!(serial.counters, split.counters);

@@ -42,11 +42,9 @@ fn chunked_replay_is_bit_identical_for_every_scheme_trace_and_filter() {
     for trace in 0..store.num_traces() {
         for filter in [TraceFilter::Full, TraceFilter::ExcludeLockSpins] {
             let records = store.records(trace, filter);
-            let dense = store.dense_blocks(trace, filter, cfg.geometry);
-            let num_blocks = store.interner(trace, cfg.geometry).num_blocks();
+            let soa = store.soa(trace, filter, cfg.geometry, cfg.sharing);
             for kind in default_kinds() {
-                let mut p = build(kind, 4);
-                let serial = run_indexed(p.as_mut(), &records, &dense, num_blocks, &cfg).unwrap();
+                let serial = run_indexed(kind, 4, &records, &soa, &cfg).unwrap();
                 // Odd chunk size exercises chunk-boundary handling. The
                 // streaming path interns its own (filtered) stream order
                 // while the store's dense ids come from the full stream —
@@ -67,16 +65,14 @@ fn v2_file_replay_is_bit_identical_to_in_memory() {
     let store = store();
     let cfg = cfg();
     let records = store.records(1, TraceFilter::Full);
-    let dense = store.dense_blocks(1, TraceFilter::Full, cfg.geometry);
-    let num_blocks = store.interner(1, cfg.geometry).num_blocks();
+    let soa = store.soa(1, TraceFilter::Full, cfg.geometry, cfg.sharing);
     // Encode to an in-memory v2 "file" with a small chunk size, then
     // stream it back through the engine.
     let mut w = ChunkedWriter::with_chunk_records(Vec::new(), 1_024);
     w.write_all(records.iter()).unwrap();
     let bytes = w.finish().unwrap();
     for kind in default_kinds() {
-        let mut p = build(kind, 4);
-        let serial = run_indexed(p.as_mut(), &records, &dense, num_blocks, &cfg).unwrap();
+        let serial = run_indexed(kind, 4, &records, &soa, &cfg).unwrap();
         let mut reader = ChunkedReader::new(&bytes[..]).unwrap();
         let mut p = build(kind, 4);
         let streamed = run_chunked(p.as_mut(), &mut reader, &cfg).unwrap();

@@ -33,14 +33,15 @@
 //!   `u32` ids so replay state lives in flat vectors instead of hash maps.
 //! * [`shard`] — block-sharded sub-streams: a
 //!   [`ShardedStream`](shard::ShardedStream) partitions a dense-id stream
-//!   into per-block shards (with shard-local renaming and global
-//!   reference numbers) so one run can replay its shards in parallel and
-//!   merge counters back bit-identically.
+//!   into per-block shards (each its own [`SoaStream`], with shard-local
+//!   renaming and global reference numbers) so one run can replay its
+//!   shards in parallel and merge counters back bit-identically.
 //! * [`soa`] — structure-of-arrays replay streams: a
 //!   [`SoaStream`](soa::SoaStream) splits a dense-id stream into flat
 //!   `kind`/`cache_idx`/`block_id`/`first_ref` arrays with the sharing
 //!   model and address math precomputed, so the replay hot loop touches
-//!   no [`TraceRecord`] at all.
+//!   no [`TraceRecord`] at all. It is also the batch a streaming replay
+//!   refills chunk by chunk.
 //!
 //! # Examples
 //!
@@ -75,6 +76,6 @@ pub use chunk::{
 pub use intern::BlockInterner;
 pub use record::{RecordFlags, TraceRecord};
 pub use shard::{Shard, ShardedStream};
-pub use soa::{ShardedSoa, SoaStream};
+pub use soa::{FirstRefs, SoaStream};
 pub use spill::{SpilledShard, SpilledShards};
 pub use store::{TraceFilter, TraceStore};

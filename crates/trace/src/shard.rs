@@ -13,6 +13,8 @@
 //!   round-robin so their counter bumps spread evenly;
 //! * block ids are renamed to *shard-local* dense ids in first-appearance
 //!   order, so each shard's tables are sized for its blocks only;
+//! * each shard's stream is split into a [`SoaStream`] as it is routed,
+//!   so the partition is the one in-memory replay representation;
 //! * every record keeps its 1-based *global* reference number, so
 //!   verifier findings and errors merge back in trace order.
 //!
@@ -24,23 +26,26 @@
 //! [`EventCounters`]: https://docs.rs/dircc-core
 
 use crate::record::TraceRecord;
+use crate::soa::SoaStream;
+use dircc_types::SharingModel;
 
 /// One shard of a partitioned dense-id stream.
 #[derive(Debug, Clone)]
 pub struct Shard {
-    /// The shard's records, in global trace order.
+    /// The shard's records, in global trace order (read by replay only on
+    /// its cold paths: finite-cache set selection and diagnostics).
     pub records: Vec<TraceRecord>,
-    /// Shard-local dense block ids, aligned with `records` (instruction
-    /// fetches carry a placeholder that replay never reads).
-    pub dense: Vec<u32>,
+    /// The shard's structure-of-arrays split, aligned with `records`:
+    /// shard-local dense block ids, shard-local first-reference bits and
+    /// cache indices under the partition's sharing model. Its
+    /// `num_blocks` counts the distinct data blocks routed here.
+    pub soa: SoaStream,
     /// 1-based global reference numbers, aligned with `records`.
     pub global_refs: Vec<u64>,
     /// Maps each shard-local dense id back to the stream's global dense
     /// id (one entry per distinct block), so shard-local replay can
     /// report diagnostics in global terms.
     pub global_ids: Vec<u32>,
-    /// Distinct data blocks routed to this shard — sizes its tables.
-    pub num_blocks: usize,
 }
 
 /// A dense-id stream partitioned into per-block shards.
@@ -53,7 +58,8 @@ pub struct ShardedStream {
 
 impl ShardedStream {
     /// Partitions a record stream and its aligned dense-id stream into
-    /// `shards` sub-streams. `route(record, dense_id)` is called for every
+    /// `shards` sub-streams, each split under `sharing`.
+    /// `route(record, dense_id)` is called for every
     /// *data* record and must return the same shard for every occurrence
     /// of a block; instruction fetches are dealt round-robin by record
     /// index.
@@ -68,6 +74,7 @@ impl ShardedStream {
         dense: &[u32],
         num_blocks: usize,
         shards: usize,
+        sharing: SharingModel,
         mut route: F,
     ) -> Self
     where
@@ -78,10 +85,9 @@ impl ShardedStream {
         let mut out: Vec<Shard> = (0..shards)
             .map(|_| Shard {
                 records: Vec::new(),
-                dense: Vec::new(),
+                soa: SoaStream::new(sharing),
                 global_refs: Vec::new(),
                 global_ids: Vec::new(),
-                num_blocks: 0,
             })
             .collect();
         // Shard-local renaming: ascending global id order within a shard
@@ -92,32 +98,36 @@ impl ShardedStream {
         let mut owner = vec![UNSEEN; num_blocks];
         for (i, r) in records.iter().enumerate() {
             let gref = (i + 1) as u64;
-            let (s, lid) = if r.is_data() {
+            // A block's first appearance anywhere is its first appearance
+            // in the one shard it routes to.
+            let (s, lid, first) = if r.is_data() {
                 let gid = dense[i] as usize;
                 assert!(gid < num_blocks, "dense id {gid} out of range for {num_blocks} blocks");
                 let s = route(r, dense[i]);
                 assert!(s < shards, "router sent block {gid} to shard {s} of {shards}");
-                if owner[gid] == UNSEEN {
+                let first = owner[gid] == UNSEEN;
+                if first {
                     owner[gid] = s as u32;
+                    let sh = &mut out[s];
                     local[gid] =
-                        u32::try_from(out[s].num_blocks).expect("more than u32::MAX shard blocks");
-                    out[s].global_ids.push(dense[i]);
-                    out[s].num_blocks += 1;
+                        u32::try_from(sh.soa.num_blocks).expect("more than u32::MAX shard blocks");
+                    sh.global_ids.push(dense[i]);
+                    sh.soa.num_blocks += 1;
                 } else {
                     assert_eq!(
                         owner[gid], s as u32,
                         "router must be a pure function of the block (block {gid})"
                     );
                 }
-                (s, local[gid])
+                (s, local[gid], first)
             } else {
-                (i % shards, 0)
+                (i % shards, 0, false)
             };
             out[s].records.push(*r);
-            out[s].dense.push(lid);
+            out[s].soa.push(r, lid, first);
             out[s].global_refs.push(gref);
         }
-        let total_blocks = out.iter().map(|s| s.num_blocks).sum();
+        let total_blocks = out.iter().map(|s| s.soa.num_blocks).sum();
         ShardedStream { shards: out, total_records: records.len(), total_blocks }
     }
 
@@ -144,7 +154,7 @@ impl ShardedStream {
     /// Per-shard distinct-block counts, in shard order (what sizes each
     /// shard's protocol instance).
     pub fn shard_blocks(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.num_blocks).collect()
+        self.shards.iter().map(|s| s.soa.num_blocks).collect()
     }
 }
 
@@ -154,6 +164,8 @@ mod tests {
     use crate::gen::{Generator, Profile};
     use crate::intern::BlockInterner;
     use dircc_types::BlockGeometry;
+
+    const SHARING: SharingModel = SharingModel::Processor;
 
     fn stream() -> (Vec<TraceRecord>, Vec<u32>, usize) {
         let records: Vec<TraceRecord> =
@@ -168,8 +180,9 @@ mod tests {
     fn shards_partition_the_stream_preserving_order() {
         let (records, dense, n) = stream();
         for shards in [1, 2, 3, 8] {
-            let s =
-                ShardedStream::build(&records, &dense, n, shards, |_, gid| gid as usize % shards);
+            let s = ShardedStream::build(&records, &dense, n, shards, SHARING, |_, gid| {
+                gid as usize % shards
+            });
             assert_eq!(s.num_shards(), shards);
             assert_eq!(s.total_records(), records.len());
             assert_eq!(s.total_blocks(), n);
@@ -178,7 +191,7 @@ mod tests {
             // to exactly 1..=len.
             let mut all: Vec<u64> = Vec::new();
             for sh in s.shards() {
-                assert_eq!(sh.records.len(), sh.dense.len());
+                assert_eq!(sh.records.len(), sh.soa.len());
                 assert_eq!(sh.records.len(), sh.global_refs.len());
                 assert!(sh.global_refs.windows(2).all(|w| w[0] < w[1]));
                 for (r, &g) in sh.records.iter().zip(&sh.global_refs) {
@@ -194,10 +207,10 @@ mod tests {
     #[test]
     fn shard_local_ids_are_dense_and_first_appearance_ordered() {
         let (records, dense, n) = stream();
-        let s = ShardedStream::build(&records, &dense, n, 3, |_, gid| gid as usize % 3);
+        let s = ShardedStream::build(&records, &dense, n, 3, SHARING, |_, gid| gid as usize % 3);
         for (s_idx, sh) in s.shards().iter().enumerate() {
             let mut next = 0u32;
-            for (r, &lid) in sh.records.iter().zip(&sh.dense) {
+            for (r, &lid) in sh.records.iter().zip(&sh.soa.block_id) {
                 if !r.is_data() {
                     continue;
                 }
@@ -206,11 +219,11 @@ mod tests {
                     next += 1;
                 }
             }
-            assert_eq!(next as usize, sh.num_blocks);
+            assert_eq!(next as usize, sh.soa.num_blocks);
             // global_ids inverts the shard-local renaming: every data
             // record's global dense id is recoverable from its local id.
-            assert_eq!(sh.global_ids.len(), sh.num_blocks);
-            for (i, (r, &lid)) in sh.records.iter().zip(&sh.dense).enumerate() {
+            assert_eq!(sh.global_ids.len(), sh.soa.num_blocks);
+            for (i, (r, &lid)) in sh.records.iter().zip(&sh.soa.block_id).enumerate() {
                 if r.is_data() {
                     let gid = sh.global_ids[lid as usize];
                     assert_eq!(gid, dense[(sh.global_refs[i] - 1) as usize]);
@@ -223,15 +236,15 @@ mod tests {
     #[test]
     fn single_shard_is_the_identity_partition() {
         let (records, dense, n) = stream();
-        let s = ShardedStream::build(&records, &dense, n, 1, |_, _| 0);
+        let s = ShardedStream::build(&records, &dense, n, 1, SHARING, |_, _| 0);
         assert_eq!(s.shards()[0].records, records);
         // With one shard, local ids equal global ids on data records.
         for (i, r) in records.iter().enumerate() {
             if r.is_data() {
-                assert_eq!(s.shards()[0].dense[i], dense[i]);
+                assert_eq!(s.shards()[0].soa.block_id[i], dense[i]);
             }
         }
-        assert_eq!(s.shards()[0].num_blocks, n);
+        assert_eq!(s.shards()[0].soa.num_blocks, n);
     }
 
     #[test]
@@ -239,7 +252,7 @@ mod tests {
     fn inconsistent_router_is_rejected() {
         let (records, dense, n) = stream();
         let mut flip = 0usize;
-        let _ = ShardedStream::build(&records, &dense, n, 2, |_, _| {
+        let _ = ShardedStream::build(&records, &dense, n, 2, SHARING, |_, _| {
             flip += 1;
             flip % 2
         });
@@ -249,6 +262,6 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let (records, dense, n) = stream();
-        let _ = ShardedStream::build(&records, &dense, n, 0, |_, gid| gid as usize);
+        let _ = ShardedStream::build(&records, &dense, n, 0, SHARING, |_, gid| gid as usize);
     }
 }

@@ -3,27 +3,23 @@
 //! The dense-id rewrite (see [`crate::intern`]) removed hashing from the
 //! replay loop but still walks 16-byte [`TraceRecord`]s and redoes the
 //! sharing-model match plus `geometry.block_of` address math per
-//! reference. A [`SoaStream`] finishes the job: it splits one
-//! (records, dense-ids) pair into four flat arrays —
-//! `kind` / `cache_idx` / `block_id` / `first_ref` — with the
-//! sharing-model cache index and the global first-reference bit
-//! precomputed at build time, so a replay loop touches no `TraceRecord`
-//! and performs no address math at all.
+//! reference. A [`SoaStream`] finishes the job: it splits a record stream
+//! into four flat arrays — `kind` / `cache_idx` / `block_id` /
+//! `first_ref` — with the sharing-model cache index and the
+//! first-reference bit precomputed, so a replay loop touches no
+//! `TraceRecord` and performs no address math at all.
 //!
-//! `max_cache_idx` is the stream-wide maximum over *data* references:
-//! when it is below the protocol's cache count the per-reference bounds
-//! check is provably dead and a replay loop may skip it entirely; the
-//! engine's mono path falls back to the checking loop (with its exact
-//! serial error message, which needs the original records) otherwise.
+//! `max_cache_idx` is the maximum over *data* references: when it is
+//! below the protocol's cache count the per-reference bounds check is
+//! provably dead and a replay loop may skip it entirely; otherwise the
+//! replay falls back to the checking loop (with its exact error message,
+//! which needs the original records).
 //!
-//! A [`ShardedSoa`] is the same split applied to every shard of a
-//! [`ShardedStream`], aligned one-to-one with its shards so the sharded
-//! replay path keeps the original records available for cold paths
-//! (finite-cache set selection, diagnostics) while the hot loop reads
-//! only flat arrays.
+//! The same type serves as a whole in-memory stream, as one shard of a
+//! [`ShardedStream`](crate::shard::ShardedStream), and as the reusable
+//! per-chunk batch a streaming replay refills with [`SoaStream::push`].
 
 use crate::record::TraceRecord;
-use crate::shard::ShardedStream;
 use dircc_types::{AccessKind, BlockGeometry, SharingModel};
 
 /// A dense-id record stream split into flat per-field arrays, with the
@@ -33,7 +29,7 @@ use dircc_types::{AccessKind, BlockGeometry, SharingModel};
 /// instruction fetches carry placeholders in `cache_idx` / `block_id` /
 /// `first_ref` that replay never reads (exactly as the dense-id stream
 /// carries a placeholder id for them).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SoaStream {
     /// Access kind per record.
     pub kind: Vec<AccessKind>,
@@ -56,6 +52,20 @@ pub struct SoaStream {
 }
 
 impl SoaStream {
+    /// An empty stream under `sharing`, to be filled with
+    /// [`push`](Self::push).
+    pub fn new(sharing: SharingModel) -> Self {
+        SoaStream {
+            kind: Vec::new(),
+            cache_idx: Vec::new(),
+            block_id: Vec::new(),
+            first_ref: Vec::new(),
+            num_blocks: 0,
+            sharing,
+            max_cache_idx: 0,
+        }
+    }
+
     /// Splits a record stream and its aligned dense-id stream (from
     /// [`crate::intern::BlockInterner::dense_stream`]) into flat arrays
     /// under `sharing`.
@@ -71,37 +81,60 @@ impl SoaStream {
         sharing: SharingModel,
     ) -> Self {
         assert_eq!(records.len(), dense.len(), "dense-id stream must align with the record stream");
-        let len = records.len();
-        let mut kind = Vec::with_capacity(len);
-        let mut cache_idx = Vec::with_capacity(len);
-        let mut block_id = Vec::with_capacity(len);
-        let mut first_ref = Vec::with_capacity(len);
-        let mut seen = vec![0u64; num_blocks.div_ceil(64)];
-        let mut max_cache_idx = 0u16;
+        let mut soa = SoaStream::new(sharing);
+        soa.reserve(records.len());
+        soa.num_blocks = num_blocks;
+        let mut seen = FirstRefs::new(num_blocks);
         for (r, &id) in records.iter().zip(dense) {
-            kind.push(r.kind);
             if r.is_data() {
                 assert!(
                     (id as usize) < num_blocks,
                     "dense id {id} out of range for {num_blocks} blocks"
                 );
-                let idx = match sharing {
-                    SharingModel::Processor => r.cpu.raw(),
-                    SharingModel::Process => r.pid.raw(),
-                };
-                max_cache_idx = max_cache_idx.max(idx);
-                let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
-                first_ref.push(seen[word] & bit == 0);
-                seen[word] |= bit;
-                cache_idx.push(idx);
-                block_id.push(id);
+                soa.push(r, id, seen.first(id));
             } else {
-                cache_idx.push(0);
-                block_id.push(0);
-                first_ref.push(false);
+                soa.push(r, 0, false);
             }
         }
-        SoaStream { kind, cache_idx, block_id, first_ref, num_blocks, sharing, max_cache_idx }
+        soa
+    }
+
+    /// Appends one record with its dense block id and first-reference bit
+    /// (both ignored for instruction fetches, which get placeholders),
+    /// keeping `max_cache_idx` current.
+    pub fn push(&mut self, r: &TraceRecord, id: u32, first_ref: bool) {
+        self.kind.push(r.kind);
+        if r.is_data() {
+            let idx = match self.sharing {
+                SharingModel::Processor => r.cpu.raw(),
+                SharingModel::Process => r.pid.raw(),
+            };
+            self.max_cache_idx = self.max_cache_idx.max(idx);
+            self.cache_idx.push(idx);
+            self.block_id.push(id);
+            self.first_ref.push(first_ref);
+        } else {
+            self.cache_idx.push(0);
+            self.block_id.push(0);
+            self.first_ref.push(false);
+        }
+    }
+
+    /// Empties the stream for refilling, keeping its allocations and
+    /// sharing model.
+    pub fn clear(&mut self) {
+        self.kind.clear();
+        self.cache_idx.clear();
+        self.block_id.clear();
+        self.first_ref.clear();
+        self.max_cache_idx = 0;
+    }
+
+    fn reserve(&mut self, n: usize) {
+        self.kind.reserve(n);
+        self.cache_idx.reserve(n);
+        self.block_id.reserve(n);
+        self.first_ref.reserve(n);
     }
 
     /// Number of records in the stream.
@@ -115,33 +148,25 @@ impl SoaStream {
     }
 }
 
-/// The structure-of-arrays split of every shard of a [`ShardedStream`],
-/// aligned one-to-one with [`ShardedStream::shards`].
-#[derive(Debug, Clone)]
-pub struct ShardedSoa {
-    shards: Vec<SoaStream>,
-    sharing: SharingModel,
-}
+/// A first-reference bit vector over dense block ids.
+#[derive(Debug, Clone, Default)]
+pub struct FirstRefs(Vec<u64>);
 
-impl ShardedSoa {
-    /// Builds the per-shard SoA split of `sharded` under `sharing`.
-    pub fn build(sharded: &ShardedStream, sharing: SharingModel) -> Self {
-        let shards = sharded
-            .shards()
-            .iter()
-            .map(|sh| SoaStream::build(&sh.records, &sh.dense, sh.num_blocks, sharing))
-            .collect();
-        ShardedSoa { shards, sharing }
+impl FirstRefs {
+    /// A bit vector pre-sized for `num_blocks` ids (it grows on demand).
+    pub fn new(num_blocks: usize) -> Self {
+        FirstRefs(vec![0; num_blocks.div_ceil(64)])
     }
 
-    /// The per-shard streams, in shard-index order.
-    pub fn shards(&self) -> &[SoaStream] {
-        &self.shards
-    }
-
-    /// The sharing model the cache indices were computed under.
-    pub fn sharing(&self) -> SharingModel {
-        self.sharing
+    /// Marks `id` seen, returning whether this was its first reference.
+    pub fn first(&mut self, id: u32) -> bool {
+        let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let first = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        first
     }
 }
 
@@ -178,6 +203,7 @@ mod tests {
     use super::*;
     use crate::gen::{Generator, Profile};
     use crate::intern::BlockInterner;
+    use crate::shard::ShardedStream;
     use dircc_types::BlockGeometry;
 
     fn stream() -> (Vec<TraceRecord>, Vec<u32>, usize) {
@@ -227,18 +253,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_soa_aligns_with_the_partition() {
+    fn shard_splits_match_a_fresh_build() {
+        // Each shard's inline split equals a fresh build over the shard's
+        // own records and (shard-local) ids.
         let (records, dense, n) = stream();
-        let sharded = ShardedStream::build(&records, &dense, n, 3, |_, gid| gid as usize % 3);
-        let soa = ShardedSoa::build(&sharded, SharingModel::Process);
-        assert_eq!(soa.shards().len(), sharded.num_shards());
-        assert_eq!(soa.sharing(), SharingModel::Process);
-        for (sh, so) in sharded.shards().iter().zip(soa.shards()) {
+        let sharded =
+            ShardedStream::build(&records, &dense, n, 3, SharingModel::Process, |_, gid| {
+                gid as usize % 3
+            });
+        for sh in sharded.shards() {
+            let so = &sh.soa;
             assert_eq!(so.len(), sh.records.len());
-            assert_eq!(so.num_blocks, sh.num_blocks);
-            let expect = SoaStream::build(&sh.records, &sh.dense, sh.num_blocks, so.sharing);
-            assert_eq!(so.block_id, expect.block_id);
-            assert_eq!(so.first_ref, expect.first_ref);
+            assert_eq!(so.sharing, SharingModel::Process);
+            let expect = SoaStream::build(&sh.records, &so.block_id, so.num_blocks, so.sharing);
+            assert_eq!(*so, expect);
         }
     }
 

@@ -321,6 +321,7 @@ mod tests {
     use crate::chunk::SliceChunks;
     use crate::gen::{Generator, Profile};
     use crate::shard::ShardedStream;
+    use dircc_types::SharingModel;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dircc_spill_{tag}_{}", std::process::id()));
@@ -340,10 +341,14 @@ mod tests {
         let dense = interner.dense_stream(&records);
         let dir = tmpdir("match");
         for shards in [1, 2, 3, 8] {
-            let mem =
-                ShardedStream::build(&records, &dense, interner.num_blocks(), shards, |_, gid| {
-                    gid as usize % shards
-                });
+            let mem = ShardedStream::build(
+                &records,
+                &dense,
+                interner.num_blocks(),
+                shards,
+                SharingModel::Processor,
+                |_, gid| gid as usize % shards,
+            );
             let mut source = SliceChunks::new(&records[..], 257);
             let spilled =
                 spill_shards(&mut source, geometry, shards, &dir, |_, gid| gid as usize % shards)
@@ -359,7 +364,7 @@ mod tests {
                     sp.entries().unwrap().collect::<io::Result<_>>().unwrap();
                 assert_eq!(entries.len(), sh.records.len());
                 for (e, ((r, &lid), &gref)) in
-                    entries.iter().zip(sh.records.iter().zip(&sh.dense).zip(&sh.global_refs))
+                    entries.iter().zip(sh.records.iter().zip(&sh.soa.block_id).zip(&sh.global_refs))
                 {
                     assert_eq!(e.record, *r);
                     assert_eq!(e.gref, gref);

@@ -20,7 +20,7 @@ use crate::gen::{Generator, Profile};
 use crate::intern::BlockInterner;
 use crate::record::TraceRecord;
 use crate::shard::ShardedStream;
-use crate::soa::{ShardedSoa, SoaStream};
+use crate::soa::SoaStream;
 use dircc_types::{BlockGeometry, SharingModel};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,14 +84,11 @@ pub struct TraceStore {
     /// Memoized per-record dense-id streams, one per (trace, filter, geometry).
     dense: MemoMap<(usize, usize, BlockGeometry), Arc<[u32]>>,
     /// Memoized block-sharded partitions, one per
-    /// (trace, filter, geometry, shard count).
-    sharded: MemoMap<(usize, usize, BlockGeometry, usize), Arc<ShardedStream>>,
+    /// (trace, filter, geometry, shard count, sharing model).
+    sharded: MemoMap<(usize, usize, BlockGeometry, usize, SharingModel), Arc<ShardedStream>>,
     /// Memoized structure-of-arrays streams, one per
     /// (trace, filter, geometry, sharing model).
     soa: MemoMap<(usize, usize, BlockGeometry, SharingModel), Arc<SoaStream>>,
-    /// Memoized per-shard structure-of-arrays streams, one per
-    /// (trace, filter, geometry, shard count, sharing model).
-    sharded_soa: MemoMap<(usize, usize, BlockGeometry, usize, SharingModel), Arc<ShardedSoa>>,
 }
 
 impl TraceStore {
@@ -112,7 +109,6 @@ impl TraceStore {
             dense: Mutex::new(HashMap::new()),
             sharded: Mutex::new(HashMap::new()),
             soa: Mutex::new(HashMap::new()),
-            sharded_soa: Mutex::new(HashMap::new()),
         }
     }
 
@@ -212,9 +208,10 @@ impl TraceStore {
 
     /// The block-sharded partition of one (trace, filter) stream under
     /// `geometry` — `shards` sub-streams routed by `block_id % shards`
-    /// (the infinite-cache router), with shard-local dense ids and global
-    /// reference numbers. Materialized once per (trace, filter, geometry,
-    /// shards) and shared thereafter, alongside the unsharded streams.
+    /// (the infinite-cache router), each split into a [`SoaStream`] under
+    /// `sharing`, with shard-local dense ids and global reference
+    /// numbers. Materialized once per (trace, filter, geometry, shards,
+    /// sharing) and shared thereafter, alongside the unsharded streams.
     ///
     /// # Panics
     ///
@@ -225,19 +222,25 @@ impl TraceStore {
         filter: TraceFilter,
         geometry: BlockGeometry,
         shards: usize,
+        sharing: SharingModel,
     ) -> Arc<ShardedStream> {
         assert!(shards >= 1, "need at least one shard");
         let cell = {
             let mut map = self.sharded.lock().expect("sharded memo poisoned");
-            map.entry((trace, filter.slot(), geometry, shards)).or_default().clone()
+            map.entry((trace, filter.slot(), geometry, shards, sharing)).or_default().clone()
         };
         cell.get_or_init(|| {
             let records = self.records(trace, filter);
             let dense = self.dense_blocks(trace, filter, geometry);
             let num_blocks = self.interner(trace, geometry).num_blocks();
-            Arc::new(ShardedStream::build(&records, &dense, num_blocks, shards, |_, gid| {
-                gid as usize % shards
-            }))
+            Arc::new(ShardedStream::build(
+                &records,
+                &dense,
+                num_blocks,
+                shards,
+                sharing,
+                |_, gid| gid as usize % shards,
+            ))
         })
         .clone()
     }
@@ -267,34 +270,6 @@ impl TraceStore {
             let dense = self.dense_blocks(trace, filter, geometry);
             let num_blocks = self.interner(trace, geometry).num_blocks();
             Arc::new(SoaStream::build(&records, &dense, num_blocks, sharing))
-        })
-        .clone()
-    }
-
-    /// The per-shard structure-of-arrays split of one sharded partition
-    /// (see [`TraceStore::sharded`]), aligned one-to-one with its shards.
-    /// Materialized once per (trace, filter, geometry, shards, sharing)
-    /// and shared thereafter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trace` is out of range or `shards` is zero.
-    pub fn sharded_soa(
-        &self,
-        trace: usize,
-        filter: TraceFilter,
-        geometry: BlockGeometry,
-        shards: usize,
-        sharing: SharingModel,
-    ) -> Arc<ShardedSoa> {
-        assert!(shards >= 1, "need at least one shard");
-        let cell = {
-            let mut map = self.sharded_soa.lock().expect("sharded soa memo poisoned");
-            map.entry((trace, filter.slot(), geometry, shards, sharing)).or_default().clone()
-        };
-        cell.get_or_init(|| {
-            let sharded = self.sharded(trace, filter, geometry, shards);
-            Arc::new(ShardedSoa::build(&sharded, sharing))
         })
         .clone()
     }
@@ -379,11 +354,13 @@ mod tests {
     fn sharded_streams_are_memoized_and_partition_the_stream() {
         let s = store();
         let g = BlockGeometry::PAPER;
-        let a = s.sharded(0, TraceFilter::Full, g, 4);
-        let b = s.sharded(0, TraceFilter::Full, g, 4);
+        let a = s.sharded(0, TraceFilter::Full, g, 4, SharingModel::Process);
+        let b = s.sharded(0, TraceFilter::Full, g, 4, SharingModel::Process);
         assert!(Arc::ptr_eq(&a, &b), "same (trace, filter, shards) shares the partition");
-        let other = s.sharded(0, TraceFilter::Full, g, 2);
+        let other = s.sharded(0, TraceFilter::Full, g, 2, SharingModel::Process);
         assert!(!Arc::ptr_eq(&a, &other), "shard count is part of the key");
+        let proc = s.sharded(0, TraceFilter::Full, g, 4, SharingModel::Processor);
+        assert!(!Arc::ptr_eq(&a, &proc), "sharing model is part of the key");
         assert_eq!(a.total_records(), s.records(0, TraceFilter::Full).len());
         assert_eq!(a.total_blocks(), s.interner(0, g).num_blocks());
         assert_eq!(s.generations(), 1, "sharding reuses the stored stream");
@@ -411,11 +388,9 @@ mod tests {
         assert_eq!(a.len(), s.records(0, TraceFilter::Full).len());
         assert_eq!(a.num_blocks, s.interner(0, g).num_blocks());
         assert_eq!(s.generations(), 1, "the split reuses the stored stream");
-        let sh = s.sharded_soa(0, TraceFilter::Full, g, 3, SharingModel::Process);
-        let sh2 = s.sharded_soa(0, TraceFilter::Full, g, 3, SharingModel::Process);
-        assert!(Arc::ptr_eq(&sh, &sh2));
-        assert_eq!(sh.shards().len(), 3);
-        let total: usize = sh.shards().iter().map(|s| s.len()).sum();
+        let sh = s.sharded(0, TraceFilter::Full, g, 3, SharingModel::Process);
+        assert_eq!(sh.num_shards(), 3);
+        let total: usize = sh.shards().iter().map(|s| s.soa.len()).sum();
         assert_eq!(total, a.len());
     }
 

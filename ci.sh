@@ -30,15 +30,14 @@ cargo test -q -p dircc-sim --test replay
 # scalability work list.
 ./target/release/dircc profile scaling --smoke \
     --out /tmp/PROFILE_timeseries.jsonl --spans /tmp/PROFILE_spans.json
-# Streaming round-trip gate: a recorded chunked v2 trace replayed from
-# disk (streamed, then sharded via out-of-core spill files) must print
-# byte-identical results to the in-memory replay of the same profile,
-# verifier on.
+# Streaming round-trip gate: a recorded chunked v2 trace streamed from
+# disk must print byte-identical results to the in-memory replay of the
+# same profile, serial and block-sharded, verifier on.
 ./target/release/dircc record --profile thor --refs 20000 --out /tmp/smoke_v2.dcct
 ./target/release/dircc replay --in /tmp/smoke_v2.dcct --verify > /tmp/replay_file.txt
 ./target/release/dircc replay --profile thor --refs 20000 --verify > /tmp/replay_mem.txt
 diff /tmp/replay_file.txt /tmp/replay_mem.txt
-./target/release/dircc replay --in /tmp/smoke_v2.dcct --verify --shards 3 \
+./target/release/dircc replay --profile thor --refs 20000 --verify --shards 3 \
     > /tmp/replay_sharded.txt
 diff /tmp/replay_file.txt /tmp/replay_sharded.txt
 # Serve gate: the HTTP daemon on an ephemeral port — served /run
@@ -50,5 +49,8 @@ diff /tmp/replay_file.txt /tmp/replay_sharded.txt
 # graceful /shutdown drain with an orphan check. The timeout is the
 # hard ceiling on a hang.
 timeout 300 ./ci_serve_gate.sh
+# Benchmark package: it builds the `dircc` CLI from this source and uses
+# the public APIs of six crates, so an API change breaks it here first.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check

@@ -158,27 +158,6 @@ pub fn dispatch_sized<V: ProtocolVisitor>(
     dispatch(kind, n_caches, SizedVisitor { blocks, inner: visitor })
 }
 
-/// Per-shard construction for block-sharded replay: one protocol instance
-/// per shard, each with its per-block tables (`CacheArray`, `BlockMap`,
-/// `BlockSet`, directory entries) sized via [`Protocol::reserve_blocks`]
-/// for that shard's blocks only. Shards see disjoint (shard-local dense)
-/// block id spaces, so the instances together hold exactly the state one
-/// unsharded instance would.
-///
-/// `shard_blocks[s]` is the distinct-block count of shard `s` (from
-/// `ShardedStream::shard_blocks` in `dircc-trace`).
-///
-/// # Panics
-///
-/// As [`build`].
-pub fn split_shards(
-    kind: ProtocolKind,
-    n_caches: usize,
-    shard_blocks: &[usize],
-) -> Vec<Box<dyn Protocol>> {
-    shard_blocks.iter().map(|&blocks| build_sized(kind, n_caches, blocks)).collect()
-}
-
 /// The four schemes of the paper's main evaluation (§3), in its order:
 /// `Dir1NB`, `WTI`, `Dir0B`, `Dragon`.
 pub fn paper_schemes(n_caches: usize) -> Vec<Box<dyn Protocol>> {
@@ -274,20 +253,6 @@ mod tests {
             assert_eq!(n, 4);
             let (k2, ..) = dispatch_sized(kind, 4, 100, KindOf);
             assert_eq!(k2, kind);
-        }
-    }
-
-    #[test]
-    fn split_shards_builds_one_sized_instance_per_shard() {
-        use dircc_types::{AccessKind, BlockAddr, CacheId};
-        let shards = split_shards(ProtocolKind::DirNb { pointers: 2 }, 4, &[3, 0, 7]);
-        assert_eq!(shards.len(), 3);
-        for mut p in shards {
-            assert_eq!(p.num_caches(), 4);
-            // Each instance is fully functional on its own id space.
-            let o = p.access(CacheId::new(1), AccessKind::Write, BlockAddr::from_index(0), true);
-            assert!(o.event.is_first_ref());
-            p.check_invariants().unwrap();
         }
     }
 

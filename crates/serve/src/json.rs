@@ -1,7 +1,8 @@
-//! A small strict JSON parser for job bodies.
+//! A small strict JSON parser for job bodies and `dircc bench` reports.
 //!
 //! Offline build → no serde. Jobs are tiny flat objects, so a
 //! recursive-descent parser over the raw bytes is all that is needed.
+//! Output escaping lives in `dircc_obs::escape`.
 //! Errors carry the byte offset so a 400 response can point at the
 //! problem. Duplicate object keys are rejected — a job that says
 //! `"shards": 1, "shards": 8` is a client bug, not a tie to break
@@ -62,23 +63,6 @@ impl std::fmt::Display for JsonError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} at byte {}", self.message, self.offset)
     }
-}
-
-/// Escapes `s` for embedding inside a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 struct Parser<'b> {
@@ -358,7 +342,7 @@ mod tests {
     #[test]
     fn escape_round_trips_through_the_parser() {
         let hairy = "a\"b\\c\nd\te\u{1}f";
-        let wire = format!("\"{}\"", escape(hairy));
+        let wire = format!("\"{}\"", dircc_obs::escape(hairy));
         assert_eq!(parse(wire.as_bytes()).unwrap(), Json::Str(hairy.to_string()));
     }
 }

@@ -13,7 +13,7 @@ use std::io::Write;
 use std::sync::Mutex;
 use std::time::SystemTime;
 
-use crate::json::escape;
+use dircc_obs::escape;
 
 /// Log severity. The daemon uses `Info` for served requests and `Warn`
 /// for refusals/errors.

@@ -29,12 +29,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
-use dircc_obs::MetricsRegistry;
+use dircc_obs::{escape, MetricsRegistry};
 
 use crate::cache::{CacheCounters, ResultCache};
 use crate::http::{read_request, write_response, write_response_typed, ChunkedBody, Request};
 use crate::job::JobSpec;
-use crate::json::escape;
 use crate::logger::Logger;
 use crate::metrics::ServerMetrics;
 use crate::queue::{Bounded, PushError};

@@ -38,9 +38,8 @@
 //!   ([`dispatch_sized`]), so `access` is statically dispatched;
 //! * [`run`] and [`run_chunked`] refill one reusable batch per chunk,
 //!   interning blocks on the fly in first-appearance order;
-//! * [`run_sharded`] and [`run_sharded_spilled`] replay block shards — in
-//!   memory, or streamed from spill files — on scoped threads and merge
-//!   them exactly.
+//! * [`run_sharded`] replays in-memory block shards on scoped threads and
+//!   merges them exactly.
 //!
 //! Renaming blocks to dense ids is a bijection and protocols only compare
 //! blocks for identity, so every source produces bit-identical counters;
@@ -63,20 +62,14 @@ use dircc_core::{
 };
 use dircc_obs::{NoopRecorder, Recorder};
 use dircc_trace::chunk::IterChunks;
-use dircc_trace::spill::spill_shards;
-use dircc_trace::{
-    BlockInterner, ChunkSource, FirstRefs, ShardedStream, SoaStream, SpilledShard, SpilledShards,
-    TraceRecord,
-};
+use dircc_trace::{BlockInterner, ChunkSource, ShardedStream, SoaStream, TraceRecord};
 use dircc_types::{AccessKind, BlockAddr, BlockGeometry, CacheId};
-use std::io;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 pub use dircc_types::SharingModel;
 
 /// References per batch for sources without chunks of their own
-/// (iterators, spill files), and per dispatch of the quiet loop. One
+/// (iterators), and per dispatch of the quiet loop. One
 /// batch's arrays stay comfortably inside L1 alongside the protocol's
 /// working set.
 const BATCH: usize = 4096;
@@ -342,8 +335,7 @@ pub fn run_indexed_with<R: Recorder>(
     recorder: &mut R,
 ) -> Result<RunResult, String> {
     check_aligned(records, soa, cfg)?;
-    let stream = Stream::Memory { records, soa, shard: None };
-    replay_dispatched(kind, n_caches, soa.num_blocks, stream, cfg, recorder)
+    replay_dispatched(kind, n_caches, records, soa, None, cfg, recorder)
         .map(finish_result)
         .map_err(|e| e.msg)
 }
@@ -467,85 +459,19 @@ where
     fan_out(shards.len(), |idx| {
         let sh = &shards[idx];
         let started = Instant::now();
-        let stream = Stream::Memory {
-            records: &sh.records,
-            soa: &sh.soa,
-            shard: Some((&sh.global_refs, &sh.global_ids)),
-        };
+        let shard = Some((&sh.global_refs[..], &sh.global_ids[..]));
         let res =
-            replay_dispatched(kind, n_caches, sh.soa.num_blocks, stream, cfg, &mut NoopRecorder);
+            replay_dispatched(kind, n_caches, &sh.records, &sh.soa, shard, cfg, &mut NoopRecorder);
         let refs = res.as_ref().map_or(sh.records.len() as u64, |o| o.refs);
         observe(idx, started, started.elapsed(), refs);
         res
     })
 }
 
-/// Partitions a streamed trace into per-shard spill files under `dir`
-/// (which must exist), using the same routing [`shard_stream`] uses for
-/// `cfg` — `block_id % shards` for infinite caches, set index (clamped to
-/// the set count) for finite ones — so spilled replay merges
-/// bit-identically with [`run_sharded`]. Memory stays proportional to
-/// distinct blocks, never trace length: this is how `run_sharded` scales
-/// to traces larger than RAM.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the source and the spill files.
-pub fn spill_sharded<S: ChunkSource>(
-    source: &mut S,
-    shards: usize,
-    cfg: &RunConfig,
-    dir: &Path,
-) -> io::Result<SpilledShards> {
-    let shards = shards.max(1);
-    match cfg.finite_cache {
-        None => spill_shards(source, cfg.geometry, shards, dir, |_, gid| gid as usize % shards),
-        Some(fc) => {
-            let shards = shards.min(fc.sets);
-            let geometry = cfg.geometry;
-            spill_shards(source, geometry, shards, dir, move |r, _| {
-                fc.set_of(geometry.block_of(r.addr)) % shards
-            })
-        }
-    }
-}
-
-/// Replays a spilled partition (from [`spill_sharded`]) through one
-/// instance of `kind` per shard, streaming each shard's spill file in
-/// batches with bounded memory, and folds the results **bit-identically
-/// to [`run_sharded`]** on the same stream: the spill files carry exactly
-/// the record / shard-local id / global reference triples an in-memory
-/// [`Shard`](dircc_trace::Shard) carries, and the fan-out and merge are
-/// the same.
-///
-/// # Errors
-///
-/// As [`run_sharded`]; additionally reports I/O errors reading spill files.
-pub fn run_sharded_spilled(
-    kind: ProtocolKind,
-    n_caches: usize,
-    spilled: &SpilledShards,
-    cfg: &RunConfig,
-) -> Result<RunResult, String> {
-    let shards = spilled.shards();
-    fan_out(shards.len(), |idx| {
-        let sh = &shards[idx];
-        replay_dispatched(
-            kind,
-            n_caches,
-            sh.num_blocks,
-            Stream::Spilled(sh),
-            cfg,
-            &mut NoopRecorder,
-        )
-    })
-}
-
 /// Replays shards `0..shards` — `replay_shard(idx)` each — on scoped
 /// threads (inline for one shard) and merges the results with
-/// [`merge_shard_results`]. The one fan-out behind both in-memory and
-/// spilled sharded replay.
-pub(crate) fn fan_out<F>(shards: usize, replay_shard: F) -> Result<RunResult, String>
+/// [`merge_shard_results`]: the fan-out behind [`run_sharded_with`].
+fn fan_out<F>(shards: usize, replay_shard: F) -> Result<RunResult, String>
 where
     F: Fn(usize) -> Result<CoreResult, EngineError> + Sync,
 {
@@ -595,47 +521,40 @@ fn merge_shard_results(results: Vec<Result<CoreResult, EngineError>>) -> Result<
     Ok(finish_result(CoreResult { counters, refs, violations: findings }))
 }
 
-/// What one monomorphized replay reads.
-enum Stream<'a> {
-    /// An in-memory stream; `shard` carries a shard sub-stream's global
-    /// reference numbers and shard-local → global dense ids.
-    Memory { records: &'a [TraceRecord], soa: &'a SoaStream, shard: Option<(&'a [u64], &'a [u32])> },
-    /// One spilled shard, streamed from its file.
-    Spilled(&'a SpilledShard),
-}
-
-/// Replays `stream` through a fresh instance of `kind` sized for `blocks`
+/// Replays one in-memory stream (or shard sub-stream, whose `shard`
+/// carries its global reference numbers and shard-local → global dense
+/// ids) through a fresh instance of `kind` sized for `soa.num_blocks`
 /// and resolved to its concrete type ([`dispatch_sized`]), so
 /// [`Protocol::access`] is statically dispatched and inlinable.
 fn replay_dispatched<R: Recorder>(
     kind: ProtocolKind,
     n_caches: usize,
-    blocks: usize,
-    stream: Stream<'_>,
+    records: &[TraceRecord],
+    soa: &SoaStream,
+    shard: Option<(&[u64], &[u32])>,
     cfg: &RunConfig,
     recorder: &mut R,
 ) -> Result<CoreResult, EngineError> {
     struct Replay<'a, R> {
-        stream: Stream<'a>,
+        records: &'a [TraceRecord],
+        soa: &'a SoaStream,
+        shard: Option<(&'a [u64], &'a [u32])>,
         cfg: &'a RunConfig,
         recorder: &'a mut R,
     }
     impl<R: Recorder> ProtocolVisitor for Replay<'_, R> {
         type Output = Result<CoreResult, EngineError>;
         fn visit<P: Protocol>(self, mut protocol: P) -> Self::Output {
-            match self.stream {
-                Stream::Memory { records, soa, shard } => {
-                    replay_memory(&mut protocol, records, soa, shard, self.cfg, self.recorder)
-                }
-                Stream::Spilled(shard) => replay_spilled(&mut protocol, shard, self.cfg),
-            }
+            let Replay { records, soa, shard, cfg, recorder } = self;
+            replay_memory(&mut protocol, records, soa, shard, cfg, recorder)
         }
     }
-    dispatch_sized(kind, n_caches, blocks, Replay { stream, cfg, recorder })
+    let visitor = Replay { records, soa, shard, cfg, recorder };
+    dispatch_sized(kind, n_caches, soa.num_blocks, visitor)
 }
 
 /// Replays one in-memory stream (or shard sub-stream) as a single batch.
-pub(crate) fn replay_memory<P: Protocol + ?Sized, R: Recorder>(
+fn replay_memory<P: Protocol + ?Sized, R: Recorder>(
     protocol: &mut P,
     records: &[TraceRecord],
     soa: &SoaStream,
@@ -646,57 +565,6 @@ pub(crate) fn replay_memory<P: Protocol + ?Sized, R: Recorder>(
     let mut core = Core::new(protocol, cfg, soa.num_blocks, shard.map(|s| s.1), recorder);
     core.replay(records, soa, shard.map(|s| s.0))?;
     core.finish()
-}
-
-/// Replays one spilled shard, refilling one batch of up to [`BATCH`]
-/// entries at a time with the shard-local ids, first-reference bits and
-/// global reference numbers the spill file carries.
-fn replay_spilled<P: Protocol + ?Sized>(
-    protocol: &mut P,
-    shard: &SpilledShard,
-    cfg: &RunConfig,
-) -> Result<CoreResult, EngineError> {
-    let read_err = |e: io::Error| EngineError {
-        // gref 0 sorts before any engine error, so an I/O failure wins
-        // the deterministic first-error merge.
-        gref: 0,
-        msg: format!("spilled shard read failed: {e}"),
-    };
-    let mut entries = shard.entries().map_err(read_err)?;
-    let mut recorder = NoopRecorder;
-    let mut core =
-        Core::new(protocol, cfg, shard.num_blocks, Some(&shard.global_ids), &mut recorder);
-    let mut seen = FirstRefs::new(shard.num_blocks);
-    let (mut records, mut grefs, mut batch) = (Vec::new(), Vec::new(), SoaStream::new(cfg.sharing));
-    loop {
-        records.clear();
-        grefs.clear();
-        batch.clear();
-        let mut failed = None;
-        for entry in entries.by_ref().take(BATCH) {
-            match entry {
-                Ok(e) => {
-                    let first_ref = e.record.is_data() && seen.first(e.local_id);
-                    batch.push(&e.record, e.local_id, first_ref);
-                    records.push(e.record);
-                    grefs.push(e.gref);
-                }
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        // The entries before a read failure still replay, so an engine
-        // error among them wins exactly as it would in memory.
-        core.replay(&records, &batch, Some(&grefs))?;
-        if let Some(e) = failed {
-            return Err(read_err(e));
-        }
-        if records.len() < BATCH {
-            return core.finish();
-        }
-    }
 }
 
 /// The replay loop's state, carried across the batches of one stream.

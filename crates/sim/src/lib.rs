@@ -6,7 +6,7 @@
 //!
 //! * [`engine`] — the one replay loop: structure-of-arrays batches
 //!   (precomputed `kind`/`cache_idx`/`block_id`/`first_ref` arrays) from
-//!   in-memory, streamed, sharded or spilled sources, replayed through
+//!   in-memory, streamed or sharded sources, replayed through
 //!   any [`Protocol`](dircc_core::Protocol) — statically dispatched per
 //!   scheme where the source allows — with an optional value-level
 //!   coherence verifier;
@@ -51,8 +51,8 @@ pub mod service;
 pub mod workbench;
 
 pub use engine::{
-    run, run_chunked, run_indexed, run_indexed_with, run_sharded, run_sharded_spilled,
-    run_sharded_with, shard_stream, spill_sharded, RunConfig, RunResult, SharingModel,
+    run, run_chunked, run_indexed, run_indexed_with, run_sharded, run_sharded_with, shard_stream,
+    RunConfig, RunResult, SharingModel,
 };
 pub use metrics::Evaluation;
 pub use par::{default_jobs, par_map_indexed};

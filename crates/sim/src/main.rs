@@ -10,7 +10,8 @@
 //! dircc all                          # everything, in paper order
 //! dircc gen --profile pops --out t.dcct   # write a v1 (flat) binary trace
 //! dircc record --profile pops --out t.dcct  # write a chunked v2 trace
-//! dircc replay --in t.dcct [--scheme S] [--shards N] [--verify]
+//! dircc replay --in t.dcct [--scheme S] [--verify]   # stream a trace file
+//! dircc replay --profile pops [--shards N]  # replay a generated trace in memory
 //! dircc stats --in t.dcct                 # Table 3 stats of a trace file
 //! dircc bench [--smoke] [--out FILE]      # replay-throughput benchmark
 //! dircc benchcmp [--smoke] [--in FILE]    # bench-regression gate
@@ -34,12 +35,12 @@
 //!
 //! `dircc record` writes the chunked, delta-compressed v2 trace format
 //! (`--chunk N` records per chunk); `dircc replay` streams a recorded
-//! trace (either format, auto-detected) through the engine with memory
-//! bounded by the chunk size — with `--shards N` the stream is first
-//! spilled into per-shard temp files, so even the sharded replay never
-//! holds the whole trace in RAM. Without `--in`, `replay` generates the
-//! `--profile` trace in memory and replays the classic indexed path;
-//! stdout is byte-identical between the two modes.
+//! trace (either format, auto-detected) through the engine in one serial
+//! pass per scheme, with memory bounded by the chunk size. Without `--in`,
+//! `replay` generates the `--profile` trace in memory and replays the
+//! classic indexed path (block-sharded with `--shards N`); stdout is
+//! byte-identical between the two modes. `replay --in` rejects `--shards`:
+//! sharding needs the whole trace in memory.
 //!
 //! Common flags: `--refs N` (references per trace; default = paper scale),
 //! `--seed S` (default 1988), `--jobs N` (worker threads; default = the
@@ -50,7 +51,7 @@
 //! `run_sharded`); the per-run wall-clock timing summary goes to stderr,
 //! and only with `--verbose`. `dircc profile` rejects `--shards` —
 //! windowed sampling observes the global reference stream, which pins the
-//! replay to one shard.
+//! replay to one shard — and so does `dircc replay --in`.
 
 use dircc_bus::{CostConfig, CostModel};
 use dircc_check::{check_protocol, CheckConfig};
@@ -59,12 +60,13 @@ use dircc_obs::{
     chrome_trace, parse_exposition, samples_sum, window_jsonl_line, MetricsRegistry, RunMeta,
     Sample,
 };
+use dircc_serve::json::{self, Json};
 use dircc_serve::{client, JobHandler, ServeConfig, Server};
 use dircc_sim::experiments::{extensions, figures, network, studies, system, tables};
 use dircc_sim::{
     default_jobs, filter_from_label, filter_label, load_generate, profile_by_name, report,
-    run_chunked, run_indexed, run_response_json, run_sharded, run_sharded_spilled, shard_stream,
-    spill_sharded, Evaluation, RunConfig, RunResult, TraceFilter, Workbench, WorkbenchHandler,
+    run_chunked, run_indexed, run_response_json, run_sharded, shard_stream, Evaluation, RunConfig,
+    RunResult, TraceFilter, Workbench, WorkbenchHandler,
 };
 use dircc_trace::chunk::{DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS};
 use dircc_trace::codec::BinaryWriter;
@@ -490,6 +492,12 @@ fn validate_io(args: &Args) -> Result<(), String> {
                  reference stream, which pins the replay to one shard"
                 .to_string());
         }
+        if spec.name == "replay" && args.input.is_some() {
+            return Err("replay --in streams the file in one serial pass and takes no \
+                 --shards; for sharded replay, generate the trace in memory instead: \
+                 dircc replay --profile P --shards N"
+                .to_string());
+        }
         let sharded_ok =
             matches!(spec.kind, Kind::Workbench | Kind::All | Kind::Bench | Kind::BenchCmp)
                 || matches!(spec.name, "check" | "replay" | "submit");
@@ -626,41 +634,25 @@ fn replay_kinds(args: &Args, cpus: usize) -> Result<Vec<ProtocolKind>, String> {
     Ok(kinds)
 }
 
-/// Streams a trace file through every requested scheme. With one shard
-/// the file is re-read per scheme via [`run_chunked`] (memory bounded by
-/// the chunk size); with more, one pass spills per-shard sub-streams to
-/// temp files and [`run_sharded_spilled`] replays those, so even sharded
-/// replay never holds the whole trace in RAM.
+/// Streams a trace file through every requested scheme: the file is
+/// opened and decoded once per scheme via [`run_chunked`], so memory
+/// stays bounded by the chunk size however long the trace is.
 fn replay_file(
     path: &str,
     kinds: &[ProtocolKind],
     cpus: usize,
     cfg: &RunConfig,
-    shards: usize,
 ) -> Result<Vec<RunResult>, String> {
-    let open = || -> Result<_, String> {
-        let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-        open_trace(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
-    };
-    if shards <= 1 {
-        return kinds
-            .iter()
-            .map(|&kind| {
-                let mut source = open()?;
-                let mut p = dircc_core::build(kind, cpus);
-                run_chunked(p.as_mut(), &mut source, cfg)
-            })
-            .collect();
-    }
-    let dir = std::env::temp_dir().join(format!("dircc_replay_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let spilled = spill_sharded(&mut open()?, shards, cfg, &dir)
-        .map_err(|e| format!("spill to {}: {e}", dir.display()))?;
-    let results =
-        kinds.iter().map(|&kind| run_sharded_spilled(kind, cpus, &spilled, cfg)).collect();
-    drop(spilled); // removes the per-shard spill files
-    std::fs::remove_dir_all(&dir).ok();
-    results
+    kinds
+        .iter()
+        .map(|&kind| {
+            let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+            let mut source =
+                open_trace(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
+            let mut p = dircc_core::build(kind, cpus);
+            run_chunked(p.as_mut(), &mut source, cfg)
+        })
+        .collect()
 }
 
 /// Replays the `--profile` trace fully in memory (the classic indexed
@@ -692,8 +684,9 @@ fn replay_memory(
 /// auto-detected) or an in-memory `--profile` trace through the paper's
 /// headline schemes (or one `--scheme`), printing the deterministic
 /// per-scheme counter row and pipelined cycles-per-reference. stdout is
-/// byte-identical between the file and in-memory modes and across
-/// `--shards`; ingest timing goes to stderr, only with `--verbose`.
+/// byte-identical between the file and in-memory modes and across the
+/// in-memory mode's `--shards`; ingest timing goes to stderr, only with
+/// `--verbose`.
 fn replay(args: &Args) -> Result<(), String> {
     let cpus = args.cpus.unwrap_or(4);
     if cpus == 0 || cpus > 64 {
@@ -713,7 +706,7 @@ fn replay(args: &Args) -> Result<(), String> {
     let cfg = RunConfig { verify: args.verify, ..RunConfig::default().with_process_sharing() };
     let started = std::time::Instant::now();
     let results = match &args.input {
-        Some(path) => replay_file(path, &kinds, cpus, &cfg, args.shards)?,
+        Some(path) => replay_file(path, &kinds, cpus, &cfg)?,
         None => replay_memory(args, &kinds, cpus, &cfg)?,
     };
     let wall = started.elapsed();
@@ -764,9 +757,8 @@ fn replay(args: &Args) -> Result<(), String> {
     if args.verbose {
         if let Some(path) = &args.input {
             let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            // One full decode per scheme at one shard; one spill pass otherwise.
-            let passes = if args.shards <= 1 { kinds.len() as u64 } else { 1 };
-            let mb = (bytes * passes) as f64 / 1e6;
+            // One full decode per scheme.
+            let mb = (bytes * kinds.len() as u64) as f64 / 1e6;
             let secs = wall.as_secs_f64().max(1e-9);
             eprintln!(
                 "replay: {mb:.1} MB ingested in {:.1} ms ({:.1} MB/s incl. replay)",
@@ -1587,43 +1579,12 @@ struct BenchRun {
     wall_ms: f64,
 }
 
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\": \"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-fn json_num_field(line: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end =
-        rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-')).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// One ingest row of a `dircc bench` JSON report. Only the deterministic
 /// fields are parsed; the throughput fields are informational.
 struct IngestRow {
     trace: String,
     refs: u64,
     bytes: u64,
-}
-
-/// Extracts the ingest rows (they carry `mb_per_sec`; run rows carry
-/// `scheme`, so neither parser sees the other's lines).
-fn parse_ingest_rows(text: &str) -> Vec<IngestRow> {
-    text.lines()
-        .filter(|l| l.contains("\"mb_per_sec\""))
-        .filter_map(|l| {
-            Some(IngestRow {
-                trace: json_str_field(l, "trace")?,
-                refs: json_num_field(l, "refs")? as u64,
-                bytes: json_num_field(l, "bytes")? as u64,
-            })
-        })
-        .collect()
 }
 
 /// An `io::Write` sink that only counts bytes — `benchcmp` re-derives the
@@ -1640,22 +1601,47 @@ impl std::io::Write for CountingWriter {
     }
 }
 
-/// Extracts the per-run rows from a `dircc bench` JSON report (one run
-/// object per line, hand-rolled to match the hand-rolled writer).
-fn parse_bench_runs(text: &str) -> Vec<BenchRun> {
-    text.lines()
-        .filter(|l| l.contains("\"scheme\""))
-        .filter_map(|l| {
+/// Reads the run and ingest rows of a `dircc bench` JSON report. A row
+/// lacking a field its type needs is skipped, and a missing array reads
+/// as no rows.
+fn parse_bench_report(text: &[u8]) -> Result<(Vec<BenchRun>, Vec<IngestRow>), String> {
+    type Row = std::collections::BTreeMap<String, Json>;
+    let report = json::parse(text).map_err(|e| format!("not a dircc bench report: {e}"))?;
+    let rows = |key: &str| -> Vec<&Row> {
+        match report.as_obj().and_then(|o| o.get(key)) {
+            Some(Json::Arr(rows)) => rows.iter().filter_map(Json::as_obj).collect(),
+            _ => Vec::new(),
+        }
+    };
+    let str_of = |r: &Row, key: &str| r.get(key).and_then(Json::as_str).map(str::to_string);
+    let u64_of = |r: &Row, key: &str| r.get(key).and_then(Json::as_u64);
+    let runs = rows("runs")
+        .into_iter()
+        .filter_map(|r| {
             Some(BenchRun {
-                scheme: json_str_field(l, "scheme")?,
-                trace: json_str_field(l, "trace")?,
-                filter: json_str_field(l, "filter")?,
-                digest: json_str_field(l, "digest"),
-                refs: json_num_field(l, "refs")? as u64,
-                wall_ms: json_num_field(l, "wall_ms")?,
+                scheme: str_of(r, "scheme")?,
+                trace: str_of(r, "trace")?,
+                filter: str_of(r, "filter")?,
+                digest: str_of(r, "digest"),
+                refs: u64_of(r, "refs")?,
+                wall_ms: match r.get("wall_ms")? {
+                    Json::Num(ms) => *ms,
+                    _ => return None,
+                },
             })
         })
-        .collect()
+        .collect();
+    let ingest = rows("ingest")
+        .into_iter()
+        .filter_map(|r| {
+            Some(IngestRow {
+                trace: str_of(r, "trace")?,
+                refs: u64_of(r, "refs")?,
+                bytes: u64_of(r, "bytes")?,
+            })
+        })
+        .collect();
+    Ok((runs, ingest))
 }
 
 /// Writes `contents` to `path`, creating parent directories as needed.
@@ -1795,8 +1781,8 @@ fn benchcmp(args: &Args) -> Result<(), String> {
             "BENCH_replay.json".to_string()
         }
     });
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-    let baseline = parse_bench_runs(&text);
+    let text = std::fs::read(&path).map_err(|e| format!("{path}: {e}"))?;
+    let (baseline, base_ingest) = parse_bench_report(&text).map_err(|e| format!("{path}: {e}"))?;
     if baseline.is_empty() {
         return Err(format!("{path}: no runs found (not a dircc bench report?)"));
     }
@@ -1808,7 +1794,6 @@ fn benchcmp(args: &Args) -> Result<(), String> {
             baseline.len()
         ));
     }
-    let base_ingest = parse_ingest_rows(&text);
     if base_ingest.is_empty() {
         return Err(format!(
             "{path}: no \"ingest\" rows — the baseline predates the streaming-ingest schema; \

@@ -555,6 +555,103 @@ fn benchcmp_matches_the_checked_in_smoke_baseline() {
     }
 }
 
+/// `benchcmp` reads its baseline as JSON, not as one run per line: a
+/// report re-serialized compactly (no whitespace, all on one line) gates
+/// exactly like the pretty one `dircc bench` writes.
+#[test]
+fn benchcmp_accepts_a_compact_baseline() {
+    let dir = std::env::temp_dir().join(format!("dircc_benchcmp_compact_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("BENCH_smoke.json");
+    let path_s = path.to_str().unwrap();
+
+    let out =
+        dircc().args(["bench", "--smoke", "--out", path_s]).output().expect("run bench --smoke");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // Drop every whitespace byte outside string literals.
+    let json = std::fs::read_to_string(&path).unwrap();
+    let (mut compact, mut in_str, mut escaped) = (String::new(), false, false);
+    for c in json.chars() {
+        if in_str {
+            in_str = escaped || c != '"';
+            escaped = !escaped && c == '\\';
+        } else if c.is_whitespace() {
+            continue;
+        } else {
+            in_str = c == '"';
+        }
+        compact.push(c);
+    }
+    assert!(!compact.contains('\n') && !compact.contains(": ") && !compact.contains(", "));
+    assert!(compact.contains("\"runs\":[{\"scheme\":"), "{compact}");
+    std::fs::write(&path, &compact).unwrap();
+
+    let out = dircc()
+        .args(["benchcmp", "--smoke", "--jobs", "2", "--in", path_s])
+        .output()
+        .expect("run benchcmp");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("benchcmp: PASS"));
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `benchcmp` rejects a baseline whose run rows predate the counter
+/// digest, asking for a regenerate instead of reporting drift.
+#[test]
+fn benchcmp_rejects_a_baseline_without_digests() {
+    let dir = std::env::temp_dir().join(format!("dircc_benchcmp_nodigest_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("OLD.json");
+    let path_s = path.to_str().unwrap();
+
+    let out = dircc()
+        .args(["bench", "--refs", "2000", "--jobs", "2", "--out", path_s])
+        .output()
+        .expect("run bench");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let json = std::fs::read_to_string(&path).unwrap();
+    let old: String = json
+        .lines()
+        .map(|l| match (l.find("\"digest\": "), l.find("\"refs\": ")) {
+            (Some(a), Some(b)) if a < b => format!("{}{}\n", &l[..a], &l[b..]),
+            _ => format!("{l}\n"),
+        })
+        .collect();
+    assert!(!old.contains("digest"), "every run row lost its digest");
+    std::fs::write(&path, old).unwrap();
+
+    let out = dircc()
+        .args(["benchcmp", "--refs", "2000", "--jobs", "2", "--in", path_s])
+        .output()
+        .expect("run benchcmp");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("predates the counter-digest schema"), "{err}");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The trace writers report a full disk as an error, not a panic.
+#[cfg(target_os = "linux")]
+#[test]
+fn trace_writers_report_a_full_disk() {
+    if !std::path::Path::new("/dev/full").exists() {
+        eprintln!("skipped: /dev/full is absent");
+        return;
+    }
+    for cmd in ["record", "gen"] {
+        let out = dircc()
+            .args([cmd, "--refs", "20000", "--out", "/dev/full"])
+            .output()
+            .expect("run writer");
+        assert_eq!(out.status.code(), Some(1), "{cmd} must fail on a full disk");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("No space left on device"), "{cmd}: {err}");
+        assert!(!err.contains("panicked"), "{cmd}: {err}");
+    }
+}
+
 /// The retired replay-engine switch is gone from the CLI.
 #[test]
 fn engine_flag_is_unknown() {
@@ -735,13 +832,24 @@ fn record_replay_roundtrip_matches_in_memory() {
     }
     assert!(text.contains("no violations"), "{text}");
 
-    // Sharded replay spills to temp files but must not change stdout.
+    // Sharding is an in-memory replay; it must not change stdout either.
     let sharded = dircc()
-        .args(["replay", "--in", path_s, "--verify", "--shards", "3"])
+        .args(["replay", "--profile", "thor", "--refs", "20000", "--verify", "--shards", "3"])
         .output()
         .expect("run replay --shards");
     assert!(sharded.status.success(), "{}", String::from_utf8_lossy(&sharded.stderr));
     assert_eq!(streamed.stdout, sharded.stdout, "stdout must not depend on --shards");
+
+    // A file streams in one serial pass: `--in` with `--shards` is a usage
+    // error that names the in-memory alternative.
+    let out = dircc()
+        .args(["replay", "--in", path_s, "--shards", "3"])
+        .output()
+        .expect("run replay --in --shards");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("takes no --shards") && err.contains("--profile P --shards N"), "{err}");
 
     // `--scheme` narrows the table to one protocol.
     let one = dircc()

@@ -1,18 +1,14 @@
-//! Bit-identity gates for the streaming replay paths: a trace replayed
+//! Bit-identity gates for the streaming replay path: a trace replayed
 //! chunk-by-chunk (from memory or from an on-disk v2 file) must produce
 //! counters, refs and violation text byte-identical to the in-memory
-//! `run_indexed`/`run_sharded` paths, for every scheme and filter.
+//! `run_indexed` path, for every scheme and filter.
 
 use dircc_check::default_kinds;
 use dircc_core::build;
-use dircc_sim::engine::{
-    run_chunked, run_indexed, run_sharded, run_sharded_spilled, shard_stream, spill_sharded,
-    RunConfig,
-};
-use dircc_trace::chunk::{ChunkedReader, ChunkedWriter, SliceChunks};
+use dircc_sim::engine::{run_chunked, run_indexed, RunConfig};
+use dircc_trace::chunk::{ChunkedReader, ChunkedWriter, IterChunks};
 use dircc_trace::gen::{Generator, Profile};
-use dircc_trace::{BlockInterner, TraceFilter, TraceRecord, TraceStore};
-use std::path::PathBuf;
+use dircc_trace::{TraceFilter, TraceRecord, TraceStore};
 
 fn store() -> TraceStore {
     TraceStore::new(
@@ -29,12 +25,6 @@ fn cfg() -> RunConfig {
     RunConfig { verify: true, ..RunConfig::default().with_process_sharing() }
 }
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dircc_streaming_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[test]
 fn chunked_replay_is_bit_identical_for_every_scheme_trace_and_filter() {
     let store = store();
@@ -49,7 +39,7 @@ fn chunked_replay_is_bit_identical_for_every_scheme_trace_and_filter() {
                 // streaming path interns its own (filtered) stream order
                 // while the store's dense ids come from the full stream —
                 // both are bijective renamings, so counters must agree.
-                let mut source = SliceChunks::new(&records[..], 997);
+                let mut source = IterChunks::new(records.iter().copied().map(Ok), 997);
                 let mut p = build(kind, 4);
                 let streamed = run_chunked(p.as_mut(), &mut source, &cfg).unwrap();
                 assert_eq!(serial.counters, streamed.counters, "{kind} trace {trace} {filter:?}");
@@ -80,58 +70,6 @@ fn v2_file_replay_is_bit_identical_to_in_memory() {
         assert_eq!(serial.refs, streamed.refs);
         assert_eq!(serial.violations, streamed.violations);
     }
-}
-
-#[test]
-fn spilled_sharded_replay_is_bit_identical_to_in_memory_sharding() {
-    let store = store();
-    let cfg = cfg();
-    let records = store.records(0, TraceFilter::Full);
-    let dense = store.dense_blocks(0, TraceFilter::Full, cfg.geometry);
-    let num_blocks = store.interner(0, cfg.geometry).num_blocks();
-    let dir = tmpdir("sharded");
-    for shards in [1, 2, 3, 8] {
-        let mut source = SliceChunks::new(&records[..], 513);
-        let spilled = spill_sharded(&mut source, shards, &cfg, &dir).unwrap();
-        let sharded = shard_stream(&records, &dense, num_blocks, shards, &cfg);
-        for kind in default_kinds() {
-            let mem = run_sharded(kind, 4, &sharded, &cfg).unwrap();
-            let ooc = run_sharded_spilled(kind, 4, &spilled, &cfg).unwrap();
-            assert_eq!(mem.counters, ooc.counters, "{kind} at {shards} shards");
-            assert_eq!(mem.refs, ooc.refs);
-            assert_eq!(mem.violations, ooc.violations);
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn spilled_finite_cache_sharding_matches_in_memory() {
-    use dircc_cache::FiniteCacheConfig;
-    use dircc_core::ProtocolKind;
-    let records: Vec<TraceRecord> =
-        Generator::new(Profile::pops().with_total_refs(5_000), 3).collect();
-    let cfg = RunConfig {
-        verify: true,
-        ..RunConfig::default().with_finite_caches(FiniteCacheConfig::new(4, 2))
-    };
-    let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    let dense = interner.dense_stream(&records);
-    let num_blocks = interner.num_blocks();
-    let dir = tmpdir("finite");
-    for shards in [2, 4, 8] {
-        let mut source = SliceChunks::new(&records[..], 769);
-        let spilled = spill_sharded(&mut source, shards, &cfg, &dir).unwrap();
-        let sharded = shard_stream(&records, &dense, num_blocks, shards, &cfg);
-        assert_eq!(spilled.num_shards(), sharded.num_shards(), "same set-count clamping");
-        for kind in [ProtocolKind::Dir0B, ProtocolKind::Berkeley, ProtocolKind::Mesi] {
-            let mem = run_sharded(kind, 4, &sharded, &cfg).unwrap();
-            let ooc = run_sharded_spilled(kind, 4, &spilled, &cfg).unwrap();
-            assert_eq!(mem.counters, ooc.counters, "{kind} at {shards} shards");
-            assert_eq!(mem.violations, ooc.violations);
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -42,9 +42,9 @@
 //! [`ChunkedReader`] implements [`ChunkSource`]: it decodes one chunk at
 //! a time into a caller-supplied buffer, so peak resident trace memory is
 //! bounded by the chunk size however long the trace is. The engine's
-//! `run_chunked` consumes any `ChunkSource`; [`SliceChunks`] adapts an
-//! in-memory slice and [`IterChunks`] batches a fallible record iterator
-//! (e.g. a v1 [`BinaryReader`]) so both formats replay through one path.
+//! `run_chunked` consumes any `ChunkSource`; [`IterChunks`] batches a
+//! fallible record iterator (a v1 [`BinaryReader`], or an in-memory
+//! slice mapped through `Ok`) so every source replays through one path.
 //!
 //! [`BinaryReader`]: crate::codec::BinaryReader
 
@@ -464,42 +464,6 @@ impl<R: Read> ChunkSource for ChunkedReader<R> {
     }
 }
 
-/// Adapts an in-memory record slice (or anything `AsRef<[TraceRecord]>`)
-/// into a [`ChunkSource`], so in-memory and on-disk traces replay through
-/// the same streaming entry points.
-#[derive(Debug)]
-pub struct SliceChunks<T> {
-    records: T,
-    pos: usize,
-    chunk_records: usize,
-}
-
-impl<T: AsRef<[TraceRecord]>> SliceChunks<T> {
-    /// Creates a source yielding `chunk_records` records per chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_records` is 0.
-    pub fn new(records: T, chunk_records: usize) -> Self {
-        assert!(chunk_records > 0, "chunk size must be positive");
-        SliceChunks { records, pos: 0, chunk_records }
-    }
-}
-
-impl<T: AsRef<[TraceRecord]>> ChunkSource for SliceChunks<T> {
-    fn next_chunk(&mut self, buf: &mut Vec<TraceRecord>) -> io::Result<bool> {
-        buf.clear();
-        let records = self.records.as_ref();
-        if self.pos >= records.len() {
-            return Ok(false);
-        }
-        let end = (self.pos + self.chunk_records).min(records.len());
-        buf.extend_from_slice(&records[self.pos..end]);
-        self.pos = end;
-        Ok(true)
-    }
-}
-
 /// Batches a fallible record iterator (e.g. a v1
 /// [`crate::codec::BinaryReader`]) into fixed-size chunks.
 #[derive(Debug)]
@@ -814,15 +778,19 @@ mod tests {
     }
 
     #[test]
-    fn slice_chunks_yield_everything_in_order() {
+    fn iter_chunks_yield_an_in_memory_slice_in_order() {
         let records = trace(1_000);
-        let mut source = SliceChunks::new(&records[..], 64);
+        let mut source = IterChunks::new(records.iter().copied().map(Ok), 64);
         let mut buf = Vec::new();
         let mut got = Vec::new();
+        let mut chunks = 0;
         while source.next_chunk(&mut buf).unwrap() {
+            chunks += 1;
             got.extend_from_slice(&buf);
         }
         assert_eq!(got, records);
+        assert_eq!(chunks, 1_000usize.div_ceil(64), "full chunks, then one short tail");
+        assert!(!source.next_chunk(&mut buf).unwrap(), "exhausted sources stay exhausted");
     }
 
     #[test]

@@ -18,9 +18,6 @@
 //!   per-chunk delta + LEB128 address compression, a checksummed footer,
 //!   and [`ChunkSource`](chunk::ChunkSource) streaming with memory bounded
 //!   by the chunk size rather than the trace length.
-//! * [`spill`] — out-of-core shard partitioning: one streaming pass routes
-//!   a [`ChunkSource`] into per-shard temp files that replay like
-//!   [`ShardedStream`] shards, for traces larger than RAM.
 //! * [`stats`] — reference-stream statistics reproducing Table 3.
 //! * [`gen`] — the synthetic workload generator with calibrated profiles
 //!   `pops`, `thor` and `pero`, plus primitive sharing kernels for tests.
@@ -66,16 +63,12 @@ pub mod record;
 pub mod shard;
 pub mod sharing;
 pub mod soa;
-pub mod spill;
 pub mod stats;
 pub mod store;
 
-pub use chunk::{
-    open_trace, AnyTraceReader, ChunkSource, ChunkedReader, ChunkedWriter, Records, SliceChunks,
-};
+pub use chunk::{open_trace, AnyTraceReader, ChunkSource, ChunkedReader, ChunkedWriter, Records};
 pub use intern::BlockInterner;
 pub use record::{RecordFlags, TraceRecord};
 pub use shard::{Shard, ShardedStream};
-pub use soa::{FirstRefs, SoaStream};
-pub use spill::{SpilledShard, SpilledShards};
+pub use soa::SoaStream;
 pub use store::{TraceFilter, TraceStore};

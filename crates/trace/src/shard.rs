@@ -150,12 +150,6 @@ impl ShardedStream {
     pub fn total_blocks(&self) -> usize {
         self.total_blocks
     }
-
-    /// Per-shard distinct-block counts, in shard order (what sizes each
-    /// shard's protocol instance).
-    pub fn shard_blocks(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.soa.num_blocks).collect()
-    }
 }
 
 #[cfg(test)]

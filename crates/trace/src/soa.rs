@@ -149,21 +149,17 @@ impl SoaStream {
 }
 
 /// A first-reference bit vector over dense block ids.
-#[derive(Debug, Clone, Default)]
-pub struct FirstRefs(Vec<u64>);
+struct FirstRefs(Vec<u64>);
 
 impl FirstRefs {
-    /// A bit vector pre-sized for `num_blocks` ids (it grows on demand).
-    pub fn new(num_blocks: usize) -> Self {
+    /// A bit vector sized for `num_blocks` ids.
+    fn new(num_blocks: usize) -> Self {
         FirstRefs(vec![0; num_blocks.div_ceil(64)])
     }
 
     /// Marks `id` seen, returning whether this was its first reference.
-    pub fn first(&mut self, id: u32) -> bool {
+    fn first(&mut self, id: u32) -> bool {
         let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
-        if word >= self.0.len() {
-            self.0.resize(word + 1, 0);
-        }
         let first = self.0[word] & bit == 0;
         self.0[word] |= bit;
         first

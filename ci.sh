@@ -32,7 +32,9 @@ cargo test -q -p dircc-sim --test replay
     --out /tmp/PROFILE_timeseries.jsonl --spans /tmp/PROFILE_spans.json
 # Streaming round-trip gate: a recorded chunked v2 trace streamed from
 # disk must print byte-identical results to the in-memory replay of the
-# same profile, serial and block-sharded, verifier on.
+# same profile, serial and block-sharded, verifier on. The first trace
+# is one 20,000-record chunk (larger than a replay batch); the second is
+# recorded in 1,000-record chunks (smaller than one).
 ./target/release/dircc record --profile thor --refs 20000 --out /tmp/smoke_v2.dcct
 ./target/release/dircc replay --in /tmp/smoke_v2.dcct --verify > /tmp/replay_file.txt
 ./target/release/dircc replay --profile thor --refs 20000 --verify > /tmp/replay_mem.txt
@@ -40,6 +42,10 @@ diff /tmp/replay_file.txt /tmp/replay_mem.txt
 ./target/release/dircc replay --profile thor --refs 20000 --verify --shards 3 \
     > /tmp/replay_sharded.txt
 diff /tmp/replay_file.txt /tmp/replay_sharded.txt
+./target/release/dircc record --profile thor --refs 20000 --chunk 1000 \
+    --out /tmp/smoke_v2_small.dcct
+./target/release/dircc replay --in /tmp/smoke_v2_small.dcct --verify > /tmp/replay_file_small.txt
+diff /tmp/replay_file_small.txt /tmp/replay_mem.txt
 # Serve gate: the HTTP daemon on an ephemeral port — served /run
 # responses diffed byte-for-byte against `dircc replay --json` (cache
 # miss, cache hit, sharded), a mixed-workload load run with

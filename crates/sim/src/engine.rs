@@ -36,8 +36,11 @@
 //!   [`TraceStore::soa`](dircc_trace::TraceStore::soa) memo) as one batch
 //!   through an instance of the scheme resolved to its concrete type
 //!   ([`dispatch_sized`]), so `access` is statically dispatched;
-//! * [`run`] and [`run_chunked`] refill one reusable batch per chunk,
-//!   interning blocks on the fly in first-appearance order;
+//! * [`run_chunked_many`] streams a [`ChunkSource`] once for several
+//!   protocols: each batch is decoded, interned (blocks renamed on the
+//!   fly in first-appearance order) and split once, then replayed through
+//!   every protocol still running; [`run_chunked`] and [`run`] are its
+//!   one-protocol case;
 //! * [`run_sharded`] replays in-memory block shards on scoped threads and
 //!   merges them exactly.
 //!
@@ -61,18 +64,12 @@ use dircc_core::{
     ProtocolVisitor,
 };
 use dircc_obs::{NoopRecorder, Recorder};
-use dircc_trace::chunk::IterChunks;
+use dircc_trace::chunk::{IterChunks, BATCH_RECORDS};
 use dircc_trace::{BlockInterner, ChunkSource, ShardedStream, SoaStream, TraceRecord};
 use dircc_types::{AccessKind, BlockAddr, BlockGeometry, CacheId};
 use std::time::{Duration, Instant};
 
 pub use dircc_types::SharingModel;
-
-/// References per batch for sources without chunks of their own
-/// (iterators), and per dispatch of the quiet loop. One
-/// batch's arrays stay comfortably inside L1 alongside the protocol's
-/// working set.
-const BATCH: usize = 4096;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -251,18 +248,12 @@ pub fn run<P: Protocol + ?Sized, I: IntoIterator<Item = TraceRecord>>(
     records: I,
     cfg: &RunConfig,
 ) -> Result<RunResult, String> {
-    run_chunked(protocol, &mut IterChunks::new(records.into_iter().map(Ok), BATCH), cfg)
+    run_chunked(protocol, &mut IterChunks::new(records.into_iter().map(Ok), BATCH_RECORDS), cfg)
 }
 
 /// Replays a streamed trace — any [`ChunkSource`], e.g. a
 /// [`ChunkedReader`](dircc_trace::ChunkedReader) over an on-disk v2 file —
-/// through `protocol`, holding at most one chunk of records (and its SoA
-/// batch) in memory.
-///
-/// Blocks are interned incrementally as chunks arrive, in the same
-/// first-appearance order the in-memory paths use, so counters are
-/// bit-identical to [`run_indexed`] on the same records (pinned by this
-/// crate's streaming equality tests).
+/// through `protocol`: the one-protocol case of [`run_chunked_many`].
 ///
 /// # Errors
 ///
@@ -272,14 +263,55 @@ pub fn run_chunked<P: Protocol + ?Sized, S: ChunkSource>(
     source: &mut S,
     cfg: &RunConfig,
 ) -> Result<RunResult, String> {
+    let mut results = run_chunked_many(&mut [protocol], source, cfg);
+    results.pop().expect("one result per protocol")
+}
+
+/// Replays a streamed trace through several protocols in one pass over
+/// `source`, holding one piece from the source (one batch, for the trace
+/// readers) and one SoA batch in memory.
+///
+/// Each batch the source yields is interned and split once, then replayed
+/// through every protocol in turn. Blocks are interned incrementally, in
+/// the same first-appearance order the in-memory paths use, so each
+/// protocol's counters are bit-identical to [`run_indexed`] on the same
+/// records (pinned by this crate's streaming equality tests).
+///
+/// Returns one result per protocol, in input order. Each equals what
+/// [`run_chunked`] alone would return for that protocol: a protocol that
+/// errs stops there while the others replay on, and a source error ends
+/// every protocol still running. The source is read no further once
+/// every protocol has stopped.
+pub fn run_chunked_many<P: Protocol + ?Sized, S: ChunkSource>(
+    protocols: &mut [&mut P],
+    source: &mut S,
+    cfg: &RunConfig,
+) -> Vec<Result<RunResult, String>> {
     let mut interner = BlockInterner::new(cfg.geometry);
     let mut records = Vec::new();
     let mut batch = SoaStream::new(cfg.sharing);
-    let mut recorder = NoopRecorder;
-    let mut core = Core::new(protocol, cfg, 0, None, &mut recorder);
-    while source.next_chunk(&mut records).map_err(|e| format!("trace read failed: {e}"))? {
-        // Cache-sized batches: each is filled and replayed while hot.
-        for chunk in records.chunks(BATCH) {
+    let mut recorders = vec![NoopRecorder; protocols.len()];
+    // `Ok` while a protocol replays; its error once it has stopped.
+    let mut runs: Vec<Result<Core<'_, P, NoopRecorder>, String>> = protocols
+        .iter_mut()
+        .zip(&mut recorders)
+        .map(|(p, rec)| Ok(Core::new(&mut **p, cfg, 0, None, rec)))
+        .collect();
+    while runs.iter().any(Result::is_ok) {
+        match source.next_chunk(&mut records) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(e) => {
+                let msg = format!("trace read failed: {e}");
+                for run in runs.iter_mut().filter(|run| run.is_ok()) {
+                    *run = Err(msg.clone());
+                }
+                break;
+            }
+        }
+        // Cache-sized batches: each is filled once and replayed through
+        // every protocol while hot.
+        for chunk in records.chunks(BATCH_RECORDS) {
             batch.clear();
             for r in chunk {
                 let (id, first_ref) = if r.is_data() {
@@ -289,10 +321,18 @@ pub fn run_chunked<P: Protocol + ?Sized, S: ChunkSource>(
                 };
                 batch.push(r, id, first_ref);
             }
-            core.replay(chunk, &batch, None).map_err(|e| e.msg)?;
+            for run in &mut runs {
+                if let Ok(core) = run {
+                    if let Err(e) = core.replay(chunk, &batch, None) {
+                        *run = Err(e.msg);
+                    }
+                }
+            }
         }
     }
-    core.finish().map(finish_result).map_err(|e| e.msg)
+    runs.into_iter()
+        .map(|run| run.and_then(|core| core.finish().map(finish_result).map_err(|e| e.msg)))
+        .collect()
 }
 
 /// Replays a structure-of-arrays stream through a fresh instance of
@@ -649,7 +689,7 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
             let first_ref = &soa.first_ref[..len];
             let mut i = 0usize;
             while i < len {
-                let end = (i + BATCH).min(len);
+                let end = (i + BATCH_RECORDS).min(len);
                 for j in i..end {
                     let k = kind[j];
                     if k == AccessKind::InstrFetch {

@@ -36,7 +36,8 @@
 //! `dircc record` writes the chunked, delta-compressed v2 trace format
 //! (`--chunk N` records per chunk); `dircc replay` streams a recorded
 //! trace (either format, auto-detected) through the engine in one serial
-//! pass per scheme, with memory bounded by the chunk size. Without `--in`,
+//! pass that decodes the file once for every scheme, with memory bounded
+//! by one chunk's payload and one replay batch. Without `--in`,
 //! `replay` generates the `--profile` trace in memory and replays the
 //! classic indexed path (block-sharded with `--shards N`); stdout is
 //! byte-identical between the two modes. `replay --in` rejects `--shards`:
@@ -65,8 +66,8 @@ use dircc_serve::{client, JobHandler, ServeConfig, Server};
 use dircc_sim::experiments::{extensions, figures, network, studies, system, tables};
 use dircc_sim::{
     default_jobs, filter_from_label, filter_label, load_generate, profile_by_name, report,
-    run_chunked, run_indexed, run_response_json, run_sharded, shard_stream, Evaluation, RunConfig,
-    RunResult, TraceFilter, Workbench, WorkbenchHandler,
+    run_chunked, run_chunked_many, run_indexed, run_response_json, run_sharded, shard_stream,
+    Evaluation, RunConfig, RunResult, TraceFilter, Workbench, WorkbenchHandler,
 };
 use dircc_trace::chunk::{DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS};
 use dircc_trace::codec::BinaryWriter;
@@ -634,25 +635,22 @@ fn replay_kinds(args: &Args, cpus: usize) -> Result<Vec<ProtocolKind>, String> {
     Ok(kinds)
 }
 
-/// Streams a trace file through every requested scheme: the file is
-/// opened and decoded once per scheme via [`run_chunked`], so memory
-/// stays bounded by the chunk size however long the trace is.
+/// Streams a trace file through every requested scheme in one pass: the
+/// file is opened and decoded once, and each batch is replayed through
+/// every scheme via [`run_chunked_many`], so memory stays bounded by one
+/// chunk's payload and one batch however long the trace is. Results come
+/// back in scheme order, and the first error in that order wins.
 fn replay_file(
     path: &str,
     kinds: &[ProtocolKind],
     cpus: usize,
     cfg: &RunConfig,
 ) -> Result<Vec<RunResult>, String> {
-    kinds
-        .iter()
-        .map(|&kind| {
-            let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-            let mut source =
-                open_trace(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
-            let mut p = dircc_core::build(kind, cpus);
-            run_chunked(p.as_mut(), &mut source, cfg)
-        })
-        .collect()
+    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut source = open_trace(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
+    let mut boxed: Vec<_> = kinds.iter().map(|&kind| dircc_core::build(kind, cpus)).collect();
+    let mut protocols: Vec<_> = boxed.iter_mut().map(|p| p.as_mut()).collect();
+    run_chunked_many(&mut protocols, &mut source, cfg).into_iter().collect()
 }
 
 /// Replays the `--profile` trace fully in memory (the classic indexed
@@ -756,9 +754,8 @@ fn replay(args: &Args) -> Result<(), String> {
     }
     if args.verbose {
         if let Some(path) = &args.input {
-            let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            // One full decode per scheme.
-            let mb = (bytes * kinds.len() as u64) as f64 / 1e6;
+            // One decode of the whole file, shared by every scheme.
+            let mb = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0) as f64 / 1e6;
             let secs = wall.as_secs_f64().max(1e-9);
             eprintln!(
                 "replay: {mb:.1} MB ingested in {:.1} ms ({:.1} MB/s incl. replay)",

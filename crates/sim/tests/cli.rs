@@ -902,6 +902,34 @@ fn replay_rejects_truncated_and_missing_traces() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `replay --in --verbose` reports the bytes it decoded. Every scheme
+/// replays from one decode of the file, so that is the file's size once,
+/// not once per scheme.
+#[test]
+fn replay_verbose_reports_one_decode_of_the_file() {
+    let dir = std::env::temp_dir().join(format!("dircc_replay_ingest_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("t.dcct");
+    let path_s = path.to_str().unwrap();
+    let out = dircc()
+        .args(["record", "--profile", "pops", "--refs", "50000", "--out", path_s])
+        .output()
+        .expect("run record");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let size = std::fs::metadata(&path).unwrap().len();
+
+    let out = dircc().args(["replay", "--in", path_s, "--verbose"]).output().expect("run replay");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let schemes = String::from_utf8_lossy(&out.stdout).lines().count() - 1;
+    assert_eq!(schemes, 4, "the four headline schemes");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let line = err.lines().find(|l| l.contains("MB ingested")).unwrap_or_else(|| panic!("{err}"));
+    let mb = line.strip_prefix("replay: ").and_then(|l| l.split_whitespace().next());
+    assert_eq!(mb, Some(format!("{:.1}", size as f64 / 1e6).as_str()), "{size} bytes: {line}");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// `replay` also streams the flat v1 format (auto-detected), and the v1
 /// reader points v2 files at `dircc replay --in`.
 #[test]

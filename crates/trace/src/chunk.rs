@@ -39,12 +39,15 @@
 //!
 //! # Streaming
 //!
-//! [`ChunkedReader`] implements [`ChunkSource`]: it decodes one chunk at
-//! a time into a caller-supplied buffer, so peak resident trace memory is
-//! bounded by the chunk size however long the trace is. The engine's
-//! `run_chunked` consumes any `ChunkSource`; [`IterChunks`] batches a
-//! fallible record iterator (a v1 [`BinaryReader`], or an in-memory
-//! slice mapped through `Ok`) so every source replays through one path.
+//! [`ChunkedReader`] implements [`ChunkSource`]: it reads one on-disk
+//! chunk's payload at a time (checksummed as it is read) and decodes it
+//! lazily, at most one replay batch ([`BATCH_RECORDS`]) per call, into a
+//! caller-supplied buffer. Resident trace memory is one chunk's encoded
+//! payload plus one batch of records, however long the trace is. The
+//! engine's streaming replay consumes any `ChunkSource`; [`IterChunks`]
+//! batches a fallible record iterator (a v1 [`BinaryReader`], or an
+//! in-memory slice mapped through `Ok`) so every source replays through
+//! one path.
 //!
 //! [`BinaryReader`]: crate::codec::BinaryReader
 
@@ -55,12 +58,20 @@ use std::io::{self, Read, Write};
 
 /// Version byte of the chunked format.
 pub const VERSION_V2: u8 = 2;
-/// Default records per chunk: a few MiB of decoded records, small enough
-/// to keep resident memory modest, large enough to amortize chunk headers.
+/// Default records per chunk: about half a MB of encoded payload, which
+/// the reader holds while it decodes the chunk a batch at a time — small
+/// enough to keep resident memory modest, large enough to amortize chunk
+/// headers.
 pub const DEFAULT_CHUNK_RECORDS: usize = 64 * 1024;
 /// Upper bound on records per chunk (keeps the u32 payload-length field
 /// sound: a record encodes to at most 31 bytes).
 pub const MAX_CHUNK_RECORDS: usize = 1 << 26;
+/// Records per replay batch: the most a trace reader ([`ChunkedReader`],
+/// or [`open_trace`] for either version) yields per
+/// [`ChunkSource::next_chunk`] call, and the batch the engine interns,
+/// splits and replays at a time. One batch's arrays stay comfortably
+/// inside L1 alongside a protocol's working set.
+pub const BATCH_RECORDS: usize = 4096;
 
 const CHUNK_MARKER: u8 = 0x01;
 const FOOTER_MARKER: u8 = 0x00;
@@ -93,13 +104,17 @@ impl Fnv64 {
     }
 }
 
-/// A bounded-memory source of trace chunks.
+/// A bounded-memory source of trace records, yielded a piece at a time.
 ///
 /// Implementors fill a caller-supplied buffer so the caller controls the
-/// allocation and can reuse it across chunks; nothing proportional to the
-/// whole trace is ever resident.
+/// allocation and can reuse it across pieces; nothing proportional to the
+/// whole trace is ever resident. The trace readers yield at most
+/// [`BATCH_RECORDS`] records per call, so the buffer stays one replay
+/// batch whatever chunk size a file was written with; a streaming replay
+/// decodes each piece once and replays it through every protocol it
+/// drives.
 pub trait ChunkSource {
-    /// Replaces `buf`'s contents with the next chunk of records. Returns
+    /// Replaces `buf`'s contents with the next piece of records. Returns
     /// `Ok(false)` (leaving `buf` empty) at end of stream.
     ///
     /// # Errors
@@ -260,13 +275,24 @@ impl<W: Write> ChunkedWriter<W> {
 
 /// Streaming reader for the chunked v2 format.
 ///
-/// Decodes one chunk per [`ChunkSource::next_chunk`] call; verifies each
-/// chunk's framing as it goes and the footer's record count and checksum
-/// at the end.
+/// Reads each on-disk chunk whole — framing checked, payload folded into
+/// the checksum — and decodes it lazily: each [`ChunkSource::next_chunk`]
+/// call decodes at most [`BATCH_RECORDS`] of the current chunk's records,
+/// so the caller's buffer holds one replay batch however large the chunks
+/// are. A truncated payload is reported before any of its records; a
+/// malformed record when its batch is decoded. The footer's record count
+/// and checksum are verified at the end.
 #[derive(Debug)]
 pub struct ChunkedReader<R: Read> {
     inner: R,
+    /// The current chunk's encoded payload.
     payload: Vec<u8>,
+    /// Offset in `payload` of the next record to decode.
+    pos: usize,
+    /// Records of the current chunk not yet decoded.
+    pending: u32,
+    /// The current chunk's base address.
+    base: u64,
     records_read: u64,
     checksum: Fnv64,
     done: bool,
@@ -306,6 +332,9 @@ impl<R: Read> ChunkedReader<R> {
         ChunkedReader {
             inner,
             payload: Vec::new(),
+            pos: 0,
+            pending: 0,
+            base: 0,
             records_read: 0,
             checksum: Fnv64::new(),
             done: false,
@@ -342,7 +371,9 @@ impl<R: Read> ChunkedReader<R> {
         Ok(())
     }
 
-    fn decode_chunk(&mut self, buf: &mut Vec<TraceRecord>) -> io::Result<()> {
+    /// Reads the next chunk's header and whole payload; its records are
+    /// decoded later, a batch at a time, by [`Self::decode_batch`].
+    fn read_chunk(&mut self) -> io::Result<()> {
         let mut header = [0u8; 16];
         self.inner.read_exact(&mut header).map_err(truncated)?;
         let count = u32::from_le_bytes(header[..4].try_into().unwrap());
@@ -364,18 +395,29 @@ impl<R: Read> ChunkedReader<R> {
         self.payload.resize(bytes as usize, 0);
         self.inner.read_exact(&mut self.payload).map_err(truncated)?;
         self.checksum.update(&self.payload);
-        let mut cursor = &self.payload[..];
-        buf.reserve(count as usize);
-        for _ in 0..count {
-            buf.push(decode_record(&mut cursor, base)?);
+        self.pos = 0;
+        self.pending = count;
+        self.base = base;
+        self.records_read += count64;
+        Ok(())
+    }
+
+    /// Decodes the current chunk's next batch of records into `buf`.
+    fn decode_batch(&mut self, buf: &mut Vec<TraceRecord>) -> io::Result<()> {
+        let n = self.pending.min(BATCH_RECORDS as u32);
+        let mut cursor = &self.payload[self.pos..];
+        buf.reserve(n as usize);
+        for _ in 0..n {
+            buf.push(decode_record(&mut cursor, self.base)?);
         }
-        if !cursor.is_empty() {
+        self.pos = self.payload.len() - cursor.len();
+        self.pending -= n;
+        if self.pending == 0 && !cursor.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "chunk payload longer than its records",
             ));
         }
-        self.records_read += count64;
         Ok(())
     }
 }
@@ -439,33 +481,39 @@ fn field_u16(cursor: &mut &[u8], name: &str) -> io::Result<u16> {
 impl<R: Read> ChunkSource for ChunkedReader<R> {
     fn next_chunk(&mut self, buf: &mut Vec<TraceRecord>) -> io::Result<bool> {
         buf.clear();
-        if self.done {
-            return Ok(false);
-        }
-        let mut marker = [0u8; 1];
-        match read_one(&mut self.inner, &mut marker)? {
-            None => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "trace ends without a footer (truncated?)",
-            )),
-            Some(CHUNK_MARKER) => {
-                self.decode_chunk(buf)?;
-                Ok(true)
+        if self.pending == 0 {
+            if self.done {
+                return Ok(false);
             }
-            Some(FOOTER_MARKER) => {
-                self.read_footer()?;
-                Ok(false)
+            let mut marker = [0u8; 1];
+            match read_one(&mut self.inner, &mut marker)? {
+                None => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "trace ends without a footer (truncated?)",
+                    ))
+                }
+                Some(CHUNK_MARKER) => self.read_chunk()?,
+                Some(FOOTER_MARKER) => {
+                    self.read_footer()?;
+                    return Ok(false);
+                }
+                Some(m) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("bad section marker {m:#04x}"),
+                    ))
+                }
             }
-            Some(m) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad section marker {m:#04x}"),
-            )),
         }
+        self.decode_batch(buf)?;
+        Ok(true)
     }
 }
 
 /// Batches a fallible record iterator (e.g. a v1
-/// [`crate::codec::BinaryReader`]) into fixed-size chunks.
+/// [`crate::codec::BinaryReader`], which [`open_trace`] batches at
+/// [`BATCH_RECORDS`]) into fixed-size chunks.
 #[derive(Debug)]
 pub struct IterChunks<I> {
     iter: I,
@@ -558,7 +606,7 @@ pub fn open_trace<R: Read>(mut inner: R) -> io::Result<AnyTraceReader<R>> {
     match header[4] {
         v if v == codec::VERSION => Ok(AnyTraceReader::V1(IterChunks::new(
             codec::BinaryReader::from_body(inner),
-            DEFAULT_CHUNK_RECORDS,
+            BATCH_RECORDS,
         ))),
         VERSION_V2 => Ok(AnyTraceReader::V2(ChunkedReader::from_body(inner))),
         v => Err(io::Error::new(
@@ -568,7 +616,7 @@ pub fn open_trace<R: Read>(mut inner: R) -> io::Result<AnyTraceReader<R>> {
     }
 }
 
-/// Record-at-a-time iterator over any [`ChunkSource`], buffering one chunk.
+/// Record-at-a-time iterator over any [`ChunkSource`], buffering one piece.
 ///
 /// After an error the iterator fuses: the error is yielded once, then the
 /// stream ends.
@@ -679,6 +727,34 @@ mod tests {
         assert_eq!(total, records.len());
         // The reusable buffer never grew past one chunk (plus Vec headroom).
         assert!(buf.capacity() < 2 * 512, "capacity {} not bounded", buf.capacity());
+
+        // Chunks larger than a replay batch — default-size v2 chunks, and
+        // a flat v1 file through `open_trace` — still yield one batch per
+        // call, so the buffer stays batch-sized.
+        let records = trace(DEFAULT_CHUNK_RECORDS as u64 + 5_000);
+        let mut w = BinaryWriter::new(Vec::new());
+        w.write_all(&records).unwrap();
+        let v1 = w.finish().unwrap();
+        let v2 = encode(&records, DEFAULT_CHUNK_RECORDS);
+        for (version, bytes) in [(2, &v2), (1, &v1)] {
+            let mut reader = open_trace(&bytes[..]).unwrap();
+            assert_eq!(reader.version(), version);
+            let mut got = Vec::with_capacity(records.len());
+            while reader.next_chunk(&mut buf).unwrap() {
+                assert!(
+                    buf.len() <= BATCH_RECORDS,
+                    "v{version}: {} records in one call",
+                    buf.len()
+                );
+                assert!(
+                    buf.capacity() < 2 * BATCH_RECORDS,
+                    "v{version}: capacity {} not bounded by the batch",
+                    buf.capacity()
+                );
+                got.extend_from_slice(&buf);
+            }
+            assert_eq!(got, records, "v{version}");
+        }
     }
 
     #[test]
@@ -695,26 +771,49 @@ mod tests {
 
     #[test]
     fn truncation_anywhere_is_detected() {
-        let records = trace(100);
-        let bytes = encode(&records, 32);
-        // Any strict prefix (past the 5-byte header) must fail: either
-        // UnexpectedEof mid-section or a missing footer. Never a clean read.
-        for cut in 5..bytes.len() {
-            let result = decode(&bytes[..cut]);
-            assert!(result.is_err(), "cut at {cut} of {} decoded cleanly", bytes.len());
+        // Small chunks, and a chunk larger than a replay batch (decoded
+        // over two calls) followed by a short one. The large case uses
+        // 4-byte records to keep the file, and the quadratic cost of
+        // cutting it everywhere, small.
+        let big = BATCH_RECORDS + 50;
+        let dense: Vec<TraceRecord> = (0..big as u64 + 50)
+            .map(|i| {
+                let cpu = (i % 4) as u16;
+                let kind = if i % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
+                TraceRecord::new(CpuId::new(cpu), ProcessId::new(cpu), kind, Address::new(i % 128))
+            })
+            .collect();
+        for (records, chunk) in [(trace(100), 32), (dense, big)] {
+            let bytes = encode(&records, chunk);
+            // Any strict prefix (past the 5-byte header) must fail: either
+            // UnexpectedEof mid-section or a missing footer. Never a clean
+            // read.
+            for cut in 5..bytes.len() {
+                let result = decode(&bytes[..cut]);
+                assert!(result.is_err(), "cut at {cut} of {} decoded cleanly", bytes.len());
+            }
         }
     }
 
     #[test]
     fn corruption_is_detected_by_the_checksum() {
-        let records = trace(500);
-        let bytes = encode(&records, 128);
-        // Flip one payload bit in each chunk region; every flip must fail
-        // decode (framing checks may fire first, checksum is the backstop).
-        let mut corrupt = bytes.clone();
-        let mid = bytes.len() / 2;
-        corrupt[mid] ^= 0x40;
-        assert!(decode(&corrupt).is_err(), "bit flip at {mid} undetected");
+        // Small chunks, and one chunk of three replay batches, whose later
+        // batches are decoded only after earlier ones were handed out.
+        for (n, chunk) in [(500, 128), (3 * BATCH_RECORDS as u64, 3 * BATCH_RECORDS)] {
+            let bytes = encode(&trace(n), chunk);
+            // Flip one payload bit at several points; every flip must fail
+            // decode (framing checks may fire first, checksum is the
+            // backstop).
+            for at in [bytes.len() / 4, bytes.len() / 2, bytes.len() * 3 / 4] {
+                let mut corrupt = bytes.clone();
+                corrupt[at] ^= 0x40;
+                assert!(
+                    decode(&corrupt).is_err(),
+                    "bit flip at {at} of {} undetected",
+                    bytes.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   with streaming [`reader`](codec::BinaryReader)s and writers.
 //! * [`chunk`] — the chunked v2 binary format for corpus-scale traces:
 //!   per-chunk delta + LEB128 address compression, a checksummed footer,
-//!   and [`ChunkSource`](chunk::ChunkSource) streaming with memory bounded
-//!   by the chunk size rather than the trace length.
+//!   and [`ChunkSource`](chunk::ChunkSource) streaming, one replay batch
+//!   per call, with memory bounded by a chunk's payload and one batch
+//!   rather than the trace length.
 //! * [`stats`] — reference-stream statistics reproducing Table 3.
 //! * [`gen`] — the synthetic workload generator with calibrated profiles
 //!   `pops`, `thor` and `pero`, plus primitive sharing kernels for tests.
@@ -38,7 +39,7 @@
 //!   `kind`/`cache_idx`/`block_id`/`first_ref` arrays with the sharing
 //!   model and address math precomputed, so the replay hot loop touches
 //!   no [`TraceRecord`] at all. It is also the batch a streaming replay
-//!   refills chunk by chunk.
+//!   refills, once per batch for every protocol it drives.
 //!
 //! # Examples
 //!

@@ -12,8 +12,11 @@ cargo test -q -p dircc-sim --test sharding
 # finite caches, windows and verifier included.
 cargo test -q -p dircc-sim --test replay
 # Correctness gate: bounded exhaustive model check of every protocol,
-# plus the serial-vs-sharded replay equivalence check it ends with.
+# plus the serial-vs-sharded replay equivalence check it ends with, at
+# the smoke bounds and at the default bounds users run (3 cpus x 2
+# blocks, depth 8; ~10-15 s single-threaded on a 2-vCPU host).
 ./target/release/dircc check --smoke
+./target/release/dircc check
 # Perf gate: sharded replay throughput report, then compare the
 # deterministic per-run counters against the checked-in baseline
 # (wall-clock drift is reported but never fails). Because the bench runs

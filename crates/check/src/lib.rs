@@ -23,9 +23,13 @@
 //! * **cost sanity** — every emitted outcome prices to finite,
 //!   nonnegative cycle counts under both paper bus models.
 //!
+//! [`check`] explores any concrete protocol type, forking each state
+//! with [`Clone`]; [`check_protocol`] resolves a taxonomy point to its
+//! type through [`dircc_core::dispatch`].
+//!
 //! A violation is reported as a [`Counterexample`]: the exact (minimal,
 //! by BFS order) op sequence from the initial state, replayable with
-//! [`replay`].
+//! [`replay`] on a fresh instance, concrete or `dyn Protocol`.
 //!
 //! The state key includes the protocol's canonical encoding
 //! ([`Protocol::encode_state`]), the first-reference set, and the full
@@ -33,7 +37,9 @@
 //! distinguish.
 
 use dircc_bus::{price, CostConfig, CostModel};
-use dircc_core::{build, CoherenceStyle, Event, EventCounters, Protocol, ProtocolKind};
+use dircc_core::{
+    dispatch, CoherenceStyle, Event, EventCounters, Protocol, ProtocolKind, ProtocolVisitor,
+};
 use dircc_types::{AccessKind, BlockAddr, CacheId};
 use std::collections::HashSet;
 use std::fmt;
@@ -197,14 +203,14 @@ impl Values {
 }
 
 /// One BFS node: protocol state, value model, first-reference set, path.
-struct Node {
-    protocol: Box<dyn Protocol>,
+struct Node<P> {
+    protocol: P,
     values: Values,
     seen: u64,
     path: Vec<Op>,
 }
 
-fn state_key(protocol: &dyn Protocol, values: &Values, seen: u64) -> Vec<u64> {
+fn state_key<P: Protocol>(protocol: &P, values: &Values, seen: u64) -> Vec<u64> {
     let mut key = Vec::with_capacity(48);
     protocol.encode_state(&mut key);
     key.push(seen);
@@ -232,8 +238,8 @@ fn check_costs(
 
 /// Applies `op` to `protocol`/`values`/`seen` and checks every invariant,
 /// mirroring the engine's `verify_access` transition-for-transition.
-fn step(
-    protocol: &mut dyn Protocol,
+fn step<P: Protocol + ?Sized>(
+    protocol: &mut P,
     values: &mut Values,
     seen: &mut u64,
     op: Op,
@@ -351,15 +357,14 @@ fn step(
     protocol.check_invariants().map_err(|e| format!("invariant violation: {e}"))
 }
 
-/// Explores `initial` under `cfg`. The protocol must implement
-/// [`Protocol::encode_state`], [`Protocol::boxed_clone`] and
-/// [`Protocol::evict`].
+/// Explores `initial` under `cfg`, forking each frontier state with
+/// [`Clone`] and deduplicating on [`Protocol::encode_state`].
 ///
 /// # Panics
 ///
 /// Panics if `cfg.cpus`/`cfg.blocks` is 0 or `cfg.cpus` exceeds the
 /// protocol's cache count.
-pub fn check_boxed(initial: Box<dyn Protocol>, cfg: &CheckConfig) -> CheckReport {
+pub fn check<P: Protocol + Clone>(initial: P, cfg: &CheckConfig) -> CheckReport {
     assert!(cfg.cpus >= 1 && cfg.blocks >= 1, "need at least one cpu and block");
     assert!(cfg.cpus <= initial.num_caches(), "more cpus than caches");
     assert!(cfg.blocks <= 64, "the first-reference set is a 64-bit mask");
@@ -381,7 +386,7 @@ pub fn check_boxed(initial: Box<dyn Protocol>, cfg: &CheckConfig) -> CheckReport
 
     let values = Values::new(cfg.cpus, cfg.blocks);
     let mut visited: HashSet<Vec<u64>> = HashSet::new();
-    visited.insert(state_key(initial.as_ref(), &values, 0));
+    visited.insert(state_key(&initial, &values, 0));
     let mut frontier = vec![Node { protocol: initial, values, seen: 0, path: Vec::new() }];
     let mut transitions = 0u64;
 
@@ -395,10 +400,10 @@ pub fn check_boxed(initial: Box<dyn Protocol>, cfg: &CheckConfig) -> CheckReport
                     continue;
                 }
                 transitions += 1;
-                let mut protocol = node.protocol.boxed_clone();
+                let mut protocol = node.protocol.clone();
                 let mut values = node.values.clone();
                 let mut seen = node.seen;
-                if let Err(violation) = step(protocol.as_mut(), &mut values, &mut seen, op) {
+                if let Err(violation) = step(&mut protocol, &mut values, &mut seen, op) {
                     let mut ops = node.path.clone();
                     ops.push(op);
                     return CheckReport {
@@ -409,7 +414,7 @@ pub fn check_boxed(initial: Box<dyn Protocol>, cfg: &CheckConfig) -> CheckReport
                         counterexample: Some(Counterexample { ops, violation }),
                     };
                 }
-                if visited.insert(state_key(protocol.as_ref(), &values, seen)) {
+                if visited.insert(state_key(&protocol, &values, seen)) {
                     let mut path = node.path.clone();
                     path.push(op);
                     next.push(Node { protocol, values, seen, path });
@@ -425,20 +430,28 @@ pub fn check_boxed(initial: Box<dyn Protocol>, cfg: &CheckConfig) -> CheckReport
     CheckReport { name, kind, states: visited.len() as u64, transitions, counterexample: None }
 }
 
-/// Explores one taxonomy point built over `cfg.cpus` caches.
+/// Explores one taxonomy point built over `cfg.cpus` caches, resolved to
+/// its concrete type through [`dispatch`].
 pub fn check_protocol(kind: ProtocolKind, cfg: &CheckConfig) -> CheckReport {
-    check_boxed(build(kind, cfg.cpus), cfg)
+    struct Check<'a>(&'a CheckConfig);
+    impl ProtocolVisitor for Check<'_> {
+        type Output = CheckReport;
+        fn visit<P: Protocol + Clone + 'static>(self, protocol: P) -> CheckReport {
+            check(protocol, self.0)
+        }
+    }
+    dispatch(kind, cfg.cpus, Check(cfg))
 }
 
 /// Re-runs a counterexample's op sequence on a fresh protocol instance,
 /// returning the violation it reproduces (`None` if every op passes —
 /// which, for a genuine counterexample, indicates nondeterminism).
-pub fn replay(mut protocol: Box<dyn Protocol>, cpus: usize, ops: &[Op]) -> Option<String> {
+pub fn replay<P: Protocol + ?Sized>(protocol: &mut P, cpus: usize, ops: &[Op]) -> Option<String> {
     let blocks = ops.iter().map(|op| op.block.index() as usize + 1).max().unwrap_or(1);
     let mut values = Values::new(cpus.max(protocol.num_caches()), blocks);
     let mut seen = 0u64;
     for op in ops {
-        if let Err(violation) = step(protocol.as_mut(), &mut values, &mut seen, *op) {
+        if let Err(violation) = step(protocol, &mut values, &mut seen, *op) {
             return Some(violation);
         }
     }
@@ -450,6 +463,7 @@ mod tests {
     use super::*;
     use dircc_cache::CacheArray;
     use dircc_core::event::EvictOutcome;
+    use dircc_core::snoopy::Berkeley;
     use dircc_core::Outcome;
     use dircc_types::CacheIdSet;
 
@@ -459,7 +473,24 @@ mod tests {
 
     #[test]
     fn every_default_kind_passes_the_smoke_config() {
-        for kind in default_kinds() {
+        // The (states, transitions) each kind reaches, pinned so that an
+        // explorer that forks, deduplicates or orders states differently
+        // fails here.
+        let reached: [(u64, u64); 12] = [
+            (1100, 4168), // Dir1NB
+            (1248, 4692), // Dir0B
+            (1596, 5904), // Dir1B
+            (1248, 4692), // DirCodedNB
+            (1292, 5048), // Tang
+            (1292, 5048), // YenFu
+            (784, 3460),  // WTI
+            (1003, 3856), // Dragon
+            (1409, 5072), // Berkeley
+            (1032, 4032), // WriteOnce
+            (829, 3492),  // Firefly
+            (1248, 4692), // MESI
+        ];
+        for (kind, expected) in default_kinds().into_iter().zip(reached) {
             let report = check_protocol(kind, &smoke());
             assert!(
                 report.passed(),
@@ -467,7 +498,7 @@ mod tests {
                 report.name,
                 report.counterexample.expect("failed report has a counterexample")
             );
-            assert!(report.states > 50, "{}: only {} states", report.name, report.states);
+            assert_eq!((report.states, report.transitions), expected, "{}", report.name);
         }
     }
 
@@ -549,40 +580,33 @@ mod tests {
         fn encode_state(&self, out: &mut Vec<u64>) {
             self.caches.encode_states(out, |()| 0);
         }
-        fn boxed_clone(&self) -> Box<dyn Protocol> {
-            Box::new(self.clone())
-        }
     }
 
     #[test]
     fn broken_protocol_yields_a_minimal_replayable_counterexample() {
         let cfg = CheckConfig::default();
-        let report =
-            check_boxed(Box::new(NeverInvalidates { caches: CacheArray::new(cfg.cpus) }), &cfg);
+        let report = check(NeverInvalidates { caches: CacheArray::new(cfg.cpus) }, &cfg);
         let ce = report.counterexample.expect("the broken protocol must fail");
         assert!(ce.ops.len() <= cfg.depth, "counterexample longer than the depth bound");
         // SWMR breaks as soon as a writer leaves a second copy alive:
         // minimal sequences are 2 ops (e.g. C0 R b0; C1 W b0).
         assert_eq!(ce.ops.len(), 2, "BFS must find the shortest sequence: {ce}");
-        let replayed = replay(
-            Box::new(NeverInvalidates { caches: CacheArray::new(cfg.cpus) }),
-            cfg.cpus,
-            &ce.ops,
-        )
-        .expect("replay reproduces the violation");
+        let replayed =
+            replay(&mut NeverInvalidates { caches: CacheArray::new(cfg.cpus) }, cfg.cpus, &ce.ops)
+                .expect("replay reproduces the violation");
         assert_eq!(replayed, ce.violation);
     }
 
     /// A protocol that silently loses dirty data on eviction: the value
     /// model (not SWMR) must catch the stale re-read.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct DropsDirtyData {
-        inner: Box<dyn Protocol>,
+        inner: Berkeley,
     }
 
     impl DropsDirtyData {
         fn new(cpus: usize) -> Self {
-            DropsDirtyData { inner: build(ProtocolKind::Berkeley, cpus) }
+            DropsDirtyData { inner: Berkeley::new(cpus) }
         }
     }
 
@@ -617,20 +641,17 @@ mod tests {
         fn encode_state(&self, out: &mut Vec<u64>) {
             self.inner.encode_state(out);
         }
-        fn boxed_clone(&self) -> Box<dyn Protocol> {
-            Box::new(DropsDirtyData { inner: self.inner.boxed_clone() })
-        }
     }
 
     #[test]
     fn lost_write_back_is_caught_by_the_value_model() {
         let cfg = CheckConfig::default();
-        let report = check_boxed(Box::new(DropsDirtyData::new(cfg.cpus)), &cfg);
+        let report = check(DropsDirtyData::new(cfg.cpus), &cfg);
         let ce = report.counterexample.expect("dropping dirty data must fail");
         // W, E, then a re-read misses against stale memory: 3 ops.
         assert_eq!(ce.ops.len(), 3, "{ce}");
         assert!(ce.violation.contains("supplied version"), "{ce}");
-        let replayed = replay(Box::new(DropsDirtyData::new(cfg.cpus)), cfg.cpus, &ce.ops)
+        let replayed = replay(&mut DropsDirtyData::new(cfg.cpus), cfg.cpus, &ce.ops)
             .expect("replay reproduces the violation");
         assert_eq!(replayed, ce.violation);
     }

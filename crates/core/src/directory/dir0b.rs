@@ -275,10 +275,6 @@ impl Protocol for Dir0B {
             });
         }
     }
-
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

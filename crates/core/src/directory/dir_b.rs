@@ -295,10 +295,6 @@ impl Protocol for DirB {
             out.push(ptr_set.bits());
         }
     }
-
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -80,25 +80,15 @@ impl ProtocolKind {
         )
     }
 
-    /// Paper-style name, resolved against the machine size `n` (so a full
-    /// map prints as `DirnNB`).
+    /// Paper-style name, resolved against the machine size `n`: the
+    /// [`Display`](fmt::Display) text, except that a full map prints as
+    /// `DirnNB`.
     pub fn display_name(self, n_caches: usize) -> String {
         match self {
             ProtocolKind::DirNb { pointers } if pointers as usize >= n_caches => {
                 "DirnNB".to_string()
             }
-            ProtocolKind::DirNb { pointers } => format!("Dir{pointers}NB"),
-            ProtocolKind::Dir0B => "Dir0B".to_string(),
-            ProtocolKind::DirB { pointers } => format!("Dir{pointers}B"),
-            ProtocolKind::CodedSet => "DirCodedNB".to_string(),
-            ProtocolKind::Tang => "Tang".to_string(),
-            ProtocolKind::YenFu => "YenFu".to_string(),
-            ProtocolKind::Wti => "WTI".to_string(),
-            ProtocolKind::Dragon => "Dragon".to_string(),
-            ProtocolKind::Berkeley => "Berkeley".to_string(),
-            ProtocolKind::WriteOnce => "WriteOnce".to_string(),
-            ProtocolKind::Firefly => "Firefly".to_string(),
-            ProtocolKind::Mesi => "MESI".to_string(),
+            _ => self.to_string(),
         }
     }
 }
@@ -162,17 +152,9 @@ pub trait Protocol: Send {
     /// (pointer removal). Returns what the eviction cost. Must be a no-op
     /// returning [`EvictOutcome::SILENT`] when the cache holds no copy.
     ///
-    /// Never called in the paper's infinite-cache experiments; the default
-    /// implementation panics so protocols that support the finite-cache
-    /// extension must opt in explicitly.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation always panics.
-    fn evict(&mut self, cache: CacheId, block: BlockAddr) -> EvictOutcome {
-        let _ = (cache, block);
-        panic!("{} does not support finite-cache eviction", self.name())
-    }
+    /// The paper's infinite-cache experiments never call it; the
+    /// finite-cache extension and `dircc-check`'s evict ops do.
+    fn evict(&mut self, cache: CacheId, block: BlockAddr) -> EvictOutcome;
 
     /// Pre-sizes per-block state tables for a replay expected to touch
     /// `blocks` distinct (dense) blocks — the interner's count. Purely a
@@ -194,27 +176,7 @@ pub trait Protocol: Send {
     /// normalise representation artifacts that cannot affect behavior
     /// (e.g. tombstone directory entries), and must exclude monotonic
     /// statistics counters.
-    ///
-    /// Only used by the bounded model checker; the default
-    /// implementation panics so protocols opt in explicitly.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation always panics.
-    fn encode_state(&self, out: &mut Vec<u64>) {
-        let _ = out;
-        panic!("{} does not support state encoding", self.name())
-    }
-
-    /// Clones the protocol behind the trait object, for forking a state
-    /// during exhaustive exploration.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation always panics.
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        panic!("{} does not support cloning", self.name())
-    }
+    fn encode_state(&self, out: &mut Vec<u64>);
 
     /// Verifies every internal invariant (single-writer, directory/cache
     /// agreement, pointer-occupancy bounds, …).

@@ -170,10 +170,6 @@ impl Protocol for Firefly {
         out.push(self.memory_stale.len() as u64);
         out.extend(self.memory_stale.iter().map(|b| b.index()));
     }
-
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

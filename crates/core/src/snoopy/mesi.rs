@@ -214,10 +214,6 @@ impl Protocol for Mesi {
             Copy::Modified => 2,
         });
     }
-
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@
 //! * [`run_indexed`] replays a prebuilt stream (e.g. the
 //!   [`TraceStore::soa`](dircc_trace::TraceStore::soa) memo) as one batch
 //!   through an instance of the scheme resolved to its concrete type
-//!   ([`dispatch_sized`]), so `access` is statically dispatched;
+//!   ([`dispatch`]), so `access` is statically dispatched;
 //! * [`run_chunked_many`] streams a [`ChunkSource`] once for several
 //!   protocols: each batch is decoded, interned (blocks renamed on the
 //!   fly in first-appearance order) and split once, then replayed through
@@ -60,7 +60,7 @@
 
 use dircc_cache::{FiniteCacheConfig, Lookup, SetAssocCache};
 use dircc_core::{
-    dispatch_sized, CoherenceStyle, Event, EventCounters, Outcome, Protocol, ProtocolKind,
+    dispatch, CoherenceStyle, Event, EventCounters, Outcome, Protocol, ProtocolKind,
     ProtocolVisitor,
 };
 use dircc_obs::{NoopRecorder, Recorder};
@@ -564,7 +564,7 @@ fn merge_shard_results(results: Vec<Result<CoreResult, EngineError>>) -> Result<
 /// Replays one in-memory stream (or shard sub-stream, whose `shard`
 /// carries its global reference numbers and shard-local → global dense
 /// ids) through a fresh instance of `kind` sized for `soa.num_blocks`
-/// and resolved to its concrete type ([`dispatch_sized`]), so
+/// and resolved to its concrete type ([`dispatch`]), so
 /// [`Protocol::access`] is statically dispatched and inlinable.
 fn replay_dispatched<R: Recorder>(
     kind: ProtocolKind,
@@ -584,13 +584,14 @@ fn replay_dispatched<R: Recorder>(
     }
     impl<R: Recorder> ProtocolVisitor for Replay<'_, R> {
         type Output = Result<CoreResult, EngineError>;
-        fn visit<P: Protocol>(self, mut protocol: P) -> Self::Output {
+        fn visit<P: Protocol + Clone + 'static>(self, mut protocol: P) -> Self::Output {
             let Replay { records, soa, shard, cfg, recorder } = self;
+            protocol.reserve_blocks(soa.num_blocks);
             replay_memory(&mut protocol, records, soa, shard, cfg, recorder)
         }
     }
     let visitor = Replay { records, soa, shard, cfg, recorder };
-    dispatch_sized(kind, n_caches, soa.num_blocks, visitor)
+    dispatch(kind, n_caches, visitor)
 }
 
 /// Replays one in-memory stream (or shard sub-stream) as a single batch.
@@ -907,9 +908,48 @@ pub(crate) fn verify_access<P: Protocol + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dircc_core::event::EvictOutcome;
     use dircc_core::{build, ProtocolKind};
     use dircc_trace::gen::patterns;
     use dircc_types::{Address, CpuId, ProcessId};
+
+    /// A deliberately broken protocol: every access is a write hit on a
+    /// clean exclusive copy, so nothing is ever invalidated and every
+    /// other holder goes stale.
+    #[derive(Debug)]
+    struct Stale(dircc_cache::CacheArray<()>);
+
+    impl Protocol for Stale {
+        fn kind(&self) -> ProtocolKind {
+            ProtocolKind::Wti
+        }
+        fn num_caches(&self) -> usize {
+            self.0.num_caches()
+        }
+        fn access(
+            &mut self,
+            cache: CacheId,
+            _kind: AccessKind,
+            block: BlockAddr,
+            _first: bool,
+        ) -> Outcome {
+            self.0.set(cache, block, ());
+            Outcome::quiet(Event::WriteHit(dircc_core::WriteHitContext::CleanExclusive))
+        }
+        fn evict(&mut self, cache: CacheId, block: BlockAddr) -> EvictOutcome {
+            self.0.remove(cache, block);
+            EvictOutcome::SILENT
+        }
+        fn holders(&self, block: BlockAddr) -> dircc_types::CacheIdSet {
+            self.0.holders(block)
+        }
+        fn check_invariants(&self) -> Result<(), String> {
+            Ok(())
+        }
+        fn encode_state(&self, out: &mut Vec<u64>) {
+            self.0.encode_states(out, |()| 0);
+        }
+    }
 
     fn run_verified(kind: ProtocolKind, trace: Vec<TraceRecord>) -> RunResult {
         let mut p = build(kind, 4);
@@ -1107,11 +1147,18 @@ mod tests {
                 };
                 dircc_core::Outcome::quiet(event)
             }
+            fn evict(&mut self, cache: CacheId, block: BlockAddr) -> EvictOutcome {
+                self.caches.remove(cache, block);
+                EvictOutcome::SILENT
+            }
             fn holders(&self, block: BlockAddr) -> dircc_types::CacheIdSet {
                 self.caches.holders(block)
             }
             fn check_invariants(&self) -> Result<(), String> {
                 Ok(())
+            }
+            fn encode_state(&self, out: &mut Vec<u64>) {
+                self.caches.encode_states(out, |()| 0);
             }
         }
 
@@ -1268,38 +1315,10 @@ mod tests {
 
     #[test]
     fn sharded_violations_merge_in_trace_order_with_the_serial_cap() {
-        // The Stale protocol above violates on every access; over many
+        // The Stale protocol violates on every access; over many
         // blocks the violations land in different shards, so this pins
         // the cap-after-merge semantics: exactly the serial run's first
         // MAX_VIOLATIONS findings, in its order.
-        #[derive(Debug)]
-        struct Stale(dircc_cache::CacheArray<()>);
-        impl Protocol for Stale {
-            fn kind(&self) -> ProtocolKind {
-                ProtocolKind::Wti
-            }
-            fn num_caches(&self) -> usize {
-                self.0.num_caches()
-            }
-            fn access(
-                &mut self,
-                cache: CacheId,
-                _kind: AccessKind,
-                block: BlockAddr,
-                _first: bool,
-            ) -> dircc_core::Outcome {
-                self.0.set(cache, block, ());
-                dircc_core::Outcome::quiet(Event::WriteHit(
-                    dircc_core::WriteHitContext::CleanExclusive,
-                ))
-            }
-            fn holders(&self, block: BlockAddr) -> dircc_types::CacheIdSet {
-                self.0.holders(block)
-            }
-            fn check_invariants(&self) -> Result<(), String> {
-                Ok(())
-            }
-        }
         use dircc_types::{Address, CpuId, ProcessId};
         let trace: Vec<TraceRecord> = (0..120u64)
             .map(|i| {
@@ -1372,34 +1391,6 @@ mod tests {
     #[test]
     fn violations_are_capped() {
         let trace = patterns::ping_pong(100);
-        #[derive(Debug)]
-        struct Stale(dircc_cache::CacheArray<()>);
-        impl Protocol for Stale {
-            fn kind(&self) -> ProtocolKind {
-                ProtocolKind::Wti
-            }
-            fn num_caches(&self) -> usize {
-                self.0.num_caches()
-            }
-            fn access(
-                &mut self,
-                cache: CacheId,
-                _kind: AccessKind,
-                block: BlockAddr,
-                _first: bool,
-            ) -> dircc_core::Outcome {
-                self.0.set(cache, block, ());
-                dircc_core::Outcome::quiet(Event::WriteHit(
-                    dircc_core::WriteHitContext::CleanExclusive,
-                ))
-            }
-            fn holders(&self, block: BlockAddr) -> dircc_types::CacheIdSet {
-                self.0.holders(block)
-            }
-            fn check_invariants(&self) -> Result<(), String> {
-                Ok(())
-            }
-        }
         let mut p = Stale(dircc_cache::CacheArray::new(4));
         let res = run(&mut p, trace, &RunConfig::verifying(0)).unwrap();
         assert_eq!(res.violations.len(), MAX_VIOLATIONS);

@@ -66,8 +66,8 @@ use dircc_serve::{client, JobHandler, ServeConfig, Server};
 use dircc_sim::experiments::{extensions, figures, network, studies, system, tables};
 use dircc_sim::{
     default_jobs, filter_from_label, filter_label, load_generate, profile_by_name, report,
-    run_chunked, run_chunked_many, run_indexed, run_response_json, run_sharded, shard_stream,
-    Evaluation, RunConfig, RunResult, TraceFilter, Workbench, WorkbenchHandler,
+    run_chunked, run_chunked_many, run_indexed, run_response_json, run_sharded, scheme_by_name,
+    shard_stream, Evaluation, RunConfig, RunResult, TraceFilter, Workbench, WorkbenchHandler,
 };
 use dircc_trace::chunk::{DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS};
 use dircc_trace::codec::BinaryWriter;
@@ -611,28 +611,10 @@ fn record(args: &Args) -> Result<(), String> {
 /// The protocols `dircc replay` drives: the paper's four headline schemes
 /// by default, or one chosen by `--scheme` from the full checked set.
 fn replay_kinds(args: &Args, cpus: usize) -> Result<Vec<ProtocolKind>, String> {
-    let Some(want) = &args.scheme else {
-        return Ok(vec![
-            ProtocolKind::DirNb { pointers: 1 },
-            ProtocolKind::Wti,
-            ProtocolKind::Dir0B,
-            ProtocolKind::Dragon,
-        ]);
-    };
-    let want_lc = want.to_ascii_lowercase();
-    let kinds: Vec<ProtocolKind> = dircc_check::default_kinds()
-        .iter()
-        .copied()
-        .filter(|k| dircc_core::build(*k, cpus).name().to_ascii_lowercase() == want_lc)
-        .collect();
-    if kinds.is_empty() {
-        let names: Vec<String> = dircc_check::default_kinds()
-            .iter()
-            .map(|k| dircc_core::build(*k, cpus).name().to_string())
-            .collect();
-        return Err(format!("unknown scheme {want}; one of: {}", names.join(" ")));
+    match &args.scheme {
+        Some(want) => Ok(vec![scheme_by_name(want, cpus)?]),
+        None => Ok(dircc_core::PAPER_KINDS.to_vec()),
     }
-    Ok(kinds)
 }
 
 /// Streams a trace file through every requested scheme in one pass: the
@@ -714,8 +696,7 @@ fn replay(args: &Args) -> Result<(), String> {
         // CI diffs this byte-for-byte against what the daemon returns.
         let trace_name = profile_by_name(&args.profile)?.name.to_string();
         for (&kind, res) in kinds.iter().zip(&results) {
-            let name = dircc_core::build(kind, cpus).name().to_string();
-            let eval = Evaluation::new(name, kind, cpus, res.counters.clone());
+            let eval = Evaluation::new(kind.display_name(cpus), kind, cpus, res.counters.clone());
             print!("{}", run_response_json(&eval, &trace_name, args.refs, args.seed, "full"));
         }
         return Ok(());
@@ -728,7 +709,7 @@ fn replay(args: &Args) -> Result<(), String> {
     );
     let mut violations = 0usize;
     for (&kind, res) in kinds.iter().zip(&results) {
-        let name = dircc_core::build(kind, cpus).name().to_string();
+        let name = kind.display_name(cpus);
         let c = &res.counters;
         let cpr =
             Evaluation::new(name.clone(), kind, cpus, c.clone()).cycles_per_ref(&model, &cost_cfg);
@@ -1482,22 +1463,10 @@ fn check(args: &Args) -> Result<(), String> {
     if cfg.depth == 0 {
         return Err("--depth must be at least 1".to_string());
     }
-    let mut kinds = dircc_check::default_kinds().to_vec();
-    if let Some(want) = &args.scheme {
-        let want = want.to_ascii_lowercase();
-        kinds.retain(|k| dircc_core::build(*k, cfg.cpus).name().to_ascii_lowercase() == want);
-        if kinds.is_empty() {
-            let names: Vec<String> = dircc_check::default_kinds()
-                .iter()
-                .map(|k| dircc_core::build(*k, cfg.cpus).name().to_string())
-                .collect();
-            return Err(format!(
-                "unknown scheme {}; one of: {}",
-                args.scheme.as_ref().unwrap(),
-                names.join(" ")
-            ));
-        }
-    }
+    let kinds = match &args.scheme {
+        Some(want) => vec![scheme_by_name(want, cfg.cpus)?],
+        None => dircc_check::default_kinds().to_vec(),
+    };
     println!("model check: {} cpus x {} blocks, depth {}", cfg.cpus, cfg.blocks, cfg.depth);
     println!("{:<12} {:>10} {:>12}  result", "scheme", "states", "transitions");
     let reports =

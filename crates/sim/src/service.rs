@@ -39,16 +39,10 @@ pub fn profile_by_name(name: &str) -> Result<Profile, String> {
 /// Resolves a scheme name (`Dir1NB`, `tang`, …) case-insensitively
 /// against the full checked protocol set at `cpus` caches.
 pub fn scheme_by_name(name: &str, cpus: usize) -> Result<ProtocolKind, String> {
-    let want = name.to_ascii_lowercase();
-    let kind = dircc_check::default_kinds()
-        .iter()
-        .copied()
-        .find(|k| dircc_core::build(*k, cpus).name().to_ascii_lowercase() == want);
+    let kinds = dircc_check::default_kinds();
+    let kind = kinds.into_iter().find(|k| k.display_name(cpus).eq_ignore_ascii_case(name));
     kind.ok_or_else(|| {
-        let names: Vec<String> = dircc_check::default_kinds()
-            .iter()
-            .map(|k| dircc_core::build(*k, cpus).name().to_string())
-            .collect();
+        let names: Vec<String> = kinds.iter().map(|k| k.display_name(cpus)).collect();
         format!("unknown scheme {name}; one of: {}", names.join(" "))
     })
 }
@@ -205,7 +199,7 @@ impl WorkbenchHandler {
         }
         let counters = EventCounters::clone(&wb.counters(kind, 0, filter));
         let trace_name = store.profiles()[0].name.to_string();
-        let scheme_name = dircc_core::build(kind, n_caches).name().to_string();
+        let scheme_name = kind.display_name(n_caches);
         self.runs_executed.add(wb.executed_runs() as u64);
         self.refs_replayed.add(counters.total());
         let mut spans = wb.span_log().spans();
@@ -360,17 +354,11 @@ pub fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 /// `i % 12`, so the first cycle is all cache misses and every later
 /// cycle is all hits.
 pub fn load_pool(n_caches: usize) -> Vec<LoadConfig> {
-    let kinds = [
-        ProtocolKind::DirNb { pointers: 1 },
-        ProtocolKind::Wti,
-        ProtocolKind::Dir0B,
-        ProtocolKind::Dragon,
-    ];
     let traces = ["POPS", "THOR", "PERO"];
-    kinds
+    dircc_core::PAPER_KINDS
         .iter()
         .flat_map(|&k| {
-            let scheme = dircc_core::build(k, n_caches).name().to_string();
+            let scheme = k.display_name(n_caches);
             traces.iter().map(move |t| LoadConfig { scheme: scheme.clone(), trace: t.to_string() })
         })
         .collect()
@@ -552,6 +540,13 @@ mod tests {
         let err = scheme_by_name("nonesuch", 4).expect_err("unknown");
         assert!(err.contains("one of:"), "{err}");
         assert!(err.contains("Dir0B"), "{err}");
+        // Every checked scheme resolves from its own display name at every
+        // machine size, including `DirnNB` for Dir1NB on one cache.
+        for n in 1..=8 {
+            for kind in dircc_check::default_kinds() {
+                assert_eq!(scheme_by_name(&kind.display_name(n), n), Ok(kind), "{kind} at n = {n}");
+            }
+        }
     }
 
     #[test]

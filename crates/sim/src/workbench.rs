@@ -407,14 +407,10 @@ impl Workbench {
         merged
     }
 
-    /// The four schemes of the paper's main evaluation.
+    /// The four schemes of the paper's main evaluation
+    /// ([`PAPER_KINDS`](dircc_core::PAPER_KINDS)).
     pub fn paper_kinds(&self) -> [ProtocolKind; 4] {
-        [
-            ProtocolKind::DirNb { pointers: 1 },
-            ProtocolKind::Wti,
-            ProtocolKind::Dir0B,
-            ProtocolKind::Dragon,
-        ]
+        dircc_core::PAPER_KINDS
     }
 
     /// Every (protocol, filter) pair the full paper pipeline (`dircc all`)

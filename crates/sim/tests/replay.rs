@@ -11,7 +11,7 @@
 //! cannot hide behind a matching replay bug.
 
 use dircc_cache::FiniteCacheConfig;
-use dircc_core::{build_sized, ProtocolKind};
+use dircc_core::{build, ProtocolKind};
 use dircc_obs::WindowedRecorder;
 use dircc_sim::{
     run, run_indexed, run_indexed_with, run_sharded, shard_stream, RunConfig, SharingModel,
@@ -143,7 +143,7 @@ fn golden_counters_for_every_scheme_and_shard_count() {
     for (kind, row) in KINDS.into_iter().zip(GOLDEN_SERIAL) {
         for (trace, want) in row.into_iter().enumerate() {
             let records = store.records(trace, TraceFilter::Full);
-            let mut p = build_sized(kind, CPUS, 0);
+            let mut p = build(kind, CPUS);
             let res = run(p.as_mut(), records.iter().copied(), &cfg).unwrap();
             assert_eq!(golden(&res), want, "{kind} trace {trace} serial");
             let soa = store.soa(trace, TraceFilter::Full, cfg.geometry, cfg.sharing);
@@ -174,7 +174,7 @@ fn golden_finite_cache_counters() {
     for (kind, row) in FINITE_KINDS.into_iter().zip(GOLDEN_FINITE) {
         for (trace, want) in row.into_iter().enumerate() {
             let records = store.records(trace, TraceFilter::Full);
-            let mut p = build_sized(kind, CPUS, 0);
+            let mut p = build(kind, CPUS);
             let res = run(p.as_mut(), records.iter().copied(), &cfg).unwrap();
             assert_eq!(golden(&res), want, "{kind} trace {trace} finite");
             let soa = store.soa(trace, TraceFilter::Full, cfg.geometry, cfg.sharing);
@@ -218,7 +218,7 @@ fn golden_bounds_error_text() {
     let store = store();
     let cfg = RunConfig::default().with_process_sharing();
     let records = store.records(0, TraceFilter::Full);
-    let mut p = build_sized(ProtocolKind::Dir0B, 2, 0);
+    let mut p = build(ProtocolKind::Dir0B, 2);
     let err = run(p.as_mut(), records.iter().copied(), &cfg).unwrap_err();
     assert_eq!(err, GOLDEN_BOUNDS_ERROR);
     let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);

@@ -33,7 +33,7 @@ fn op(cache: u16, kind: OpKind, block: u64) -> Op {
 /// (verifier on); both must find the sequence coherent.
 fn cross_check(kind: ProtocolKind, ops: &[Op]) {
     assert_eq!(
-        replay(build(kind, CPUS), CPUS, ops),
+        replay(build(kind, CPUS).as_mut(), CPUS, ops),
         None,
         "{kind}: the checker's value model must accept the pinned sequence"
     );

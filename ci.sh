@@ -17,15 +17,17 @@ cargo test -q -p dircc-sim --test replay
 # blocks, depth 8; ~10-15 s single-threaded on a 2-vCPU host).
 ./target/release/dircc check --smoke
 ./target/release/dircc check
-# Perf gate: sharded replay throughput report, then compare the
-# deterministic per-run counters against the checked-in baseline
-# (wall-clock drift is reported but never fails). Because the bench runs
-# through the engine's no-op recorder, this doubles as the observability
-# drift gate: any counter perturbation from the instrumentation layer
-# fails here — and running it at --shards 2 makes the shard merge itself
-# part of the drift surface.
-./target/release/dircc bench --smoke --shards 2 --repeat 3 --out /tmp/BENCH_smoke.json
+# Counter-drift gate: write the sharded smoke report, then compare its
+# per-run counter digests and per-trace v2 sizes against the checked-in
+# baseline, field by field and byte for byte (every field is
+# deterministic). Because the bench runs through the engine's no-op
+# recorder, this doubles as the observability drift gate: any counter
+# perturbation from the instrumentation layer fails here — and running
+# it at --shards 2 makes the shard merge itself part of the drift
+# surface. Wall-clock performance is perfbench's job (below).
+./target/release/dircc bench --smoke --shards 2 --out /tmp/BENCH_smoke.json
 ./target/release/dircc benchcmp --smoke --shards 2 --in BENCH_smoke.json
+diff /tmp/BENCH_smoke.json BENCH_smoke.json
 # Paper-output gate: `dircc all` at the default scale and seed must
 # print exactly the archived output.
 ./target/release/dircc all | diff - experiments_full_output.txt
@@ -51,12 +53,12 @@ diff /tmp/replay_file.txt /tmp/replay_sharded.txt
 diff /tmp/replay_file_small.txt /tmp/replay_mem.txt
 # Serve gate: the HTTP daemon on an ephemeral port — served /run
 # responses diffed byte-for-byte against `dircc replay --json` (cache
-# miss, cache hit, sharded), a mixed-workload load run with
-# zero errors writing BENCH_serve.json, a request-ID log/span join, an
-# exact /metrics reconciliation against the scripted load (scrape kept
-# as SERVE_metrics.prom), a `dircc top --once` snapshot check, then a
-# graceful /shutdown drain with an orphan check. The timeout is the
-# hard ceiling on a hang.
+# miss, cache hit, sharded), 400 /run requests from four concurrent
+# `dircc submit` clients with every cache outcome and body asserted, a
+# request-ID log/span join, an exact /metrics reconciliation against the
+# scripted load (scrape kept as SERVE_metrics.prom), a `dircc top --once`
+# snapshot check (kept as SERVE_top.txt), then a graceful /shutdown
+# drain with an orphan check. The timeout is the hard ceiling on a hang.
 timeout 300 ./ci_serve_gate.sh
 # Benchmark package: it builds the `dircc` CLI from this source and uses
 # the public APIs of six crates, so an API change breaks it here first.

@@ -2,20 +2,22 @@
 # Serve smoke gate, shared by ci.sh and .github/workflows/ci.yml: boot
 # the daemon on an ephemeral port, prove served /run responses are
 # byte-identical to a local `dircc replay --json` (and invariant across
-# shards), observe the repeat as a cache hit, drive a mixed
-# hit/miss workload with zero errors, then drain via /shutdown and fail
-# on any orphaned daemon. Callers wrap this in `timeout` for a hard
-# ceiling; every step inside is bounded regardless (client timeouts,
-# capped polls).
+# shards), observe the repeat as a cache hit, drive a concurrent hit/miss
+# workload whose every cache outcome and body is asserted, then drain
+# via /shutdown and fail on any orphaned daemon. Callers wrap this in
+# `timeout` for a hard ceiling; every step inside is bounded regardless
+# (client timeouts, capped polls).
 set -eu
 
 DIRCC=${DIRCC:-./target/release/dircc}
-BENCH_OUT=${BENCH_SERVE_OUT:-BENCH_serve.json}
 METRICS_OUT=${SERVE_METRICS_OUT:-SERVE_metrics.prom}
+TOP_OUT=${SERVE_TOP_OUT:-SERVE_top.txt}
 TMP=$(mktemp -d)
 PID=""
+LOAD_PIDS=""
 cleanup() {
     [ -n "$PID" ] && kill -9 "$PID" 2>/dev/null || true
+    [ -n "$LOAD_PIDS" ] && kill $LOAD_PIDS 2>/dev/null || true
     rm -rf "$TMP"
 }
 trap cleanup EXIT
@@ -71,10 +73,46 @@ grep -q '"uptime_s": ' "$TMP/health.json"
     --refs 8000 --window 2000 | wc -l | grep -qx 4
 "$DIRCC" submit --serve "$URL" --op spans | grep -q '"cat": "dircc"'
 
-# Load gate: a mixed hit/miss schedule from concurrent clients must
-# complete with zero errors and report latency percentiles.
-"$DIRCC" bench --serve "$URL" --clients 4 --requests 400 --refs 5000 \
-    --out "$BENCH_OUT"
+# Load gate: four concurrent `dircc submit` clients post 400 /run jobs
+# at --refs 5000 over load_pool's 12 configs, listed here in its order.
+# Request i takes config i % 12 and client c sends requests c, c+4,
+# c+8, ..., so every config belongs to one client: its first request
+# (i < 12) is its only miss and every later one a hit, 12 misses and
+# 388 hits in all. Each body must be byte-equal to its config's first.
+POOL="Dir1NB:POPS Dir1NB:THOR Dir1NB:PERO WTI:POPS WTI:THOR WTI:PERO
+Dir0B:POPS Dir0B:THOR Dir0B:PERO Dragon:POPS Dragon:THOR Dragon:PERO"
+load_client() {
+    c=$1
+    i=$c
+    while [ "$i" -lt 400 ]; do
+        n=$((i % 12))
+        set -- $POOL
+        shift "$n"
+        if [ "$i" -lt 12 ]; then want=miss; else want=hit; fi
+        if ! "$DIRCC" submit --serve "$URL" --scheme "${1%%:*}" --profile "${1#*:}" \
+            --refs 5000 --expect-cache "$want" >"$TMP/load_$c.json" 2>"$TMP/load_$c.err"; then
+            echo "serve gate: load request $i ($1) failed:" >&2
+            cat "$TMP/load_$c.err" >&2
+            exit 1
+        fi
+        if [ "$i" -lt 12 ]; then
+            cp "$TMP/load_$c.json" "$TMP/first_$n.json"
+        elif ! cmp -s "$TMP/load_$c.json" "$TMP/first_$n.json"; then
+            echo "serve gate: load request $i ($1) body differs from its first response" >&2
+            exit 1
+        fi
+        i=$((i + 4))
+    done
+}
+for c in 0 1 2 3; do
+    load_client "$c" &
+    LOAD_PIDS="$LOAD_PIDS $!"
+done
+for p in $LOAD_PIDS; do
+    wait "$p"
+done
+LOAD_PIDS=""
+echo "serve gate: 400 load requests, every cache outcome and body as expected"
 
 # Tracing gate: tag one more /run with the client-minted request ID and
 # prove it joins the daemon's structured log and the /spans export —
@@ -96,18 +134,15 @@ if ! "$DIRCC" submit --serve "$URL" --op spans | grep -q "$RID"; then
 fi
 
 # Telemetry gate: scrape /metrics (kept as a CI artifact) and reconcile
-# its counters *exactly* against the scripted load above. /run requests
-# = 3 byte-identity submits + 1 tagged submit + the 400 bench requests
-# (429-refused attempts never reach the route counters); server-side
-# cache hits/misses = the bench's client-observed tallies plus the
-# submits (1 hit; miss + sharded miss + tagged miss); and no route may
-# have produced a single error response.
+# its counters *exactly* against the scripted load above: 404 /run
+# requests (3 byte-identity submits, 400 load requests, 1 tagged
+# submit), 389 cache hits (1 submit + 388 load), 15 misses (miss +
+# sharded miss + tagged miss + 12 load), and not a single error
+# response on any route.
 "$DIRCC" submit --serve "$URL" --op metrics >"$METRICS_OUT"
-bench_hits=$(sed -n 's/.*"cache_hits": \([0-9]*\).*/\1/p' "$BENCH_OUT")
-bench_misses=$(sed -n 's/.*"cache_misses": \([0-9]*\).*/\1/p' "$BENCH_OUT")
-want_runs=404 # 3 submits + 1 tagged submit + 400 bench requests
-want_hits=$((bench_hits + 1))
-want_misses=$((bench_misses + 3))
+want_runs=404
+want_hits=389
+want_misses=15
 got_runs=$(sed -n 's|^dircc_http_requests_total{route="/run"} ||p' "$METRICS_OUT")
 got_hits=$(sed -n 's|^dircc_result_cache_events_total{event="hit"} ||p' "$METRICS_OUT")
 got_misses=$(sed -n 's|^dircc_result_cache_events_total{event="miss"} ||p' "$METRICS_OUT")
@@ -130,11 +165,12 @@ if grep '^dircc_http_errors_total{' "$METRICS_OUT" | grep -qv ' 0$'; then
 fi
 echo "serve gate: /metrics reconciled ($got_runs /run, $got_hits hits, $got_misses misses)"
 
-# The dashboard's CI mode distills the same scrape into key/value lines.
-"$DIRCC" top --serve "$URL" --once >"$TMP/top.txt"
-grep -qx "errors_total 0" "$TMP/top.txt"
-grep -qx "cache_hits $want_hits" "$TMP/top.txt"
-grep -q "^run_p50_ms " "$TMP/top.txt"
+# The dashboard's CI mode distills the same scrape into key/value lines
+# (kept as a CI artifact).
+"$DIRCC" top --serve "$URL" --once >"$TOP_OUT"
+grep -qx "errors_total 0" "$TOP_OUT"
+grep -qx "cache_hits $want_hits" "$TOP_OUT"
+grep -q "^run_p50_ms " "$TOP_OUT"
 
 # Drain gate: /shutdown finishes in-flight work and the process exits 0
 # on its own; anything still alive after the grace window is an orphan.

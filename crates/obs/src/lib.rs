@@ -27,7 +27,7 @@
 //!   and a JSONL schema for the windowed time series (documented in
 //!   `EXPERIMENTS.md`).
 //! * [`metrics`] — lock-free runtime telemetry: atomic counters, gauges
-//!   and mergeable log-linear latency histograms in a
+//!   and log-linear latency histograms in a
 //!   [`MetricsRegistry`], rendered as Prometheus text exposition (the
 //!   serve daemon's `GET /metrics`) and parseable back with
 //!   [`parse_exposition`] (`dircc top`).

@@ -119,7 +119,7 @@ struct HistogramInner {
     max: AtomicU64,
 }
 
-/// A mergeable log-linear latency histogram with exact `count`/`sum`
+/// A log-linear latency histogram with exact `count`/`sum`
 /// and bounded-error quantiles (see the module docs for the bound).
 /// `observe` is three relaxed atomic adds plus one `fetch_max` — safe
 /// to share across threads without locks.
@@ -148,20 +148,6 @@ impl Histogram {
         self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(v, Ordering::Relaxed);
         self.0.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Folds another histogram's observations into this one (used to
-    /// merge per-thread histograms after a fan-out).
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.0.buckets.iter().zip(other.0.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.0.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.0.sum.fetch_add(other.sum(), Ordering::Relaxed);
-        self.0.max.fetch_max(other.max(), Ordering::Relaxed);
     }
 
     pub fn count(&self) -> u64 {
@@ -637,24 +623,6 @@ mod tests {
                 "q{q}: estimate {est} beyond bound for exact {exact}"
             );
         }
-    }
-
-    #[test]
-    fn histogram_merge_equals_observing_everything_in_one() {
-        let (a, b, both) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for v in [1u64, 50, 999] {
-            a.observe(v);
-            both.observe(v);
-        }
-        for v in [3u64, 77, 100_000] {
-            b.observe(v);
-            both.observe(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.sum(), both.sum());
-        assert_eq!(a.max(), both.max());
-        assert_eq!(a.nonzero_buckets(), both.nonzero_buckets());
     }
 
     #[test]

@@ -18,7 +18,8 @@ pub struct JobSpec {
     pub scheme: String,
     /// Trace profile name: `POPS`, `THOR` or `PERO` (case-insensitive).
     pub trace: String,
-    /// Synthetic trace length; `None` = the profile's paper-scale total.
+    /// Synthetic trace length, 1..=[`MAX_REFS`]; `None` = the profile's
+    /// paper-scale total.
     pub refs: Option<u64>,
     /// Generator seed.
     pub seed: u64,
@@ -52,6 +53,12 @@ impl std::fmt::Display for JobError {
 /// Default generator seed — the paper's publication year, matching the
 /// CLI default.
 pub const DEFAULT_SEED: u64 = 1988;
+
+/// The longest synthetic trace a job (or a `dircc --refs`) may ask for:
+/// 2^24 references, ~4.8x the longest paper trace (PERO, 3.5M). Every
+/// reference costs memory for its record and replay streams, so an
+/// unbounded `refs` would let one request exhaust the host.
+pub const MAX_REFS: u64 = 1 << 24;
 
 const KNOWN_FIELDS: &[&str] = &["scheme", "trace", "refs", "seed", "filter", "shards", "window"];
 
@@ -92,8 +99,8 @@ impl JobSpec {
         let scheme = required_str("scheme")?;
         let trace = required_str("trace")?;
         let refs = optional_u64("refs")?;
-        if refs == Some(0) {
-            return Err(JobError::new("refs", "must be at least 1"));
+        if refs.is_some_and(|n| !(1..=MAX_REFS).contains(&n)) {
+            return Err(JobError::new("refs", format!("must be between 1 and {MAX_REFS}")));
         }
         let seed = optional_u64("seed")?.unwrap_or(DEFAULT_SEED);
         let filter = match obj.get("filter") {
@@ -181,6 +188,8 @@ mod tests {
             (r#"{"scheme": "Tang"}"#, "trace"),
             (r#"{"scheme": "Tang", "trace": "POPS", "refs": 0}"#, "refs"),
             (r#"{"scheme": "Tang", "trace": "POPS", "refs": -1}"#, "refs"),
+            (r#"{"scheme": "Tang", "trace": "POPS", "refs": 16777217}"#, "refs"),
+            (r#"{"scheme": "Tang", "trace": "POPS", "refs": 18446744073709551615}"#, "refs"),
             (r#"{"scheme": "Tang", "trace": "POPS", "filter": "spins"}"#, "filter"),
             (r#"{"scheme": "Tang", "trace": "POPS", "shards": 0}"#, "shards"),
             (r#"{"scheme": "Tang", "trace": "POPS", "shards": 65}"#, "shards"),

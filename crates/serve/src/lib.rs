@@ -39,7 +39,7 @@ pub mod server;
 
 pub use cache::{CacheCounters, Lru, Outcome, ResultCache};
 pub use client::{request, request_with_headers, Response};
-pub use job::{JobError, JobSpec, DEFAULT_SEED};
+pub use job::{JobError, JobSpec, DEFAULT_SEED, MAX_REFS};
 pub use json::Json;
 pub use logger::{Level, LogValue, Logger};
 pub use metrics::ServerMetrics;

@@ -57,8 +57,7 @@ pub use engine::{
 pub use metrics::Evaluation;
 pub use par::{default_jobs, par_map_indexed};
 pub use service::{
-    load_generate, load_pool, percentile, profile_by_name, run_response_json, scheme_by_name,
-    LoadReport, WorkbenchHandler,
+    load_pool, profile_by_name, run_response_json, scheme_by_name, WorkbenchHandler,
 };
 pub use workbench::{
     filter_from_label, filter_label, RunSeries, RunTiming, TraceFilter, Workbench,

@@ -8,26 +8,28 @@
 //! dircc figure1|figure2|figure3|figure4|figure5
 //! dircc sensitivity|spinlock|berkeley|scalability
 //! dircc all                          # everything, in paper order
-//! dircc gen --profile pops --out t.dcct   # write a v1 (flat) binary trace
 //! dircc record --profile pops --out t.dcct  # write a chunked v2 trace
 //! dircc replay --in t.dcct [--scheme S] [--verify]   # stream a trace file
 //! dircc replay --profile pops [--shards N]  # replay a generated trace in memory
 //! dircc stats --in t.dcct                 # Table 3 stats of a trace file
-//! dircc bench [--smoke] [--out FILE]      # replay-throughput benchmark
-//! dircc benchcmp [--smoke] [--in FILE]    # bench-regression gate
+//! dircc bench [--smoke] [--out FILE]      # counter-digest report of the paper matrix
+//! dircc benchcmp [--smoke] [--in FILE]    # counter-drift gate against a report
 //! dircc check [--smoke] [--cpus N] [--blocks M] [--depth D] [--scheme S]
 //! dircc profile <experiment> [--window K] [--out FILE] [--spans FILE]
 //! dircc serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--queue N]
 //! dircc submit --serve URL --scheme S [--profile P] [--op run|series|health|metrics|spans|shutdown]
-//! dircc bench --serve URL [--clients N] [--requests M]   # HTTP load generator
 //! dircc top --serve URL [--interval S] [--once]   # live /metrics dashboard
 //! ```
 //!
 //! `dircc check` exhaustively explores every protocol's state space up to
 //! the given bounds (see the `dircc-check` crate) and prints a per-scheme
 //! PASS/FAIL table; any violation prints a minimal counterexample and
-//! fails the process. `dircc benchcmp` re-runs the bench matrix and fails
-//! if any deterministic per-run counter drifts from a checked-in baseline.
+//! fails the process. `dircc bench` writes the counter digest of every
+//! paper-matrix run and the v2-encoded size of every trace; every field
+//! is deterministic, so the report is byte-identical across `--jobs` and
+//! `--shards`. `dircc benchcmp` rebuilds that report and fails if any
+//! field drifts from a checked-in baseline. Wall-clock performance is
+//! measured by the `perfbench` package, not by `dircc`.
 //! `dircc profile` replays an experiment's work list with windowed
 //! counter sampling: it writes a JSONL time series (one line per window),
 //! a Chrome trace-event span profile of every workbench phase, and prints
@@ -62,19 +64,17 @@ use dircc_obs::{
     Sample,
 };
 use dircc_serve::json::{self, Json};
-use dircc_serve::{client, JobHandler, ServeConfig, Server};
+use dircc_serve::{client, JobHandler, ServeConfig, Server, MAX_REFS};
 use dircc_sim::experiments::{extensions, figures, network, studies, system, tables};
 use dircc_sim::{
-    default_jobs, filter_from_label, filter_label, load_generate, profile_by_name, report,
-    run_chunked, run_chunked_many, run_indexed, run_response_json, run_sharded, scheme_by_name,
-    shard_stream, Evaluation, RunConfig, RunResult, TraceFilter, Workbench, WorkbenchHandler,
+    default_jobs, filter_from_label, filter_label, profile_by_name, report, run_chunked_many,
+    run_indexed, run_response_json, run_sharded, scheme_by_name, shard_stream, Evaluation,
+    RunConfig, RunResult, TraceFilter, Workbench, WorkbenchHandler,
 };
 use dircc_trace::chunk::{DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS};
-use dircc_trace::codec::BinaryWriter;
 use dircc_trace::gen::{Generator, Profile};
 use dircc_trace::sharing::SharingProfile;
 use dircc_trace::stats::TraceStats;
-use dircc_trace::store::TraceStore;
 use dircc_trace::{open_trace, BlockInterner, ChunkedWriter, Records, SoaStream, TraceRecord};
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
@@ -102,8 +102,6 @@ enum Kind {
     Network,
     /// Standalone block-size sweep.
     BlockSize,
-    /// Trace-file producer.
-    Gen,
     /// Chunked v2 trace-file producer.
     Record,
     /// Streaming replay of a trace file (or an in-memory profile).
@@ -114,9 +112,9 @@ enum Kind {
     Sharing,
     /// Every `in_all` experiment, in table order.
     All,
-    /// Replay-throughput benchmark over the calibrated paper matrix.
+    /// Counter-digest report of the calibrated paper matrix.
     Bench,
-    /// Regression gate: fresh bench counters vs a checked-in baseline.
+    /// Regression gate: a fresh bench report vs a checked-in baseline.
     BenchCmp,
     /// Bounded exhaustive model check of every protocol.
     Check,
@@ -170,7 +168,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec { name: "serve", kind: Kind::Serve, io: Io::None, in_all: false },
     CommandSpec { name: "submit", kind: Kind::Submit, io: Io::None, in_all: false },
     CommandSpec { name: "top", kind: Kind::Top, io: Io::None, in_all: false },
-    CommandSpec { name: "gen", kind: Kind::Gen, io: Io::Writes, in_all: false },
     CommandSpec { name: "record", kind: Kind::Record, io: Io::Writes, in_all: false },
     CommandSpec { name: "replay", kind: Kind::Replay, io: Io::Reads, in_all: false },
     CommandSpec { name: "stats", kind: Kind::Stats, io: Io::Reads, in_all: false },
@@ -202,7 +199,6 @@ struct Args {
     scheme: Option<String>,
     chunk: Option<usize>,
     verify: bool,
-    repeat: Option<u64>,
     json: bool,
     addr: Option<String>,
     workers: Option<usize>,
@@ -210,8 +206,6 @@ struct Args {
     queue: Option<usize>,
     serve_url: Option<String>,
     op: Option<String>,
-    clients: Option<usize>,
-    requests: Option<usize>,
     filter: Option<String>,
     expect_cache: Option<String>,
     log_json: bool,
@@ -242,7 +236,6 @@ fn parse_args() -> Result<Args, String> {
         scheme: None,
         chunk: None,
         verify: false,
-        repeat: None,
         json: false,
         addr: None,
         workers: None,
@@ -250,8 +243,6 @@ fn parse_args() -> Result<Args, String> {
         queue: None,
         serve_url: None,
         op: None,
-        clients: None,
-        requests: None,
         filter: None,
         expect_cache: None,
         log_json: false,
@@ -263,7 +254,11 @@ fn parse_args() -> Result<Args, String> {
             |name: &str| args.next().ok_or_else(|| format!("flag {name} needs a value"));
         match flag.as_str() {
             "--refs" => {
-                parsed.refs = Some(value("--refs")?.parse().map_err(|e| format!("--refs: {e}"))?)
+                let n: u64 = value("--refs")?.parse().map_err(|e| format!("--refs: {e}"))?;
+                if n > MAX_REFS {
+                    return Err(format!("--refs must be at most {MAX_REFS}"));
+                }
+                parsed.refs = Some(n);
             }
             "--seed" => {
                 parsed.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?
@@ -311,13 +306,6 @@ fn parse_args() -> Result<Args, String> {
                 parsed.chunk = Some(n);
             }
             "--verify" => parsed.verify = true,
-            "--repeat" => {
-                let n: u64 = value("--repeat")?.parse().map_err(|e| format!("--repeat: {e}"))?;
-                if n == 0 {
-                    return Err("--repeat must be at least 1".to_string());
-                }
-                parsed.repeat = Some(n);
-            }
             "--json" => parsed.json = true,
             "--addr" => parsed.addr = Some(value("--addr")?),
             "--workers" => {
@@ -357,20 +345,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 parsed.op = Some(op);
             }
-            "--clients" => {
-                parsed.clients =
-                    Some(value("--clients")?.parse().map_err(|e| format!("--clients: {e}"))?);
-                if parsed.clients == Some(0) {
-                    return Err("--clients must be at least 1".to_string());
-                }
-            }
-            "--requests" => {
-                parsed.requests =
-                    Some(value("--requests")?.parse().map_err(|e| format!("--requests: {e}"))?);
-                if parsed.requests == Some(0) {
-                    return Err("--requests must be at least 1".to_string());
-                }
-            }
             "--filter" => {
                 let label = value("--filter")?;
                 if filter_from_label(&label).is_none() {
@@ -407,8 +381,8 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Rejects `--in`/`--out` flags that contradict the subcommand's data
-/// direction (e.g. `dircc gen --in t.dcct` used to silently write to the
-/// `--in` path).
+/// direction (e.g. `dircc record --in t.dcct` would otherwise write to
+/// the `--in` path).
 fn validate_io(args: &Args) -> Result<(), String> {
     let Some(spec) = spec_for(&args.command) else {
         return Ok(()); // unknown commands error later, with the usage text
@@ -452,9 +426,6 @@ fn validate_io(args: &Args) -> Result<(), String> {
     if args.verify && spec.name != "replay" {
         return Err(format!("--verify only applies to replay, not {}", spec.name));
     }
-    if args.repeat.is_some() && spec.name != "bench" {
-        return Err(format!("--repeat only applies to bench, not {}", spec.name));
-    }
     if args.json && spec.name != "replay" {
         return Err(format!("--json only applies to replay, not {}", spec.name));
     }
@@ -470,8 +441,8 @@ fn validate_io(args: &Args) -> Result<(), String> {
             spec.name
         ));
     }
-    if args.serve_url.is_some() && !matches!(spec.name, "submit" | "bench" | "top") {
-        return Err(format!("--serve only applies to submit, bench and top, not {}", spec.name));
+    if args.serve_url.is_some() && !matches!(spec.name, "submit" | "top") {
+        return Err(format!("--serve only applies to submit and top, not {}", spec.name));
     }
     if (args.once || args.interval.is_some()) && spec.name != "top" {
         return Err(format!("--once/--interval only apply to top, not {}", spec.name));
@@ -483,9 +454,6 @@ fn validate_io(args: &Args) -> Result<(), String> {
             "--op/--filter/--expect-cache only apply to submit, not {}",
             spec.name
         ));
-    }
-    if (args.clients.is_some() || args.requests.is_some()) && spec.name != "bench" {
-        return Err(format!("--clients/--requests only apply to bench, not {}", spec.name));
     }
     if args.shards > 1 {
         if spec.name == "profile" {
@@ -538,11 +506,10 @@ fn usage() -> String {
     let mut lines = vec!["usage: dircc <command> [target] [--refs N] [--seed S] [--jobs N] \
          [--shards N] [--profile pops|thor|pero|custom] [--out FILE | --in FILE] [--smoke] \
          [--verbose] [--window K] [--spans FILE] [--cpus N] [--blocks M] [--depth D] \
-         [--scheme S] [--chunk N] [--verify] [--repeat N] [--json] \
+         [--scheme S] [--chunk N] [--verify] [--json] \
          [--addr HOST:PORT] [--workers N] [--cache-entries N] [--queue N] [--serve URL] \
          [--op run|series|health|metrics|spans|shutdown] [--filter full|no-spins] \
-         [--expect-cache hit|miss] [--clients N] [--requests M] [--log-json] \
-         [--interval S] [--once]"
+         [--expect-cache hit|miss] [--log-json] [--interval S] [--once]"
         .to_string()];
     let mut line = String::from("commands:");
     for c in COMMANDS {
@@ -569,25 +536,7 @@ fn trace_path(args: &Args) -> String {
     args.out.clone().or_else(|| args.input.clone()).unwrap_or_else(|| "trace.dcct".to_string())
 }
 
-fn generate(args: &Args) -> Result<(), String> {
-    let mut profile = profile_by_name(&args.profile)?;
-    if let Some(n) = args.refs {
-        profile = profile.with_total_refs(n);
-    }
-    let path = trace_path(args);
-    let file = std::fs::File::create(&path).map_err(|e| format!("{path}: {e}"))?;
-    let mut w = BinaryWriter::new(BufWriter::new(file));
-    for r in Generator::new(profile, args.seed) {
-        w.write(&r).map_err(|e| format!("write: {e}"))?;
-    }
-    let records = w.records_written();
-    w.finish().map_err(|e| format!("finish: {e}"))?;
-    println!("wrote {records} references to {path}");
-    Ok(())
-}
-
 /// `dircc record`: writes the chunked, delta-compressed v2 trace format.
-/// The flat v1 writer stays available as `dircc gen`.
 fn record(args: &Args) -> Result<(), String> {
     let mut profile = profile_by_name(&args.profile)?;
     if let Some(n) = args.refs {
@@ -873,186 +822,96 @@ fn run_workbench_command(args: &Args, all: bool) -> Result<(), String> {
     result
 }
 
-/// The paper-suite profiles at the scale the bench flags select.
-fn bench_profiles(args: &Args) -> Vec<Profile> {
-    let scale = match (args.refs, args.smoke) {
-        (Some(n), _) => Some(n),
-        (None, true) => Some(20_000),
-        (None, false) => None,
-    };
-    match scale {
-        Some(n) => Profile::paper_suite().into_iter().map(|p| p.with_total_refs(n)).collect(),
-        None => Profile::paper_suite(),
-    }
+/// A `dircc bench` report: every paper-matrix run in work-list order,
+/// then each trace's v2 encoding. Every field is deterministic.
+struct BenchReport {
+    runs: Vec<BenchRun>,
+    ingest: Vec<IngestRow>,
 }
 
-/// Counter digests of every bench-matrix run, keyed by the (scheme,
-/// trace, filter) labels the timing rows carry. Counters are memoized, so
-/// this replays nothing on a warmed workbench. The digest is
-/// shard-invariant, which is what lets `benchcmp` pin fresh counters at
-/// any `--shards` against one baseline.
-fn run_digests(wb: &Workbench) -> std::collections::HashMap<(String, String, String), u64> {
-    let mut map = std::collections::HashMap::new();
-    let names = wb.trace_names();
-    for (kind, filter) in wb.paper_workload() {
-        let scheme = kind.display_name(wb.n_caches());
-        for (trace, name) in names.iter().enumerate() {
-            let digest = wb.counters(kind, trace, filter).digest();
-            map.insert((scheme.clone(), name.clone(), filter_label(filter).to_string()), digest);
+impl BenchReport {
+    /// Replays the paper matrix (the (protocol, filter) x trace work list
+    /// `dircc all` warms) at the scale the flags select: `--refs`, else
+    /// 20,000 references per trace with `--smoke`, else paper scale. Each
+    /// trace is also encoded as v2 (same generator, default chunking) into
+    /// a byte counter. Counters are shard-invariant and the memo makes
+    /// them independent of `--jobs`, so the report is too.
+    fn measure(args: &Args) -> Result<BenchReport, String> {
+        let wb = match (args.refs, args.smoke) {
+            (Some(n), _) => Workbench::paper_scaled(n, args.seed),
+            (None, true) => Workbench::paper_scaled(20_000, args.seed),
+            (None, false) => Workbench::paper(args.seed),
         }
+        .with_shards(args.shards);
+        let work = wb.paper_workload();
+        wb.warm(&work, args.jobs);
+        let names = wb.trace_names();
+        let mut runs = Vec::new();
+        for (kind, filter) in work {
+            for (trace, name) in names.iter().enumerate() {
+                let counters = wb.counters(kind, trace, filter);
+                runs.push(BenchRun {
+                    scheme: kind.display_name(wb.n_caches()),
+                    trace: name.clone(),
+                    filter: filter_label(filter).to_string(),
+                    refs: counters.total(),
+                    digest: format!("{:016x}", counters.digest()),
+                });
+            }
+        }
+        let mut ingest = Vec::new();
+        for profile in wb.profiles().to_vec() {
+            let trace = profile.name.to_string();
+            let mut w = ChunkedWriter::new(CountingWriter(0));
+            for r in Generator::new(profile, args.seed) {
+                w.write(&r).map_err(|e| format!("ingest encode: {e}"))?;
+            }
+            let refs = w.records_written();
+            let bytes = w.finish().map_err(|e| format!("ingest encode: {e}"))?.0;
+            ingest.push(IngestRow { trace, refs, bytes });
+        }
+        Ok(BenchReport { runs, ingest })
     }
-    map
+
+    /// The report as JSON, one row per line.
+    fn to_json(&self) -> String {
+        let runs: Vec<String> = self
+            .runs
+            .iter()
+            .map(|r| {
+                format!(
+                    "    {{\"scheme\": \"{}\", \"trace\": \"{}\", \"filter\": \"{}\", \
+                     \"digest\": \"{}\", \"refs\": {}}}",
+                    r.scheme, r.trace, r.filter, r.digest, r.refs
+                )
+            })
+            .collect();
+        let ingest: Vec<String> = self
+            .ingest
+            .iter()
+            .map(|i| {
+                format!(
+                    "    {{\"trace\": \"{}\", \"refs\": {}, \"bytes\": {}}}",
+                    i.trace, i.refs, i.bytes
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  \"runs\": [\n{}\n  ],\n  \"ingest\": [\n{}\n  ]\n}}\n",
+            runs.join(",\n"),
+            ingest.join(",\n")
+        )
+    }
 }
 
-/// `dircc bench`: replays the calibrated paper matrix (the same
-/// (protocol, filter) x trace work list `dircc all` warms) `--repeat`
-/// times (default 3) and writes a machine-readable throughput report with
-/// the **median** wall per run. Every run row records the `--shards`
-/// count it replayed with plus the run's counter digest (counters are
-/// shard- and repeat-invariant; only wall-clock changes). Repeats share
-/// one trace store, so generation/interning is paid once while every
-/// repeat's replay starts from a cold run memo.
-/// Replay wall-clock sums CPU time across workers, so `--jobs 1` is the
-/// number to quote; with `--shards N` each run's wall is the outer replay
-/// span (shard threads overlap inside it). `--smoke` runs a tiny matrix
-/// for CI.
+/// `dircc bench`: writes the [`BenchReport`] of the paper matrix
+/// (`--out`, default `BENCH_replay.json`), the baseline `benchcmp`
+/// gates against. `--smoke` runs a small matrix for CI.
 fn bench(args: &Args) -> Result<(), String> {
-    if args.serve_url.is_some() {
-        return bench_serve(args);
-    }
-    let repeat = args.repeat.unwrap_or(3);
-    let store = std::sync::Arc::new(TraceStore::new(bench_profiles(args), args.seed));
-    let mut repeats: Vec<Vec<dircc_sim::RunTiming>> = Vec::new();
-    let mut executed = 0usize;
-    let mut warm_wb = None;
-    for _ in 0..repeat {
-        let wb = Workbench::with_store(std::sync::Arc::clone(&store)).with_shards(args.shards);
-        executed = wb.warm(&wb.paper_workload(), args.jobs);
-        repeats.push(wb.timings());
-        warm_wb = Some(wb);
-    }
-    let wb = warm_wb.expect("--repeat is at least 1");
-    let digests = run_digests(&wb);
-
-    // Median wall per run across repeats (lower middle for even counts),
-    // ordered by the first repeat's completion order.
-    let timings: Vec<dircc_sim::RunTiming> = repeats[0]
-        .iter()
-        .map(|t| {
-            let key = (t.scheme.clone(), t.trace.clone(), t.filter);
-            let mut walls: Vec<std::time::Duration> = repeats
-                .iter()
-                .filter_map(|rep| {
-                    rep.iter()
-                        .find(|r| {
-                            (r.scheme.as_str(), r.trace.as_str(), r.filter)
-                                == (key.0.as_str(), key.1.as_str(), key.2)
-                        })
-                        .map(|r| r.wall)
-                })
-                .collect();
-            walls.sort();
-            dircc_sim::RunTiming { wall: walls[(walls.len() - 1) / 2], ..t.clone() }
-        })
-        .collect();
-
-    use std::fmt::Write as _;
-    let mut json = String::from("{\n  \"runs\": [\n");
-    let (mut total_refs, mut total_wall) = (0u64, std::time::Duration::ZERO);
-    for (i, t) in timings.iter().enumerate() {
-        let filter = filter_label(t.filter);
-        let digest = digests
-            .get(&(t.scheme.clone(), t.trace.clone(), filter.to_string()))
-            .ok_or_else(|| format!("bench: no digest for {}/{}/{filter}", t.scheme, t.trace))?;
-        let _ = write!(
-            json,
-            "    {{\"scheme\": \"{}\", \"trace\": \"{}\", \"filter\": \"{}\", \
-             \"shards\": {}, \"digest\": \"{:016x}\", \"refs\": {}, \"wall_ms\": {:.3}, \
-             \"refs_per_sec\": {:.0}}}",
-            t.scheme,
-            t.trace,
-            filter,
-            args.shards,
-            digest,
-            t.refs,
-            t.wall.as_secs_f64() * 1e3,
-            t.refs_per_sec()
-        );
-        json.push_str(if i + 1 < timings.len() { ",\n" } else { "\n" });
-        total_refs += t.refs;
-        total_wall += t.wall;
-    }
-    // Streaming-ingest benchmark: encode each trace to a v2 temp file,
-    // stream it back through Dir0B with `run_chunked`, and report decode +
-    // replay throughput against the on-disk size. (trace, refs, bytes) are
-    // deterministic and pinned by `benchcmp`; the throughput fields are
-    // informational.
-    json.push_str("  ],\n  \"ingest\": [\n");
-    let dir = std::env::temp_dir().join(format!("dircc_bench_ingest_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let n_profiles = wb.profiles().len();
-    for (i, profile) in wb.profiles().to_vec().into_iter().enumerate() {
-        let name = profile.name.to_string();
-        let path = dir.join(format!("{name}.dcct"));
-        let file = std::fs::File::create(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut w = ChunkedWriter::new(BufWriter::new(file));
-        for r in Generator::new(profile, args.seed) {
-            w.write(&r).map_err(|e| format!("ingest write: {e}"))?;
-        }
-        let refs = w.records_written();
-        w.finish().map_err(|e| format!("ingest finish: {e}"))?;
-        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let t0 = std::time::Instant::now();
-        let file = std::fs::File::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut source =
-            open_trace(BufReader::new(file)).map_err(|e| format!("ingest open: {e}"))?;
-        let mut p = dircc_core::build(ProtocolKind::Dir0B, wb.n_caches());
-        let cfg = RunConfig::default().with_process_sharing();
-        let res = run_chunked(p.as_mut(), &mut source, &cfg)
-            .map_err(|e| format!("ingest replay: {e}"))?;
-        let ingest_wall = t0.elapsed();
-        if res.refs != refs {
-            return Err(format!("ingest: {name}: wrote {refs} refs, replayed {}", res.refs));
-        }
-        let mb_per_sec = bytes as f64 / 1e6 / ingest_wall.as_secs_f64().max(1e-9);
-        let _ = write!(
-            json,
-            "    {{\"trace\": \"{name}\", \"refs\": {refs}, \"bytes\": {bytes}, \
-             \"wall_ms\": {:.3}, \"mb_per_sec\": {mb_per_sec:.1}}}",
-            ingest_wall.as_secs_f64() * 1e3
-        );
-        json.push_str(if i + 1 < n_profiles { ",\n" } else { "\n" });
-    }
-    std::fs::remove_dir_all(&dir).ok();
-
-    let total_rps =
-        if total_wall.is_zero() { 0.0 } else { total_refs as f64 / total_wall.as_secs_f64() };
-    let _ = write!(
-        json,
-        "  ],\n  \"totals\": {{\"runs\": {}, \"shards\": {}, \"repeat\": {}, \"refs\": {}, \
-         \"wall_ms\": {:.3}, \"refs_per_sec\": {:.0}}}\n}}\n",
-        executed,
-        args.shards,
-        repeat,
-        total_refs,
-        total_wall.as_secs_f64() * 1e3,
-        total_rps
-    );
-
+    let report = BenchReport::measure(args)?;
     let path = args.out.clone().unwrap_or_else(|| "BENCH_replay.json".to_string());
-    write_output(&path, &json)?;
-    println!(
-        "bench: {executed} runs x {repeat} repeat(s), {total_refs} refs, \
-         {:.1} ms median replay (cpu), {:.1}M refs/sec -> {path}",
-        total_wall.as_secs_f64() * 1e3,
-        total_rps / 1e6
-    );
-    if args.verbose {
-        let summary = wb.timing_summary();
-        if !summary.is_empty() {
-            eprint!("{summary}");
-        }
-    }
+    write_output(&path, &report.to_json())?;
+    println!("bench: {} runs, {} ingest rows -> {path}", report.runs.len(), report.ingest.len());
     Ok(())
 }
 
@@ -1175,99 +1034,6 @@ fn submit_cmd(args: &Args) -> Result<(), String> {
         }
     }
     print!("{}", resp.text());
-    Ok(())
-}
-
-/// `dircc bench --serve URL`: the HTTP load generator. Drives a mixed
-/// hit/miss schedule (the 4 headline schemes x 3 paper traces, so the
-/// first cycle misses and later cycles hit) from `--clients` threads,
-/// asserts every response's counter digest is consistent per config, and
-/// writes per-request latency percentiles to `BENCH_serve.json`.
-fn bench_serve(args: &Args) -> Result<(), String> {
-    let url = args.serve_url.clone().expect("bench_serve called with --serve");
-    if args.repeat.is_some() || args.shards > 1 || args.smoke {
-        return Err("bench --serve takes --clients/--requests/--refs/--seed; \
-             --repeat/--shards/--smoke configure the local replay bench"
-            .to_string());
-    }
-    let clients = args.clients.unwrap_or(8);
-    let requests = args.requests.unwrap_or(2000);
-    let refs = args.refs.unwrap_or(20_000);
-    let report = load_generate(&url, clients, requests, refs, args.seed);
-
-    // Quantiles come from the same log-bucketed histogram the daemon
-    // uses for `/metrics` (merged across client threads), so the client
-    // and server sides of a bench agree on percentile math.
-    let (p50, p90, p99) = (
-        report.latency_quantile_ms(0.50),
-        report.latency_quantile_ms(0.90),
-        report.latency_quantile_ms(0.99),
-    );
-    let max = report.latency_max_ms();
-    let completed = report.completed();
-
-    use std::fmt::Write as _;
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"serve\": {{\"url\": \"{}\", \"clients\": {clients}, \"requests\": {requests}, \
-         \"refs\": {refs}, \"seed\": {}}},",
-        dircc_obs::escape(&url),
-        args.seed
-    );
-    let _ = writeln!(
-        json,
-        "  \"results\": {{\"completed\": {completed}, \"cache_hits\": {}, \
-         \"cache_misses\": {}, \"retries\": {}, \"errors\": {}}},",
-        report.hits,
-        report.misses,
-        report.retries,
-        report.errors.len()
-    );
-    let _ = writeln!(
-        json,
-        "  \"latency_ms\": {{\"p50\": {p50:.3}, \"p90\": {p90:.3}, \"p99\": {p99:.3}, \
-         \"max\": {max:.3}}},"
-    );
-    let _ = write!(
-        json,
-        "  \"wall_ms\": {:.3},\n  \"throughput_rps\": {:.1},\n",
-        report.wall.as_secs_f64() * 1e3,
-        report.throughput_rps()
-    );
-    json.push_str("  \"configs\": [\n");
-    let n_configs = report.digests.len();
-    for (i, (config, digest)) in report.digests.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"scheme\": \"{}\", \"trace\": \"{}\", \"digest\": \"{digest}\"}}",
-            config.scheme, config.trace
-        );
-        json.push_str(if i + 1 < n_configs { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = args.out.clone().unwrap_or_else(|| "BENCH_serve.json".to_string());
-    write_output(&path, &json)?;
-    println!(
-        "bench --serve: {completed}/{requests} request(s) x {clients} client(s), \
-         {} hit(s), {} miss(es), {} retried 429(s), {} error(s)",
-        report.hits,
-        report.misses,
-        report.retries,
-        report.errors.len()
-    );
-    println!(
-        "  latency p50 {p50:.2} ms  p90 {p90:.2} ms  p99 {p99:.2} ms  max {max:.2} ms  \
-         throughput {:.0} req/s -> {path}",
-        report.throughput_rps()
-    );
-    if !report.errors.is_empty() {
-        for e in report.errors.iter().take(10) {
-            eprintln!("bench --serve: error: {e}");
-        }
-        return Err(format!("bench --serve: {} failed request(s)", report.errors.len()));
-    }
     Ok(())
 }
 
@@ -1534,27 +1300,41 @@ fn shard_check(kinds: &[ProtocolKind], args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One run row of a `dircc bench` JSON report.
+/// One run row of a `dircc bench` report.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct BenchRun {
     scheme: String,
     trace: String,
     filter: String,
-    /// `None` when the report predates the counter-digest schema.
-    digest: Option<String>,
     refs: u64,
-    wall_ms: f64,
+    /// Empty when the report predates the counter-digest schema.
+    digest: String,
 }
 
-/// One ingest row of a `dircc bench` JSON report. Only the deterministic
-/// fields are parsed; the throughput fields are informational.
+impl std::fmt::Display for BenchRun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let BenchRun { scheme, trace, filter, refs, digest } = self;
+        write!(f, "{scheme}/{trace}/{filter} refs={refs} digest={digest}")
+    }
+}
+
+/// One ingest row of a `dircc bench` report: a trace's v2 encoding.
+#[derive(PartialEq, Eq)]
 struct IngestRow {
     trace: String,
     refs: u64,
     bytes: u64,
 }
 
-/// An `io::Write` sink that only counts bytes — `benchcmp` re-derives the
-/// deterministic v2 encoded size without touching the filesystem.
+impl std::fmt::Display for IngestRow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let IngestRow { trace, refs, bytes } = self;
+        write!(f, "{trace} refs={refs} bytes={bytes}")
+    }
+}
+
+/// An `io::Write` sink that only counts bytes — the v2 encoded size
+/// without touching the filesystem.
 struct CountingWriter(u64);
 
 impl std::io::Write for CountingWriter {
@@ -1568,9 +1348,10 @@ impl std::io::Write for CountingWriter {
 }
 
 /// Reads the run and ingest rows of a `dircc bench` JSON report. A row
-/// lacking a field its type needs is skipped, and a missing array reads
-/// as no rows.
-fn parse_bench_report(text: &[u8]) -> Result<(Vec<BenchRun>, Vec<IngestRow>), String> {
+/// lacking a field its type needs is skipped, a missing array reads as
+/// no rows, and fields the rows do not need (such as the timing fields
+/// of older reports) are ignored.
+fn parse_bench_report(text: &[u8]) -> Result<BenchReport, String> {
     type Row = std::collections::BTreeMap<String, Json>;
     let report = json::parse(text).map_err(|e| format!("not a dircc bench report: {e}"))?;
     let rows = |key: &str| -> Vec<&Row> {
@@ -1588,12 +1369,8 @@ fn parse_bench_report(text: &[u8]) -> Result<(Vec<BenchRun>, Vec<IngestRow>), St
                 scheme: str_of(r, "scheme")?,
                 trace: str_of(r, "trace")?,
                 filter: str_of(r, "filter")?,
-                digest: str_of(r, "digest"),
                 refs: u64_of(r, "refs")?,
-                wall_ms: match r.get("wall_ms")? {
-                    Json::Num(ms) => *ms,
-                    _ => return None,
-                },
+                digest: str_of(r, "digest").unwrap_or_default(),
             })
         })
         .collect();
@@ -1607,7 +1384,7 @@ fn parse_bench_report(text: &[u8]) -> Result<(Vec<BenchRun>, Vec<IngestRow>), St
             })
         })
         .collect();
-    Ok((runs, ingest))
+    Ok(BenchReport { runs, ingest })
 }
 
 /// Writes `contents` to `path`, creating parent directories as needed.
@@ -1729,16 +1506,13 @@ fn profile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `dircc benchcmp`: re-runs the bench matrix (at `--shards`, default 1)
-/// and compares the deterministic per-run fields (scheme, trace, filter,
-/// refs, counter digest) against a baseline report (`--in`, default
-/// `BENCH_smoke.json` with `--smoke`, else `BENCH_replay.json`). Runs are
-/// matched by sorted key — a bench report lists runs in completion order,
-/// which varies with `--jobs`. The shard count the baseline was written
-/// at is not part of the key: counters are shard-invariant, so one
-/// baseline gates every `--shards`. A baseline whose schema predates the
-/// `digest` field is rejected with a pointer to regenerate it. Any drift
-/// fails the process; wall-clock changes are reported but never fatal.
+/// `dircc benchcmp`: rebuilds the [`BenchReport`] (at `--shards`,
+/// default 1) and compares every field against a baseline report (`--in`,
+/// default `BENCH_smoke.json` with `--smoke`, else `BENCH_replay.json`).
+/// Runs are matched by sorted key — older reports list runs in
+/// completion order, which varies with `--jobs`. A baseline whose schema
+/// predates the `digest` field or the `ingest` rows is rejected with a
+/// pointer to regenerate it. Any drift fails the process.
 fn benchcmp(args: &Args) -> Result<(), String> {
     let path = args.input.clone().unwrap_or_else(|| {
         if args.smoke {
@@ -1748,107 +1522,55 @@ fn benchcmp(args: &Args) -> Result<(), String> {
         }
     });
     let text = std::fs::read(&path).map_err(|e| format!("{path}: {e}"))?;
-    let (baseline, base_ingest) = parse_bench_report(&text).map_err(|e| format!("{path}: {e}"))?;
-    if baseline.is_empty() {
+    let mut baseline = parse_bench_report(&text).map_err(|e| format!("{path}: {e}"))?;
+    if baseline.runs.is_empty() {
         return Err(format!("{path}: no runs found (not a dircc bench report?)"));
     }
-    let missing = baseline.iter().filter(|b| b.digest.is_none()).count();
+    let missing = baseline.runs.iter().filter(|b| b.digest.is_empty()).count();
     if missing > 0 {
         return Err(format!(
             "{path}: {missing} of {} run(s) lack the \"digest\" field — the baseline predates \
              the counter-digest schema; regenerate it with `dircc bench`",
-            baseline.len()
+            baseline.runs.len()
         ));
     }
-    if base_ingest.is_empty() {
+    if baseline.ingest.is_empty() {
         return Err(format!(
             "{path}: no \"ingest\" rows — the baseline predates the streaming-ingest schema; \
              regenerate it with `dircc bench`"
         ));
     }
 
-    let wb = match (args.refs, args.smoke) {
-        (Some(n), _) => Workbench::paper_scaled(n, args.seed),
-        (None, true) => Workbench::paper_scaled(20_000, args.seed),
-        (None, false) => Workbench::paper(args.seed),
-    }
-    .with_shards(args.shards);
-    wb.warm(&wb.paper_workload(), args.jobs);
-    let timings = wb.timings();
-    let digests = run_digests(&wb);
-
+    let mut fresh = BenchReport::measure(args)?;
     let mut drift = Vec::new();
-    if timings.len() != baseline.len() {
-        drift.push(format!("run count: baseline {}, fresh {}", baseline.len(), timings.len()));
-    }
-    // The comparison key carries the counter digest but not the shard
-    // count: counters are shard-invariant, so a baseline written at any
-    // `--shards` gates every other.
-    let mut base_keys: Vec<(String, String, String, u64, String)> = baseline
-        .iter()
-        .map(|b| {
-            let digest = b.digest.clone().unwrap_or_default();
-            (b.scheme.clone(), b.trace.clone(), b.filter.clone(), b.refs, digest)
-        })
-        .collect();
-    let mut fresh_keys: Vec<(String, String, String, u64, String)> = timings
-        .iter()
-        .map(|t| {
-            let filter = filter_label(t.filter).to_string();
-            let digest = digests
-                .get(&(t.scheme.clone(), t.trace.clone(), filter.clone()))
-                .map(|d| format!("{d:016x}"))
-                .unwrap_or_default();
-            (t.scheme.clone(), t.trace.clone(), filter, t.refs, digest)
-        })
-        .collect();
-    base_keys.sort();
-    fresh_keys.sort();
-    for (b, f) in base_keys.iter().zip(fresh_keys.iter()) {
-        if b != f {
-            drift.push(format!(
-                "baseline {}/{}/{} refs={} digest={} vs fresh {}/{}/{} refs={} digest={}",
-                b.0, b.1, b.2, b.3, b.4, f.0, f.1, f.2, f.3, f.4
-            ));
-        }
-    }
-    // Ingest rows: re-derive each trace's deterministic v2 encoded size
-    // (same generator, same default chunking) and compare (trace, refs,
-    // bytes). No replay needed — only the encoding is pinned here.
-    let mut fresh_ingest = Vec::new();
-    for profile in wb.profiles().to_vec() {
-        let name = profile.name.to_string();
-        let mut w = ChunkedWriter::new(CountingWriter(0));
-        for r in Generator::new(profile, args.seed) {
-            w.write(&r).map_err(|e| format!("ingest encode: {e}"))?;
-        }
-        let refs = w.records_written();
-        let counter = w.finish().map_err(|e| format!("ingest encode: {e}"))?;
-        fresh_ingest.push(IngestRow { trace: name, refs, bytes: counter.0 });
-    }
-    if base_ingest.len() != fresh_ingest.len() {
+    if fresh.runs.len() != baseline.runs.len() {
         drift.push(format!(
-            "ingest row count: baseline {}, fresh {}",
-            base_ingest.len(),
-            fresh_ingest.len()
+            "run count: baseline {}, fresh {}",
+            baseline.runs.len(),
+            fresh.runs.len()
         ));
     }
-    for (b, f) in base_ingest.iter().zip(fresh_ingest.iter()) {
-        if (&b.trace, b.refs, b.bytes) != (&f.trace, f.refs, f.bytes) {
-            drift.push(format!(
-                "ingest baseline {} refs={} bytes={} vs fresh {} refs={} bytes={}",
-                b.trace, b.refs, b.bytes, f.trace, f.refs, f.bytes
-            ));
+    baseline.runs.sort();
+    fresh.runs.sort();
+    for (b, f) in baseline.runs.iter().zip(&fresh.runs) {
+        if b != f {
+            drift.push(format!("baseline {b} vs fresh {f}"));
         }
     }
-    let base_wall: f64 = baseline.iter().map(|r| r.wall_ms).sum();
-    let fresh_wall: f64 = timings.iter().map(|t| t.wall.as_secs_f64() * 1e3).sum();
-    let delta = if base_wall > 0.0 { 100.0 * (fresh_wall - base_wall) / base_wall } else { 0.0 };
-    println!(
-        "benchcmp: wall {base_wall:.1} ms -> {fresh_wall:.1} ms ({delta:+.1}%, informational)"
-    );
+    if baseline.ingest.len() != fresh.ingest.len() {
+        drift.push(format!(
+            "ingest row count: baseline {}, fresh {}",
+            baseline.ingest.len(),
+            fresh.ingest.len()
+        ));
+    }
+    for (b, f) in baseline.ingest.iter().zip(&fresh.ingest) {
+        if b != f {
+            drift.push(format!("ingest baseline {b} vs fresh {f}"));
+        }
+    }
     if drift.is_empty() {
-        println!("benchcmp: PASS — {} run(s) match {path}", baseline.len());
+        println!("benchcmp: PASS — {} run(s) match {path}", baseline.runs.len());
         Ok(())
     } else {
         for d in &drift {
@@ -1871,7 +1593,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let result = match spec.kind {
-        Kind::Gen => generate(&args),
         Kind::Record => record(&args),
         Kind::Replay => replay(&args),
         Kind::Stats => stats(&args),

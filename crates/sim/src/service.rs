@@ -9,16 +9,12 @@
 //! shares, so a served `/run` response is byte-identical to a local
 //! replay of the same config — the CI serve gate diffs exactly that.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use dircc_bus::{CostConfig, CostModel};
 use dircc_core::{EventCounters, ProtocolKind};
-use dircc_obs::{
-    chrome_trace, counters_json, window_jsonl_line, Counter, Histogram, MetricsRegistry, Span,
-};
-use dircc_serve::{client, HandlerError, JobSpec, Lru};
+use dircc_obs::{chrome_trace, counters_json, window_jsonl_line, Counter, MetricsRegistry, Span};
+use dircc_serve::{HandlerError, JobSpec, Lru};
 use dircc_trace::gen::Profile;
 use dircc_trace::store::TraceStore;
 
@@ -278,81 +274,18 @@ impl WorkbenchHandler {
     }
 }
 
-// ---------------------------------------------------------------------
-// Load generator (`dircc bench --serve`)
-// ---------------------------------------------------------------------
-
-/// One distinct run config the load schedule cycles through.
+/// One distinct run config of the [`load_pool`] schedule.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
     pub scheme: String,
     pub trace: String,
 }
 
-/// What `load_generate` measured. Latencies are accumulated in the
-/// shared [`Histogram`] (microsecond observations, per-thread then
-/// merged) — the same instrument the daemon's own `/metrics` exposes,
-/// so bench-side and server-side percentiles use one definition of
-/// quantile (bucket upper bound, ≤ 1/16 relative overestimate).
-pub struct LoadReport {
-    pub url: String,
-    pub clients: usize,
-    pub requests: usize,
-    pub refs: u64,
-    pub seed: u64,
-    pub hits: u64,
-    pub misses: u64,
-    pub retries: u64,
-    /// Failed requests, with their error text (empty on a clean run).
-    pub errors: Vec<String>,
-    pub wall: Duration,
-    /// Merged per-request latency histogram, in microseconds.
-    pub latency_us: Histogram,
-    /// Each config exercised, with the counter digest its responses
-    /// carried (every response for one config must agree).
-    pub digests: Vec<(LoadConfig, String)>,
-}
-
-impl LoadReport {
-    /// Successful requests measured.
-    pub fn completed(&self) -> u64 {
-        self.latency_us.count()
-    }
-
-    /// Requests per second over the whole run.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.wall.is_zero() {
-            return 0.0;
-        }
-        (self.completed() as f64) / self.wall.as_secs_f64()
-    }
-
-    /// The q-quantile (0..=1) latency in milliseconds, from the
-    /// histogram.
-    pub fn latency_quantile_ms(&self, q: f64) -> f64 {
-        self.latency_us.quantile(q) as f64 / 1e3
-    }
-
-    /// The slowest observed request in milliseconds (exact).
-    pub fn latency_max_ms(&self) -> f64 {
-        self.latency_us.max() as f64 / 1e3
-    }
-}
-
-/// The p-th percentile (0..=100) of an ascending-sorted sample — the
-/// exact reference the histogram-vs-sorted pin test compares against.
-pub fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[rank.min(sorted_ms.len() - 1)]
-}
-
 /// The mixed hit/miss schedule: the paper's four headline schemes
 /// crossed with the three paper traces — request `i` takes config
 /// `i % 12`, so the first cycle is all cache misses and every later
-/// cycle is all hits.
+/// cycle is all hits. perfbench's serve clients and the CI serve gate
+/// both cycle through it.
 pub fn load_pool(n_caches: usize) -> Vec<LoadConfig> {
     let traces = ["POPS", "THOR", "PERO"];
     dircc_core::PAPER_KINDS
@@ -362,170 +295,6 @@ pub fn load_pool(n_caches: usize) -> Vec<LoadConfig> {
             traces.iter().map(move |t| LoadConfig { scheme: scheme.clone(), trace: t.to_string() })
         })
         .collect()
-}
-
-/// Extracts `counters.digest` from a `/run` response body.
-fn digest_of(body: &str) -> Option<String> {
-    let v = dircc_serve::json::parse(body.as_bytes()).ok()?;
-    let counters = v.as_obj()?.get("counters")?.as_obj()?;
-    counters.get("digest")?.as_str().map(str::to_string)
-}
-
-/// Hammers a running daemon with `requests` `/run` jobs from `clients`
-/// concurrent threads on the [`load_pool`] schedule. 429s back off and
-/// retry; any other failure is recorded as an error. Also cross-checks
-/// that every response for one config carries the same counter digest.
-pub fn load_generate(
-    url: &str,
-    clients: usize,
-    requests: usize,
-    refs: u64,
-    seed: u64,
-) -> LoadReport {
-    let pool = load_pool(4);
-    let clients = clients.max(1);
-
-    struct Tally {
-        latency_us: Histogram,
-        hits: u64,
-        misses: u64,
-        retries: u64,
-        errors: Vec<String>,
-        digests: HashMap<usize, String>,
-    }
-
-    impl Default for Tally {
-        fn default() -> Self {
-            Tally {
-                latency_us: Histogram::new(),
-                hits: 0,
-                misses: 0,
-                retries: 0,
-                errors: Vec::new(),
-                digests: HashMap::new(),
-            }
-        }
-    }
-
-    let started = Instant::now();
-    let tallies: Vec<Tally> = std::thread::scope(|scope| {
-        let pool = &pool;
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut t = Tally::default();
-                    for i in (c..requests).step_by(clients) {
-                        let config = &pool[i % pool.len()];
-                        let body = format!(
-                            "{{\"scheme\": \"{}\", \"trace\": \"{}\", \"refs\": {refs}, \
-                             \"seed\": {seed}}}",
-                            config.scheme, config.trace
-                        );
-                        let mut attempts = 0u32;
-                        loop {
-                            let t0 = Instant::now();
-                            match client::request(url, "POST", "/run", Some(body.as_bytes())) {
-                                Ok(resp) if resp.status == 200 => {
-                                    t.latency_us.observe(
-                                        t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-                                    );
-                                    match resp.header("x-cache") {
-                                        Some("hit") => t.hits += 1,
-                                        _ => t.misses += 1,
-                                    }
-                                    if let Some(digest) = digest_of(&resp.text()) {
-                                        let seen = t
-                                            .digests
-                                            .entry(i % pool.len())
-                                            .or_insert_with(|| digest.clone());
-                                        if *seen != digest {
-                                            t.errors.push(format!(
-                                                "{}/{}: digest drift {seen} vs {digest}",
-                                                config.scheme, config.trace
-                                            ));
-                                        }
-                                    } else {
-                                        t.errors.push(format!(
-                                            "{}/{}: response has no counters.digest",
-                                            config.scheme, config.trace
-                                        ));
-                                    }
-                                    break;
-                                }
-                                Ok(resp) if resp.status == 429 && attempts < 100 => {
-                                    attempts += 1;
-                                    t.retries += 1;
-                                    std::thread::sleep(Duration::from_millis(50));
-                                }
-                                Ok(resp) => {
-                                    t.errors.push(format!(
-                                        "{}/{}: HTTP {}: {}",
-                                        config.scheme,
-                                        config.trace,
-                                        resp.status,
-                                        resp.text().trim()
-                                    ));
-                                    break;
-                                }
-                                Err(e) => {
-                                    t.errors
-                                        .push(format!("{}/{}: {e}", config.scheme, config.trace));
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    t
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("load client thread")).collect()
-    });
-    let wall = started.elapsed();
-
-    let mut merged = Tally::default();
-    let mut digest_by_config: HashMap<usize, String> = HashMap::new();
-    for t in tallies {
-        merged.latency_us.merge(&t.latency_us);
-        merged.hits += t.hits;
-        merged.misses += t.misses;
-        merged.retries += t.retries;
-        merged.errors.extend(t.errors);
-        for (config, digest) in t.digests {
-            match digest_by_config.get(&config) {
-                Some(seen) if *seen != digest => {
-                    let c = &pool[config];
-                    merged.errors.push(format!(
-                        "{}/{}: digest drift across clients: {seen} vs {digest}",
-                        c.scheme, c.trace
-                    ));
-                }
-                Some(_) => {}
-                None => {
-                    digest_by_config.insert(config, digest);
-                }
-            }
-        }
-    }
-
-    let mut digests: Vec<(LoadConfig, String)> =
-        digest_by_config.into_iter().map(|(i, digest)| (pool[i].clone(), digest)).collect();
-    digests.sort_by(|a, b| (&a.0.scheme, &a.0.trace).cmp(&(&b.0.scheme, &b.0.trace)));
-
-    LoadReport {
-        url: url.to_string(),
-        clients,
-        requests,
-        refs,
-        seed,
-        hits: merged.hits,
-        misses: merged.misses,
-        retries: merged.retries,
-        errors: merged.errors,
-        wall,
-        latency_us: merged.latency_us,
-        digests,
-    }
 }
 
 #[cfg(test)]
@@ -555,54 +324,6 @@ mod tests {
         assert_eq!(pool.len(), 12);
         assert_eq!(pool[0].trace, "POPS");
         assert!(pool.iter().any(|c| c.scheme == "Dir0B" && c.trace == "PERO"));
-    }
-
-    #[test]
-    fn percentiles_pick_from_the_sorted_sample() {
-        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&sorted, 50.0), 51.0);
-        assert_eq!(percentile(&sorted, 99.0), 99.0);
-        assert_eq!(percentile(&sorted, 100.0), 100.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn histogram_quantiles_track_exact_percentiles_within_bound() {
-        // The satellite pin: bench --serve switched from sorting raw
-        // samples to the shared log-linear histogram. The histogram
-        // quantile returns its bucket's upper bound, so against the
-        // exact sorted percentile it may only *over*state, by at most
-        // one sub-bucket width (1/16 relative) plus rank-convention
-        // noise between adjacent order statistics.
-        let mut sorted: Vec<f64> = Vec::new();
-        let h = Histogram::new();
-        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
-        for _ in 0..5000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let v = x >> 40; // spread over [0, 2^24)
-            h.observe(v);
-            sorted.push(v as f64);
-        }
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        for q in [0.5, 0.9, 0.99] {
-            let exact = percentile(&sorted, q * 100.0);
-            let est = h.quantile(q) as f64;
-            assert!(est >= exact * 0.999, "q={q}: histogram {est} understates exact {exact}");
-            assert!(
-                est <= exact * (1.0 + 1.0 / 16.0) + 1.0,
-                "q={q}: histogram {est} overstates exact {exact} beyond the 1/16 bound"
-            );
-        }
-        // count/sum/max are exact, not approximations.
-        assert_eq!(h.count(), 5000);
-        assert_eq!(h.max() as f64, *sorted.last().unwrap());
-    }
-
-    #[test]
-    fn digest_extraction_reads_the_counters_object() {
-        let body = r#"{"job": {}, "counters": {"total": 5, "digest": "00ff"}, "refs": 5}"#;
-        assert_eq!(digest_of(body).as_deref(), Some("00ff"));
-        assert_eq!(digest_of("not json"), None);
     }
 
     #[test]

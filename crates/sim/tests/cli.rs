@@ -2,8 +2,22 @@
 
 use std::process::Command;
 
+use dircc_trace::codec::BinaryWriter;
+use dircc_trace::gen::Generator;
+
 fn dircc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dircc"))
+}
+
+/// Writes the `profile` trace at `refs` references and the CLI's default
+/// seed in the flat v1 format; `dircc record` writes only v2.
+fn write_v1(path: &std::path::Path, profile: &str, refs: u64) {
+    let profile = dircc_sim::profile_by_name(profile).unwrap().with_total_refs(refs);
+    let records: Vec<_> = Generator::new(profile, 1988).collect();
+    let file = std::fs::File::create(path).unwrap();
+    let mut w = BinaryWriter::new(std::io::BufWriter::new(file));
+    w.write_all(&records).unwrap();
+    w.finish().unwrap();
 }
 
 #[test]
@@ -33,12 +47,7 @@ fn gen_stats_sharing_roundtrip() {
     let path = dir.join("t.dcct");
     let path_s = path.to_str().unwrap();
 
-    let out = dircc()
-        .args(["gen", "--profile", "pero", "--refs", "20000", "--out", path_s])
-        .output()
-        .expect("run gen");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("wrote 20000 references"));
+    write_v1(&path, "pero", 20000);
 
     let out = dircc().args(["stats", "--in", path_s]).output().expect("run stats");
     assert!(out.status.success());
@@ -56,9 +65,13 @@ fn gen_stats_sharing_roundtrip() {
 
 #[test]
 fn unknown_command_fails_with_usage() {
-    let out = dircc().args(["frobnicate"]).output().expect("run dircc");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    // `gen`, the retired v1 trace writer, is unknown too.
+    for cmd in ["frobnicate", "gen"] {
+        let out = dircc().args([cmd]).output().expect("run dircc");
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown command {cmd}")) && err.contains("usage:"), "{err}");
+    }
 }
 
 #[test]
@@ -104,14 +117,15 @@ fn every_experiment_subcommand_smokes() {
     }
 }
 
-/// `gen`/`stats`/`sharing` smoke at tiny scale (the trace-file commands).
+/// `record`/`stats`/`sharing` smoke at tiny scale (the trace-file commands).
 #[test]
 fn trace_file_subcommands_smoke() {
     let dir = std::env::temp_dir().join(format!("dircc_cli_smoke_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("s.dcct");
     let path_s = path.to_str().unwrap();
-    let out = dircc().args(["gen", "--refs", "3000", "--out", path_s]).output().expect("run gen");
+    let out =
+        dircc().args(["record", "--refs", "3000", "--out", path_s]).output().expect("run record");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     for cmd in ["stats", "sharing"] {
         let out = dircc().args([cmd, "--in", path_s]).output().expect("run dircc");
@@ -166,7 +180,7 @@ fn shards_flag_validation() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--shards must be at least 1"));
 
-    let out = dircc().args(["gen", "--shards", "2"]).output().expect("run dircc");
+    let out = dircc().args(["record", "--shards", "2"]).output().expect("run dircc");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--shards only applies"));
 
@@ -177,33 +191,41 @@ fn shards_flag_validation() {
     assert!(err.contains("one shard"), "explains the windowed pin: {err}");
 }
 
-/// The shard count is not part of the `benchcmp` key: a baseline without
-/// the `shards` field still gates a fresh run at any `--shards`.
+/// The shard count is not part of a bench report: one written without a
+/// `shards` field gates a fresh run at any `--shards`, and so does an
+/// older report that still carries the retired `shards` and timing fields.
 #[test]
 fn benchcmp_accepts_a_baseline_without_shards_field() {
     let dir = std::env::temp_dir().join(format!("dircc_benchcmp_old_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("OLD.json");
+    let benchcmp_at_3_shards = || {
+        let out = dircc()
+            .args(["benchcmp", "--refs", "2000", "--jobs", "2", "--shards", "3"])
+            .args(["--in", path.to_str().unwrap()])
+            .output()
+            .expect("run benchcmp");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(String::from_utf8_lossy(&out.stdout).contains("benchcmp: PASS"));
+    };
 
     let out = dircc()
         .args(["bench", "--refs", "2000", "--jobs", "2", "--out", path.to_str().unwrap()])
         .output()
         .expect("run bench");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    // Strip the shards field, simulating a report from before the schema
-    // carried it.
     let json = std::fs::read_to_string(&path).unwrap();
-    let old = json.replace("\"shards\": 1, ", "");
+    assert!(!json.contains("shards"), "{json}");
+    benchcmp_at_3_shards();
+
+    // Add the retired per-run fields back, as an older report had them.
+    let old = json.replace(
+        "\"filter\": \"full\", ",
+        "\"filter\": \"full\", \"shards\": 1, \"engine\": \"mono\", \"wall_ms\": 0.5, ",
+    );
     assert_ne!(json, old);
     std::fs::write(&path, old).unwrap();
-
-    let out = dircc()
-        .args(["benchcmp", "--refs", "2000", "--jobs", "2", "--shards", "3"])
-        .args(["--in", path.to_str().unwrap()])
-        .output()
-        .expect("run benchcmp");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("benchcmp: PASS"));
+    benchcmp_at_3_shards();
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -245,7 +267,7 @@ fn timing_summary_needs_verbose() {
 #[test]
 fn wrong_direction_io_flags_are_rejected() {
     let cases: [(&[&str], &str); 3] = [
-        (&["gen", "--in", "t.dcct"], "--out"),
+        (&["record", "--in", "t.dcct"], "--out"),
         (&["stats", "--out", "t.dcct"], "--in"),
         (&["table1", "--out", "t.dcct"], "no --in/--out"),
     ];
@@ -288,7 +310,6 @@ fn usage_lists_every_subcommand() {
         "serve",
         "submit",
         "top",
-        "gen",
         "record",
         "replay",
         "stats",
@@ -299,17 +320,20 @@ fn usage_lists_every_subcommand() {
     assert!(err.contains("--jobs"));
     assert!(err.contains("--window") && err.contains("--spans") && err.contains("--verbose"));
     assert!(err.contains("--serve") && err.contains("--expect-cache") && err.contains("--addr"));
+    let words: Vec<&str> = err.split(|c: char| c.is_whitespace() || "[]".contains(c)).collect();
+    for retired in ["gen", "--repeat", "--clients", "--requests"] {
+        assert!(!words.contains(&retired), "usage must not mention {retired}: {err}");
+    }
 }
 
-/// The serve/submit/bench-over-HTTP flags are gated to their commands,
-/// and `submit` insists on the flags it cannot run without.
+/// The serve/submit/top flags are gated to their commands, and `submit`
+/// insists on the flags it cannot run without.
 #[test]
 fn serve_flags_are_validated() {
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["replay", "--addr", "127.0.0.1:0"], "only apply to serve"),
-        (&["table1", "--serve", "http://x"], "only applies to submit, bench and top"),
+        (&["table1", "--serve", "http://x"], "only applies to submit and top"),
         (&["replay", "--op", "run"], "only apply to submit"),
-        (&["replay", "--clients", "4"], "only apply to bench"),
         (&["replay", "--log-json"], "only apply to serve"),
         (&["serve", "--once"], "only apply to top"),
         (&["top", "--serve", "http://x", "--interval", "0"], "--interval must be"),
@@ -326,14 +350,18 @@ fn serve_flags_are_validated() {
     }
 }
 
-/// `--json` is replay-only, needs the in-memory profile mode, and
-/// `bench --serve` rejects the local-bench tuning flags.
+/// `--json` is replay-only and needs the in-memory profile mode. The
+/// retired HTTP load generator is gone: `bench` takes no `--serve`, and
+/// its flags and the bench `--repeat` are unknown.
 #[test]
 fn replay_json_and_bench_serve_flag_gating() {
-    let cases: [(&[&str], &str); 3] = [
-        (&["gen", "--json"], "only applies to replay"),
+    let cases: [(&[&str], &str); 6] = [
+        (&["record", "--json"], "only applies to replay"),
         (&["replay", "--json", "--in", "t.dcct"], "drop --in"),
-        (&["bench", "--serve", "http://127.0.0.1:1", "--repeat", "5"], "local replay bench"),
+        (&["bench", "--serve", "http://127.0.0.1:1"], "only applies to submit and top"),
+        (&["bench", "--repeat", "5"], "unknown flag --repeat"),
+        (&["bench", "--serve", "http://127.0.0.1:1", "--clients", "4"], "unknown flag --clients"),
+        (&["bench", "--serve", "http://127.0.0.1:1", "--requests", "9"], "unknown flag --requests"),
     ];
     for (args, expect) in cases {
         let out = dircc().args(args).output().expect("run dircc");
@@ -372,8 +400,8 @@ fn determinism_across_invocations() {
     assert_eq!(run(), run());
 }
 
-/// `dircc bench --smoke` writes the machine-readable throughput report
-/// with every schema field present, plus the totals row.
+/// `dircc bench --smoke` writes the machine-readable report with every
+/// schema field present and none of the retired timing fields.
 #[test]
 fn bench_smoke_writes_the_replay_report() {
     let dir = std::env::temp_dir().join(format!("dircc_bench_test_{}", std::process::id()));
@@ -388,26 +416,25 @@ fn bench_smoke_writes_the_replay_report() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let headline = String::from_utf8_lossy(&out.stdout);
     assert!(headline.contains("bench: 42 runs"), "{headline}");
-    assert!(headline.contains("refs/sec"), "{headline}");
+    assert!(!headline.contains("refs/sec"), "{headline}");
 
     let json = std::fs::read_to_string(&path).expect("report written");
-    for field in [
-        "\"runs\"",
-        "\"scheme\"",
-        "\"trace\"",
-        "\"filter\"",
-        "\"shards\"",
-        "\"refs\"",
-        "\"wall_ms\"",
-        "\"refs_per_sec\"",
-        "\"totals\"",
-    ] {
+    for field in ["\"runs\"", "\"scheme\"", "\"trace\"", "\"filter\"", "\"digest\"", "\"refs\""] {
         assert!(json.contains(field), "report must carry {field}: {json}");
     }
+    for retired in [
+        "\"shards\"",
+        "\"engine\"",
+        "\"wall_ms\"",
+        "\"refs_per_sec\"",
+        "\"mb_per_sec\"",
+        "\"repeat\"",
+        "\"totals\"",
+    ] {
+        assert!(!json.contains(retired), "report must not carry {retired}: {json}");
+    }
     assert!(json.contains("\"Dir1NB\"") && json.contains("\"POPS\""), "{json}");
-    assert!(json.contains("\"shards\": 1"), "default shard count recorded: {json}");
     assert!(json.trim_end().ends_with('}'), "well-formed JSON object");
-    assert!(!json.contains("inf") && !json.contains("NaN"), "throughput fields stay finite");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -517,9 +544,10 @@ fn benchcmp_detects_injected_drift() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("benchcmp: PASS"));
 
-    // Perturb one run's refs counter: the gate must fail loudly.
+    // Perturb one run's refs counter (the last field of a run row): the
+    // gate must fail loudly.
     let json = std::fs::read_to_string(&path).unwrap();
-    let drifted = json.replacen("\"refs\": 2000,", "\"refs\": 1999,", 1);
+    let drifted = json.replacen("\"refs\": 2000}", "\"refs\": 1999}", 1);
     assert_ne!(json, drifted, "the perturbation must hit a run row");
     std::fs::write(&path, drifted).unwrap();
 
@@ -632,7 +660,7 @@ fn benchcmp_rejects_a_baseline_without_digests() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The trace writers report a full disk as an error, not a panic.
+/// The trace writer reports a full disk as an error, not a panic.
 #[cfg(target_os = "linux")]
 #[test]
 fn trace_writers_report_a_full_disk() {
@@ -640,16 +668,53 @@ fn trace_writers_report_a_full_disk() {
         eprintln!("skipped: /dev/full is absent");
         return;
     }
-    for cmd in ["record", "gen"] {
+    let out = dircc()
+        .args(["record", "--refs", "20000", "--out", "/dev/full"])
+        .output()
+        .expect("run writer");
+    assert_eq!(out.status.code(), Some(1), "record must fail on a full disk");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("No space left on device"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+/// `--refs` above the job cap is a usage error for every command, not a
+/// panic while the trace is generated.
+#[test]
+fn refs_above_the_cap_exit_1_without_a_panic() {
+    for refs in ["18446744073709551615", "16777217"] {
         let out = dircc()
-            .args([cmd, "--refs", "20000", "--out", "/dev/full"])
+            .args(["replay", "--profile", "pops", "--refs", refs])
             .output()
-            .expect("run writer");
-        assert_eq!(out.status.code(), Some(1), "{cmd} must fail on a full disk");
+            .expect("run replay");
+        assert_eq!(out.status.code(), Some(1), "--refs {refs}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("No space left on device"), "{cmd}: {err}");
-        assert!(!err.contains("panicked"), "{cmd}: {err}");
+        assert!(err.contains("--refs must be at most 16777216"), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+        assert!(out.stdout.is_empty());
     }
+}
+
+/// Every field of a bench report is deterministic, so the file is
+/// byte-identical whatever the worker and shard counts.
+#[test]
+fn bench_report_is_byte_identical_across_jobs_and_shards() {
+    let dir = std::env::temp_dir().join(format!("dircc_bench_det_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = |jobs: &str, shards: &str| -> String {
+        let path = dir.join(format!("B_{jobs}_{shards}.json"));
+        let out = dircc()
+            .args(["bench", "--smoke", "--jobs", jobs, "--shards", shards])
+            .args(["--out", path.to_str().unwrap()])
+            .output()
+            .expect("run bench");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        std::fs::read_to_string(&path).unwrap()
+    };
+    let reference = report("1", "1");
+    assert_eq!(reference, report("2", "1"), "--jobs 1 vs 2");
+    assert_eq!(reference, report("1", "2"), "--shards 1 vs 2");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The retired replay-engine switch is gone from the CLI.
@@ -938,11 +1003,7 @@ fn replay_accepts_both_trace_versions() {
     std::fs::create_dir_all(&dir).unwrap();
     let v1 = dir.join("v1.dcct");
     let v1_s = v1.to_str().unwrap();
-    let out = dircc()
-        .args(["gen", "--profile", "thor", "--refs", "20000", "--out", v1_s])
-        .output()
-        .expect("run gen");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    write_v1(&v1, "thor", 20000);
 
     let from_v1 = dircc().args(["replay", "--in", v1_s]).output().expect("run replay v1");
     assert!(from_v1.status.success(), "{}", String::from_utf8_lossy(&from_v1.stderr));
@@ -960,7 +1021,7 @@ fn replay_accepts_both_trace_versions() {
 /// check-and-replay wording.
 #[test]
 fn streaming_flag_validation() {
-    let out = dircc().args(["gen", "--chunk", "512"]).output().expect("run dircc");
+    let out = dircc().args(["replay", "--chunk", "512"]).output().expect("run dircc");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--chunk only applies to record"));
 
@@ -998,12 +1059,15 @@ fn bench_reports_ingest_rows() {
         .expect("run bench");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let json = std::fs::read_to_string(&path).unwrap();
-    for field in ["\"ingest\"", "\"bytes\"", "\"mb_per_sec\""] {
+    for field in ["\"ingest\"", "\"bytes\""] {
         assert!(json.contains(field), "report must carry {field}: {json}");
+    }
+    for retired in ["\"wall_ms\"", "\"mb_per_sec\""] {
+        assert!(!json.contains(retired), "report must not carry {retired}: {json}");
     }
     for trace in ["POPS", "THOR", "PERO"] {
         assert!(
-            json.lines().any(|l| l.contains("mb_per_sec") && l.contains(trace)),
+            json.lines().any(|l| l.contains("\"bytes\"") && l.contains(trace)),
             "ingest row for {trace}: {json}"
         );
     }
@@ -1011,7 +1075,7 @@ fn bench_reports_ingest_rows() {
     // Strip the ingest section: benchcmp must ask for a regenerate, not
     // report drift.
     let stripped: String =
-        json.lines().filter(|l| !l.contains("mb_per_sec")).collect::<Vec<_>>().join("\n");
+        json.lines().filter(|l| !l.contains("\"bytes\"")).collect::<Vec<_>>().join("\n");
     std::fs::write(&path, &stripped).unwrap();
     let out = dircc()
         .args(["benchcmp", "--refs", "2000", "--jobs", "2", "--in", path_s])

@@ -188,3 +188,23 @@ fn handler_rejects_unknown_schemes_and_traces() {
     let err = handler.run(&job("Wti", "no-such-trace", 1000), "test-req-4").expect_err("bad trace");
     assert_eq!(err.status, 400);
 }
+
+/// A job whose `refs` exceeds the cap is a field-level 400 from the job
+/// parser; it never reaches the handler, which would try to allocate the
+/// whole trace. The lone worker survives and serves the next job.
+#[test]
+fn oversized_refs_job_is_a_400_and_the_worker_survives() {
+    let (url, handler, join) = start(ServeConfig { workers: 1, ..quiet() });
+    let huge = br#"{"scheme": "Dir1NB", "trace": "POPS", "refs": 18446744073709551615}"#;
+    let resp = client::request(&url, "POST", "/run", Some(huge)).expect("oversized job answered");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("field 'refs': must be between 1 and"), "{}", resp.text());
+
+    let ok = br#"{"scheme": "Dir1NB", "trace": "POPS", "refs": 2000}"#;
+    let resp = client::request(&url, "POST", "/run", Some(ok)).expect("ordinary job answered");
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    assert_eq!(handler.executed_runs(), 1);
+
+    shutdown(&url);
+    join.join().expect("server thread");
+}

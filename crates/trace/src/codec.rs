@@ -217,8 +217,8 @@ impl<R: Read> BinaryReader<R> {
         }
         if header[4] != VERSION {
             let hint = if header[4] == crate::chunk::VERSION_V2 {
-                " (a chunked v2 trace: replay it with `dircc replay --in`, read it \
-                 with ChunkedReader, or regenerate a flat v1 file with `dircc gen`)"
+                " (a chunked v2 trace: replay it with `dircc replay --in` or read it \
+                 with ChunkedReader)"
             } else {
                 ""
             };

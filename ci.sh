@@ -57,8 +57,9 @@ diff /tmp/replay_file_small.txt /tmp/replay_mem.txt
 # `dircc submit` clients with every cache outcome and body asserted, a
 # request-ID log/span join, an exact /metrics reconciliation against the
 # scripted load (scrape kept as SERVE_metrics.prom), a `dircc top --once`
-# snapshot check (kept as SERVE_top.txt), then a graceful /shutdown
-# drain with an orphan check. The timeout is the hard ceiling on a hang.
+# snapshot check (kept as SERVE_top.txt), a /series over MAX_WINDOWS
+# rejected with a field 'window' 400, then a graceful /shutdown drain
+# with an orphan check. The timeout is the hard ceiling on a hang.
 timeout 300 ./ci_serve_gate.sh
 # Benchmark package: it builds the `dircc` CLI from this source and uses
 # the public APIs of six crates, so an API change breaks it here first.

@@ -3,10 +3,10 @@
 # the daemon on an ephemeral port, prove served /run responses are
 # byte-identical to a local `dircc replay --json` (and invariant across
 # shards), observe the repeat as a cache hit, drive a concurrent hit/miss
-# workload whose every cache outcome and body is asserted, then drain
-# via /shutdown and fail on any orphaned daemon. Callers wrap this in
-# `timeout` for a hard ceiling; every step inside is bounded regardless
-# (client timeouts, capped polls).
+# workload whose every cache outcome and body is asserted, reject an
+# oversized /series, then drain via /shutdown and fail on any orphaned
+# daemon. Callers wrap this in `timeout` for a hard ceiling; every step
+# inside is bounded regardless (client timeouts, capped polls).
 set -eu
 
 DIRCC=${DIRCC:-./target/release/dircc}
@@ -171,6 +171,22 @@ echo "serve gate: /metrics reconciled ($got_runs /run, $got_hits hits, $got_miss
 grep -qx "errors_total 0" "$TOP_OUT"
 grep -qx "cache_hits $want_hits" "$TOP_OUT"
 grep -q "^run_p50_ms " "$TOP_OUT"
+
+# Admission gate (after the reconciliation above, whose constants count
+# no error): a /series asking for more than MAX_WINDOWS windows is a 400
+# naming the field, answered before any trace is generated.
+if "$DIRCC" submit --serve "$URL" --op series --scheme Dir1NB --profile pops \
+    --refs 200000 --window 1 >"$TMP/series_cap.out" 2>"$TMP/series_cap.err"; then
+    echo "serve gate: a /series of 200000 one-ref windows was accepted" >&2
+    exit 1
+fi
+if ! grep -q "HTTP 400: .*field 'window': must be at least 49 for 200000 refs" \
+    "$TMP/series_cap.err"; then
+    echo "serve gate: oversized /series did not get the window 400:" >&2
+    cat "$TMP/series_cap.err" >&2
+    exit 1
+fi
+echo "serve gate: oversized /series rejected with a field 'window' 400"
 
 # Drain gate: /shutdown finishes in-flight work and the process exits 0
 # on its own; anything still alive after the grace window is an orphan.

@@ -107,6 +107,14 @@ impl EventCounters {
         self.directory_evictions += u64::from(o.directory_evictions);
     }
 
+    /// Accounts for `n` instruction fetches at once: exactly what `n`
+    /// observations of `Outcome::quiet(Event::Instr)` add, for replay
+    /// streams that count instruction fetches instead of storing them.
+    #[inline]
+    pub fn observe_instr_fetches(&mut self, n: u64) {
+        self.rows[ROW_INSTR] += n;
+    }
+
     /// Accounts for a finite-cache replacement. Eviction traffic feeds the
     /// write-back and control-message totals (it occupies the bus) without
     /// touching any reference-event row, so per-reference rates stay
@@ -406,6 +414,20 @@ mod tests {
 
     fn quiet(e: Event) -> Outcome {
         Outcome::quiet(e)
+    }
+
+    #[test]
+    fn bulk_instruction_fetches_equal_one_at_a_time() {
+        let (mut one, mut bulk) = (EventCounters::new(), EventCounters::new());
+        one.observe(&quiet(Event::ReadHit));
+        bulk.observe(&quiet(Event::ReadHit));
+        for _ in 0..5 {
+            one.observe(&quiet(Event::Instr));
+        }
+        bulk.observe_instr_fetches(5);
+        assert_eq!(one, bulk);
+        assert_eq!(bulk.instr(), 5);
+        assert_eq!(bulk.total(), 6);
     }
 
     #[test]

@@ -27,7 +27,9 @@ pub struct JobSpec {
     pub filter: String,
     /// Block shards for parallel replay, 1..=64.
     pub shards: u64,
-    /// Window size for `/series` streaming; `None` = auto.
+    /// Window size for `/series` streaming; `None` = auto. A `/series`
+    /// may ask for at most [`MAX_WINDOWS`] windows over its trace (checked
+    /// by the handler, which knows each profile's length).
     pub window: Option<u64>,
 }
 
@@ -59,6 +61,12 @@ pub const DEFAULT_SEED: u64 = 1988;
 /// reference costs memory for its record and replay streams, so an
 /// unbounded `refs` would let one request exhaust the host.
 pub const MAX_REFS: u64 = 1 << 24;
+
+/// The most windows one `/series` may stream: 64x the auto window count.
+/// The response holds a JSONL line per window, so an unbounded count
+/// (`"window": 1` over millions of references) would let one request
+/// hold gigabytes.
+pub const MAX_WINDOWS: u64 = 4_096;
 
 const KNOWN_FIELDS: &[&str] = &["scheme", "trace", "refs", "seed", "filter", "shards", "window"];
 

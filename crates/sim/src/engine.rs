@@ -21,14 +21,16 @@
 //!
 //! Every entry point drives the same loop, `Core::replay`, with
 //! structure-of-arrays batches ([`SoaStream`]): flat `kind` / `cache_idx`
-//! / dense `block_id` / `first_ref` arrays, the matching records (read
-//! only by the finite-cache and diagnostics cold paths) and, for shard
+//! / dense `block_id` / `first_ref` arrays over the batch's *data*
+//! references plus a count of its instruction fetches, the records it
+//! was built from (read only by the cold paths) and, for shard
 //! sub-streams, global reference numbers. The loop is generic over
 //! `P: Protocol + ?Sized`, so a `Box<dyn Protocol>` is just another type
 //! argument. Per batch it takes a quiet body when every cold path is
 //! provably dead — [`Recorder::IS_NOOP`], no verifier, infinite caches,
 //! no invariant cadence, and a batch `max_cache_idx` below the cache
-//! count — and the full checking body otherwise.
+//! count — which adds the instruction count in bulk — and otherwise the
+//! full checking body, which observes each record one at a time.
 //!
 //! The sources differ only in how a batch is filled:
 //!
@@ -42,7 +44,7 @@
 //!   every protocol still running; [`run_chunked`] and [`run`] are its
 //!   one-protocol case;
 //! * [`run_sharded`] replays in-memory block shards on scoped threads and
-//!   merges them exactly.
+//!   merges them exactly, adding the stream's instruction fetches once.
 //!
 //! Renaming blocks to dense ids is a bijection and protocols only compare
 //! blocks for identity, so every source produces bit-identical counters;
@@ -312,15 +314,7 @@ pub fn run_chunked_many<P: Protocol + ?Sized, S: ChunkSource>(
         // Cache-sized batches: each is filled once and replayed through
         // every protocol while hot.
         for chunk in records.chunks(BATCH_RECORDS) {
-            batch.clear();
-            for r in chunk {
-                let (id, first_ref) = if r.is_data() {
-                    interner.intern(cfg.geometry.block_of(r.addr))
-                } else {
-                    (0, false)
-                };
-                batch.push(r, id, first_ref);
-            }
+            batch.refill(chunk, cfg.geometry, |block| interner.intern(block));
             for run in &mut runs {
                 if let Ok(core) = run {
                     if let Err(e) = core.replay(chunk, &batch, None) {
@@ -336,13 +330,14 @@ pub fn run_chunked_many<P: Protocol + ?Sized, S: ChunkSource>(
 }
 
 /// Replays a structure-of-arrays stream through a fresh instance of
-/// `kind` sized for `soa.num_blocks`, resolved to its concrete type so
+/// `kind` sized for the stream's blocks, resolved to its concrete type so
 /// the loop is monomorphized per scheme.
 ///
 /// `records` must be the stream `soa` was built from (e.g. the
 /// [`TraceStore::records`](dircc_trace::TraceStore::records) /
 /// [`TraceStore::soa`](dircc_trace::TraceStore::soa) pair): the hot loop
-/// never touches it, but finite-cache set selection and diagnostics do.
+/// never touches it, but the checking loop walks it for the instruction
+/// fetches the stream only counts, set selection and diagnostics.
 ///
 /// # Errors
 ///
@@ -374,32 +369,37 @@ pub fn run_indexed_with<R: Recorder>(
     cfg: &RunConfig,
     recorder: &mut R,
 ) -> Result<RunResult, String> {
-    check_aligned(records, soa, cfg)?;
+    check_aligned(records, soa.refs(), soa.sharing, cfg)?;
     replay_dispatched(kind, n_caches, records, soa, None, cfg, recorder)
         .map(finish_result)
         .map_err(|e| e.msg)
 }
 
-fn check_aligned(records: &[TraceRecord], soa: &SoaStream, cfg: &RunConfig) -> Result<(), String> {
-    if records.len() != soa.len() {
+/// Checks that a stream covering `covered` references fits `records`.
+fn check_aligned(
+    records: &[TraceRecord],
+    covered: u64,
+    sharing: SharingModel,
+    cfg: &RunConfig,
+) -> Result<(), String> {
+    if records.len() as u64 != covered {
         return Err(format!(
-            "soa stream has {} entries for {} records; rebuild it from the same stream",
-            soa.len(),
+            "soa stream covers {covered} refs for {} records; rebuild it from the same stream",
             records.len()
         ));
     }
-    if soa.sharing != cfg.sharing {
+    if sharing != cfg.sharing {
         return Err(format!(
-            "soa stream was built under {:?} sharing but the run uses {:?}; rebuild it for this \
-             sharing model",
-            soa.sharing, cfg.sharing
+            "soa stream was built under {sharing:?} sharing but the run uses {:?}; rebuild it \
+             for this sharing model",
+            cfg.sharing
         ));
     }
     Ok(())
 }
 
-/// Builds the block-sharded partition of a dense-id stream for `cfg`,
-/// each shard split under `cfg.sharing`.
+/// Builds the block-sharded partition of `soa`, built from `records`
+/// under `cfg`'s geometry and sharing model.
 ///
 /// Infinite-cache runs shard by `block_id % shards` — the same router
 /// [`dircc_trace::TraceStore::sharded`] memoizes, so engine-level and
@@ -411,20 +411,17 @@ fn check_aligned(records: &[TraceRecord], soa: &SoaStream, cfg: &RunConfig) -> R
 /// (falling back to 1 shard for a single-set cache).
 pub fn shard_stream(
     records: &[TraceRecord],
-    dense: &[u32],
-    num_blocks: usize,
+    soa: &SoaStream,
     shards: usize,
     cfg: &RunConfig,
 ) -> ShardedStream {
     let shards = shards.max(1);
     match cfg.finite_cache {
-        None => ShardedStream::build(records, dense, num_blocks, shards, cfg.sharing, |_, gid| {
-            gid as usize % shards
-        }),
+        None => ShardedStream::build(records, soa, shards, |_, gid| gid as usize % shards),
         Some(fc) => {
             let shards = shards.min(fc.sets);
             let geometry = cfg.geometry;
-            ShardedStream::build(records, dense, num_blocks, shards, cfg.sharing, |r, _| {
+            ShardedStream::build(records, soa, shards, |r, _| {
                 fc.set_of(geometry.block_of(r.addr)) % shards
             })
         }
@@ -454,12 +451,15 @@ pub fn shard_stream(
 ///   eviction choice.
 ///
 /// The only intentional divergence: `check_invariants_every` cadences on
-/// the *shard-local* reference count, so a broken protocol may be caught
-/// at a different reference than serially. Correct protocols (and the
-/// single-shard case) are unaffected.
+/// the *shard-local* count of data references, so a broken protocol may
+/// be caught at a different reference than serially. Correct protocols
+/// are unaffected.
 ///
 /// Shards replay on [`std::thread::scope`] workers (inline when there is
 /// only one shard).
+///
+/// `records` must be the stream `sharded` partitions: finite-cache set
+/// selection and diagnostics find a shard's records by number there.
 ///
 /// # Errors
 ///
@@ -468,16 +468,17 @@ pub fn shard_stream(
 pub fn run_sharded(
     kind: ProtocolKind,
     n_caches: usize,
+    records: &[TraceRecord],
     sharded: &ShardedStream,
     cfg: &RunConfig,
 ) -> Result<RunResult, String> {
-    run_sharded_with(kind, n_caches, sharded, cfg, |_, _, _, _| ())
+    run_sharded_with(kind, n_caches, records, sharded, cfg, |_, _, _, _| ())
 }
 
 /// [`run_sharded`] with an observer called once per shard replay —
-/// `observe(shard, started, wall, refs)` — from the thread that replayed
-/// it, so callers can attribute per-shard spans. Counters are unaffected
-/// by the observer.
+/// `observe(shard, started, wall, refs)`, `refs` counting the shard's
+/// data references — from the thread that replayed it, so callers can
+/// attribute per-shard spans. Counters are unaffected by the observer.
 ///
 /// # Errors
 ///
@@ -485,6 +486,7 @@ pub fn run_sharded(
 pub fn run_sharded_with<O>(
     kind: ProtocolKind,
     n_caches: usize,
+    records: &[TraceRecord],
     sharded: &ShardedStream,
     cfg: &RunConfig,
     observe: O,
@@ -494,15 +496,15 @@ where
 {
     let shards = sharded.shards();
     for sh in shards {
-        check_aligned(&sh.records, &sh.soa, cfg)?;
+        check_aligned(records, sharded.total_records() as u64, sh.soa.sharing, cfg)?;
     }
-    fan_out(shards.len(), |idx| {
+    fan_out(shards.len(), sharded.instr(), |idx| {
         let sh = &shards[idx];
         let started = Instant::now();
         let shard = Some((&sh.global_refs[..], &sh.global_ids[..]));
         let res =
-            replay_dispatched(kind, n_caches, &sh.records, &sh.soa, shard, cfg, &mut NoopRecorder);
-        let refs = res.as_ref().map_or(sh.records.len() as u64, |o| o.refs);
+            replay_dispatched(kind, n_caches, records, &sh.soa, shard, cfg, &mut NoopRecorder);
+        let refs = res.as_ref().map_or(sh.soa.refs(), |o| o.refs);
         observe(idx, started, started.elapsed(), refs);
         res
     })
@@ -510,8 +512,9 @@ where
 
 /// Replays shards `0..shards` — `replay_shard(idx)` each — on scoped
 /// threads (inline for one shard) and merges the results with
-/// [`merge_shard_results`]: the fan-out behind [`run_sharded_with`].
-fn fan_out<F>(shards: usize, replay_shard: F) -> Result<RunResult, String>
+/// [`merge_shard_results`], adding the stream's `instr` instruction
+/// fetches once: the fan-out behind [`run_sharded_with`].
+fn fan_out<F>(shards: usize, instr: u64, replay_shard: F) -> Result<RunResult, String>
 where
     F: Fn(usize) -> Result<CoreResult, EngineError> + Sync,
 {
@@ -528,7 +531,10 @@ where
                 .collect()
         })
     };
-    merge_shard_results(results)
+    let mut merged = merge_shard_results(results)?;
+    merged.counters.observe_instr_fetches(instr);
+    merged.refs += instr;
+    Ok(merged)
 }
 
 /// Folds per-shard replay results into one [`RunResult`] — additive
@@ -563,7 +569,7 @@ fn merge_shard_results(results: Vec<Result<CoreResult, EngineError>>) -> Result<
 
 /// Replays one in-memory stream (or shard sub-stream, whose `shard`
 /// carries its global reference numbers and shard-local → global dense
-/// ids) through a fresh instance of `kind` sized for `soa.num_blocks`
+/// ids) through a fresh instance of `kind` sized for the stream's blocks
 /// and resolved to its concrete type ([`dispatch`]), so
 /// [`Protocol::access`] is statically dispatched and inlinable.
 fn replay_dispatched<R: Recorder>(
@@ -586,7 +592,7 @@ fn replay_dispatched<R: Recorder>(
         type Output = Result<CoreResult, EngineError>;
         fn visit<P: Protocol + Clone + 'static>(self, mut protocol: P) -> Self::Output {
             let Replay { records, soa, shard, cfg, recorder } = self;
-            protocol.reserve_blocks(soa.num_blocks);
+            protocol.reserve_blocks(soa.data.num_blocks);
             replay_memory(&mut protocol, records, soa, shard, cfg, recorder)
         }
     }
@@ -603,7 +609,7 @@ fn replay_memory<P: Protocol + ?Sized, R: Recorder>(
     cfg: &RunConfig,
     recorder: &mut R,
 ) -> Result<CoreResult, EngineError> {
-    let mut core = Core::new(protocol, cfg, soa.num_blocks, shard.map(|s| s.1), recorder);
+    let mut core = Core::new(protocol, cfg, soa.data.num_blocks, shard.map(|s| s.1), recorder);
     core.replay(records, soa, shard.map(|s| s.0))?;
     core.finish()
 }
@@ -653,13 +659,14 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
     }
 
     /// The replay loop: the one place references reach
-    /// [`Protocol::access`]. Replays one batch — `records` and `soa`
-    /// aligned, `grefs` the 1-based *global* reference numbers of a shard
-    /// sub-stream (`None`: the running reference count), used in error
-    /// and violation messages so sharded findings merge back in trace
-    /// order. The recorder sees the cumulative counters once per record,
-    /// after every counter mutation that record caused (eviction traffic
-    /// included), so windowed deltas partition the run exactly.
+    /// [`Protocol::access`]. Replays one batch — `soa` built from
+    /// `records`, `grefs` the 1-based *global* reference numbers of a
+    /// shard sub-stream's entries in `records` (`None`: the running
+    /// reference count), used in error and violation messages so sharded
+    /// findings merge back in trace order. The recorder sees the
+    /// cumulative counters once per reference, after every counter
+    /// mutation that reference caused (eviction traffic included), so
+    /// windowed deltas partition the run exactly.
     fn replay(
         &mut self,
         records: &[TraceRecord],
@@ -667,6 +674,7 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
         grefs: Option<&[u64]>,
     ) -> Result<(), EngineError> {
         let n = self.protocol.num_caches();
+        let data = &*soa.data;
         let len = soa.len();
         let base = self.refs;
         let cfg = self.cfg;
@@ -675,7 +683,7 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
         // Every cold branch constant-false? Then no reference can error
         // (max_cache_idx proves the bounds check dead), no state beyond
         // the protocol and counters exists, and the batch specializes
-        // down to the quiet loop.
+        // down to the quiet loop over data references.
         let quiet = R::IS_NOOP
             && !cfg.verify
             && cfg.finite_cache.is_none()
@@ -684,59 +692,56 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
         if quiet {
             let protocol = &mut *self.protocol;
             let counters = &mut self.counters;
-            let kind = &soa.kind[..len];
+            let kind = &data.kind[..len];
             let cache_idx = &soa.cache_idx[..len];
-            let block_id = &soa.block_id[..len];
-            let first_ref = &soa.first_ref[..len];
-            let mut i = 0usize;
-            while i < len {
-                let end = (i + BATCH_RECORDS).min(len);
-                for j in i..end {
-                    let k = kind[j];
-                    if k == AccessKind::InstrFetch {
-                        counters.observe(&Outcome::quiet(Event::Instr));
-                        continue;
-                    }
-                    let out = protocol.access(
-                        CacheId::new(cache_idx[j]),
-                        k,
-                        BlockAddr::from_index(u64::from(block_id[j])),
-                        first_ref[j],
-                    );
-                    counters.observe(&out);
-                }
-                i = end;
+            let block_id = &data.block_id[..len];
+            let first_ref = &data.first_ref[..len];
+            for j in 0..len {
+                let out = protocol.access(
+                    CacheId::new(cache_idx[j]),
+                    kind[j],
+                    BlockAddr::from_index(u64::from(block_id[j])),
+                    first_ref[j],
+                );
+                counters.observe(&out);
             }
-            self.refs = base + len as u64;
+            counters.observe_instr_fetches(data.instr);
+            self.refs = base + soa.refs();
             return Ok(());
         }
 
         // Full loop: every check, reference for reference, with the
         // invariant modulo test hoisted to segment boundaries (segments
-        // end exactly where the cadence checks).
+        // end exactly where the cadence checks). It walks the records, `d`
+        // indexing the SoA; a shard walks its entries, records by number.
+        let positions = if grefs.is_some() { len } else { records.len() };
+        let mut d = 0usize;
         let mut i = 0usize;
-        while i < len {
+        while i < positions {
             // Next running count that is a multiple of `every` (or the
             // whole batch when the cadence is off).
             let end = match every {
-                0 => len,
+                0 => positions,
                 _ => {
                     let next = ((base + i as u64) / every + 1) * every;
-                    ((next - base) as usize).min(len)
+                    ((next - base) as usize).min(positions)
                 }
             };
+            let mut ends_on_data = false;
             for j in i..end {
                 let refs = base + j as u64 + 1;
-                let k = soa.kind[j];
-                if k == AccessKind::InstrFetch {
+                let (gref, r) = match grefs {
+                    None => (refs, &records[j]),
+                    Some(g) => (g[d], &records[(g[d] - 1) as usize]),
+                };
+                ends_on_data = r.is_data();
+                if !ends_on_data {
                     self.counters.observe(&Outcome::quiet(Event::Instr));
                     self.recorder.record(refs, &self.counters);
                     continue;
                 }
-                let gref = grefs.map_or(refs, |g| g[j]);
-                let cache_idx = soa.cache_idx[j];
+                let (k, cache_idx) = (data.kind[d], soa.cache_idx[d]);
                 if usize::from(cache_idx) >= n {
-                    let r = &records[j];
                     return Err(EngineError {
                         gref,
                         msg: format!(
@@ -748,8 +753,9 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
                     });
                 }
                 let cache = CacheId::new(cache_idx);
-                let block = BlockAddr::from_index(u64::from(soa.block_id[j]));
-                let out = self.protocol.access(cache, k, block, soa.first_ref[j]);
+                let block = BlockAddr::from_index(u64::from(data.block_id[d]));
+                let out = self.protocol.access(cache, k, block, data.first_ref[d]);
+                d += 1;
                 self.counters.observe(&out);
 
                 if let Some(v) = self.verifier.as_mut() {
@@ -770,7 +776,7 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
                     );
                 }
                 if let Some(stores) = self.tag_stores.as_mut() {
-                    let orig_block = cfg.geometry.block_of(records[j].addr);
+                    let orig_block = cfg.geometry.block_of(r.addr);
                     let store = &mut stores[cache.index()];
                     if let Lookup::Inserted { evicted: Some(victim) } =
                         store.lookup_or_insert(orig_block, block)
@@ -793,10 +799,9 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
             // The cadence only checks when the boundary reference is a
             // data reference (the instruction path skips the check).
             let done = base + i as u64;
-            if every > 0 && done.is_multiple_of(every) && soa.kind[i - 1] != AccessKind::InstrFetch
-            {
+            if every > 0 && done.is_multiple_of(every) && ends_on_data {
                 if let Err(e) = self.protocol.check_invariants() {
-                    let gref = grefs.map_or(done, |g| g[i - 1]);
+                    let gref = grefs.map_or(done, |g| g[d - 1]);
                     return Err(EngineError {
                         gref,
                         msg: format!("invariant violation at reference {gref}: {e}"),
@@ -804,7 +809,7 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
                 }
             }
         }
-        self.refs = base + len as u64;
+        self.refs = base + positions as u64;
         Ok(())
     }
 
@@ -1169,8 +1174,8 @@ mod tests {
 
     /// The SoA split of `records` under `cfg`'s geometry and sharing.
     fn soa(records: &[TraceRecord], cfg: &RunConfig) -> SoaStream {
-        let (dense, num_blocks) = interned(records, cfg.geometry);
-        SoaStream::build(records, &dense, num_blocks, cfg.sharing)
+        let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
+        SoaStream::build(records, &interner, cfg.sharing)
     }
 
     #[test]
@@ -1228,19 +1233,13 @@ mod tests {
         assert_eq!(rec.samples().len(), 5_000usize.div_ceil(512));
     }
 
-    fn interned(records: &[TraceRecord], g: BlockGeometry) -> (Vec<u32>, usize) {
-        let interner = dircc_trace::BlockInterner::from_records(records.iter(), g);
-        (interner.dense_stream(records), interner.num_blocks())
-    }
-
     #[test]
     fn sharded_replay_is_bit_identical_for_every_scheme() {
         use dircc_trace::gen::{Generator, Profile};
         let records: Vec<TraceRecord> =
             Generator::new(Profile::pops().with_total_refs(6_000), 9).collect();
         let cfg = RunConfig { verify: true, ..RunConfig::default().with_process_sharing() };
-        let (dense, num_blocks) = interned(&records, cfg.geometry);
-        let soa = SoaStream::build(&records, &dense, num_blocks, cfg.sharing);
+        let soa = soa(&records, &cfg);
         for kind in [
             ProtocolKind::DirNb { pointers: 1 },
             ProtocolKind::DirNb { pointers: 4 },
@@ -1258,9 +1257,9 @@ mod tests {
         ] {
             let serial = run_indexed(kind, 4, &records, &soa, &cfg).unwrap();
             for shards in [1, 2, 3, 8] {
-                let sharded = shard_stream(&records, &dense, num_blocks, shards, &cfg);
+                let sharded = shard_stream(&records, &soa, shards, &cfg);
                 assert_eq!(sharded.num_shards(), shards, "infinite caches honour the count");
-                let res = run_sharded(kind, 4, &sharded, &cfg).unwrap();
+                let res = run_sharded(kind, 4, &records, &sharded, &cfg).unwrap();
                 assert_eq!(serial.counters, res.counters, "{kind} at {shards} shards");
                 assert_eq!(serial.refs, res.refs);
                 assert_eq!(serial.violations, res.violations);
@@ -1289,14 +1288,14 @@ mod tests {
             verify: true,
             ..RunConfig::default().with_finite_caches(FiniteCacheConfig::new(4, 2))
         };
-        let (dense, num_blocks) = interned(&trace, cfg.geometry);
+        let soa = soa(&trace, &cfg);
         for kind in [ProtocolKind::Dir0B, ProtocolKind::Berkeley, ProtocolKind::Mesi] {
-            let serial = run_indexed(kind, 4, &trace, &soa(&trace, &cfg), &cfg).unwrap();
+            let serial = run_indexed(kind, 4, &trace, &soa, &cfg).unwrap();
             assert!(serial.counters.cache_evictions() > 0, "exercise eviction traffic");
             for shards in [2, 3, 4, 8] {
-                let sharded = shard_stream(&trace, &dense, num_blocks, shards, &cfg);
+                let sharded = shard_stream(&trace, &soa, shards, &cfg);
                 assert!(sharded.num_shards() <= 4, "clamped to the set count");
-                let res = run_sharded(kind, 4, &sharded, &cfg).unwrap();
+                let res = run_sharded(kind, 4, &trace, &sharded, &cfg).unwrap();
                 assert_eq!(serial.counters, res.counters, "{kind} at {shards} shards");
                 assert_eq!(serial.violations, res.violations);
             }
@@ -1308,8 +1307,7 @@ mod tests {
         use dircc_cache::FiniteCacheConfig;
         let trace = patterns::migratory(4, 40);
         let cfg = RunConfig::default().with_finite_caches(FiniteCacheConfig::new(1, 2));
-        let (dense, num_blocks) = interned(&trace, cfg.geometry);
-        let sharded = shard_stream(&trace, &dense, num_blocks, 8, &cfg);
+        let sharded = shard_stream(&trace, &soa(&trace, &cfg), 8, &cfg);
         assert_eq!(sharded.num_shards(), 1);
     }
 
@@ -1331,17 +1329,17 @@ mod tests {
             })
             .collect();
         let cfg = RunConfig::verifying(0);
-        let (dense, num_blocks) = interned(&trace, cfg.geometry);
+        let soa = soa(&trace, &cfg);
         let mut p = Stale(dircc_cache::CacheArray::new(4));
         let serial = run(&mut p, trace.clone(), &cfg).unwrap();
         assert_eq!(serial.violations.len(), MAX_VIOLATIONS);
         for shards in [2, 3, 5] {
-            let sharded = shard_stream(&trace, &dense, num_blocks, shards, &cfg);
-            let res = fan_out(shards, |idx| {
+            let sharded = shard_stream(&trace, &soa, shards, &cfg);
+            let res = fan_out(shards, sharded.instr(), |idx| {
                 let sh = &sharded.shards()[idx];
                 let mut p = Stale(dircc_cache::CacheArray::new(4));
                 let shard = Some((&sh.global_refs[..], &sh.global_ids[..]));
-                replay_memory(&mut p, &sh.records, &sh.soa, shard, &cfg, &mut NoopRecorder)
+                replay_memory(&mut p, &trace, &sh.soa, shard, &cfg, &mut NoopRecorder)
             })
             .unwrap();
             assert_eq!(serial.violations, res.violations, "{shards} shards");
@@ -1359,12 +1357,11 @@ mod tests {
             TraceRecord::new(CpuId::new(9), ProcessId::new(9), AccessKind::Read, Address::new(0)),
         );
         let cfg = RunConfig::default();
-        let (dense, num_blocks) = interned(&trace, cfg.geometry);
-        let soa = SoaStream::build(&trace, &dense, num_blocks, cfg.sharing);
+        let soa = soa(&trace, &cfg);
         let serial = run_indexed(ProtocolKind::Dir0B, 4, &trace, &soa, &cfg).unwrap_err();
         for shards in [1, 2, 4] {
-            let sharded = shard_stream(&trace, &dense, num_blocks, shards, &cfg);
-            let err = run_sharded(ProtocolKind::Dir0B, 4, &sharded, &cfg).unwrap_err();
+            let sharded = shard_stream(&trace, &soa, shards, &cfg);
+            let err = run_sharded(ProtocolKind::Dir0B, 4, &trace, &sharded, &cfg).unwrap_err();
             assert_eq!(serial, err, "{shards} shards");
         }
     }
@@ -1374,13 +1371,10 @@ mod tests {
         use std::sync::Mutex;
         let trace = patterns::migratory(4, 200);
         let cfg = RunConfig::default();
-        let (dense, num_blocks) = interned(&trace, cfg.geometry);
-        let sharded = shard_stream(&trace, &dense, num_blocks, 3, &cfg);
+        let sharded = shard_stream(&trace, &soa(&trace, &cfg), 3, &cfg);
         let seen: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::new());
-        let res = run_sharded_with(ProtocolKind::Mesi, 4, &sharded, &cfg, |shard, _, _, refs| {
-            seen.lock().unwrap().push((shard, refs));
-        })
-        .unwrap();
+        let observe = |shard, _, _, refs| seen.lock().unwrap().push((shard, refs));
+        let res = run_sharded_with(ProtocolKind::Mesi, 4, &trace, &sharded, &cfg, observe).unwrap();
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
         assert_eq!(seen.len(), 3);
@@ -1394,5 +1388,90 @@ mod tests {
         let mut p = Stale(dircc_cache::CacheArray::new(4));
         let res = run(&mut p, trace, &RunConfig::verifying(0)).unwrap();
         assert_eq!(res.violations.len(), MAX_VIOLATIONS);
+    }
+
+    /// A real protocol whose invariant check fails from its
+    /// `fail_from`th access on, naming how many accesses it has seen.
+    struct FailsFrom {
+        inner: Box<dyn Protocol>,
+        accesses: u64,
+        fail_from: u64,
+    }
+
+    impl Protocol for FailsFrom {
+        fn kind(&self) -> ProtocolKind {
+            self.inner.kind()
+        }
+        fn num_caches(&self) -> usize {
+            self.inner.num_caches()
+        }
+        fn access(
+            &mut self,
+            cache: CacheId,
+            kind: AccessKind,
+            block: BlockAddr,
+            first: bool,
+        ) -> Outcome {
+            self.accesses += 1;
+            self.inner.access(cache, kind, block, first)
+        }
+        fn evict(&mut self, cache: CacheId, block: BlockAddr) -> EvictOutcome {
+            self.inner.evict(cache, block)
+        }
+        fn holders(&self, block: BlockAddr) -> dircc_types::CacheIdSet {
+            self.inner.holders(block)
+        }
+        fn check_invariants(&self) -> Result<(), String> {
+            match self.accesses >= self.fail_from {
+                true => Err(format!("{} accesses", self.accesses)),
+                false => Ok(()),
+            }
+        }
+        fn encode_state(&self, out: &mut Vec<u64>) {
+            self.inner.encode_state(out);
+        }
+    }
+
+    /// `(cadence, error)` for [`FailsFrom`] over Dir0B failing from its
+    /// 1,234th access, on 20k POPS refs (seed 5, instruction fetches
+    /// included), recorded from the full-length stream that still carried
+    /// an entry per instruction fetch. A cadence boundary that lands on an
+    /// instruction fetch checks nothing, so the report moves to the next
+    /// boundary on a data reference (reference 2464 is one, for cadence
+    /// 7); cadence 4096 checks at the last reference of the first batch.
+    const GOLDEN_CADENCE: [(u64, &str); 4] = [
+        (1, "invariant violation at reference 2461: 1234 accesses"),
+        (7, "invariant violation at reference 2471: 1239 accesses"),
+        (500, "invariant violation at reference 2500: 1255 accesses"),
+        (4096, "invariant violation at reference 4096: 2057 accesses"),
+    ];
+
+    #[test]
+    fn invariant_cadence_reports_the_recorded_reference() {
+        use dircc_trace::gen::{Generator, Profile};
+        let records: Vec<TraceRecord> =
+            Generator::new(Profile::pops().with_total_refs(20_000), 5).collect();
+        assert!(records.iter().any(|r| !r.is_data()), "the trace must carry instruction fetches");
+        let fresh =
+            || FailsFrom { inner: build(ProtocolKind::Dir0B, 4), accesses: 0, fail_from: 1_234 };
+        for (every, want) in GOLDEN_CADENCE {
+            let cfg = RunConfig {
+                check_invariants_every: every,
+                ..RunConfig::default().with_process_sharing()
+            };
+            // Source pieces smaller than, equal to and larger than a batch.
+            for piece in [1_000, BATCH_RECORDS, 10_000] {
+                let mut source = IterChunks::new(records.iter().copied().map(Ok), piece);
+                let err = run_chunked(&mut fresh(), &mut source, &cfg).unwrap_err();
+                assert_eq!(err, want, "cadence {every}, pieces of {piece}");
+            }
+            let soa = soa(&records, &cfg);
+            let err = replay_memory(&mut fresh(), &records, &soa, None, &cfg, &mut NoopRecorder);
+            assert_eq!(
+                err.err().map(|e| e.msg).as_deref(),
+                Some(want),
+                "cadence {every}, in memory"
+            );
+        }
     }
 }

@@ -338,9 +338,7 @@ pub struct Footnote2Study {
 pub fn footnote2(wb: &Workbench) -> Footnote2Study {
     use dircc_cache::FiniteCacheConfig;
     let mut points = Vec::new();
-    let mut capacities: Vec<Option<usize>> = vec![Some(256), Some(1024), Some(4096), None];
-    capacities.reverse(); // run infinite first (no reason, just stable output order after re-reverse)
-    capacities.reverse();
+    let capacities: Vec<Option<usize>> = vec![Some(256), Some(1024), Some(4096), None];
     for cap in capacities {
         let mut coherence = Vec::new();
         let mut total = Vec::new();

@@ -598,14 +598,12 @@ fn replay_memory(
     }
     let records: Vec<TraceRecord> = Generator::new(profile, args.seed).collect();
     let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    let dense = interner.dense_stream(&records);
-    let num_blocks = interner.num_blocks();
+    let soa = SoaStream::build(&records, &interner, cfg.sharing);
     if args.shards <= 1 {
-        let soa = SoaStream::build(&records, &dense, num_blocks, cfg.sharing);
         kinds.iter().map(|&kind| run_indexed(kind, cpus, &records, &soa, cfg)).collect()
     } else {
-        let sharded = shard_stream(&records, &dense, num_blocks, args.shards, cfg);
-        kinds.iter().map(|&kind| run_sharded(kind, cpus, &sharded, cfg)).collect()
+        let sharded = shard_stream(&records, &soa, args.shards, cfg);
+        kinds.iter().map(|&kind| run_sharded(kind, cpus, &records, &sharded, cfg)).collect()
     }
 }
 
@@ -1271,16 +1269,14 @@ fn shard_check(kinds: &[ProtocolKind], args: &Args) -> Result<(), String> {
     let records: Vec<dircc_trace::TraceRecord> =
         Generator::new(Profile::pops().with_total_refs(total_refs), args.seed).collect();
     let cfg = RunConfig { verify: true, ..RunConfig::default().with_process_sharing() };
-    let interner = dircc_trace::BlockInterner::from_records(records.iter(), cfg.geometry);
-    let dense = interner.dense_stream(&records);
-    let num_blocks = interner.num_blocks();
-    let sharded = shard_stream(&records, &dense, num_blocks, shards, &cfg);
-    let soa = SoaStream::build(&records, &dense, num_blocks, cfg.sharing);
+    let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
+    let soa = SoaStream::build(&records, &interner, cfg.sharing);
+    let sharded = shard_stream(&records, &soa, shards, &cfg);
     let n_caches = usize::from(Profile::pops().cpus);
     for &kind in kinds {
         let serial = run_indexed(kind, n_caches, &records, &soa, &cfg)
             .map_err(|e| format!("shard check: {kind}: serial replay failed: {e}"))?;
-        let split = run_sharded(kind, n_caches, &sharded, &cfg)
+        let split = run_sharded(kind, n_caches, &records, &sharded, &cfg)
             .map_err(|e| format!("shard check: {kind}: sharded replay failed: {e}"))?;
         if serial.counters != split.counters
             || serial.refs != split.refs

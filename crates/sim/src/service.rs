@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use dircc_bus::{CostConfig, CostModel};
 use dircc_core::{EventCounters, ProtocolKind};
 use dircc_obs::{chrome_trace, counters_json, window_jsonl_line, Counter, MetricsRegistry, Span};
-use dircc_serve::{HandlerError, JobSpec, Lru};
+use dircc_serve::{HandlerError, JobSpec, Lru, MAX_WINDOWS};
 use dircc_trace::gen::Profile;
 use dircc_trace::store::TraceStore;
 
@@ -228,10 +228,15 @@ impl dircc_serve::JobHandler for WorkbenchHandler {
     }
 
     fn series(&self, job: &JobSpec, request_id: &str) -> Result<Vec<String>, HandlerError> {
-        let window = match job.window {
-            Some(w) => w,
-            None => self.default_window_refs(job)?,
-        };
+        let refs = job_refs(job)?;
+        let window = job.window.unwrap_or((refs / 64).max(1));
+        if refs.div_ceil(window) > MAX_WINDOWS {
+            return Err(HandlerError::bad_request(format!(
+                "field 'window': must be at least {} for {refs} refs (at most {MAX_WINDOWS} \
+                 windows)",
+                refs.div_ceil(MAX_WINDOWS)
+            )));
+        }
         let ex = self.execute(job, Some(window), request_id)?;
         let series = ex.wb.time_series();
         let s = series
@@ -262,16 +267,12 @@ impl dircc_serve::JobHandler for WorkbenchHandler {
     }
 }
 
-impl WorkbenchHandler {
-    /// The `/series` auto window: 64 windows over the trace, matching
-    /// `dircc profile`'s default.
-    fn default_window_refs(&self, job: &JobSpec) -> Result<u64, HandlerError> {
-        let mut profile = profile_by_name(&job.trace).map_err(HandlerError::bad_request)?;
-        if let Some(n) = job.refs {
-            profile = profile.with_total_refs(n);
-        }
-        Ok((profile.total_refs / 64).max(1))
-    }
+/// The job's trace length: its own `refs`, or its profile's total. The
+/// `/series` auto window cuts it into 64 windows, matching `dircc
+/// profile`'s default.
+fn job_refs(job: &JobSpec) -> Result<u64, HandlerError> {
+    let profile = profile_by_name(&job.trace).map_err(HandlerError::bad_request)?;
+    Ok(job.refs.unwrap_or(profile.total_refs))
 }
 
 /// One distinct run config of the [`load_pool`] schedule.

@@ -314,14 +314,14 @@ impl Workbench {
             let records =
                 self.spans.time("filter", Some(meta(0)), || self.store.records(trace, filter));
             // Dense SoA replay: the store's interner renames blocks to
-            // dense u32 ids once per trace and splits the stream into flat
-            // arrays (or block shards of them, with the same mod router as
-            // the engine's infinite-cache `shard_stream`); the replay loop
+            // dense u32 ids once per trace, each stream keeps its data
+            // references in flat arrays and counts its instruction fetches
+            // (block shards split it with the same mod router as the
+            // engine's infinite-cache `shard_stream`); the replay loop
             // then runs with zero hashing and every per-block table
             // pre-sized. Bit-identical to un-interned replay (renaming is
             // a bijection; pinned by the engine's equality tests). Built
-            // inside the intern span so replay spans time replay work
-            // only.
+            // inside the intern span so replay spans time replay work only.
             enum Stream {
                 Serial(Arc<SoaStream>),
                 Sharded(Arc<ShardedStream>),
@@ -342,7 +342,7 @@ impl Workbench {
                         let meta = RunMeta { shard: Some(shard), ..meta(refs) };
                         self.spans.record_at("replay-shard", at, dur, Some(meta));
                     };
-                    run_sharded_with(kind, n, sharded, &cfg, observe)
+                    run_sharded_with(kind, n, &records, sharded, &cfg, observe)
                 }
                 (Stream::Serial(soa), Some(window)) => {
                     let mut recorder = WindowedRecorder::new(window);
@@ -768,7 +768,7 @@ mod tests {
             let m = s.meta.as_ref().unwrap();
             assert!(m.shard.is_some(), "shard spans carry their shard id");
         }
-        // Shard ids 0..4 all appear; shard refs sum to each run's total.
+        // Shard ids 0..4 all appear.
         let ids: std::collections::HashSet<usize> =
             per_shard.iter().map(|s| s.meta.as_ref().unwrap().shard.unwrap()).collect();
         assert_eq!(ids, (0..4).collect());

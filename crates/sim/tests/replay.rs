@@ -49,8 +49,9 @@ fn store() -> TraceStore {
 }
 
 /// The SoA precompute equals an independent AoS-derived recomputation for
-/// every trace × filter × geometry × sharing model — cache indices,
-/// first-reference bits, kinds, and the dense block ids themselves.
+/// every trace × filter × geometry × sharing model — per data reference
+/// its cache index, first-reference bit, kind and dense block id, plus
+/// the count of instruction fetches skipped.
 #[test]
 fn soa_streams_match_aos_derivation_across_the_matrix() {
     let store = store();
@@ -60,28 +61,23 @@ fn soa_streams_match_aos_derivation_across_the_matrix() {
                 for sharing in [SharingModel::Processor, SharingModel::Process] {
                     let records = store.records(trace, filter);
                     let soa = store.soa(trace, filter, geometry, sharing);
-                    let (cache_idx, first_ref) = soa_reference_values(&records, geometry, sharing);
+                    let (kinds, cache_idx, first_ref, instr) =
+                        soa_reference_values(&records, geometry, sharing);
                     let label = format!("trace {trace} {filter:?} {geometry:?} {sharing:?}");
-                    assert_eq!(soa.len(), records.len(), "{label}: length");
+                    assert_eq!(soa.len(), kinds.len(), "{label}: data references");
+                    assert_eq!(soa.data.instr, instr, "{label}: instruction fetches");
                     assert_eq!(soa.cache_idx, cache_idx, "{label}: cache indices");
-                    assert_eq!(soa.first_ref, first_ref, "{label}: first-ref bits");
-                    let kinds: Vec<_> = records.iter().map(|r| r.kind).collect();
-                    assert_eq!(soa.kind, kinds, "{label}: kinds");
+                    assert_eq!(soa.data.first_ref, first_ref, "{label}: first-ref bits");
+                    assert_eq!(soa.data.kind, kinds, "{label}: kinds");
                     let dense = store.dense_blocks(trace, filter, geometry);
-                    for (j, r) in records.iter().enumerate() {
-                        if r.is_data() {
-                            assert_eq!(soa.block_id[j], dense[j], "{label}: block id at {j}");
-                        }
+                    assert_eq!(dense.len(), records.len(), "{label}: dense ids per record");
+                    let data = (0..records.len()).filter(|&j| records[j].is_data());
+                    for (d, j) in data.enumerate() {
+                        assert_eq!(soa.data.block_id[d], dense[j], "{label}: block id at {j}");
                     }
                     assert_eq!(
                         soa.max_cache_idx,
-                        cache_idx
-                            .iter()
-                            .zip(&records[..])
-                            .filter(|(_, r)| r.is_data())
-                            .map(|(&i, _)| i)
-                            .max()
-                            .unwrap_or(0),
+                        cache_idx.iter().copied().max().unwrap_or(0),
                         "{label}: max cache index"
                     );
                 }
@@ -149,11 +145,9 @@ fn golden_counters_for_every_scheme_and_shard_count() {
             let soa = store.soa(trace, TraceFilter::Full, cfg.geometry, cfg.sharing);
             let res = run_indexed(kind, CPUS, &records, &soa, &cfg).unwrap();
             assert_eq!(golden(&res), want, "{kind} trace {trace} indexed");
-            let dense = store.dense_blocks(trace, TraceFilter::Full, cfg.geometry);
-            let num_blocks = store.interner(trace, cfg.geometry).num_blocks();
             for shards in [2usize, 8] {
-                let sharded = shard_stream(&records, &dense, num_blocks, shards, &cfg);
-                let res = run_sharded(kind, CPUS, &sharded, &cfg).unwrap();
+                let sharded = shard_stream(&records, &soa, shards, &cfg);
+                let res = run_sharded(kind, CPUS, &records, &sharded, &cfg).unwrap();
                 assert_eq!(golden(&res), want, "{kind} trace {trace} @{shards} shards");
             }
         }
@@ -231,7 +225,7 @@ fn golden_bounds_error_text() {
 #[test]
 fn mismatched_soa_streams_are_rejected() {
     let records: Vec<TraceRecord> = Vec::new();
-    let empty = SoaStream::build(&[], &[], 0, SharingModel::Process);
+    let empty = SoaStream::new(SharingModel::Process);
     let cfg = RunConfig::default();
     // Sharing mismatch: cfg defaults to Processor, stream is Process.
     let err = run_indexed(ProtocolKind::Wti, CPUS, &records, &empty, &cfg).unwrap_err();
@@ -249,12 +243,14 @@ fn mismatched_soa_streams_are_rejected() {
     .unwrap_err();
     assert!(err.contains("rebuild it from the same stream"), "unexpected error: {err}");
     // A partition split under the wrong sharing model.
-    let dense = store.dense_blocks(0, TraceFilter::Full, cfg.geometry);
-    let num_blocks = store.interner(0, cfg.geometry).num_blocks();
-    let sharded = shard_stream(&recs, &dense, num_blocks, 4, &cfg);
+    let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
+    let sharded = shard_stream(&recs, &soa, 4, &cfg);
     let process = cfg.with_process_sharing();
-    let err = run_sharded(ProtocolKind::Wti, CPUS, &sharded, &process).unwrap_err();
+    let err = run_sharded(ProtocolKind::Wti, CPUS, &recs, &sharded, &process).unwrap_err();
     assert!(err.contains("sharing"), "unexpected error: {err}");
+    // A partition replayed against other records.
+    let err = run_sharded(ProtocolKind::Wti, CPUS, &recs[1..], &sharded, &cfg).unwrap_err();
+    assert!(err.contains("rebuild it from the same stream"), "unexpected error: {err}");
 }
 
 /// Two workbenches sharing one store generate each trace only once, and

@@ -67,8 +67,7 @@ fn served_digest_matches_a_direct_run_indexed_replay() {
     let cfg = RunConfig::default().with_process_sharing();
     let records: Vec<TraceRecord> = Generator::new(profile, dircc_serve::DEFAULT_SEED).collect();
     let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    let dense = interner.dense_stream(&records);
-    let soa = SoaStream::build(&records, &dense, interner.num_blocks(), cfg.sharing);
+    let soa = SoaStream::build(&records, &interner, cfg.sharing);
     let kind = dircc_core::ProtocolKind::DirNb { pointers: 1 };
     let res = run_indexed(kind, cpus, &records, &soa, &cfg).expect("replay");
 
@@ -203,6 +202,38 @@ fn oversized_refs_job_is_a_400_and_the_worker_survives() {
     let ok = br#"{"scheme": "Dir1NB", "trace": "POPS", "refs": 2000}"#;
     let resp = client::request(&url, "POST", "/run", Some(ok)).expect("ordinary job answered");
     assert_eq!(resp.status, 200, "{}", resp.text());
+    assert_eq!(handler.executed_runs(), 1);
+
+    shutdown(&url);
+    join.join().expect("server thread");
+}
+
+/// A `/series` whose window count exceeds `MAX_WINDOWS` is a field-level
+/// 400 before any trace is generated: one request once asked for 200,000
+/// one-reference windows and held a 101 MB body. The lone worker survives
+/// and streams the next, ordinary series; the cap counts the profile's
+/// own length when the job names no `refs`.
+#[test]
+fn oversized_series_window_count_is_a_400_and_the_worker_survives() {
+    let (url, handler, join) = start(ServeConfig { workers: 1, ..quiet() });
+    let huge = br#"{"scheme": "Dir1NB", "trace": "POPS", "refs": 200000, "window": 1}"#;
+    let resp = client::request(&url, "POST", "/series", Some(huge)).expect("series answered");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(
+        resp.text().contains("field 'window': must be at least 49 for 200000 refs"),
+        "{}",
+        resp.text()
+    );
+    let profile = br#"{"scheme": "Dir1NB", "trace": "PERO", "window": 100}"#;
+    let resp = client::request(&url, "POST", "/series", Some(profile)).expect("series answered");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("for 3500000 refs"), "{}", resp.text());
+    assert_eq!(handler.executed_runs(), 0, "rejected before any replay");
+
+    let ok = br#"{"scheme": "Dir1NB", "trace": "POPS", "refs": 4000, "window": 1}"#;
+    let resp = client::request(&url, "POST", "/series", Some(ok)).expect("series answered");
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    assert_eq!(resp.text().lines().count(), 4000, "4,000 windows is under the cap");
     assert_eq!(handler.executed_runs(), 1);
 
     shutdown(&url);

@@ -73,13 +73,11 @@ fn arb_trace() -> impl Strategy<Value = Vec<TraceRecord>> {
 /// Serial vs sharded replay of one trace under one config, for one kind.
 fn assert_shard_equivalent(kind: ProtocolKind, records: &[TraceRecord], cfg: &RunConfig) {
     let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    let dense = interner.dense_stream(records);
-    let num_blocks = interner.num_blocks();
-    let soa = SoaStream::build(records, &dense, num_blocks, cfg.sharing);
+    let soa = SoaStream::build(records, &interner, cfg.sharing);
     let serial = run_indexed(kind, CPUS, records, &soa, cfg);
     for shards in [1usize, 2, 3, 8] {
-        let sharded = shard_stream(records, &dense, num_blocks, shards, cfg);
-        let split = run_sharded(kind, CPUS, &sharded, cfg);
+        let sharded = shard_stream(records, &soa, shards, cfg);
+        let split = run_sharded(kind, CPUS, records, &sharded, cfg);
         match (&serial, &split) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.counters, b.counters, "{kind} counters at {shards} shards");
@@ -146,13 +144,11 @@ fn more_shards_than_blocks_still_merges_exactly() {
         .collect();
     let cfg = RunConfig { verify: true, ..RunConfig::default() };
     let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    let dense = interner.dense_stream(&records);
-    let num_blocks = interner.num_blocks();
-    assert!(num_blocks < 8);
-    let soa = SoaStream::build(&records, &dense, num_blocks, cfg.sharing);
+    assert!(interner.num_blocks() < 8);
+    let soa = SoaStream::build(&records, &interner, cfg.sharing);
     let serial = run_indexed(ProtocolKind::Mesi, CPUS, &records, &soa, &cfg).unwrap();
-    let sharded = shard_stream(&records, &dense, num_blocks, 8, &cfg);
-    let split = run_sharded(ProtocolKind::Mesi, CPUS, &sharded, &cfg).unwrap();
+    let sharded = shard_stream(&records, &soa, 8, &cfg);
+    let split = run_sharded(ProtocolKind::Mesi, CPUS, &records, &sharded, &cfg).unwrap();
     assert_eq!(serial.counters, split.counters);
     assert_eq!(split.counters.total(), 40);
 }

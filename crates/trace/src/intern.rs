@@ -86,31 +86,6 @@ impl BlockInterner {
     pub fn get(&self, block: BlockAddr) -> Option<BlockId> {
         self.ids.get(&block.index()).map(|&id| BlockId::new(id))
     }
-
-    /// Maps each record of `records` to the dense id of its block, aligned
-    /// one-to-one with the input (instruction fetches, which carry no
-    /// block-level state, map to a placeholder id 0 that replay never
-    /// reads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a data record's block was not interned (i.e. `records` is
-    /// not drawn from the stream this interner was built over).
-    pub fn dense_stream(&self, records: &[TraceRecord]) -> Vec<u32> {
-        records
-            .iter()
-            .map(|r| {
-                if !r.is_data() {
-                    return 0;
-                }
-                let block = self.geometry.block_of(r.addr);
-                self.ids
-                    .get(&block.index())
-                    .copied()
-                    .unwrap_or_else(|| panic!("{block}: not in the interned stream"))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -148,20 +123,6 @@ mod tests {
         let interner = BlockInterner::from_records(&records, BlockGeometry::PAPER);
         let stats: TraceStats = records.iter().collect();
         assert_eq!(interner.num_blocks(), stats.distinct_data_blocks());
-    }
-
-    #[test]
-    fn dense_stream_aligns_with_records() {
-        let records = trace();
-        let geometry = BlockGeometry::PAPER;
-        let interner = BlockInterner::from_records(&records, geometry);
-        let dense = interner.dense_stream(&records);
-        assert_eq!(dense.len(), records.len());
-        for (r, &id) in records.iter().zip(&dense) {
-            if r.is_data() {
-                assert_eq!(interner.get(geometry.block_of(r.addr)), Some(BlockId::new(id)));
-            }
-        }
     }
 
     #[test]

@@ -30,16 +30,16 @@
 //!   renames a stream's sparse block addresses to first-appearance-order
 //!   `u32` ids so replay state lives in flat vectors instead of hash maps.
 //! * [`shard`] — block-sharded sub-streams: a
-//!   [`ShardedStream`](shard::ShardedStream) partitions a dense-id stream
+//!   [`ShardedStream`](shard::ShardedStream) partitions a [`SoaStream`]
 //!   into per-block shards (each its own [`SoaStream`], with shard-local
 //!   renaming and global reference numbers) so one run can replay its
 //!   shards in parallel and merge counters back bit-identically.
 //! * [`soa`] — structure-of-arrays replay streams: a
-//!   [`SoaStream`](soa::SoaStream) splits a dense-id stream into flat
-//!   `kind`/`cache_idx`/`block_id`/`first_ref` arrays with the sharing
-//!   model and address math precomputed, so the replay hot loop touches
-//!   no [`TraceRecord`] at all. It is also the batch a streaming replay
-//!   refills, once per batch for every protocol it drives.
+//!   [`SoaStream`](soa::SoaStream) keeps a stream's data references in
+//!   flat `kind`/`cache_idx`/`block_id`/`first_ref` arrays with the
+//!   sharing model and address math precomputed (instruction fetches are
+//!   only counted), so the replay hot loop touches no [`TraceRecord`]. It
+//!   is also the batch a streaming replay refills for every protocol.
 //!
 //! # Examples
 //!
@@ -71,5 +71,5 @@ pub use chunk::{open_trace, AnyTraceReader, ChunkSource, ChunkedReader, ChunkedW
 pub use intern::BlockInterner;
 pub use record::{RecordFlags, TraceRecord};
 pub use shard::{Shard, ShardedStream};
-pub use soa::SoaStream;
+pub use soa::{DataRefs, SoaStream};
 pub use store::{TraceFilter, TraceStore};

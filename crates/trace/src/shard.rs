@@ -1,22 +1,24 @@
 //! Block-sharded sub-streams for intra-run parallel replay.
 //!
 //! With infinite caches, the protocol state touched by block *b* never
-//! interacts with the state of any other block, so a dense-id stream can
-//! be partitioned by any pure function of the block into `S` sub-streams
-//! that replay independently and whose [`EventCounters`] merge back
-//! bit-identically (counters are purely additive). A [`ShardedStream`]
-//! holds that partition:
+//! interacts with the state of any other block, so a data-reference
+//! stream can be partitioned by any pure function of the block into `S`
+//! sub-streams that replay independently and whose [`EventCounters`]
+//! merge back bit-identically (counters are purely additive). A
+//! [`ShardedStream`] holds that partition of one [`SoaStream`]:
 //!
-//! * every *data* record lands in the shard its block routes to, with
-//!   per-shard record order preserved;
-//! * instruction fetches (which never reach a protocol) are dealt
-//!   round-robin so their counter bumps spread evenly;
+//! * every data reference lands in the shard its block routes to, with
+//!   per-shard order preserved;
+//! * instruction fetches reach no shard: the partition keeps the
+//!   stream's count of them, which the merge adds once;
 //! * block ids are renamed to *shard-local* dense ids in first-appearance
 //!   order, so each shard's tables are sized for its blocks only;
-//! * each shard's stream is split into a [`SoaStream`] as it is routed,
-//!   so the partition is the one in-memory replay representation;
-//! * every record keeps its 1-based *global* reference number, so
-//!   verifier findings and errors merge back in trace order.
+//! * each shard is itself a [`SoaStream`], so the partition is the one
+//!   in-memory replay representation;
+//! * every reference keeps its 1-based *global* reference number, which
+//!   finds its record in the whole stream's records (for finite-cache set
+//!   selection and diagnostics) and merges findings and errors back in
+//!   trace order.
 //!
 //! The router must be a pure function of the block (the builder asserts
 //! it): the engine uses `block_id % S` for infinite caches and
@@ -26,21 +28,19 @@
 //! [`EventCounters`]: https://docs.rs/dircc-core
 
 use crate::record::TraceRecord;
-use crate::soa::SoaStream;
-use dircc_types::SharingModel;
+use crate::soa::{DataRefs, SoaStream};
+use std::sync::Arc;
 
-/// One shard of a partitioned dense-id stream.
+/// One shard of a partitioned data-reference stream.
 #[derive(Debug, Clone)]
 pub struct Shard {
-    /// The shard's records, in global trace order (read by replay only on
-    /// its cold paths: finite-cache set selection and diagnostics).
-    pub records: Vec<TraceRecord>,
-    /// The shard's structure-of-arrays split, aligned with `records`:
-    /// shard-local dense block ids, shard-local first-reference bits and
-    /// cache indices under the partition's sharing model. Its
+    /// The shard's data references, in global trace order: shard-local
+    /// dense block ids and first-reference bits, cache indices under the
+    /// partition's sharing model, no instruction fetches. Its
     /// `num_blocks` counts the distinct data blocks routed here.
     pub soa: SoaStream,
-    /// 1-based global reference numbers, aligned with `records`.
+    /// 1-based global reference numbers, aligned with `soa`: the record
+    /// of entry `j` is `records[global_refs[j] - 1]`.
     pub global_refs: Vec<u64>,
     /// Maps each shard-local dense id back to the stream's global dense
     /// id (one entry per distinct block), so shard-local replay can
@@ -48,87 +48,80 @@ pub struct Shard {
     pub global_ids: Vec<u32>,
 }
 
-/// A dense-id stream partitioned into per-block shards.
+/// A data-reference stream partitioned into per-block shards.
 #[derive(Debug, Clone)]
 pub struct ShardedStream {
     shards: Vec<Shard>,
     total_records: usize,
     total_blocks: usize,
+    instr: u64,
 }
 
 impl ShardedStream {
-    /// Partitions a record stream and its aligned dense-id stream into
-    /// `shards` sub-streams, each split under `sharing`.
-    /// `route(record, dense_id)` is called for every
-    /// *data* record and must return the same shard for every occurrence
-    /// of a block; instruction fetches are dealt round-robin by record
-    /// index.
+    /// Partitions `soa`, built from `records`, into `shards` sub-streams.
+    /// `route(record, dense_id)` is called for every data reference and
+    /// must return the same shard for every occurrence of a block.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero, `dense` is not aligned with `records`,
-    /// the router returns an out-of-range shard, or the router is not a
-    /// pure function of the block.
-    pub fn build<F>(
-        records: &[TraceRecord],
-        dense: &[u32],
-        num_blocks: usize,
-        shards: usize,
-        sharing: SharingModel,
-        mut route: F,
-    ) -> Self
+    /// Panics if `shards` is zero, `soa` was not built from `records`, the
+    /// router returns an out-of-range shard, or the router is not a pure
+    /// function of the block.
+    pub fn build<F>(records: &[TraceRecord], soa: &SoaStream, shards: usize, mut route: F) -> Self
     where
         F: FnMut(&TraceRecord, u32) -> usize,
     {
         assert!(shards >= 1, "need at least one shard");
-        assert_eq!(records.len(), dense.len(), "dense-id stream must align with the record stream");
-        let mut out: Vec<Shard> = (0..shards)
-            .map(|_| Shard {
-                records: Vec::new(),
-                soa: SoaStream::new(sharing),
-                global_refs: Vec::new(),
-                global_ids: Vec::new(),
-            })
-            .collect();
+        assert_eq!(soa.refs(), records.len() as u64, "soa stream must be built from `records`");
+        let (data, num_blocks) = (&*soa.data, soa.data.num_blocks);
+        let empty =
+            Shard { soa: SoaStream::new(soa.sharing), global_refs: vec![], global_ids: vec![] };
+        let mut out = vec![(DataRefs::default(), empty); shards];
         // Shard-local renaming: ascending global id order within a shard
         // IS first-appearance order within the shard, so the rank map
         // below assigns shard-local ids in first-appearance order too.
         const UNSEEN: u32 = u32::MAX;
         let mut local = vec![UNSEEN; num_blocks];
         let mut owner = vec![UNSEEN; num_blocks];
-        for (i, r) in records.iter().enumerate() {
-            let gref = (i + 1) as u64;
+        let data_records = records.iter().enumerate().filter(|(_, r)| r.is_data());
+        for (j, (i, r)) in data_records.enumerate() {
+            let gid = data.block_id[j];
+            let g = gid as usize;
+            assert!(g < num_blocks, "dense id {gid} out of range for {num_blocks} blocks");
+            let s = route(r, gid);
+            assert!(s < shards, "router sent block {gid} to shard {s} of {shards}");
+            let (part, shard) = &mut out[s];
             // A block's first appearance anywhere is its first appearance
             // in the one shard it routes to.
-            let (s, lid, first) = if r.is_data() {
-                let gid = dense[i] as usize;
-                assert!(gid < num_blocks, "dense id {gid} out of range for {num_blocks} blocks");
-                let s = route(r, dense[i]);
-                assert!(s < shards, "router sent block {gid} to shard {s} of {shards}");
-                let first = owner[gid] == UNSEEN;
-                if first {
-                    owner[gid] = s as u32;
-                    let sh = &mut out[s];
-                    local[gid] =
-                        u32::try_from(sh.soa.num_blocks).expect("more than u32::MAX shard blocks");
-                    sh.global_ids.push(dense[i]);
-                    sh.soa.num_blocks += 1;
-                } else {
-                    assert_eq!(
-                        owner[gid], s as u32,
-                        "router must be a pure function of the block (block {gid})"
-                    );
-                }
-                (s, local[gid], first)
+            let first = owner[g] == UNSEEN;
+            if first {
+                owner[g] = s as u32;
+                local[g] = u32::try_from(part.num_blocks).expect("more than u32::MAX shard blocks");
+                shard.global_ids.push(gid);
+                part.num_blocks += 1;
             } else {
-                (i % shards, 0, false)
-            };
-            out[s].records.push(*r);
-            out[s].soa.push(r, lid, first);
-            out[s].global_refs.push(gref);
+                assert_eq!(
+                    owner[g], s as u32,
+                    "router must be a pure function of the block (block {g})"
+                );
+            }
+            part.kind.push(data.kind[j]);
+            part.block_id.push(local[g]);
+            part.first_ref.push(first);
+            let c = soa.cache_idx[j];
+            shard.soa.cache_idx.push(c);
+            shard.soa.max_cache_idx = shard.soa.max_cache_idx.max(c);
+            shard.global_refs.push((i + 1) as u64);
         }
-        let total_blocks = out.iter().map(|s| s.soa.num_blocks).sum();
-        ShardedStream { shards: out, total_records: records.len(), total_blocks }
+        let shards: Vec<Shard> = out
+            .into_iter()
+            .map(|(part, mut shard)| {
+                shard.soa.data = Arc::new(part);
+                shard
+            })
+            .collect();
+        let total_blocks = shards.iter().map(|s| s.soa.data.num_blocks).sum();
+        ShardedStream { shards, total_records: records.len(), total_blocks, instr: data.instr }
     }
 
     /// The shards, in shard-index order.
@@ -141,7 +134,8 @@ impl ShardedStream {
         self.shards.len()
     }
 
-    /// Total records across all shards (= the input stream's length).
+    /// Total records the partitioned stream covers (= its records'
+    /// length, instruction fetches included).
     pub fn total_records(&self) -> usize {
         self.total_records
     }
@@ -150,6 +144,11 @@ impl ShardedStream {
     pub fn total_blocks(&self) -> usize {
         self.total_blocks
     }
+
+    /// The stream's instruction fetches, which no shard holds.
+    pub fn instr(&self) -> u64 {
+        self.instr
+    }
 }
 
 #[cfg(test)]
@@ -157,96 +156,96 @@ mod tests {
     use super::*;
     use crate::gen::{Generator, Profile};
     use crate::intern::BlockInterner;
-    use dircc_types::BlockGeometry;
+    use dircc_types::{BlockGeometry, SharingModel};
 
-    const SHARING: SharingModel = SharingModel::Processor;
-
-    fn stream() -> (Vec<TraceRecord>, Vec<u32>, usize) {
+    fn stream() -> (Vec<TraceRecord>, SoaStream) {
         let records: Vec<TraceRecord> =
             Generator::new(Profile::pops().with_total_refs(4_000), 5).collect();
         let interner = BlockInterner::from_records(records.iter(), BlockGeometry::PAPER);
-        let dense = interner.dense_stream(&records);
-        let n = interner.num_blocks();
-        (records, dense, n)
+        let soa = SoaStream::build(&records, &interner, SharingModel::Processor);
+        (records, soa)
     }
 
     #[test]
     fn shards_partition_the_stream_preserving_order() {
-        let (records, dense, n) = stream();
+        let (records, soa) = stream();
+        let data: Vec<u64> =
+            (1..=records.len() as u64).filter(|&g| records[(g - 1) as usize].is_data()).collect();
         for shards in [1, 2, 3, 8] {
-            let s = ShardedStream::build(&records, &dense, n, shards, SHARING, |_, gid| {
-                gid as usize % shards
-            });
+            let s = ShardedStream::build(&records, &soa, shards, |_, gid| gid as usize % shards);
             assert_eq!(s.num_shards(), shards);
             assert_eq!(s.total_records(), records.len());
-            assert_eq!(s.total_blocks(), n);
-            // Every record appears exactly once; global refs are strictly
-            // increasing within a shard (order preserved) and merge back
-            // to exactly 1..=len.
+            assert_eq!(s.total_blocks(), soa.data.num_blocks);
+            assert_eq!(s.instr() + data.len() as u64, records.len() as u64);
+            // Every data reference appears exactly once; global refs are
+            // strictly increasing within a shard (order preserved) and
+            // merge back to exactly the data references' numbers.
             let mut all: Vec<u64> = Vec::new();
             for sh in s.shards() {
-                assert_eq!(sh.records.len(), sh.soa.len());
-                assert_eq!(sh.records.len(), sh.global_refs.len());
+                assert_eq!(sh.soa.len(), sh.global_refs.len());
                 assert!(sh.global_refs.windows(2).all(|w| w[0] < w[1]));
-                for (r, &g) in sh.records.iter().zip(&sh.global_refs) {
-                    assert_eq!(*r, records[(g - 1) as usize], "record kept its identity");
+                for (j, &g) in sh.global_refs.iter().enumerate() {
+                    let r = &records[(g - 1) as usize];
+                    assert_eq!(sh.soa.data.kind[j], r.kind, "reference kept its identity");
+                    assert_eq!(sh.soa.cache_idx[j], r.cpu.raw(), "reference kept its cache");
                 }
                 all.extend(&sh.global_refs);
             }
             all.sort_unstable();
-            assert_eq!(all, (1..=records.len() as u64).collect::<Vec<_>>());
+            assert_eq!(all, data);
         }
     }
 
     #[test]
     fn shard_local_ids_are_dense_and_first_appearance_ordered() {
-        let (records, dense, n) = stream();
-        let s = ShardedStream::build(&records, &dense, n, 3, SHARING, |_, gid| gid as usize % 3);
+        let (records, soa) = stream();
+        let s = ShardedStream::build(&records, &soa, 3, |_, gid| gid as usize % 3);
+        // The whole stream's dense id per global reference number.
+        let mut dense = vec![u32::MAX; records.len() + 1];
+        let data_refs = (1..=records.len()).filter(|&g| records[g - 1].is_data());
+        for (g, &id) in data_refs.zip(&soa.data.block_id) {
+            dense[g] = id;
+        }
         for (s_idx, sh) in s.shards().iter().enumerate() {
             let mut next = 0u32;
-            for (r, &lid) in sh.records.iter().zip(&sh.soa.block_id) {
-                if !r.is_data() {
-                    continue;
-                }
+            for &lid in &sh.soa.data.block_id {
                 assert!(lid <= next, "ids appear in first-appearance order");
                 if lid == next {
                     next += 1;
                 }
             }
-            assert_eq!(next as usize, sh.soa.num_blocks);
+            assert_eq!(next as usize, sh.soa.data.num_blocks);
             // global_ids inverts the shard-local renaming: every data
-            // record's global dense id is recoverable from its local id.
-            assert_eq!(sh.global_ids.len(), sh.soa.num_blocks);
-            for (i, (r, &lid)) in sh.records.iter().zip(&sh.soa.block_id).enumerate() {
-                if r.is_data() {
-                    let gid = sh.global_ids[lid as usize];
-                    assert_eq!(gid, dense[(sh.global_refs[i] - 1) as usize]);
-                    assert_eq!(gid as usize % 3, s_idx, "router consistency");
-                }
+            // reference's global dense id is recoverable from its local id.
+            assert_eq!(sh.global_ids.len(), sh.soa.data.num_blocks);
+            for (&lid, &g) in sh.soa.data.block_id.iter().zip(&sh.global_refs) {
+                let gid = sh.global_ids[lid as usize];
+                assert_eq!(gid, dense[g as usize]);
+                assert_eq!(gid as usize % 3, s_idx, "router consistency");
             }
         }
     }
 
     #[test]
     fn single_shard_is_the_identity_partition() {
-        let (records, dense, n) = stream();
-        let s = ShardedStream::build(&records, &dense, n, 1, SHARING, |_, _| 0);
-        assert_eq!(s.shards()[0].records, records);
-        // With one shard, local ids equal global ids on data records.
-        for (i, r) in records.iter().enumerate() {
-            if r.is_data() {
-                assert_eq!(s.shards()[0].soa.block_id[i], dense[i]);
-            }
-        }
-        assert_eq!(s.shards()[0].soa.num_blocks, n);
+        let (records, soa) = stream();
+        let s = ShardedStream::build(&records, &soa, 1, |_, _| 0);
+        // With one shard, local ids equal global ids and the shard is the
+        // whole data-reference stream.
+        let sh = &s.shards()[0];
+        assert_eq!(sh.soa.cache_idx, soa.cache_idx);
+        assert_eq!(sh.soa.data.kind, soa.data.kind);
+        assert_eq!(sh.soa.data.block_id, soa.data.block_id);
+        assert_eq!(sh.soa.data.first_ref, soa.data.first_ref);
+        assert_eq!(sh.soa.data.num_blocks, soa.data.num_blocks);
     }
 
     #[test]
     #[should_panic(expected = "pure function")]
     fn inconsistent_router_is_rejected() {
-        let (records, dense, n) = stream();
+        let (records, soa) = stream();
         let mut flip = 0usize;
-        let _ = ShardedStream::build(&records, &dense, n, 2, SHARING, |_, _| {
+        let _ = ShardedStream::build(&records, &soa, 2, |_, _| {
             flip += 1;
             flip % 2
         });
@@ -255,7 +254,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        let (records, dense, n) = stream();
-        let _ = ShardedStream::build(&records, &dense, n, 0, SHARING, |_, gid| gid as usize);
+        let (records, soa) = stream();
+        let _ = ShardedStream::build(&records, &soa, 0, |_, gid| gid as usize);
     }
 }

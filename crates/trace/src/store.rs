@@ -14,15 +14,21 @@
 //! executes at most once per trace per process — observable through
 //! [`TraceStore::generations`], which tests use to pin the
 //! "generated exactly once" guarantee.
+//!
+//! Replay streams of data references ([`SoaStream`]) are memoized next
+//! to the records: one interner lookup per data reference per (trace,
+//! filter, geometry), shared by every sharing model. No per-record
+//! dense-id array is kept.
 
 use crate::filter::exclude_lock_spins;
 use crate::gen::{Generator, Profile};
 use crate::intern::BlockInterner;
 use crate::record::TraceRecord;
 use crate::shard::ShardedStream;
-use crate::soa::SoaStream;
+use crate::soa::{DataRefs, SoaStream};
 use dircc_types::{BlockGeometry, SharingModel};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -60,6 +66,18 @@ struct TraceSlot {
 /// lock and initialized outside it, so builders never serialize.
 type MemoMap<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
 
+/// The `n` records of `records` in one shared slice, allocated once: a
+/// range is `TrustedLen`, so `collect` needs no `Vec` to copy from.
+fn collect_exact(n: usize, mut records: impl Iterator<Item = TraceRecord>) -> Arc<[TraceRecord]> {
+    (0..n).map(|_| records.next().expect("the source yields `n` records")).collect()
+}
+
+/// The value memoized under `key`, built by `init` on first use.
+fn memo<K: Eq + Hash, V: Clone>(map: &MemoMap<K, V>, key: K, init: impl FnOnce() -> V) -> V {
+    let cell = map.lock().expect("memo poisoned").entry(key).or_default().clone();
+    cell.get_or_init(init).clone()
+}
+
 /// Thread-safe, generate-once storage for the synthetic trace suite.
 ///
 /// ```
@@ -81,8 +99,9 @@ pub struct TraceStore {
     generations: AtomicU64,
     /// Memoized dense renamings, one per (trace, geometry).
     interners: MemoMap<(usize, BlockGeometry), Arc<BlockInterner>>,
-    /// Memoized per-record dense-id streams, one per (trace, filter, geometry).
-    dense: MemoMap<(usize, usize, BlockGeometry), Arc<[u32]>>,
+    /// Memoized sharing-independent data references, one per
+    /// (trace, filter, geometry).
+    data: MemoMap<(usize, usize, BlockGeometry), Arc<DataRefs>>,
     /// Memoized block-sharded partitions, one per
     /// (trace, filter, geometry, shard count, sharing model).
     sharded: MemoMap<(usize, usize, BlockGeometry, usize, SharingModel), Arc<ShardedStream>>,
@@ -106,7 +125,7 @@ impl TraceStore {
             slots,
             generations: AtomicU64::new(0),
             interners: Mutex::new(HashMap::new()),
-            dense: Mutex::new(HashMap::new()),
+            data: Mutex::new(HashMap::new()),
             sharded: Mutex::new(HashMap::new()),
             soa: Mutex::new(HashMap::new()),
         }
@@ -141,12 +160,15 @@ impl TraceStore {
             .get_or_init(|| match filter {
                 TraceFilter::Full => {
                     self.generations.fetch_add(1, Ordering::Relaxed);
-                    Generator::new(self.profiles[trace].clone(), self.seed).collect()
+                    let profile = self.profiles[trace].clone();
+                    let n = usize::try_from(profile.total_refs).expect("trace fits in memory");
+                    collect_exact(n, Generator::new(profile, self.seed))
                 }
                 TraceFilter::ExcludeLockSpins => {
                     // Derived from the full stream: no second generator run.
                     let full = self.records(trace, TraceFilter::Full);
-                    exclude_lock_spins(full.iter().copied()).collect()
+                    let n = exclude_lock_spins(full.iter().copied()).count();
+                    collect_exact(n, exclude_lock_spins(full.iter().copied()))
                 }
             })
             .clone()
@@ -169,21 +191,28 @@ impl TraceStore {
     /// Panics if `trace` is out of range.
     pub fn interner(&self, trace: usize, geometry: BlockGeometry) -> Arc<BlockInterner> {
         assert!(trace < self.slots.len(), "trace {trace} out of range");
-        let cell = {
-            let mut map = self.interners.lock().expect("interner memo poisoned");
-            map.entry((trace, geometry)).or_default().clone()
-        };
-        cell.get_or_init(|| {
+        memo(&self.interners, (trace, geometry), || {
             let records = self.records(trace, TraceFilter::Full);
             Arc::new(BlockInterner::from_records(records.iter(), geometry))
         })
-        .clone()
+    }
+
+    /// The sharing-independent data references of one (trace, filter)
+    /// stream under `geometry`: each looked up once in the trace's
+    /// [`interner`](TraceStore::interner). Materialized once and shared
+    /// by every sharing model's [`soa`](TraceStore::soa).
+    fn data(&self, trace: usize, filter: TraceFilter, geometry: BlockGeometry) -> Arc<DataRefs> {
+        memo(&self.data, (trace, filter.slot(), geometry), || {
+            let interner = self.interner(trace, geometry);
+            Arc::new(DataRefs::build(&self.records(trace, filter), &interner))
+        })
     }
 
     /// The per-record dense block ids of one (trace, filter) stream under
     /// `geometry`, aligned one-to-one with
-    /// [`records(trace, filter)`](TraceStore::records). Materialized once
-    /// and shared thereafter.
+    /// [`records(trace, filter)`](TraceStore::records) (instruction
+    /// fetches get a placeholder 0). Expanded from the memoized data
+    /// references on every call, without hashing; the store keeps no copy.
     ///
     /// # Panics
     ///
@@ -194,24 +223,20 @@ impl TraceStore {
         filter: TraceFilter,
         geometry: BlockGeometry,
     ) -> Arc<[u32]> {
-        let cell = {
-            let mut map = self.dense.lock().expect("dense memo poisoned");
-            map.entry((trace, filter.slot(), geometry)).or_default().clone()
-        };
-        cell.get_or_init(|| {
-            let interner = self.interner(trace, geometry);
-            let records = self.records(trace, filter);
-            interner.dense_stream(&records).into()
-        })
-        .clone()
+        let (data, records) = (self.data(trace, filter, geometry), self.records(trace, filter));
+        let mut ids = data.block_id.iter().copied();
+        records
+            .iter()
+            .map(|r| if r.is_data() { ids.next().expect("an id per reference") } else { 0 })
+            .collect()
     }
 
-    /// The block-sharded partition of one (trace, filter) stream under
-    /// `geometry` — `shards` sub-streams routed by `block_id % shards`
-    /// (the infinite-cache router), each split into a [`SoaStream`] under
-    /// `sharing`, with shard-local dense ids and global reference
-    /// numbers. Materialized once per (trace, filter, geometry, shards,
-    /// sharing) and shared thereafter, alongside the unsharded streams.
+    /// The block-sharded partition of one (trace, filter) stream's
+    /// [`soa`](TraceStore::soa) under `geometry` and `sharing` — `shards`
+    /// sub-streams routed by `block_id % shards` (the infinite-cache
+    /// router), with shard-local dense ids and global reference numbers.
+    /// Materialized once per (trace, filter, geometry, shards, sharing)
+    /// and shared thereafter, alongside the unsharded streams.
     ///
     /// # Panics
     ///
@@ -225,31 +250,19 @@ impl TraceStore {
         sharing: SharingModel,
     ) -> Arc<ShardedStream> {
         assert!(shards >= 1, "need at least one shard");
-        let cell = {
-            let mut map = self.sharded.lock().expect("sharded memo poisoned");
-            map.entry((trace, filter.slot(), geometry, shards, sharing)).or_default().clone()
-        };
-        cell.get_or_init(|| {
+        memo(&self.sharded, (trace, filter.slot(), geometry, shards, sharing), || {
+            let soa = self.soa(trace, filter, geometry, sharing);
             let records = self.records(trace, filter);
-            let dense = self.dense_blocks(trace, filter, geometry);
-            let num_blocks = self.interner(trace, geometry).num_blocks();
-            Arc::new(ShardedStream::build(
-                &records,
-                &dense,
-                num_blocks,
-                shards,
-                sharing,
-                |_, gid| gid as usize % shards,
-            ))
+            Arc::new(ShardedStream::build(&records, &soa, shards, |_, gid| gid as usize % shards))
         })
-        .clone()
     }
 
     /// The structure-of-arrays split of one (trace, filter) stream under
     /// `geometry` and `sharing` — flat `kind`/`cache_idx`/`block_id`/
-    /// `first_ref` arrays with the sharing-model cache index and address
-    /// math precomputed (see [`SoaStream`]). Materialized once per key and
-    /// shared thereafter.
+    /// `first_ref` arrays over its data references, with the
+    /// sharing-model cache index and address math precomputed (see
+    /// [`SoaStream`]). Materialized once per key and shared thereafter;
+    /// every sharing model shares one [`DataRefs`].
     ///
     /// # Panics
     ///
@@ -261,17 +274,10 @@ impl TraceStore {
         geometry: BlockGeometry,
         sharing: SharingModel,
     ) -> Arc<SoaStream> {
-        let cell = {
-            let mut map = self.soa.lock().expect("soa memo poisoned");
-            map.entry((trace, filter.slot(), geometry, sharing)).or_default().clone()
-        };
-        cell.get_or_init(|| {
-            let records = self.records(trace, filter);
-            let dense = self.dense_blocks(trace, filter, geometry);
-            let num_blocks = self.interner(trace, geometry).num_blocks();
-            Arc::new(SoaStream::build(&records, &dense, num_blocks, sharing))
+        memo(&self.soa, (trace, filter.slot(), geometry, sharing), || {
+            let data = self.data(trace, filter, geometry);
+            Arc::new(SoaStream::with_sharing(data, &self.records(trace, filter), sharing))
         })
-        .clone()
     }
 }
 
@@ -361,17 +367,17 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &other), "shard count is part of the key");
         let proc = s.sharded(0, TraceFilter::Full, g, 4, SharingModel::Processor);
         assert!(!Arc::ptr_eq(&a, &proc), "sharing model is part of the key");
-        assert_eq!(a.total_records(), s.records(0, TraceFilter::Full).len());
+        let records = s.records(0, TraceFilter::Full);
+        assert_eq!(a.total_records(), records.len());
         assert_eq!(a.total_blocks(), s.interner(0, g).num_blocks());
         assert_eq!(s.generations(), 1, "sharding reuses the stored stream");
-        // The mod router: every data record's original dense id maps to
+        // The mod router: every data reference's original dense id maps to
         // shard gid % 4, i.e. local ids stride the global id space.
         let dense = s.dense_blocks(0, TraceFilter::Full, g);
         for (i, sh) in a.shards().iter().enumerate() {
-            for (r, &g_ref) in sh.records.iter().zip(&sh.global_refs) {
-                if r.is_data() {
-                    assert_eq!(dense[(g_ref - 1) as usize] as usize % 4, i);
-                }
+            for &g_ref in &sh.global_refs {
+                assert!(records[(g_ref - 1) as usize].is_data());
+                assert_eq!(dense[(g_ref - 1) as usize] as usize % 4, i);
             }
         }
     }
@@ -385,8 +391,11 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same key shares the split");
         let proc = s.soa(0, TraceFilter::Full, g, SharingModel::Process);
         assert!(!Arc::ptr_eq(&a, &proc), "sharing model is part of the key");
-        assert_eq!(a.len(), s.records(0, TraceFilter::Full).len());
-        assert_eq!(a.num_blocks, s.interner(0, g).num_blocks());
+        assert!(Arc::ptr_eq(&a.data, &proc.data), "sharing models share the data references");
+        let records = s.records(0, TraceFilter::Full);
+        assert_eq!(a.len(), records.iter().filter(|r| r.is_data()).count(), "data references only");
+        assert_eq!(a.refs(), records.len() as u64);
+        assert_eq!(a.data.num_blocks, s.interner(0, g).num_blocks());
         assert_eq!(s.generations(), 1, "the split reuses the stored stream");
         let sh = s.sharded(0, TraceFilter::Full, g, 3, SharingModel::Process);
         assert_eq!(sh.num_shards(), 3);
@@ -404,7 +413,8 @@ mod tests {
             let dense = s.dense_blocks(1, f, geometry);
             assert_eq!(dense.len(), records.len());
             let again = s.dense_blocks(1, f, geometry);
-            assert!(Arc::ptr_eq(&dense, &again), "dense stream is memoized");
+            assert_eq!(dense, again);
+            assert!(!Arc::ptr_eq(&dense, &again), "the store keeps no dense-id stream");
             for (r, &id) in records.iter().zip(dense.iter()) {
                 if r.is_data() {
                     let expect = interner.get(geometry.block_of(r.addr)).unwrap();

@@ -20,11 +20,10 @@ cargo test -q -p dircc-sim --test replay
 # Counter-drift gate: write the sharded smoke report, then compare its
 # per-run counter digests and per-trace v2 sizes against the checked-in
 # baseline, field by field and byte for byte (every field is
-# deterministic). Because the bench runs through the engine's no-op
-# recorder, this doubles as the observability drift gate: any counter
-# perturbation from the instrumentation layer fails here — and running
-# it at --shards 2 makes the shard merge itself part of the drift
-# surface. Wall-clock performance is perfbench's job (below).
+# deterministic). The bench replays with no window, so its runs take the
+# loop's quiet body, and running it at --shards 2 makes the shard merge
+# itself part of the drift surface. Wall-clock performance is
+# perfbench's job (below).
 ./target/release/dircc bench --smoke --shards 2 --out /tmp/BENCH_smoke.json
 ./target/release/dircc benchcmp --smoke --shards 2 --in BENCH_smoke.json
 diff /tmp/BENCH_smoke.json BENCH_smoke.json
@@ -32,9 +31,14 @@ diff /tmp/BENCH_smoke.json BENCH_smoke.json
 # print exactly the archived output.
 ./target/release/dircc all | diff - experiments_full_output.txt
 # Observability smoke: windowed time series + span profile of the
-# scalability work list.
+# scalability work list; then the headline schemes' windowed series
+# (every window's counters and cycles/ref) must equal the checked-in
+# PROFILE_smoke.jsonl byte for byte.
 ./target/release/dircc profile scaling --smoke \
     --out /tmp/PROFILE_timeseries.jsonl --spans /tmp/PROFILE_spans.json
+./target/release/dircc profile headline --smoke --window 5000 \
+    --out /tmp/PROFILE_headline.jsonl --spans /tmp/PROFILE_headline_spans.json
+diff /tmp/PROFILE_headline.jsonl PROFILE_smoke.jsonl
 # Streaming round-trip gate: a recorded chunked v2 trace streamed from
 # disk must print byte-identical results to the in-memory replay of the
 # same profile, serial and block-sharded, verifier on. The first trace

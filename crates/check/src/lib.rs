@@ -3,7 +3,7 @@
 //! Bounded exhaustive state-space exploration of the dircc coherence
 //! protocols.
 //!
-//! The replay-time `Verifier` in `dircc-sim` can only witness states the
+//! The replay engine in `dircc-sim` can only witness states the
 //! synthetic traces happen to reach. This crate instead enumerates *every*
 //! interleaving of `{read, write, evict} × N cpus × M blocks` up to a
 //! depth bound — breadth-first, deduplicating canonicalized states — and
@@ -14,10 +14,10 @@
 //! * **directory/cache agreement** — every protocol's own
 //!   [`Protocol::check_invariants`] (pointer sets, dirty bits, broadcast
 //!   bits and coded sets versus the actual cache contents);
-//! * **data-value coherence** — the version-tag technique of the sim
-//!   `Verifier`, mirrored transition-for-transition: reads must observe
-//!   the latest version, misses must be supplied current data from the
-//!   correct source, write-backs must refresh memory;
+//! * **data-value coherence** — the [`ValueModel`] version tags, the same
+//!   oracle the engine's verifier consults: reads must observe the latest
+//!   version, misses must be supplied current data from the correct
+//!   source, write-backs must carry the latest version;
 //! * **classification** — a first reference must be classified
 //!   `FirstRef` and vice versa;
 //! * **cost sanity** — every emitted outcome prices to finite,
@@ -36,10 +36,12 @@
 //! version tables, so dedup never merges states the checker could still
 //! distinguish.
 
+mod values;
+
+pub use values::ValueModel;
+
 use dircc_bus::{price, CostConfig, CostModel};
-use dircc_core::{
-    dispatch, CoherenceStyle, Event, EventCounters, Protocol, ProtocolKind, ProtocolVisitor,
-};
+use dircc_core::{dispatch, EventCounters, Protocol, ProtocolKind, ProtocolVisitor};
 use dircc_types::{AccessKind, BlockAddr, CacheId};
 use std::collections::HashSet;
 use std::fmt;
@@ -170,47 +172,15 @@ pub fn default_kinds() -> [ProtocolKind; 12] {
     ]
 }
 
-/// The sim `Verifier`'s version tables, mirrored exactly: a global
-/// version per block bumped on every write, the version memory holds,
-/// and the version each cache's copy last observed. Stale entries are
-/// kept (not masked) just as the engine keeps them.
-#[derive(Debug, Clone)]
-struct Values {
-    /// `version[b]`: latest version of block `b`.
-    version: Vec<u64>,
-    /// `memory[b]`: version main memory holds.
-    memory: Vec<u64>,
-    /// `copy[c][b]`: version cache `c` last observed for block `b`.
-    copy: Vec<Vec<u64>>,
-}
-
-impl Values {
-    fn new(cpus: usize, blocks: usize) -> Self {
-        Values {
-            version: vec![0; blocks],
-            memory: vec![0; blocks],
-            copy: vec![vec![0; blocks]; cpus],
-        }
-    }
-
-    fn encode(&self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&self.version);
-        out.extend_from_slice(&self.memory);
-        for c in &self.copy {
-            out.extend_from_slice(c);
-        }
-    }
-}
-
 /// One BFS node: protocol state, value model, first-reference set, path.
 struct Node<P> {
     protocol: P,
-    values: Values,
+    values: ValueModel,
     seen: u64,
     path: Vec<Op>,
 }
 
-fn state_key<P: Protocol>(protocol: &P, values: &Values, seen: u64) -> Vec<u64> {
+fn state_key<P: Protocol>(protocol: &P, values: &ValueModel, seen: u64) -> Vec<u64> {
     let mut key = Vec::with_capacity(48);
     protocol.encode_state(&mut key);
     key.push(seen);
@@ -236,17 +206,16 @@ fn check_costs(
     Ok(())
 }
 
-/// Applies `op` to `protocol`/`values`/`seen` and checks every invariant,
-/// mirroring the engine's `verify_access` transition-for-transition.
+/// Applies `op` to `protocol`/`values`/`seen` and checks every invariant;
+/// the value rules are the [`ValueModel`]'s.
 fn step<P: Protocol + ?Sized>(
     protocol: &mut P,
-    values: &mut Values,
+    values: &mut ValueModel,
     seen: &mut u64,
     op: Op,
 ) -> Result<(), String> {
     let b = op.block.index() as usize;
-    let kind = protocol.kind();
-    let n = protocol.num_caches();
+    let shown = format_args!("b{b}");
     let mut counters = EventCounters::new();
 
     if op.kind == OpKind::Evict {
@@ -257,18 +226,10 @@ fn step<P: Protocol + ?Sized>(
             return Err(format!("eviction of a non-held block cost {evo:?}"));
         }
         if protocol.holders(op.block).contains(op.cache) {
-            return Err(format!("{} still holds b{b} after evicting it", op.cache));
+            return Err(format!("{} still holds {shown} after evicting it", op.cache));
         }
         if evo.write_back {
-            // The evicted copy holds the latest data in every protocol
-            // that answers WRITE_BACK (engine rule).
-            values.memory[b] = values.copy[op.cache.index()][b];
-            if values.memory[b] != values.version[b] {
-                return Err(format!(
-                    "eviction wrote back version {} of b{b}, latest is {}",
-                    values.memory[b], values.version[b]
-                ));
-            }
+            values.write_back(op.cache, op.block, shown)?;
         }
     } else {
         let access = match op.kind {
@@ -289,71 +250,10 @@ fn step<P: Protocol + ?Sized>(
         if first_ref && !out.event.is_miss() {
             return Err(format!("first reference classified as a hit ({})", out.event.label()));
         }
-        let holders = protocol.holders(op.block);
-        if !holders.contains(op.cache) {
-            return Err(format!("{} accessed b{b} but is not a holder afterwards", op.cache));
-        }
-        match access {
-            AccessKind::Write => {
-                let new_ver = values.version[b] + 1;
-                values.version[b] = new_ver;
-                values.copy[op.cache.index()][b] = new_ver;
-                if out.memory_updated {
-                    values.memory[b] = new_ver;
-                }
-                match protocol.style() {
-                    CoherenceStyle::Update => {
-                        // Updates reach every current holder.
-                        for h in holders.iter() {
-                            values.copy[h.index()][b] = new_ver;
-                        }
-                    }
-                    CoherenceStyle::Invalidate => {
-                        // Single-writer: no other copy survives a write.
-                        if holders.len() != 1 {
-                            return Err(format!(
-                                "invalidation protocol left {} copies of b{b} after a write",
-                                holders.len()
-                            ));
-                        }
-                    }
-                }
-            }
-            AccessKind::Read => {
-                let cur = values.version[b];
-                match out.event {
-                    Event::ReadHit => {
-                        let held = values.copy[op.cache.index()][b];
-                        if held != cur {
-                            return Err(format!(
-                                "read hit observed version {held} of b{b}, latest is {cur}"
-                            ));
-                        }
-                    }
-                    Event::ReadMiss(_) => {
-                        if out.memory_updated {
-                            values.memory[b] = cur;
-                        }
-                        let supplied = if out.cache_supplied || out.write_back {
-                            cur
-                        } else {
-                            values.memory[b]
-                        };
-                        if supplied != cur {
-                            return Err(format!(
-                                "miss on b{b} supplied version {supplied}, latest is {cur}"
-                            ));
-                        }
-                        values.copy[op.cache.index()][b] = supplied;
-                    }
-                    other => return Err(format!("read classified as {}", other.label())),
-                }
-            }
-            AccessKind::InstrFetch => unreachable!("the op alphabet has no instruction fetches"),
-        }
+        values.access(&*protocol, op.cache, access, op.block, shown, &out)?;
     }
 
-    check_costs(kind, n, &counters)?;
+    check_costs(protocol.kind(), protocol.num_caches(), &counters)?;
     protocol.check_invariants().map_err(|e| format!("invariant violation: {e}"))
 }
 
@@ -384,7 +284,7 @@ pub fn check<P: Protocol + Clone>(initial: P, cfg: &CheckConfig) -> CheckReport 
         }
     }
 
-    let values = Values::new(cfg.cpus, cfg.blocks);
+    let values = ValueModel::new(cfg.cpus, cfg.blocks);
     let mut visited: HashSet<Vec<u64>> = HashSet::new();
     visited.insert(state_key(&initial, &values, 0));
     let mut frontier = vec![Node { protocol: initial, values, seen: 0, path: Vec::new() }];
@@ -447,8 +347,7 @@ pub fn check_protocol(kind: ProtocolKind, cfg: &CheckConfig) -> CheckReport {
 /// returning the violation it reproduces (`None` if every op passes —
 /// which, for a genuine counterexample, indicates nondeterminism).
 pub fn replay<P: Protocol + ?Sized>(protocol: &mut P, cpus: usize, ops: &[Op]) -> Option<String> {
-    let blocks = ops.iter().map(|op| op.block.index() as usize + 1).max().unwrap_or(1);
-    let mut values = Values::new(cpus.max(protocol.num_caches()), blocks);
+    let mut values = ValueModel::new(cpus.max(protocol.num_caches()), 0);
     let mut seen = 0u64;
     for op in ops {
         if let Err(violation) = step(protocol, &mut values, &mut seen, *op) {
@@ -464,7 +363,7 @@ mod tests {
     use dircc_cache::CacheArray;
     use dircc_core::event::EvictOutcome;
     use dircc_core::snoopy::Berkeley;
-    use dircc_core::Outcome;
+    use dircc_core::{Event, Outcome};
     use dircc_types::CacheIdSet;
 
     fn smoke() -> CheckConfig {

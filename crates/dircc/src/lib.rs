@@ -15,10 +15,11 @@
 //!   Tang, Yen-Fu) and the snoopy comparison points (WTI, Dragon,
 //!   Berkeley);
 //! * [`bus`] — the paper's pipelined and non-pipelined bus cost models;
-//! * [`obs`] — zero-cost observability: the [`Recorder`](obs::Recorder)
-//!   hook, windowed time series, span profiling and structured export;
+//! * [`obs`] — observability: windowed time series, span profiling,
+//!   structured export and the JSON parser;
 //! * [`check`] — bounded exhaustive model checking of every protocol
-//!   (SWMR, directory/cache agreement, data-value coherence);
+//!   (SWMR, directory/cache agreement, and data-value coherence through
+//!   the [`ValueModel`](check::ValueModel) the replay verifier shares);
 //! * [`sim`] — the replay engine, metrics and the experiment runners that
 //!   regenerate every table and figure.
 //!

@@ -1,8 +1,10 @@
-//! A small strict JSON parser for job bodies and `dircc bench` reports.
+//! A small strict JSON parser for job bodies, `dircc bench` reports and
+//! the benchmark's records: the read side of [`escape`](crate::escape).
 //!
 //! Offline build → no serde. Jobs are tiny flat objects, so a
-//! recursive-descent parser over the raw bytes is all that is needed.
-//! Output escaping lives in `dircc_obs::escape`.
+//! recursive-descent parser over the raw bytes is all that is needed; it
+//! reads each byte once, so a body at the daemon's size cap parses in
+//! linear time.
 //! Errors carry the byte offset so a 400 response can point at the
 //! problem. Duplicate object keys are rejected — a job that says
 //! `"shards": 1, "shards": 8` is a client bug, not a tie to break
@@ -177,20 +179,21 @@ impl<'b> Parser<'b> {
                     return Err(self.err("unescaped control byte in string"))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
+                    // Consume the run of plain bytes up to the next quote,
+                    // escape or control byte.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .or_else(|e| {
-                            if e.valid_up_to() > 0 {
-                                std::str::from_utf8(&rest[..e.valid_up_to()])
-                            } else {
-                                Err(e)
-                            }
-                        })
-                        .map_err(|_| self.err("string is not valid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest.iter().position(|b| matches!(b, b'"' | b'\\' | ..0x20));
+                    let run = run.unwrap_or(rest.len());
+                    match std::str::from_utf8(&rest[..run]) {
+                        Ok(s) => {
+                            out.push_str(s);
+                            self.pos += run;
+                        }
+                        Err(e) => {
+                            self.pos += e.valid_up_to();
+                            return Err(self.err("string is not valid UTF-8"));
+                        }
+                    }
                 }
             }
         }
@@ -276,6 +279,7 @@ impl<'b> Parser<'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::escape;
 
     #[test]
     fn parses_a_job_shaped_object() {
@@ -337,12 +341,23 @@ mod tests {
     #[test]
     fn utf8_passthrough_in_strings() {
         assert_eq!(parse("\"héllo\"".as_bytes()).unwrap(), Json::Str("héllo".to_string()));
+        // Invalid UTF-8 is an error at the first bad byte.
+        let err = parse(b"\"ab\xffcd\"").expect_err("not UTF-8");
+        assert_eq!((err.offset, err.message.as_str()), (3, "string is not valid UTF-8"));
+    }
+
+    #[test]
+    fn a_string_at_the_body_cap_parses_in_one_pass() {
+        // 1 MiB of text: a parser that rescans the rest of the input for
+        // every character would take minutes here.
+        let text = "é".repeat(1 << 19);
+        assert_eq!(parse(format!("\"{text}\"").as_bytes()).unwrap(), Json::Str(text));
     }
 
     #[test]
     fn escape_round_trips_through_the_parser() {
         let hairy = "a\"b\\c\nd\te\u{1}f";
-        let wire = format!("\"{}\"", dircc_obs::escape(hairy));
+        let wire = format!("\"{}\"", escape(hairy));
         assert_eq!(parse(wire.as_bytes()).unwrap(), Json::Str(hairy.to_string()));
     }
 }

@@ -9,23 +9,20 @@
 //! This crate adds the time axis back without touching the aggregate
 //! numbers:
 //!
-//! * [`Recorder`] — a statically-dispatched per-reference hook the engine
-//!   is generic over. The default method bodies are empty, so the
-//!   [`NoopRecorder`] monomorphizes to nothing and the replay loop stays
-//!   byte- and speed-identical when observability is off (the repo's
-//!   `benchcmp` gate pins the counters).
 //! * [`WindowedRecorder`] — samples counter *deltas* every K references,
 //!   yielding a time-resolved miss mix, traffic trajectory, and
 //!   write-to-clean invalidation fan-out histogram per window. The window
 //!   deltas partition the run: summed, they reconstruct the final
-//!   [`EventCounters`](dircc_core::EventCounters) exactly.
+//!   [`EventCounters`](dircc_core::EventCounters) exactly. The replay
+//!   engine keeps one only while `RunConfig::window` (`dircc-sim`) is set.
 //! * [`SpanLog`] — a thread-safe wall-clock span collector for the
 //!   workbench's internal phases (generate / filter / intern / replay /
 //!   price), exportable as Chrome trace-event JSON loadable in Perfetto
 //!   or `chrome://tracing`.
 //! * [`export`] — the structured sinks: Chrome trace-event JSON for spans
 //!   and a JSONL schema for the windowed time series (documented in
-//!   `EXPERIMENTS.md`).
+//!   `EXPERIMENTS.md`), with the one JSON string [`escape`];
+//! * [`json`] — the one JSON parser (job bodies, bench reports).
 //! * [`metrics`] — lock-free runtime telemetry: atomic counters, gauges
 //!   and log-linear latency histograms in a
 //!   [`MetricsRegistry`], rendered as Prometheus text exposition (the
@@ -38,7 +35,7 @@
 //!
 //! ```
 //! use dircc_core::{Event, EventCounters, Outcome};
-//! use dircc_obs::{Recorder, WindowedRecorder};
+//! use dircc_obs::WindowedRecorder;
 //!
 //! let mut counters = EventCounters::new();
 //! let mut rec = WindowedRecorder::new(2);
@@ -46,21 +43,22 @@
 //!     counters.observe(&Outcome::quiet(Event::ReadHit));
 //!     rec.record(refs, &counters);
 //! }
-//! rec.finish(5, &counters);
-//! let samples = rec.into_samples();
+//! let samples = rec.finish(5, &counters);
 //! assert_eq!(samples.len(), 3, "two full windows plus the remainder");
 //! let total: u64 = samples.iter().map(|s| s.counters.total()).sum();
 //! assert_eq!(total, counters.total(), "window deltas partition the run");
 //! ```
 
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod span;
 
 pub use export::{chrome_trace, counters_json, escape, window_jsonl_line};
+pub use json::Json;
 pub use metrics::{
     parse_exposition, samples_sum, Counter, Gauge, Histogram, MetricsRegistry, Sample,
 };
-pub use recorder::{NoopRecorder, Recorder, WindowSample, WindowedRecorder};
+pub use recorder::{WindowSample, WindowedRecorder};
 pub use span::{RunMeta, Span, SpanLog, SpanTimer};

@@ -1,45 +1,6 @@
-//! The per-reference recorder hook and its two stock implementations.
+//! Windowed counter sampling: the time axis of a replay.
 
 use dircc_core::EventCounters;
-
-/// A per-reference observation hook the replay engine is generic over.
-///
-/// The engine calls [`record`](Recorder::record) once per replayed trace
-/// record — *after* every counter mutation for that record (including
-/// finite-cache eviction traffic) — and [`finish`](Recorder::finish) once
-/// when the stream ends. Both default bodies are empty, so a recorder
-/// that overrides neither (the [`NoopRecorder`]) monomorphizes away and
-/// the hot loop is exactly the code it was before the hook existed.
-pub trait Recorder {
-    /// `true` only for recorders whose hooks observe nothing (the
-    /// [`NoopRecorder`]). A monomorphized replay loop may consult this to
-    /// specialize the per-reference recorder call out of the no-op
-    /// configuration entirely; recorders that observe anything MUST keep
-    /// the default `false`.
-    const IS_NOOP: bool = false;
-
-    /// Observes the cumulative counters after reference number `refs`
-    /// (1-based) has been fully accounted.
-    #[inline(always)]
-    fn record(&mut self, refs: u64, counters: &EventCounters) {
-        let _ = (refs, counters);
-    }
-
-    /// Observes the final state once the stream is exhausted. `refs` is
-    /// the total reference count; `counters` the run's final totals.
-    #[inline(always)]
-    fn finish(&mut self, refs: u64, counters: &EventCounters) {
-        let _ = (refs, counters);
-    }
-}
-
-/// The do-nothing recorder: the default for every existing entry point.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    const IS_NOOP: bool = true;
-}
 
 /// One window of a time-resolved run: the counter *delta* accumulated
 /// over references `start_ref + 1 ..= end_ref`.
@@ -65,9 +26,12 @@ impl WindowSample {
 
 /// Samples [`EventCounters`] deltas every `window` references.
 ///
-/// The final window may be shorter when the run length is not a multiple
-/// of the window size; [`finish`](Recorder::finish) closes it. Windows
-/// are contiguous, non-overlapping, and partition the run.
+/// The replay engine calls [`record`](Self::record) once per replayed
+/// trace record, after every counter mutation for that record (finite-cache
+/// eviction traffic included), and [`finish`](Self::finish) once when the
+/// stream ends. The final window may be shorter when the run length is not
+/// a multiple of the window size; `finish` closes it and returns every
+/// window. Windows are contiguous, non-overlapping, and partition the run.
 #[derive(Debug, Clone)]
 pub struct WindowedRecorder {
     window: u64,
@@ -92,21 +56,6 @@ impl WindowedRecorder {
         }
     }
 
-    /// The configured window size in references.
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
-    /// Windows closed so far.
-    pub fn samples(&self) -> &[WindowSample] {
-        &self.samples
-    }
-
-    /// Consumes the recorder, returning the collected windows.
-    pub fn into_samples(self) -> Vec<WindowSample> {
-        self.samples
-    }
-
     fn close_window(&mut self, refs: u64, counters: &EventCounters) {
         self.samples.push(WindowSample {
             index: self.samples.len(),
@@ -117,20 +66,25 @@ impl WindowedRecorder {
         self.snapshot = counters.clone();
         self.last_ref = refs;
     }
-}
 
-impl Recorder for WindowedRecorder {
+    /// Observes the cumulative counters after reference number `refs`
+    /// (1-based) has been fully accounted, closing a window every
+    /// `window` references.
     #[inline]
-    fn record(&mut self, refs: u64, counters: &EventCounters) {
+    pub fn record(&mut self, refs: u64, counters: &EventCounters) {
         if refs.is_multiple_of(self.window) {
             self.close_window(refs, counters);
         }
     }
 
-    fn finish(&mut self, refs: u64, counters: &EventCounters) {
+    /// Closes the last, possibly shorter, window once the stream is
+    /// exhausted and returns every window. `refs` is the total reference
+    /// count; `counters` the run's final totals.
+    pub fn finish(mut self, refs: u64, counters: &EventCounters) -> Vec<WindowSample> {
         if refs > self.last_ref {
             self.close_window(refs, counters);
         }
+        self.samples
     }
 }
 
@@ -141,7 +95,8 @@ mod tests {
 
     /// Drives a recorder with a synthetic stream: `n` references, each a
     /// read hit except every 7th, which is a memory-only read miss.
-    fn drive(rec: &mut impl Recorder, n: u64) -> EventCounters {
+    /// Returns the final counters and the windows.
+    fn drive(mut rec: WindowedRecorder, n: u64) -> (EventCounters, Vec<WindowSample>) {
         let mut counters = EventCounters::new();
         for refs in 1..=n {
             let event = if refs.is_multiple_of(7) {
@@ -152,15 +107,13 @@ mod tests {
             counters.observe(&Outcome::quiet(event));
             rec.record(refs, &counters);
         }
-        rec.finish(n, &counters);
-        counters
+        let samples = rec.finish(n, &counters);
+        (counters, samples)
     }
 
     #[test]
     fn windows_partition_the_run() {
-        let mut rec = WindowedRecorder::new(10);
-        let total = drive(&mut rec, 37);
-        let samples = rec.into_samples();
+        let (total, samples) = drive(WindowedRecorder::new(10), 37);
         assert_eq!(samples.len(), 4, "three full windows plus a 7-ref tail");
         assert_eq!(samples[3].refs(), 7);
         // Contiguous and non-overlapping.
@@ -179,12 +132,11 @@ mod tests {
 
     #[test]
     fn exact_multiple_has_no_tail_window() {
-        let mut rec = WindowedRecorder::new(5);
-        let total = drive(&mut rec, 20);
-        assert_eq!(rec.samples().len(), 4);
-        assert_eq!(rec.samples().last().unwrap().end_ref, 20);
+        let (total, samples) = drive(WindowedRecorder::new(5), 20);
+        assert_eq!(samples.len(), 4);
+        assert_eq!(samples.last().unwrap().end_ref, 20);
         let mut sum = EventCounters::new();
-        for s in rec.samples() {
+        for s in &samples {
             sum.merge(&s.counters);
         }
         assert_eq!(sum, total);
@@ -192,15 +144,8 @@ mod tests {
 
     #[test]
     fn empty_run_yields_no_windows() {
-        let mut rec = WindowedRecorder::new(5);
-        rec.finish(0, &EventCounters::new());
-        assert!(rec.samples().is_empty());
-    }
-
-    #[test]
-    fn noop_recorder_does_nothing() {
-        let mut rec = NoopRecorder;
-        let _ = drive(&mut rec, 10);
+        let rec = WindowedRecorder::new(5);
+        assert!(rec.finish(0, &EventCounters::new()).is_empty());
     }
 
     #[test]

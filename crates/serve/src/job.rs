@@ -9,7 +9,7 @@
 //! unknown fields) live in the crate so they are testable without a
 //! simulator.
 
-use crate::json::{self, Json};
+use dircc_obs::json::{self, Json};
 
 /// One simulation request.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,6 +67,12 @@ pub const MAX_REFS: u64 = 1 << 24;
 /// (`"window": 1` over millions of references) would let one request
 /// hold gigabytes.
 pub const MAX_WINDOWS: u64 = 4_096;
+
+/// The most spans the daemon's span log keeps for `/spans`: the newest,
+/// about a thousand executed runs' worth (each leaves four spans, plus one
+/// per shard). Older spans are dropped, so the log stays bounded however
+/// long the daemon runs.
+pub const MAX_SPANS: usize = 4_096;
 
 const KNOWN_FIELDS: &[&str] = &["scheme", "trace", "refs", "seed", "filter", "shards", "window"];
 

@@ -31,7 +31,6 @@ pub mod cache;
 pub mod client;
 pub mod http;
 pub mod job;
-pub mod json;
 pub mod logger;
 pub mod metrics;
 pub mod queue;
@@ -39,8 +38,8 @@ pub mod server;
 
 pub use cache::{CacheCounters, Lru, Outcome, ResultCache};
 pub use client::{request, request_with_headers, Response};
-pub use job::{JobError, JobSpec, DEFAULT_SEED, MAX_REFS, MAX_WINDOWS};
-pub use json::Json;
+pub use dircc_obs::json::{self, Json};
+pub use job::{JobError, JobSpec, DEFAULT_SEED, MAX_REFS, MAX_SPANS, MAX_WINDOWS};
 pub use logger::{Level, LogValue, Logger};
 pub use metrics::ServerMetrics;
 pub use queue::{Bounded, PushError};

@@ -12,10 +12,11 @@
 //!   first-reference classification;
 //! * feeds data references to the protocol and accumulates
 //!   [`EventCounters`];
-//! * optionally verifies **value-level coherence**: every read must observe
+//! * optionally verifies **value-level coherence** against [`ValueModel`],
+//!   the oracle the model checker consults too: every read must observe
 //!   the globally latest write, stale copies must never survive a write in
-//!   an invalidation protocol, and data must never be supplied from stale
-//!   memory.
+//!   an invalidation protocol, data must never be supplied from stale
+//!   memory, and evictions must never write back a stale copy.
 //!
 //! # One loop, several batch sources
 //!
@@ -27,10 +28,10 @@
 //! sub-streams, global reference numbers. The loop is generic over
 //! `P: Protocol + ?Sized`, so a `Box<dyn Protocol>` is just another type
 //! argument. Per batch it takes a quiet body when every cold path is
-//! provably dead — [`Recorder::IS_NOOP`], no verifier, infinite caches,
-//! no invariant cadence, and a batch `max_cache_idx` below the cache
-//! count — which adds the instruction count in bulk — and otherwise the
-//! full checking body, which observes each record one at a time.
+//! provably dead — no window, no verifier, infinite caches, no invariant
+//! cadence, and a batch `max_cache_idx` below the cache count — which
+//! adds the instruction count in bulk — and otherwise the full checking
+//! body, which observes each record one at a time.
 //!
 //! The sources differ only in how a batch is filled:
 //!
@@ -53,22 +54,24 @@
 //!
 //! # Observability
 //!
-//! [`run_indexed_with`] takes a [`Recorder`] — a statically dispatched
-//! per-reference hook called after every counter mutation. The other
-//! entry points pass [`NoopRecorder`], whose `IS_NOOP` selects the quiet
-//! body at compile time, so the hot loop is unchanged with observability
-//! off (the `benchcmp` CI gate pins the counters against the checked-in
+//! A nonzero [`RunConfig::window`] makes the loop sample the cumulative
+//! counters after every reference into a [`WindowedRecorder`], and
+//! [`RunResult::windows`] returns the per-window deltas, which partition
+//! the run. Windows are a slice of the global reference stream, so
+//! [`run_sharded`] rejects them. With the window off, the quiet body runs
+//! (the `benchcmp` CI gate pins the counters against the checked-in
 //! baseline).
 
+use crate::par::par_map_indexed;
 use dircc_cache::{FiniteCacheConfig, Lookup, SetAssocCache};
+use dircc_check::ValueModel;
 use dircc_core::{
-    dispatch, CoherenceStyle, Event, EventCounters, Outcome, Protocol, ProtocolKind,
-    ProtocolVisitor,
+    dispatch, Event, EventCounters, Outcome, Protocol, ProtocolKind, ProtocolVisitor,
 };
-use dircc_obs::{NoopRecorder, Recorder};
+use dircc_obs::{WindowSample, WindowedRecorder};
 use dircc_trace::chunk::{IterChunks, BATCH_RECORDS};
 use dircc_trace::{BlockInterner, ChunkSource, ShardedStream, SoaStream, TraceRecord};
-use dircc_types::{AccessKind, BlockAddr, BlockGeometry, CacheId};
+use dircc_types::{BlockAddr, BlockGeometry, CacheId};
 use std::time::{Duration, Instant};
 
 pub use dircc_types::SharingModel;
@@ -84,6 +87,9 @@ pub struct RunConfig {
     pub verify: bool,
     /// Run the protocol's invariant checker every N references (0 = never).
     pub check_invariants_every: u64,
+    /// Sample counter deltas every N references into
+    /// [`RunResult::windows`] (0 = off).
+    pub window: u64,
     /// Simulate finite per-cache tag stores of this shape: LRU replacements
     /// call [`Protocol::evict`], generating write-backs and replacement
     /// hints (the paper's finite-cache extension; `None` = infinite caches,
@@ -98,6 +104,7 @@ impl Default for RunConfig {
             geometry: BlockGeometry::PAPER,
             verify: false,
             check_invariants_every: 0,
+            window: 0,
             finite_cache: None,
         }
     }
@@ -135,6 +142,9 @@ pub struct RunResult {
     /// Coherence violations found by the verifier (empty when disabled or
     /// when the protocol is correct). At most [`MAX_VIOLATIONS`] retained.
     pub violations: Vec<String>,
+    /// Counter deltas per [`RunConfig::window`] references, the last
+    /// window possibly shorter (empty when windowing is off).
+    pub windows: Vec<WindowSample>,
 }
 
 /// Cap on retained verifier violation messages.
@@ -147,6 +157,7 @@ pub(crate) struct CoreResult {
     pub(crate) counters: EventCounters,
     pub(crate) refs: u64,
     pub(crate) violations: Vec<(u64, String)>,
+    pub(crate) windows: Vec<WindowSample>,
 }
 
 /// Internal engine error: the 1-based global reference number it occurred
@@ -157,77 +168,13 @@ pub(crate) struct EngineError {
     pub(crate) msg: String,
 }
 
-fn format_violation((gref, msg): (u64, String)) -> String {
-    format!("ref {gref}: {msg}")
-}
-
 pub(crate) fn finish_result(raw: CoreResult) -> RunResult {
+    let violations = raw.violations.into_iter().map(|(gref, msg)| format!("ref {gref}: {msg}"));
     RunResult {
         counters: raw.counters,
         refs: raw.refs,
-        violations: raw.violations.into_iter().map(format_violation).collect(),
-    }
-}
-
-/// Value-level coherence verifier state.
-///
-/// The engine hands the verifier *dense* block addresses, so all three
-/// tables are flat vectors indexed by block. Absent entries read as
-/// version 0 (the block's initial state), exactly as the former hash-map
-/// representation defaulted.
-#[derive(Debug)]
-pub(crate) struct Verifier {
-    /// Monotonic version per block, bumped on every write.
-    version: Vec<u64>,
-    /// Version each cached copy holds, one table per cache.
-    copy: Vec<Vec<u64>>,
-    /// Version main memory holds.
-    memory: Vec<u64>,
-}
-
-fn table_get(table: &[u64], b: BlockAddr) -> u64 {
-    table.get(b.index() as usize).copied().unwrap_or(0)
-}
-
-fn table_set(table: &mut Vec<u64>, b: BlockAddr, ver: u64) {
-    let i = b.index() as usize;
-    if table.len() <= i {
-        table.resize(i + 1, 0);
-    }
-    table[i] = ver;
-}
-
-impl Verifier {
-    pub(crate) fn new(n_caches: usize, blocks: usize) -> Self {
-        Verifier {
-            version: Vec::with_capacity(blocks),
-            copy: vec![Vec::with_capacity(blocks); n_caches],
-            memory: Vec::with_capacity(blocks),
-        }
-    }
-
-    fn mem_version(&self, b: BlockAddr) -> u64 {
-        table_get(&self.memory, b)
-    }
-
-    fn cur_version(&self, b: BlockAddr) -> u64 {
-        table_get(&self.version, b)
-    }
-
-    pub(crate) fn copy_version(&self, cache: CacheId, b: BlockAddr) -> u64 {
-        table_get(&self.copy[cache.index()], b)
-    }
-
-    fn set_version(&mut self, b: BlockAddr, ver: u64) {
-        table_set(&mut self.version, b, ver);
-    }
-
-    pub(crate) fn set_memory(&mut self, b: BlockAddr, ver: u64) {
-        table_set(&mut self.memory, b, ver);
-    }
-
-    fn set_copy(&mut self, cache: CacheId, b: BlockAddr, ver: u64) {
-        table_set(&mut self.copy[cache.index()], b, ver);
+        violations: violations.collect(),
+        windows: raw.windows,
     }
 }
 
@@ -292,13 +239,9 @@ pub fn run_chunked_many<P: Protocol + ?Sized, S: ChunkSource>(
     let mut interner = BlockInterner::new(cfg.geometry);
     let mut records = Vec::new();
     let mut batch = SoaStream::new(cfg.sharing);
-    let mut recorders = vec![NoopRecorder; protocols.len()];
     // `Ok` while a protocol replays; its error once it has stopped.
-    let mut runs: Vec<Result<Core<'_, P, NoopRecorder>, String>> = protocols
-        .iter_mut()
-        .zip(&mut recorders)
-        .map(|(p, rec)| Ok(Core::new(&mut **p, cfg, 0, None, rec)))
-        .collect();
+    let mut runs: Vec<Result<Core<'_, P>, String>> =
+        protocols.iter_mut().map(|p| Ok(Core::new(&mut **p, cfg, 0, None))).collect();
     while runs.iter().any(Result::is_ok) {
         match source.next_chunk(&mut records) {
             Ok(true) => {}
@@ -350,29 +293,8 @@ pub fn run_indexed(
     soa: &SoaStream,
     cfg: &RunConfig,
 ) -> Result<RunResult, String> {
-    run_indexed_with(kind, n_caches, records, soa, cfg, &mut NoopRecorder)
-}
-
-/// [`run_indexed`] with a [`Recorder`] observing the cumulative counters
-/// after every reference (e.g. a
-/// [`WindowedRecorder`](dircc_obs::WindowedRecorder) sampling
-/// time-resolved deltas). Counters are unaffected by the recorder.
-///
-/// # Errors
-///
-/// As [`run_indexed`].
-pub fn run_indexed_with<R: Recorder>(
-    kind: ProtocolKind,
-    n_caches: usize,
-    records: &[TraceRecord],
-    soa: &SoaStream,
-    cfg: &RunConfig,
-    recorder: &mut R,
-) -> Result<RunResult, String> {
     check_aligned(records, soa.refs(), soa.sharing, cfg)?;
-    replay_dispatched(kind, n_caches, records, soa, None, cfg, recorder)
-        .map(finish_result)
-        .map_err(|e| e.msg)
+    replay_dispatched(kind, n_caches, records, soa, None, cfg).map(finish_result).map_err(|e| e.msg)
 }
 
 /// Checks that a stream covering `covered` references fits `records`.
@@ -464,7 +386,9 @@ pub fn shard_stream(
 /// # Errors
 ///
 /// As [`run_indexed`], checked per shard; across shards the error with
-/// the smallest global reference number wins, deterministically.
+/// the smallest global reference number wins, deterministically. A
+/// nonzero [`RunConfig::window`] is an error: a window is a slice of the
+/// global reference stream, which no shard replays.
 pub fn run_sharded(
     kind: ProtocolKind,
     n_caches: usize,
@@ -494,6 +418,11 @@ pub fn run_sharded_with<O>(
 where
     O: Fn(usize, Instant, Duration, u64) + Sync,
 {
+    if cfg.window > 0 {
+        return Err("sharded replay rejects a window: windowed sampling observes the global \
+                    reference stream, which no shard replays; replay serially"
+            .to_string());
+    }
     let shards = sharded.shards();
     for sh in shards {
         check_aligned(records, sharded.total_records() as u64, sh.soa.sharing, cfg)?;
@@ -502,36 +431,23 @@ where
         let sh = &shards[idx];
         let started = Instant::now();
         let shard = Some((&sh.global_refs[..], &sh.global_ids[..]));
-        let res =
-            replay_dispatched(kind, n_caches, records, &sh.soa, shard, cfg, &mut NoopRecorder);
+        let res = replay_dispatched(kind, n_caches, records, &sh.soa, shard, cfg);
         let refs = res.as_ref().map_or(sh.soa.refs(), |o| o.refs);
         observe(idx, started, started.elapsed(), refs);
         res
     })
 }
 
-/// Replays shards `0..shards` — `replay_shard(idx)` each — on scoped
-/// threads (inline for one shard) and merges the results with
-/// [`merge_shard_results`], adding the stream's `instr` instruction
-/// fetches once: the fan-out behind [`run_sharded_with`].
+/// Replays shards `0..shards` — `replay_shard(idx)` each — one scoped
+/// thread per shard ([`par_map_indexed`]; inline for one shard) and
+/// merges the results with [`merge_shard_results`], adding the stream's
+/// `instr` instruction fetches once: the fan-out behind
+/// [`run_sharded_with`].
 fn fan_out<F>(shards: usize, instr: u64, replay_shard: F) -> Result<RunResult, String>
 where
     F: Fn(usize) -> Result<CoreResult, EngineError> + Sync,
 {
-    let results = if shards == 1 {
-        vec![replay_shard(0)]
-    } else {
-        std::thread::scope(|scope| {
-            let replay_shard = &replay_shard;
-            let handles: Vec<_> =
-                (0..shards).map(|idx| scope.spawn(move || replay_shard(idx))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .collect()
-        })
-    };
-    let mut merged = merge_shard_results(results)?;
+    let mut merged = merge_shard_results(par_map_indexed(shards, shards, replay_shard))?;
     merged.counters.observe_instr_fetches(instr);
     merged.refs += instr;
     Ok(merged)
@@ -564,7 +480,7 @@ fn merge_shard_results(results: Vec<Result<CoreResult, EngineError>>) -> Result<
     }
     findings.sort_by_key(|(gref, _)| *gref);
     findings.truncate(MAX_VIOLATIONS);
-    Ok(finish_result(CoreResult { counters, refs, violations: findings }))
+    Ok(finish_result(CoreResult { counters, refs, violations: findings, windows: Vec::new() }))
 }
 
 /// Replays one in-memory stream (or shard sub-stream, whose `shard`
@@ -572,59 +488,59 @@ fn merge_shard_results(results: Vec<Result<CoreResult, EngineError>>) -> Result<
 /// ids) through a fresh instance of `kind` sized for the stream's blocks
 /// and resolved to its concrete type ([`dispatch`]), so
 /// [`Protocol::access`] is statically dispatched and inlinable.
-fn replay_dispatched<R: Recorder>(
+fn replay_dispatched(
     kind: ProtocolKind,
     n_caches: usize,
     records: &[TraceRecord],
     soa: &SoaStream,
     shard: Option<(&[u64], &[u32])>,
     cfg: &RunConfig,
-    recorder: &mut R,
 ) -> Result<CoreResult, EngineError> {
-    struct Replay<'a, R> {
+    struct Replay<'a> {
         records: &'a [TraceRecord],
         soa: &'a SoaStream,
         shard: Option<(&'a [u64], &'a [u32])>,
         cfg: &'a RunConfig,
-        recorder: &'a mut R,
     }
-    impl<R: Recorder> ProtocolVisitor for Replay<'_, R> {
+    impl ProtocolVisitor for Replay<'_> {
         type Output = Result<CoreResult, EngineError>;
         fn visit<P: Protocol + Clone + 'static>(self, mut protocol: P) -> Self::Output {
-            let Replay { records, soa, shard, cfg, recorder } = self;
+            let Replay { records, soa, shard, cfg } = self;
             protocol.reserve_blocks(soa.data.num_blocks);
-            replay_memory(&mut protocol, records, soa, shard, cfg, recorder)
+            replay_memory(&mut protocol, records, soa, shard, cfg)
         }
     }
-    let visitor = Replay { records, soa, shard, cfg, recorder };
-    dispatch(kind, n_caches, visitor)
+    dispatch(kind, n_caches, Replay { records, soa, shard, cfg })
 }
 
 /// Replays one in-memory stream (or shard sub-stream) as a single batch.
-fn replay_memory<P: Protocol + ?Sized, R: Recorder>(
+fn replay_memory<P: Protocol + ?Sized>(
     protocol: &mut P,
     records: &[TraceRecord],
     soa: &SoaStream,
     shard: Option<(&[u64], &[u32])>,
     cfg: &RunConfig,
-    recorder: &mut R,
 ) -> Result<CoreResult, EngineError> {
-    let mut core = Core::new(protocol, cfg, soa.data.num_blocks, shard.map(|s| s.1), recorder);
+    let mut core = Core::new(protocol, cfg, soa.data.num_blocks, shard.map(|s| s.1));
     core.replay(records, soa, shard.map(|s| s.0))?;
     core.finish()
 }
 
 /// The replay loop's state, carried across the batches of one stream.
-struct Core<'a, P: ?Sized, R> {
+struct Core<'a, P: ?Sized> {
     protocol: &'a mut P,
     cfg: &'a RunConfig,
-    recorder: &'a mut R,
     /// Shard-local → global dense ids (`None` for unsharded streams), so
     /// sharded violation text names blocks exactly as the serial run does.
     global_ids: Option<&'a [u32]>,
     counters: EventCounters,
-    verifier: Option<Verifier>,
+    /// The value oracle, when the config verifies.
+    values: Option<ValueModel>,
+    /// Its findings, each at its global reference number, capped at
+    /// [`MAX_VIOLATIONS`].
     violations: Vec<(u64, String)>,
+    /// Counter snapshots every [`RunConfig::window`] references.
+    windows: Option<WindowedRecorder>,
     /// Finite-mode tag stores mirror each cache's resident blocks; LRU
     /// victims are evicted from the protocol. Tags invalidated by remote
     /// writes linger until replaced (as in real caches). Set selection
@@ -635,22 +551,21 @@ struct Core<'a, P: ?Sized, R> {
     refs: u64,
 }
 
-impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
-    /// `block_capacity` pre-sizes the verifier's dense tables.
+impl<'a, P: Protocol + ?Sized> Core<'a, P> {
+    /// `block_capacity` pre-sizes the value oracle's dense tables.
     fn new(
         protocol: &'a mut P,
         cfg: &'a RunConfig,
         block_capacity: usize,
         global_ids: Option<&'a [u32]>,
-        recorder: &'a mut R,
     ) -> Self {
         let n = protocol.num_caches();
         Core {
-            verifier: cfg.verify.then(|| Verifier::new(n, block_capacity)),
+            values: cfg.verify.then(|| ValueModel::new(n, block_capacity)),
+            windows: (cfg.window > 0).then(|| WindowedRecorder::new(cfg.window)),
             tag_stores: cfg.finite_cache.map(|fc| (0..n).map(|_| SetAssocCache::new(fc)).collect()),
             protocol,
             cfg,
-            recorder,
             global_ids,
             counters: EventCounters::new(),
             violations: Vec::new(),
@@ -663,7 +578,7 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
     /// `records`, `grefs` the 1-based *global* reference numbers of a
     /// shard sub-stream's entries in `records` (`None`: the running
     /// reference count), used in error and violation messages so sharded
-    /// findings merge back in trace order. The recorder sees the
+    /// findings merge back in trace order. The window recorder sees the
     /// cumulative counters once per reference, after every counter
     /// mutation that reference caused (eviction traffic included), so
     /// windowed deltas partition the run exactly.
@@ -684,9 +599,9 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
         // (max_cache_idx proves the bounds check dead), no state beyond
         // the protocol and counters exists, and the batch specializes
         // down to the quiet loop over data references.
-        let quiet = R::IS_NOOP
-            && !cfg.verify
-            && cfg.finite_cache.is_none()
+        let quiet = self.windows.is_none()
+            && self.values.is_none()
+            && self.tag_stores.is_none()
             && every == 0
             && usize::from(soa.max_cache_idx) < n;
         if quiet {
@@ -737,7 +652,9 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
                 ends_on_data = r.is_data();
                 if !ends_on_data {
                     self.counters.observe(&Outcome::quiet(Event::Instr));
-                    self.recorder.record(refs, &self.counters);
+                    if let Some(w) = self.windows.as_mut() {
+                        w.record(refs, &self.counters);
+                    }
                     continue;
                 }
                 let (k, cache_idx) = (data.kind[d], soa.cache_idx[d]);
@@ -758,22 +675,10 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
                 d += 1;
                 self.counters.observe(&out);
 
-                if let Some(v) = self.verifier.as_mut() {
-                    let shown = match self.global_ids {
-                        None => block,
-                        Some(g) => BlockAddr::from_index(u64::from(g[block.index() as usize])),
-                    };
-                    verify_access(
-                        &*self.protocol,
-                        v,
-                        cache,
-                        k,
-                        block,
-                        shown,
-                        &out,
-                        &mut self.violations,
-                        gref,
-                    );
+                if let Some(values) = self.values.as_mut() {
+                    let shown = global_block(self.global_ids, block);
+                    let verdict = values.access(&*self.protocol, cache, k, block, shown, &out);
+                    note(&mut self.violations, gref, verdict);
                 }
                 if let Some(stores) = self.tag_stores.as_mut() {
                     let orig_block = cfg.geometry.block_of(r.addr);
@@ -783,17 +688,16 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
                     {
                         let evo = self.protocol.evict(cache, victim.state);
                         self.counters.observe_eviction(&evo);
-                        if evo.write_back {
-                            if let Some(v) = self.verifier.as_mut() {
-                                // The evicted copy holds the latest data in
-                                // every protocol that answers WRITE_BACK.
-                                let ver = v.copy_version(cache, victim.state);
-                                v.set_memory(victim.state, ver);
-                            }
+                        if let Some(values) = self.values.as_mut().filter(|_| evo.write_back) {
+                            let shown = global_block(self.global_ids, victim.state);
+                            let verdict = values.write_back(cache, victim.state, shown);
+                            note(&mut self.violations, gref, verdict);
                         }
                     }
                 }
-                self.recorder.record(refs, &self.counters);
+                if let Some(w) = self.windows.as_mut() {
+                    w.record(refs, &self.counters);
+                }
             }
             i = end;
             // The cadence only checks when the boundary reference is a
@@ -814,7 +718,7 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
     }
 
     /// Ends the stream: the final invariant check (when a cadence is set)
-    /// and the recorder's `finish`.
+    /// and the last, possibly shorter, window.
     fn finish(self) -> Result<CoreResult, EngineError> {
         if self.cfg.check_invariants_every > 0 {
             self.protocol.check_invariants().map_err(|e| EngineError {
@@ -822,91 +726,31 @@ impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
                 msg: format!("final invariant violation: {e}"),
             })?;
         }
-        self.recorder.finish(self.refs, &self.counters);
-        Ok(CoreResult { counters: self.counters, refs: self.refs, violations: self.violations })
+        let windows = self.windows.map_or_else(Vec::new, |w| w.finish(self.refs, &self.counters));
+        Ok(CoreResult {
+            counters: self.counters,
+            refs: self.refs,
+            violations: self.violations,
+            windows,
+        })
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn verify_access<P: Protocol + ?Sized>(
-    protocol: &P,
-    v: &mut Verifier,
-    cache: CacheId,
-    kind: AccessKind,
-    block: BlockAddr,
-    shown: BlockAddr,
-    out: &dircc_core::Outcome,
-    violations: &mut Vec<(u64, String)>,
-    gref: u64,
-) {
-    let mut report = |msg: String| {
+/// The block a finding names: `block` itself, or for a shard sub-stream
+/// (`global_ids` set) its global dense id, as the serial run names it.
+fn global_block(global_ids: Option<&[u32]>, block: BlockAddr) -> BlockAddr {
+    match global_ids {
+        None => block,
+        Some(g) => BlockAddr::from_index(u64::from(g[block.index() as usize])),
+    }
+}
+
+/// Keeps a value-oracle finding at reference `gref`, up to the cap.
+fn note(violations: &mut Vec<(u64, String)>, gref: u64, verdict: Result<(), String>) {
+    if let Err(msg) = verdict {
         if violations.len() < MAX_VIOLATIONS {
             violations.push((gref, msg));
         }
-    };
-    let holders = protocol.holders(block);
-    if !holders.contains(cache) {
-        report(format!("{cache} accessed {shown} but is not a holder afterwards"));
-        return;
-    }
-    match kind {
-        AccessKind::Write => {
-            let new_ver = v.cur_version(block) + 1;
-            v.set_version(block, new_ver);
-            v.set_copy(cache, block, new_ver);
-            if out.memory_updated {
-                v.set_memory(block, new_ver);
-            }
-            match protocol.style() {
-                CoherenceStyle::Update => {
-                    // Updates reach every current holder.
-                    for h in holders.iter() {
-                        v.set_copy(h, block, new_ver);
-                    }
-                }
-                CoherenceStyle::Invalidate => {
-                    // Single-writer: no other copy may survive a write.
-                    if holders.len() != 1 {
-                        report(format!(
-                            "invalidation protocol left {} copies of {shown} after a write",
-                            holders.len()
-                        ));
-                    }
-                }
-            }
-        }
-        AccessKind::Read => {
-            let cur = v.cur_version(block);
-            match out.event {
-                Event::ReadHit => {
-                    let held = v.copy_version(cache, block);
-                    if held != cur {
-                        report(format!(
-                            "read hit observed version {held} of {shown}, latest is {cur}"
-                        ));
-                    }
-                }
-                Event::ReadMiss(_) => {
-                    // Where did the data come from?
-                    if out.memory_updated {
-                        v.set_memory(block, cur);
-                    }
-                    let supplied = if out.cache_supplied || out.write_back {
-                        cur
-                    } else {
-                        v.mem_version(block)
-                    };
-                    if supplied != cur {
-                        report(format!(
-                            "miss on {shown} supplied version {supplied}, latest is {cur}"
-                        ));
-                    }
-                    v.set_copy(cache, block, supplied);
-                }
-                other => report(format!("read classified as {other}")),
-            }
-        }
-        AccessKind::InstrFetch => unreachable!("filtered before the protocol"),
     }
 }
 
@@ -916,7 +760,7 @@ mod tests {
     use dircc_core::event::EvictOutcome;
     use dircc_core::{build, ProtocolKind};
     use dircc_trace::gen::patterns;
-    use dircc_types::{Address, CpuId, ProcessId};
+    use dircc_types::{AccessKind, Address, CpuId, ProcessId};
 
     /// A deliberately broken protocol: every access is a write hit on a
     /// clean exclusive copy, so nothing is ever invalidated and every
@@ -1179,40 +1023,31 @@ mod tests {
     }
 
     #[test]
-    fn noop_recorder_is_bit_identical_to_the_plain_entry_point() {
-        let trace = patterns::migratory(4, 80);
-        let cfg = RunConfig::default();
-        let soa = soa(&trace, &cfg);
-        let kind = ProtocolKind::Berkeley;
-        let plain = run_indexed(kind, 4, &trace, &soa, &cfg).unwrap();
-        let mut rec = dircc_obs::NoopRecorder;
-        let with = run_indexed_with(kind, 4, &trace, &soa, &cfg, &mut rec).unwrap();
-        assert_eq!(plain.counters, with.counters);
-        assert_eq!(plain.refs, with.refs);
-    }
-
-    #[test]
     fn windowed_recorder_reconstructs_final_counters() {
         use dircc_cache::FiniteCacheConfig;
         // Finite caches so eviction traffic flows through the counters
         // too; instruction fetches so every record kind is covered.
         let trace = patterns::with_instr_stream(patterns::migratory(4, 120));
-        let cfg = RunConfig::default().with_finite_caches(FiniteCacheConfig::new(2, 2));
+        let plain_cfg = RunConfig::default().with_finite_caches(FiniteCacheConfig::new(2, 2));
+        let cfg = RunConfig { window: 17, ..plain_cfg };
         let kind = ProtocolKind::WriteOnce;
-        let mut rec = dircc_obs::WindowedRecorder::new(17);
-        let res = run_indexed_with(kind, 4, &trace, &soa(&trace, &cfg), &cfg, &mut rec).unwrap();
-        let samples = rec.into_samples();
+        let res = run_indexed(kind, 4, &trace, &soa(&trace, &cfg), &cfg).unwrap();
+        let samples = &res.windows;
         assert!(samples.len() > 2, "windowing at 17 refs must produce several windows");
         assert_eq!(samples.last().unwrap().end_ref, res.refs);
         let mut sum = EventCounters::new();
-        for s in &samples {
+        for s in samples {
             sum.merge(&s.counters);
         }
         assert_eq!(sum, res.counters, "window deltas must partition the run exactly");
-        // The recorder never perturbs the run itself.
+        // Windowing never perturbs the run itself.
         let mut p = build(ProtocolKind::WriteOnce, 4);
-        let plain = run(p.as_mut(), trace, &cfg).unwrap();
+        let plain = run(p.as_mut(), trace.clone(), &plain_cfg).unwrap();
         assert_eq!(plain.counters, res.counters);
+        assert!(plain.windows.is_empty(), "no window, no samples");
+        // The streaming path samples the same windows.
+        let mut p = build(ProtocolKind::WriteOnce, 4);
+        assert_eq!(run(p.as_mut(), trace, &cfg).unwrap().windows, res.windows);
     }
 
     #[test]
@@ -1220,17 +1055,16 @@ mod tests {
         use dircc_trace::gen::Profile;
         use dircc_trace::store::{TraceFilter, TraceStore};
         let store = TraceStore::new(vec![Profile::pops().with_total_refs(5_000)], 11);
-        let cfg = RunConfig::default().with_process_sharing();
+        let cfg = RunConfig { window: 512, ..RunConfig::default().with_process_sharing() };
         let records = store.records(0, TraceFilter::Full);
         let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
-        let mut rec = dircc_obs::WindowedRecorder::new(512);
-        let res = run_indexed_with(ProtocolKind::Dir0B, 4, &records, &soa, &cfg, &mut rec).unwrap();
+        let res = run_indexed(ProtocolKind::Dir0B, 4, &records, &soa, &cfg).unwrap();
         let mut sum = EventCounters::new();
-        for s in rec.samples() {
+        for s in &res.windows {
             sum.merge(&s.counters);
         }
         assert_eq!(sum, res.counters);
-        assert_eq!(rec.samples().len(), 5_000usize.div_ceil(512));
+        assert_eq!(res.windows.len(), 5_000usize.div_ceil(512));
     }
 
     #[test]
@@ -1339,7 +1173,7 @@ mod tests {
                 let sh = &sharded.shards()[idx];
                 let mut p = Stale(dircc_cache::CacheArray::new(4));
                 let shard = Some((&sh.global_refs[..], &sh.global_ids[..]));
-                replay_memory(&mut p, &trace, &sh.soa, shard, &cfg, &mut NoopRecorder)
+                replay_memory(&mut p, &trace, &sh.soa, shard, &cfg)
             })
             .unwrap();
             assert_eq!(serial.violations, res.violations, "{shards} shards");
@@ -1388,6 +1222,66 @@ mod tests {
         let mut p = Stale(dircc_cache::CacheArray::new(4));
         let res = run(&mut p, trace, &RunConfig::verifying(0)).unwrap();
         assert_eq!(res.violations.len(), MAX_VIOLATIONS);
+    }
+
+    /// Dir0B, except that every eviction claims to write its copy back,
+    /// even a copy a remote write has already made stale.
+    struct WritesBackStale(Box<dyn Protocol>);
+
+    impl Protocol for WritesBackStale {
+        fn kind(&self) -> ProtocolKind {
+            self.0.kind()
+        }
+        fn num_caches(&self) -> usize {
+            self.0.num_caches()
+        }
+        fn access(
+            &mut self,
+            cache: CacheId,
+            kind: AccessKind,
+            block: BlockAddr,
+            first: bool,
+        ) -> Outcome {
+            self.0.access(cache, kind, block, first)
+        }
+        fn evict(&mut self, cache: CacheId, block: BlockAddr) -> EvictOutcome {
+            EvictOutcome { write_back: true, ..self.0.evict(cache, block) }
+        }
+        fn holders(&self, block: BlockAddr) -> dircc_types::CacheIdSet {
+            self.0.holders(block)
+        }
+        fn check_invariants(&self) -> Result<(), String> {
+            self.0.check_invariants()
+        }
+        fn encode_state(&self, out: &mut Vec<u64>) {
+            self.0.encode_state(out);
+        }
+    }
+
+    #[test]
+    fn stale_eviction_write_back_is_a_violation_at_its_reference() {
+        use dircc_cache::FiniteCacheConfig;
+        let at = |cpu: u16, kind, block: u64| {
+            TraceRecord::new(CpuId::new(cpu), ProcessId::new(cpu), kind, Address::new(block * 16))
+        };
+        // Blocks 0 and 2 share set 0 of a 2-set direct-mapped cache. CPU 1's
+        // write invalidates CPU 0's copy of block 0, whose tag lingers until
+        // CPU 0's miss on block 2 replaces it at reference 3.
+        let trace = vec![
+            at(0, AccessKind::Read, 0),
+            at(1, AccessKind::Write, 0),
+            at(0, AccessKind::Read, 2),
+        ];
+        let cfg = RunConfig {
+            verify: true,
+            ..RunConfig::default().with_finite_caches(FiniteCacheConfig::new(2, 1))
+        };
+        let mut p = WritesBackStale(build(ProtocolKind::Dir0B, 4));
+        let res = run(&mut p, trace, &cfg).unwrap();
+        assert_eq!(
+            res.violations,
+            ["ref 3: eviction wrote back version 0 of blk:0x0, latest is 1"]
+        );
     }
 
     /// A real protocol whose invariant check fails from its
@@ -1466,7 +1360,7 @@ mod tests {
                 assert_eq!(err, want, "cadence {every}, pieces of {piece}");
             }
             let soa = soa(&records, &cfg);
-            let err = replay_memory(&mut fresh(), &records, &soa, None, &cfg, &mut NoopRecorder);
+            let err = replay_memory(&mut fresh(), &records, &soa, None, &cfg);
             assert_eq!(
                 err.err().map(|e| e.msg).as_deref(),
                 Some(want),

@@ -14,17 +14,15 @@
 //!   capture more spatial locality but invite more false sharing) and the
 //!   transfer costs.
 
-use crate::engine::{run, run_indexed, RunConfig};
+use crate::engine::{run_indexed, RunConfig};
 use crate::metrics::{mean, Evaluation};
 use crate::par::par_map_indexed;
 use crate::report::{cycles, Table};
 use crate::workbench::{TraceFilter, Workbench};
 use core::fmt;
 use dircc_bus::{BusKind, BusTiming, CostConfig, CostModel};
-#[allow(unused_imports)]
-use dircc_cache as _;
 use dircc_cache::{FiniteCacheConfig, SetAssocCache};
-use dircc_core::{build, ProtocolKind};
+use dircc_core::ProtocolKind;
 use dircc_trace::gen::Profile;
 use dircc_trace::store::TraceStore;
 use dircc_types::{BlockGeometry, SharingModel};
@@ -191,18 +189,18 @@ pub fn scaling(refs: u64, seed: u64, jobs: usize) -> ScalingStudy {
         .enumerate()
         .flat_map(|(si, &cpus)| kinds_at(cpus).into_iter().map(move |k| (si, k)))
         .collect();
+    let cfg = RunConfig::default().with_process_sharing();
     let flat = par_map_indexed(work.len(), jobs, |i| {
         let (si, kind) = work[i];
         let cpus = usize::from(cpu_counts[si]);
         let records = stores[si].records(0, TraceFilter::Full);
-        let mut protocol = build(kind, cpus);
-        let cfg = RunConfig::default().with_process_sharing();
-        let result = run(protocol.as_mut(), records.iter().copied(), &cfg).expect("scaling replay");
+        let soa = stores[si].soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
+        let result = run_indexed(kind, cpus, &records, &soa, &cfg).expect("scaling replay");
         let c = result.counters;
         let per_kref = |n: u64| 1000.0 * n as f64 / c.total() as f64;
         let messages_per_kref = per_kref(c.control_messages());
         let broadcasts_per_kref = per_kref(c.broadcasts());
-        let eval = Evaluation::new(protocol.name(), kind, cpus, c);
+        let eval = Evaluation::new(kind.display_name(cpus), kind, cpus, c);
         ScalingRow {
             scheme: kind.display_name(cpus),
             cycles_per_ref: eval.cycles_per_ref(&m, &cost_cfg),
@@ -275,12 +273,11 @@ pub fn block_size(refs: u64, seed: u64, jobs: usize) -> BlockSizeStudy {
             ..BusTiming::PAPER
         };
         let m = CostModel::new(BusKind::Pipelined, timing);
-        let records = store.records(0, TraceFilter::Full);
-        let mut protocol = build(kind, 4);
         let cfg = RunConfig { geometry, ..RunConfig::default().with_process_sharing() };
-        let result =
-            run(protocol.as_mut(), records.iter().copied(), &cfg).expect("block-size replay");
-        let eval = Evaluation::new(protocol.name(), kind, 4, result.counters);
+        let records = store.records(0, TraceFilter::Full);
+        let soa = store.soa(0, TraceFilter::Full, geometry, cfg.sharing);
+        let result = run_indexed(kind, 4, &records, &soa, &cfg).expect("block-size replay");
+        let eval = Evaluation::new(kind.display_name(4), kind, 4, result.counters);
         eval.cycles_per_ref(&m, &CostConfig::PAPER)
     });
     let points = OFFSET_BITS

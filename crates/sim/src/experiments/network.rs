@@ -1,12 +1,12 @@
 //! Directory storage and interconnection-network studies: the two §6/§7
 //! scaling arguments made quantitative.
 
-use crate::engine::{run, RunConfig};
+use crate::engine::{run_indexed, RunConfig};
 use crate::par::par_map_indexed;
 use crate::report::Table;
 use core::fmt;
 use dircc_bus::{network_cost_per_ref, CostConfig, MeshModel};
-use dircc_core::{build, directory_bits_per_block, EventCounters, ProtocolKind};
+use dircc_core::{directory_bits_per_block, EventCounters, ProtocolKind};
 use dircc_trace::gen::Profile;
 use dircc_trace::store::{TraceFilter, TraceStore};
 
@@ -107,11 +107,11 @@ impl NetworkStudy {
 }
 
 fn measure(store: &TraceStore, kind: ProtocolKind, cpus: u16) -> EventCounters {
-    let mut protocol = build(kind, usize::from(cpus));
     let cfg = RunConfig::default().with_process_sharing();
     let records = store.records(0, TraceFilter::Full);
-    let result = run(protocol.as_mut(), records.iter().copied(), &cfg).expect("network replay");
-    result.counters
+    let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
+    let result = run_indexed(kind, usize::from(cpus), &records, &soa, &cfg);
+    result.expect("network replay").counters
 }
 
 /// Runs the network study on 16/36/64-node meshes, fanning the

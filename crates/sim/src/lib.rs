@@ -51,8 +51,8 @@ pub mod service;
 pub mod workbench;
 
 pub use engine::{
-    run, run_chunked, run_chunked_many, run_indexed, run_indexed_with, run_sharded,
-    run_sharded_with, shard_stream, RunConfig, RunResult, SharingModel,
+    run, run_chunked, run_chunked_many, run_indexed, run_sharded, run_sharded_with, shard_stream,
+    RunConfig, RunResult, SharingModel,
 };
 pub use metrics::Evaluation;
 pub use par::{default_jobs, par_map_indexed};

@@ -59,11 +59,11 @@
 use dircc_bus::{CostConfig, CostModel};
 use dircc_check::{check_protocol, CheckConfig};
 use dircc_core::ProtocolKind;
+use dircc_obs::json::{self, Json};
 use dircc_obs::{
     chrome_trace, parse_exposition, samples_sum, window_jsonl_line, MetricsRegistry, RunMeta,
     Sample,
 };
-use dircc_serve::json::{self, Json};
 use dircc_serve::{client, JobHandler, ServeConfig, Server, MAX_REFS};
 use dircc_sim::experiments::{extensions, figures, network, studies, system, tables};
 use dircc_sim::{

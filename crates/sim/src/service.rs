@@ -9,12 +9,13 @@
 //! shares, so a served `/run` response is byte-identical to a local
 //! replay of the same config — the CI serve gate diffs exactly that.
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use dircc_bus::{CostConfig, CostModel};
 use dircc_core::{EventCounters, ProtocolKind};
 use dircc_obs::{chrome_trace, counters_json, window_jsonl_line, Counter, MetricsRegistry, Span};
-use dircc_serve::{HandlerError, JobSpec, Lru, MAX_WINDOWS};
+use dircc_serve::{HandlerError, JobSpec, Lru, MAX_SPANS, MAX_WINDOWS};
 use dircc_trace::gen::Profile;
 use dircc_trace::store::TraceStore;
 
@@ -79,11 +80,11 @@ pub fn run_response_json(
 const STORE_CACHE_ENTRIES: usize = 8;
 
 /// The [`JobHandler`](dircc_serve::JobHandler) the daemon runs:
-/// memoized single-profile trace stores plus a span log accumulated
-/// across requests for `/spans`.
+/// memoized single-profile trace stores plus a span log of the newest
+/// [`MAX_SPANS`] spans across requests, for `/spans`.
 pub struct WorkbenchHandler {
     stores: Mutex<Lru<Arc<TraceStore>>>,
-    spans: Mutex<Vec<Span>>,
+    spans: Mutex<VecDeque<Span>>,
     /// Handler-side telemetry. Standalone counters under
     /// [`WorkbenchHandler::new`]; registered on the daemon's registry
     /// (and thus on `/metrics`) under
@@ -104,7 +105,7 @@ impl WorkbenchHandler {
     pub fn new() -> Self {
         WorkbenchHandler {
             stores: Mutex::new(Lru::new(STORE_CACHE_ENTRIES)),
-            spans: Mutex::new(Vec::new()),
+            spans: Mutex::new(VecDeque::new()),
             runs_executed: Counter::new(),
             refs_replayed: Counter::new(),
             store_hits: Counter::new(),
@@ -117,7 +118,7 @@ impl WorkbenchHandler {
     pub fn with_registry(registry: &MetricsRegistry) -> Self {
         WorkbenchHandler {
             stores: Mutex::new(Lru::new(STORE_CACHE_ENTRIES)),
-            spans: Mutex::new(Vec::new()),
+            spans: Mutex::new(VecDeque::new()),
             runs_executed: registry.counter(
                 "dircc_runs_executed_total",
                 "Workbench replays executed (result-cache hits never reach the workbench).",
@@ -204,7 +205,10 @@ impl WorkbenchHandler {
                 meta.request = Some(request_id.to_string());
             }
         }
-        self.spans.lock().expect("span log").extend(spans);
+        let mut log = self.spans.lock().expect("span log");
+        log.extend(spans);
+        let excess = log.len().saturating_sub(MAX_SPANS);
+        log.drain(..excess);
         Ok(Executed { wb, kind, filter, counters, scheme_name, trace_name, n_caches })
     }
 }
@@ -239,9 +243,9 @@ impl dircc_serve::JobHandler for WorkbenchHandler {
         }
         let ex = self.execute(job, Some(window), request_id)?;
         let series = ex.wb.time_series();
+        // The job's fresh workbench executed exactly one run.
         let s = series
-            .iter()
-            .find(|s| s.kind == ex.kind && s.trace == 0 && s.filter == ex.filter)
+            .first()
             .ok_or_else(|| HandlerError::internal("windowed run left no time series"))?;
         let (model, cost_cfg) = (CostModel::pipelined(), CostConfig::PAPER);
         let label = filter_label(ex.filter);
@@ -263,7 +267,7 @@ impl dircc_serve::JobHandler for WorkbenchHandler {
     }
 
     fn spans(&self) -> String {
-        chrome_trace(&self.spans.lock().expect("span log"))
+        chrome_trace(self.spans.lock().expect("span log").make_contiguous())
     }
 }
 

@@ -21,24 +21,24 @@
 //! [`Workbench::timing_summary`]) is derived from the `replay` spans, and
 //! the whole log exports as Chrome trace-event JSON via `dircc profile`.
 //! With [`Workbench::with_window`], each run additionally samples counter
-//! deltas every K references into a [`RunSeries`]; the replay itself then
-//! uses a [`WindowedRecorder`], but counters stay bit-identical (pinned
-//! by tests and the `benchcmp` gate). With [`Workbench::with_shards`],
+//! deltas every K references ([`RunConfig::window`]) into a [`RunSeries`];
+//! counters stay bit-identical (pinned by tests and the `benchcmp` gate).
+//! With [`Workbench::with_shards`],
 //! each replay is block-sharded across worker threads and the log gains
 //! one `replay-shard` span per shard (shard-id tagged) nested under the
 //! run's `replay` span; windowed runs pin shards to 1 (a window is a
 //! slice of the global reference stream).
 
-use crate::engine::{run_indexed, run_indexed_with, run_sharded_with, RunConfig};
+use crate::engine::{run_indexed, run_sharded_with, RunConfig};
 use crate::metrics::Evaluation;
+use crate::par::par_map_indexed;
 use dircc_core::{EventCounters, ProtocolKind};
-use dircc_obs::{RunMeta, SpanLog, WindowSample, WindowedRecorder};
+use dircc_obs::{RunMeta, SpanLog, WindowSample};
 use dircc_trace::gen::Profile;
 use dircc_trace::stats::TraceStats;
 use dircc_trace::store::TraceStore;
 use dircc_trace::{ShardedStream, SoaStream};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -123,7 +123,8 @@ pub struct Workbench {
     memo: Mutex<HashMap<MemoKey, Arc<OnceLock<Arc<EventCounters>>>>>,
     stats_memo: Mutex<HashMap<usize, Arc<OnceLock<Arc<TraceStats>>>>>,
     spans: SpanLog,
-    window: Option<u64>,
+    /// Window size in references (0 = no time series).
+    window: u64,
     shards: usize,
     series: Mutex<Vec<RunSeries>>,
 }
@@ -169,7 +170,7 @@ impl Workbench {
             memo: Mutex::new(HashMap::new()),
             stats_memo: Mutex::new(HashMap::new()),
             spans: SpanLog::new(),
-            window: None,
+            window: 0,
             shards: 1,
             series: Mutex::new(Vec::new()),
         }
@@ -187,7 +188,7 @@ impl Workbench {
     /// Panics if `window` is zero.
     pub fn with_window(mut self, window: u64) -> Self {
         assert!(window > 0, "window size must be at least 1 reference");
-        self.window = Some(window);
+        self.window = window;
         self
     }
 
@@ -294,7 +295,8 @@ impl Workbench {
             // considered shared only if it is accessed by more than one
             // process"), which excludes migration-induced sharing from the
             // study.
-            let cfg = RunConfig::default().with_process_sharing();
+            let cfg =
+                RunConfig { window: self.window, ..RunConfig::default().with_process_sharing() };
             let scheme = kind.display_name(self.n_caches());
             let trace_name = self.store.profiles()[trace].name.to_string();
             let meta = |refs: u64| RunMeta {
@@ -328,7 +330,7 @@ impl Workbench {
             }
             let stream = self.spans.time("intern", Some(meta(0)), || {
                 let g = cfg.geometry;
-                if self.shards > 1 && self.window.is_none() {
+                if self.shards > 1 && cfg.window == 0 {
                     Stream::Sharded(self.store.sharded(trace, filter, g, self.shards, cfg.sharing))
                 } else {
                     Stream::Serial(self.store.soa(trace, filter, g, cfg.sharing))
@@ -336,34 +338,29 @@ impl Workbench {
             });
             let n = self.n_caches();
             let timer = self.spans.start();
-            let result = match (&stream, self.window) {
-                (Stream::Sharded(sharded), _) => {
+            let mut result = match &stream {
+                Stream::Sharded(sharded) => {
                     let observe = |shard: usize, at: std::time::Instant, dur: Duration, refs| {
                         let meta = RunMeta { shard: Some(shard), ..meta(refs) };
                         self.spans.record_at("replay-shard", at, dur, Some(meta));
                     };
                     run_sharded_with(kind, n, &records, sharded, &cfg, observe)
                 }
-                (Stream::Serial(soa), Some(window)) => {
-                    let mut recorder = WindowedRecorder::new(window);
-                    let result = run_indexed_with(kind, n, &records, soa, &cfg, &mut recorder);
-                    if let Ok(result) = &result {
-                        self.series.lock().expect("series poisoned").push(RunSeries {
-                            kind,
-                            scheme: scheme.clone(),
-                            trace,
-                            trace_name: trace_name.clone(),
-                            filter,
-                            refs: result.refs,
-                            windows: recorder.into_samples(),
-                        });
-                    }
-                    result
-                }
-                (Stream::Serial(soa), None) => run_indexed(kind, n, &records, soa, &cfg),
+                Stream::Serial(soa) => run_indexed(kind, n, &records, soa, &cfg),
             }
             .expect("trace replay failed");
             self.spans.finish(timer, "replay", Some(meta(result.refs)));
+            if cfg.window > 0 {
+                self.series.lock().expect("series poisoned").push(RunSeries {
+                    kind,
+                    scheme: scheme.clone(),
+                    trace,
+                    trace_name: trace_name.clone(),
+                    filter,
+                    refs: result.refs,
+                    windows: std::mem::take(&mut result.windows),
+                });
+            }
             Arc::new(result.counters)
         })
         .clone()
@@ -453,7 +450,6 @@ impl Workbench {
     ///
     /// Returns the number of runs actually executed (cache misses).
     pub fn warm(&self, kinds: &[(ProtocolKind, TraceFilter)], jobs: usize) -> usize {
-        let jobs = jobs.max(1);
         // Work items: every (kind, filter) × trace, deduped preserving order.
         let mut items: Vec<(ProtocolKind, usize, TraceFilter)> = Vec::new();
         let mut seen = std::collections::HashSet::new();
@@ -467,30 +463,13 @@ impl Workbench {
         let before = self.executed_runs();
         // Materialize traces first so workers contend on simulation only,
         // not on the store's per-trace OnceLocks.
-        for trace in 0..self.num_traces() {
-            let filters: Vec<TraceFilter> =
-                items.iter().filter(|(_, t, _)| *t == trace).map(|(_, _, f)| *f).collect();
-            for f in filters {
-                let _ = self.store.records(trace, f);
-            }
+        for &(_, trace, filter) in &items {
+            let _ = self.store.records(trace, filter);
         }
-        if jobs == 1 || items.len() <= 1 {
-            for (kind, trace, filter) in items {
-                let _ = self.counters(kind, trace, filter);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let items = &items;
-            std::thread::scope(|scope| {
-                for _ in 0..jobs.min(items.len()) {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(kind, trace, filter)) = items.get(i) else { break };
-                        let _ = self.counters(kind, trace, filter);
-                    });
-                }
-            });
-        }
+        par_map_indexed(items.len(), jobs, |i| {
+            let (kind, trace, filter) = items[i];
+            let _ = self.counters(kind, trace, filter);
+        });
         self.executed_runs() - before
     }
 

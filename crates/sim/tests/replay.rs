@@ -12,10 +12,8 @@
 
 use dircc_cache::FiniteCacheConfig;
 use dircc_core::{build, ProtocolKind};
-use dircc_obs::WindowedRecorder;
 use dircc_sim::{
-    run, run_indexed, run_indexed_with, run_sharded, shard_stream, RunConfig, SharingModel,
-    TraceFilter, Workbench,
+    run, run_indexed, run_sharded, shard_stream, RunConfig, SharingModel, TraceFilter, Workbench,
 };
 use dircc_trace::gen::Profile;
 use dircc_trace::soa::{soa_reference_values, SoaStream};
@@ -191,7 +189,7 @@ fn window_fold(windows: &[dircc_obs::WindowSample]) -> (usize, u64) {
 fn golden_window_digests() {
     let store = Arc::new(store());
     let wb = Workbench::with_store(Arc::clone(&store)).with_window(700);
-    let cfg = RunConfig::default().with_process_sharing();
+    let cfg = RunConfig { window: 700, ..RunConfig::default().with_process_sharing() };
     let records = store.records(0, TraceFilter::Full);
     let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
     for (kind, want) in [ProtocolKind::Dir0B, ProtocolKind::Dragon].into_iter().zip(GOLDEN_WINDOWS)
@@ -200,9 +198,8 @@ fn golden_window_digests() {
         let series = wb.time_series();
         let s = series.iter().find(|s| s.kind == kind).expect("windowed run leaves a series");
         assert_eq!(window_fold(&s.windows), want, "{kind} workbench window digests");
-        let mut rec = WindowedRecorder::new(700);
-        run_indexed_with(kind, CPUS, &records, &soa, &cfg, &mut rec).unwrap();
-        assert_eq!(window_fold(&rec.into_samples()), want, "{kind} window digests");
+        let res = run_indexed(kind, CPUS, &records, &soa, &cfg).unwrap();
+        assert_eq!(window_fold(&res.windows), want, "{kind} window digests");
     }
 }
 
@@ -221,7 +218,7 @@ fn golden_bounds_error_text() {
 }
 
 /// Misaligned or wrong-sharing SoA streams are rejected up front, serial
-/// and sharded.
+/// and sharded, and so is a window on a sharded replay.
 #[test]
 fn mismatched_soa_streams_are_rejected() {
     let records: Vec<TraceRecord> = Vec::new();
@@ -251,6 +248,10 @@ fn mismatched_soa_streams_are_rejected() {
     // A partition replayed against other records.
     let err = run_sharded(ProtocolKind::Wti, CPUS, &recs[1..], &sharded, &cfg).unwrap_err();
     assert!(err.contains("rebuild it from the same stream"), "unexpected error: {err}");
+    // A window: no shard replays the global reference stream it slices.
+    let windowed = RunConfig { window: 700, ..cfg };
+    let err = run_sharded(ProtocolKind::Wti, CPUS, &recs, &sharded, &windowed).unwrap_err();
+    assert!(err.contains("window"), "unexpected error: {err}");
 }
 
 /// Two workbenches sharing one store generate each trace only once, and

@@ -175,6 +175,34 @@ fn spans_export_parses_as_json_after_runs() {
     );
 }
 
+/// The span log keeps only the newest `MAX_SPANS` spans: after more jobs
+/// than that, `/spans` renders exactly `MAX_SPANS` of them, oldest first,
+/// the last job's `replay` span last.
+#[test]
+fn span_log_keeps_the_newest_max_spans() {
+    let handler = WorkbenchHandler::new();
+    let jobs = dircc_serve::MAX_SPANS + 1;
+    for i in 0..jobs {
+        handler.run(&job("Dir1NB", "POPS", 64), &format!("req-{i}")).expect("run");
+    }
+    let Json::Arr(events) = json::parse(handler.spans().as_bytes()).expect("parses") else {
+        panic!("expected a JSON array");
+    };
+    assert_eq!(events.len(), dircc_serve::MAX_SPANS);
+    let field = |e: &Json, key: &str| {
+        let obj = e.as_obj().expect("event object");
+        let args = obj.get("args").and_then(Json::as_obj).expect("run spans carry args");
+        let value = if key == "name" { obj.get(key) } else { args.get(key) };
+        value.and_then(Json::as_str).expect("string field").to_string()
+    };
+    // Every run leaves four spans: generate, filter, intern, replay.
+    let (first, last) = (&events[0], &events[events.len() - 1]);
+    assert_eq!(field(first, "name"), "generate");
+    assert_eq!(field(first, "request"), format!("req-{}", jobs - dircc_serve::MAX_SPANS / 4));
+    assert_eq!(field(last, "name"), "replay");
+    assert_eq!(field(last, "request"), format!("req-{}", jobs - 1));
+}
+
 /// Unknown schemes and traces come back as 400s with the offending
 /// field, straight from the simulation layer.
 #[test]

@@ -55,6 +55,9 @@ diff /tmp/replay_file.txt /tmp/replay_sharded.txt
     --out /tmp/smoke_v2_small.dcct
 ./target/release/dircc replay --in /tmp/smoke_v2_small.dcct --verify > /tmp/replay_file_small.txt
 diff /tmp/replay_file_small.txt /tmp/replay_mem.txt
+# Trace example gate: the example writes a generated trace as chunked v2,
+# streams it back and asserts the round trip is lossless.
+cargo run --release --example trace_tools
 # Serve gate: the HTTP daemon on an ephemeral port — served /run
 # responses diffed byte-for-byte against `dircc replay --json` (cache
 # miss, cache hit, sharded), 400 /run requests from four concurrent

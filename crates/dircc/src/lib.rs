@@ -7,8 +7,8 @@
 //! This umbrella crate re-exports the workspace's public API:
 //!
 //! * [`types`] — addresses, block geometry, cache/CPU/process ids;
-//! * [`trace`] — trace records, codecs, statistics and the synthetic
-//!   workload generator standing in for the paper's ATUM traces;
+//! * [`trace`] — trace records, the v2 trace format, statistics and the
+//!   synthetic workload generator standing in for the paper's ATUM traces;
 //! * [`cache`] — infinite and finite cache tag stores;
 //! * [`core`] — the protocols: the `Dir_i_B` / `Dir_i_NB` directory
 //!   taxonomy (`Dir1NB`, `DiriNB`, `DirnNB`, `Dir0B`, `DiriB`, coded-set,

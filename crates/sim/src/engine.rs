@@ -218,7 +218,7 @@ pub fn run_chunked<P: Protocol + ?Sized, S: ChunkSource>(
 
 /// Replays a streamed trace through several protocols in one pass over
 /// `source`, holding one piece from the source (one batch, for the trace
-/// readers) and one SoA batch in memory.
+/// reader) and one SoA batch in memory.
 ///
 /// Each batch the source yields is interned and split once, then replayed
 /// through every protocol in turn. Blocks are interned incrementally, in

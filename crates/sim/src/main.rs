@@ -36,19 +36,21 @@
 //! a per-run cycles-per-reference sparkline.
 //!
 //! `dircc record` writes the chunked, delta-compressed v2 trace format
-//! (`--chunk N` records per chunk); `dircc replay` streams a recorded
-//! trace (either format, auto-detected) through the engine in one serial
-//! pass that decodes the file once for every scheme, with memory bounded
-//! by one chunk's payload and one replay batch. Without `--in`,
-//! `replay` generates the `--profile` trace in memory and replays the
-//! classic indexed path (block-sharded with `--shards N`); stdout is
-//! byte-identical between the two modes. `replay --in` rejects `--shards`:
-//! sharding needs the whole trace in memory.
+//! (`--chunk N` records per chunk), the one format `replay`, `stats` and
+//! `sharing` read (a flat v1 file is rejected with a pointer back to
+//! `record`). `dircc replay` streams a recorded trace through the engine
+//! in one serial pass that decodes the file once for every scheme, with
+//! memory bounded by one chunk's payload and one replay batch. Without
+//! `--in`, `replay` generates the `--profile` trace in memory and replays
+//! the classic indexed path (block-sharded with `--shards N`); stdout is
+//! byte-identical between the two modes. `replay --in` rejects
+//! `--shards`: sharding needs the whole trace in memory.
 //!
 //! Common flags: `--refs N` (references per trace; default = paper scale),
 //! `--seed S` (default 1988), `--jobs N` (worker threads; default = the
 //! machine's available parallelism), `--shards N` (block shards per
-//! replay; default 1). Results are independent of `--jobs` and
+//! replay; default 1). Any other flag applies only to the commands its
+//! `FLAGS` row names, and is rejected elsewhere. Results are independent of `--jobs` and
 //! `--shards`: stdout is byte-identical for any combination (sharded
 //! counters are bit-identical by construction; see the engine's
 //! `run_sharded`); the per-run wall-clock timing summary goes to stderr,
@@ -67,17 +69,19 @@ use dircc_obs::{
 use dircc_serve::{client, JobHandler, ServeConfig, Server, MAX_REFS};
 use dircc_sim::experiments::{extensions, figures, network, studies, system, tables};
 use dircc_sim::{
-    default_jobs, filter_from_label, filter_label, profile_by_name, report, run_chunked_many,
-    run_indexed, run_response_json, run_sharded, scheme_by_name, shard_stream, Evaluation,
-    RunConfig, RunResult, TraceFilter, Workbench, WorkbenchHandler,
+    default_jobs, filter_label, profile_by_name, report, run_chunked_many, run_indexed,
+    run_response_json, run_sharded, scheme_by_name, shard_stream, Evaluation, RunConfig, RunResult,
+    TraceFilter, Workbench, WorkbenchHandler,
 };
 use dircc_trace::chunk::{DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS};
 use dircc_trace::gen::{Generator, Profile};
 use dircc_trace::sharing::SharingProfile;
 use dircc_trace::stats::TraceStats;
 use dircc_trace::{open_trace, BlockInterner, ChunkedWriter, Records, SoaStream, TraceRecord};
+use std::fmt::Display;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// What a subcommand does with `--in`/`--out`.
@@ -178,6 +182,7 @@ fn spec_for(command: &str) -> Option<&'static CommandSpec> {
     COMMANDS.iter().find(|c| c.name == command)
 }
 
+#[derive(Default)]
 struct Args {
     command: String,
     /// Positional argument (the experiment `dircc profile` targets).
@@ -213,321 +218,255 @@ struct Args {
     interval: Option<f64>,
 }
 
+/// One command-line flag: its name, the placeholder the usage line shows
+/// for its value (empty for a switch), the commands it applies to (empty
+/// for every command; [`EXPERIMENTS`] stands for every workbench
+/// experiment) and the parser that stores its value in [`Args`].
+struct FlagSpec {
+    name: &'static str,
+    value: &'static str,
+    commands: &'static [&'static str],
+    parse: fn(&mut Args, Value) -> Result<(), String>,
+}
+
+const fn flag(
+    name: &'static str,
+    value: &'static str,
+    commands: &'static [&'static str],
+    parse: fn(&mut Args, Value) -> Result<(), String>,
+) -> FlagSpec {
+    FlagSpec { name, value, commands, parse }
+}
+
+const ANY: &[&str] = &[];
+/// In a flag's command list: every [`Kind::Workbench`] command.
+const EXPERIMENTS: &str = "workbench experiments";
+const SHARDED: &[&str] = &[EXPERIMENTS, "all", "bench", "benchcmp", "check", "replay", "submit"];
+/// The `dircc submit` operations.
+const OPS: &[&str] = &["run", "series", "health", "metrics", "spans", "shutdown"];
+
+/// The single source of truth for flags: parsing, the "only applies to"
+/// checks and the usage line are all derived from this table. Rules that
+/// span flags or depend on a command's data direction stay in
+/// [`validate`].
+const FLAGS: &[FlagSpec] = &[
+    flag("--refs", "N", ANY, |a, v| {
+        v.must(|&n| n <= MAX_REFS, &format!("at most {MAX_REFS}")).map(|n| a.refs = Some(n))
+    }),
+    flag("--seed", "S", ANY, |a, v| v.parse().map(|n| a.seed = n)),
+    flag("--jobs", "N", ANY, |a, v| v.positive().map(|n| a.jobs = n)),
+    flag("--shards", "N", SHARDED, |a, v| v.positive().map(|n| a.shards = n)),
+    flag("--profile", "pops|thor|pero|custom", ANY, |a, v| v.parse().map(|s| a.profile = s)),
+    flag("--out", "FILE", ANY, |a, v| v.parse().map(|s| a.out = Some(s))),
+    flag("--in", "FILE", ANY, |a, v| v.parse().map(|s| a.input = Some(s))),
+    flag("--smoke", "", &["bench", "benchcmp", "check", "profile"], |a, _| on(&mut a.smoke)),
+    flag("--verbose", "", ANY, |a, _| on(&mut a.verbose)),
+    flag("--window", "K", &["profile", "submit"], |a, v| v.positive().map(|n| a.window = Some(n))),
+    flag("--spans", "FILE", &["profile"], |a, v| v.parse().map(|s| a.spans_out = Some(s))),
+    flag("--cpus", "N", &["check", "replay"], |a, v| {
+        v.must(|n| (1..=64).contains(n), "in 1..=64").map(|n| a.cpus = Some(n))
+    }),
+    flag("--blocks", "M", &["check"], |a, v| {
+        v.must(|n| (1..=64).contains(n), "in 1..=64").map(|n| a.blocks = Some(n))
+    }),
+    flag("--depth", "D", &["check"], |a, v| v.positive().map(|n| a.depth = Some(n))),
+    flag("--scheme", "S", &["check", "replay", "submit"], |a, v| {
+        v.parse().map(|s| a.scheme = Some(s))
+    }),
+    flag("--chunk", "N", &["record"], |a, v| {
+        let rule = format!("in 1..={MAX_CHUNK_RECORDS}");
+        v.must(|n| (1..=MAX_CHUNK_RECORDS).contains(n), &rule).map(|n| a.chunk = Some(n))
+    }),
+    flag("--verify", "", &["replay"], |a, _| on(&mut a.verify)),
+    flag("--json", "", &["replay"], |a, _| on(&mut a.json)),
+    flag("--addr", "HOST:PORT", &["serve"], |a, v| v.parse().map(|s| a.addr = Some(s))),
+    flag("--workers", "N", &["serve"], |a, v| v.positive().map(|n| a.workers = Some(n))),
+    flag("--cache-entries", "N", &["serve"], |a, v| {
+        v.positive().map(|n| a.cache_entries = Some(n))
+    }),
+    flag("--queue", "N", &["serve"], |a, v| v.positive().map(|n| a.queue = Some(n))),
+    flag("--log-json", "", &["serve"], |a, _| on(&mut a.log_json)),
+    flag("--serve", "URL", &["submit", "top"], |a, v| v.parse().map(|s| a.serve_url = Some(s))),
+    flag("--op", "run|series|health|metrics|spans|shutdown", &["submit"], |a, v| {
+        v.one_of(OPS).map(|s| a.op = Some(s))
+    }),
+    flag("--filter", "full|no-spins", &["submit"], |a, v| {
+        v.one_of(&TraceFilter::ALL.map(filter_label)).map(|s| a.filter = Some(s))
+    }),
+    flag("--expect-cache", "hit|miss", &["submit"], |a, v| {
+        v.one_of(&["hit", "miss"]).map(|s| a.expect_cache = Some(s))
+    }),
+    flag("--interval", "S", &["top"], |a, v| {
+        let rule = "a positive number of seconds";
+        v.must(|s: &f64| s.is_finite() && *s > 0.0, rule).map(|s| a.interval = Some(s))
+    }),
+    flag("--once", "", &["top"], |a, _| on(&mut a.once)),
+];
+
+fn on(switch: &mut bool) -> Result<(), String> {
+    *switch = true;
+    Ok(())
+}
+
+/// A flag's value, with the flag's name for error messages.
+struct Value<'a> {
+    flag: &'static str,
+    text: &'a str,
+}
+
+impl Value<'_> {
+    fn parse<T: FromStr<Err: Display>>(&self) -> Result<T, String> {
+        self.text.parse().map_err(|e| format!("{}: {e}", self.flag))
+    }
+
+    /// The parsed value if `ok` accepts it, else "`flag` must be `rule`".
+    fn must<T: FromStr<Err: Display>>(&self, ok: fn(&T) -> bool, rule: &str) -> Result<T, String> {
+        let v = self.parse()?;
+        if ok(&v) {
+            Ok(v)
+        } else {
+            Err(format!("{} must be {rule}", self.flag))
+        }
+    }
+
+    fn positive<T: FromStr<Err: Display> + Default + PartialEq>(&self) -> Result<T, String> {
+        self.must(|n| *n != T::default(), "at least 1")
+    }
+
+    fn one_of(&self, words: &[&str]) -> Result<String, String> {
+        if words.contains(&self.text) {
+            return Ok(self.text.to_string());
+        }
+        Err(format!("{} must be {}, not {}", self.flag, join(words, "or"), self.text))
+    }
+}
+
+/// `words` as prose: "a", "a and b", "a, b and c" (`last` joins the end).
+fn join(words: &[&str], last: &str) -> String {
+    match words {
+        [] => String::new(),
+        [word] => word.to_string(),
+        [init @ .., tail] => format!("{} {last} {tail}", init.join(", ")),
+    }
+}
+
 fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let command = args.next().ok_or_else(usage)?;
-    let mut parsed = Args {
+    let mut words = std::env::args().skip(1);
+    let command = words.next().ok_or_else(usage)?;
+    let mut args = Args {
         command,
-        target: None,
-        refs: None,
         seed: 1988,
         jobs: default_jobs(),
         shards: 1,
         profile: "pops".to_string(),
-        out: None,
-        input: None,
-        smoke: false,
-        verbose: false,
-        window: None,
-        spans_out: None,
-        cpus: None,
-        blocks: None,
-        depth: None,
-        scheme: None,
-        chunk: None,
-        verify: false,
-        json: false,
-        addr: None,
-        workers: None,
-        cache_entries: None,
-        queue: None,
-        serve_url: None,
-        op: None,
-        filter: None,
-        expect_cache: None,
-        log_json: false,
-        once: false,
-        interval: None,
+        ..Args::default()
     };
-    while let Some(flag) = args.next() {
-        let mut value =
-            |name: &str| args.next().ok_or_else(|| format!("flag {name} needs a value"));
-        match flag.as_str() {
-            "--refs" => {
-                let n: u64 = value("--refs")?.parse().map_err(|e| format!("--refs: {e}"))?;
-                if n > MAX_REFS {
-                    return Err(format!("--refs must be at most {MAX_REFS}"));
-                }
-                parsed.refs = Some(n);
-            }
-            "--seed" => {
-                parsed.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?
-            }
-            "--jobs" => {
-                parsed.jobs = value("--jobs")?.parse().map_err(|e| format!("--jobs: {e}"))?;
-                if parsed.jobs == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-            }
-            "--shards" => {
-                parsed.shards = value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?;
-                if parsed.shards == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-            }
-            "--profile" => parsed.profile = value("--profile")?,
-            "--out" => parsed.out = Some(value("--out")?),
-            "--smoke" => parsed.smoke = true,
-            "--verbose" => parsed.verbose = true,
-            "--window" => {
-                parsed.window =
-                    Some(value("--window")?.parse().map_err(|e| format!("--window: {e}"))?);
-                if parsed.window == Some(0) {
-                    return Err("--window must be at least 1".to_string());
-                }
-            }
-            "--spans" => parsed.spans_out = Some(value("--spans")?),
-            "--cpus" => {
-                parsed.cpus = Some(value("--cpus")?.parse().map_err(|e| format!("--cpus: {e}"))?)
-            }
-            "--blocks" => {
-                parsed.blocks =
-                    Some(value("--blocks")?.parse().map_err(|e| format!("--blocks: {e}"))?)
-            }
-            "--depth" => {
-                parsed.depth = Some(value("--depth")?.parse().map_err(|e| format!("--depth: {e}"))?)
-            }
-            "--scheme" => parsed.scheme = Some(value("--scheme")?),
-            "--chunk" => {
-                let n: usize = value("--chunk")?.parse().map_err(|e| format!("--chunk: {e}"))?;
-                if !(1..=MAX_CHUNK_RECORDS).contains(&n) {
-                    return Err(format!("--chunk must be in 1..={MAX_CHUNK_RECORDS}"));
-                }
-                parsed.chunk = Some(n);
-            }
-            "--verify" => parsed.verify = true,
-            "--json" => parsed.json = true,
-            "--addr" => parsed.addr = Some(value("--addr")?),
-            "--workers" => {
-                parsed.workers =
-                    Some(value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?);
-                if parsed.workers == Some(0) {
-                    return Err("--workers must be at least 1".to_string());
-                }
-            }
-            "--cache-entries" => {
-                parsed.cache_entries = Some(
-                    value("--cache-entries")?
-                        .parse()
-                        .map_err(|e| format!("--cache-entries: {e}"))?,
-                );
-                if parsed.cache_entries == Some(0) {
-                    return Err("--cache-entries must be at least 1".to_string());
-                }
-            }
-            "--queue" => {
-                parsed.queue =
-                    Some(value("--queue")?.parse().map_err(|e| format!("--queue: {e}"))?);
-                if parsed.queue == Some(0) {
-                    return Err("--queue must be at least 1".to_string());
-                }
-            }
-            "--serve" => parsed.serve_url = Some(value("--serve")?),
-            "--op" => {
-                let op = value("--op")?;
-                if !matches!(
-                    op.as_str(),
-                    "run" | "series" | "health" | "metrics" | "spans" | "shutdown"
-                ) {
-                    return Err(format!(
-                        "--op must be run, series, health, metrics, spans or shutdown, not {op}"
-                    ));
-                }
-                parsed.op = Some(op);
-            }
-            "--filter" => {
-                let label = value("--filter")?;
-                if filter_from_label(&label).is_none() {
-                    return Err(format!("--filter must be full or no-spins, not {label}"));
-                }
-                parsed.filter = Some(label);
-            }
-            "--expect-cache" => {
-                let want = value("--expect-cache")?;
-                if !matches!(want.as_str(), "hit" | "miss") {
-                    return Err(format!("--expect-cache must be hit or miss, not {want}"));
-                }
-                parsed.expect_cache = Some(want);
-            }
-            "--log-json" => parsed.log_json = true,
-            "--once" => parsed.once = true,
-            "--interval" => {
-                let s: f64 =
-                    value("--interval")?.parse().map_err(|e| format!("--interval: {e}"))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err("--interval must be a positive number of seconds".to_string());
-                }
-                parsed.interval = Some(s);
-            }
-            "--in" => parsed.input = Some(value("--in")?),
-            other if !other.starts_with('-') && parsed.target.is_none() => {
-                parsed.target = Some(other.to_string());
-            }
-            other => return Err(format!("unknown flag {other}\n{}", usage())),
+    let mut given = Vec::new();
+    while let Some(word) = words.next() {
+        if let Some(flag) = FLAGS.iter().find(|f| f.name == word) {
+            let text = match flag.value {
+                "" => String::new(),
+                _ => words.next().ok_or_else(|| format!("flag {} needs a value", flag.name))?,
+            };
+            (flag.parse)(&mut args, Value { flag: flag.name, text: &text })?;
+            given.push(flag);
+        } else if !word.starts_with('-') && args.target.is_none() {
+            args.target = Some(word);
+        } else {
+            return Err(format!("unknown flag {word}\n{}", usage()));
         }
     }
-    validate_io(&parsed)?;
-    Ok(parsed)
+    validate(&args, &given)?;
+    Ok(args)
 }
 
-/// Rejects `--in`/`--out` flags that contradict the subcommand's data
-/// direction (e.g. `dircc record --in t.dcct` would otherwise write to
-/// the `--in` path).
-fn validate_io(args: &Args) -> Result<(), String> {
+/// Rejects a flag given to a command it does not apply to, and the
+/// combinations no single flag can rule out: `--shards` on `profile` or
+/// `replay --in`, a positional argument outside `profile`, and `--in`/
+/// `--out` against the command's data direction (e.g. `dircc record --in
+/// t.dcct` would otherwise write to the `--in` path).
+fn validate(args: &Args, given: &[&FlagSpec]) -> Result<(), String> {
     let Some(spec) = spec_for(&args.command) else {
         return Ok(()); // unknown commands error later, with the usage text
     };
-    if args.smoke && !matches!(spec.name, "bench" | "benchcmp" | "check" | "profile") {
-        return Err(format!(
-            "--smoke only applies to bench, benchcmp, check and profile, not {}",
-            spec.name
-        ));
+    if spec.kind == Kind::Profile && args.shards > 1 {
+        return Err("profile rejects --shards: windowed sampling observes the global \
+             reference stream, which pins the replay to one shard"
+            .to_string());
     }
-    if args.window.is_some() && !matches!(spec.name, "profile" | "submit") {
-        return Err(format!("--window only applies to profile and submit, not {}", spec.name));
-    }
-    if spec.name != "profile" {
-        if args.spans_out.is_some() {
-            return Err(format!("--spans only applies to profile, not {}", spec.name));
-        }
-        if args.target.is_some() {
+    for flag in given {
+        let applies = flag.commands.is_empty()
+            || flag
+                .commands
+                .iter()
+                .any(|&c| c == spec.name || (c == EXPERIMENTS && spec.kind == Kind::Workbench));
+        if !applies {
             return Err(format!(
-                "{} takes no positional argument (got {})",
-                spec.name,
-                args.target.as_deref().unwrap_or("")
-            ));
-        }
-    }
-    if args.cpus.is_some() && !matches!(spec.name, "check" | "replay") {
-        return Err(format!("--cpus only applies to check and replay, not {}", spec.name));
-    }
-    if args.scheme.is_some() && !matches!(spec.name, "check" | "replay" | "submit") {
-        return Err(format!(
-            "--scheme only applies to check, replay and submit, not {}",
-            spec.name
-        ));
-    }
-    if spec.name != "check" && (args.blocks.is_some() || args.depth.is_some()) {
-        return Err(format!("--blocks/--depth only apply to check, not {}", spec.name));
-    }
-    if args.chunk.is_some() && spec.name != "record" {
-        return Err(format!("--chunk only applies to record, not {}", spec.name));
-    }
-    if args.verify && spec.name != "replay" {
-        return Err(format!("--verify only applies to replay, not {}", spec.name));
-    }
-    if args.json && spec.name != "replay" {
-        return Err(format!("--json only applies to replay, not {}", spec.name));
-    }
-    if (args.addr.is_some()
-        || args.workers.is_some()
-        || args.cache_entries.is_some()
-        || args.queue.is_some()
-        || args.log_json)
-        && spec.name != "serve"
-    {
-        return Err(format!(
-            "--addr/--workers/--cache-entries/--queue/--log-json only apply to serve, not {}",
-            spec.name
-        ));
-    }
-    if args.serve_url.is_some() && !matches!(spec.name, "submit" | "top") {
-        return Err(format!("--serve only applies to submit and top, not {}", spec.name));
-    }
-    if (args.once || args.interval.is_some()) && spec.name != "top" {
-        return Err(format!("--once/--interval only apply to top, not {}", spec.name));
-    }
-    if (args.op.is_some() || args.expect_cache.is_some() || args.filter.is_some())
-        && spec.name != "submit"
-    {
-        return Err(format!(
-            "--op/--filter/--expect-cache only apply to submit, not {}",
-            spec.name
-        ));
-    }
-    if args.shards > 1 {
-        if spec.name == "profile" {
-            return Err("profile rejects --shards: windowed sampling observes the global \
-                 reference stream, which pins the replay to one shard"
-                .to_string());
-        }
-        if spec.name == "replay" && args.input.is_some() {
-            return Err("replay --in streams the file in one serial pass and takes no \
-                 --shards; for sharded replay, generate the trace in memory instead: \
-                 dircc replay --profile P --shards N"
-                .to_string());
-        }
-        let sharded_ok =
-            matches!(spec.kind, Kind::Workbench | Kind::All | Kind::Bench | Kind::BenchCmp)
-                || matches!(spec.name, "check" | "replay" | "submit");
-        if !sharded_ok {
-            return Err(format!(
-                "--shards only applies to workbench experiments, all, bench, benchcmp, check \
-                 and replay, not {}",
+                "{} only applies to {}, not {}",
+                flag.name,
+                join(flag.commands, "and"),
                 spec.name
             ));
         }
     }
-    match spec.io {
-        Io::None => {
-            if args.out.is_some() || args.input.is_some() {
-                return Err(format!(
-                    "{} is an experiment command and takes no --in/--out",
-                    spec.name
-                ));
-            }
-        }
-        Io::Reads => {
-            if args.out.is_some() {
-                return Err(format!("{} reads a trace; pass --in FILE, not --out", spec.name));
-            }
-        }
-        Io::Writes => {
-            if args.input.is_some() {
-                return Err(format!("{} writes a file; pass --out FILE, not --in", spec.name));
-            }
+    if spec.kind != Kind::Profile {
+        if let Some(target) = &args.target {
+            return Err(format!("{} takes no positional argument (got {target})", spec.name));
         }
     }
-    Ok(())
+    if spec.kind == Kind::Replay && args.input.is_some() && args.shards > 1 {
+        return Err("replay --in streams the file in one serial pass and takes no \
+             --shards; for sharded replay, generate the trace in memory instead: \
+             dircc replay --profile P --shards N"
+            .to_string());
+    }
+    match spec.io {
+        Io::None if args.out.is_some() || args.input.is_some() => {
+            Err(format!("{} is an experiment command and takes no --in/--out", spec.name))
+        }
+        Io::Reads if args.out.is_some() => {
+            Err(format!("{} reads a trace; pass --in FILE, not --out", spec.name))
+        }
+        Io::Writes if args.input.is_some() => {
+            Err(format!("{} writes a file; pass --out FILE, not --in", spec.name))
+        }
+        _ => Ok(()),
+    }
 }
 
 fn usage() -> String {
-    // Derived from COMMANDS so the list can never go stale.
-    let mut lines = vec!["usage: dircc <command> [target] [--refs N] [--seed S] [--jobs N] \
-         [--shards N] [--profile pops|thor|pero|custom] [--out FILE | --in FILE] [--smoke] \
-         [--verbose] [--window K] [--spans FILE] [--cpus N] [--blocks M] [--depth D] \
-         [--scheme S] [--chunk N] [--verify] [--json] \
-         [--addr HOST:PORT] [--workers N] [--cache-entries N] [--queue N] [--serve URL] \
-         [--op run|series|health|metrics|spans|shutdown] [--filter full|no-spins] \
-         [--expect-cache hit|miss] [--log-json] [--interval S] [--once]"
-        .to_string()];
-    let mut line = String::from("commands:");
-    for c in COMMANDS {
-        if line.len() + c.name.len() + 1 > 72 {
-            lines.push(line);
-            line = String::from("         ");
-        }
-        line.push(' ');
-        line.push_str(c.name);
-    }
-    lines.push(line);
-    lines.join("\n")
+    // Derived from FLAGS and COMMANDS so neither list can go stale.
+    let flags = FLAGS.iter().map(|f| match f.value {
+        "" => format!("[{}]", f.name),
+        value => format!("[{} {value}]", f.name),
+    });
+    let commands = COMMANDS.iter().map(|c| c.name.to_string());
+    format!("{}\n{}", wrap("usage: dircc <command> [target]", flags), wrap("commands:", commands))
 }
 
+/// `head` then `words`, wrapped at 76 columns with an indent of 4.
+fn wrap(head: &str, words: impl Iterator<Item = String>) -> String {
+    let mut text = head.to_string();
+    let mut width = head.len();
+    for word in words {
+        if width + word.len() + 1 > 76 {
+            text.push_str("\n   ");
+            width = 3;
+        }
+        text.push(' ');
+        text.push_str(&word);
+        width += word.len() + 1;
+    }
+    text
+}
+
+/// The paper workbench at the scale the flags select: `--refs`, else
+/// 20,000 references per trace with `--smoke`, else paper scale.
 fn workbench(args: &Args) -> Workbench {
-    match args.refs {
-        Some(n) => Workbench::paper_scaled(n, args.seed),
-        None => Workbench::paper(args.seed),
+    match (args.refs, args.smoke) {
+        (Some(n), _) => Workbench::paper_scaled(n, args.seed),
+        (None, true) => Workbench::paper_scaled(20_000, args.seed),
+        (None, false) => Workbench::paper(args.seed),
     }
     .with_shards(args.shards)
 }
@@ -607,18 +546,14 @@ fn replay_memory(
     }
 }
 
-/// `dircc replay`: streams a recorded trace (`--in`, v1 or v2
-/// auto-detected) or an in-memory `--profile` trace through the paper's
-/// headline schemes (or one `--scheme`), printing the deterministic
-/// per-scheme counter row and pipelined cycles-per-reference. stdout is
-/// byte-identical between the file and in-memory modes and across the
-/// in-memory mode's `--shards`; ingest timing goes to stderr, only with
-/// `--verbose`.
+/// `dircc replay`: streams a recorded v2 trace (`--in`) or an in-memory
+/// `--profile` trace through the paper's headline schemes (or one
+/// `--scheme`), printing the deterministic per-scheme counter row and
+/// pipelined cycles-per-reference. stdout is byte-identical between the
+/// file and in-memory modes and across the in-memory mode's `--shards`;
+/// ingest timing goes to stderr, only with `--verbose`.
 fn replay(args: &Args) -> Result<(), String> {
     let cpus = args.cpus.unwrap_or(4);
-    if cpus == 0 || cpus > 64 {
-        return Err("--cpus must be in 1..=64".to_string());
-    }
     if args.json {
         if args.input.is_some() {
             return Err("--json renders the serve /run response schema, which is defined \
@@ -796,26 +731,14 @@ fn run_workbench_command(args: &Args, all: bool) -> Result<(), String> {
     if let Some(work) = workload_for(&args.command, &wb) {
         wb.warm(&work, args.jobs);
     }
-    let result = if all {
-        let mut err = None;
-        for c in COMMANDS.iter().filter(|c| c.in_all) {
-            match run_experiment(c.name, &wb) {
-                Ok(s) => println!("{s}"),
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        err.map_or(Ok(()), Err)
+    let names: Vec<&str> = if all {
+        COMMANDS.iter().filter(|c| c.in_all).map(|c| c.name).collect()
     } else {
-        run_experiment(&args.command, &wb).map(|s| println!("{s}"))
+        vec![&args.command]
     };
+    let result = names.iter().try_for_each(|c| run_experiment(c, &wb).map(|s| println!("{s}")));
     if args.verbose {
-        let summary = wb.timing_summary();
-        if !summary.is_empty() {
-            eprint!("{summary}");
-        }
+        eprint!("{}", wb.timing_summary());
     }
     result
 }
@@ -829,18 +752,12 @@ struct BenchReport {
 
 impl BenchReport {
     /// Replays the paper matrix (the (protocol, filter) x trace work list
-    /// `dircc all` warms) at the scale the flags select: `--refs`, else
-    /// 20,000 references per trace with `--smoke`, else paper scale. Each
-    /// trace is also encoded as v2 (same generator, default chunking) into
-    /// a byte counter. Counters are shard-invariant and the memo makes
-    /// them independent of `--jobs`, so the report is too.
+    /// `dircc all` warms) on the [`workbench`] the flags select. Each trace
+    /// is also encoded as v2 (same generator, default chunking) into a
+    /// byte counter. Counters are shard-invariant and the memo makes them
+    /// independent of `--jobs`, so the report is too.
     fn measure(args: &Args) -> Result<BenchReport, String> {
-        let wb = match (args.refs, args.smoke) {
-            (Some(n), _) => Workbench::paper_scaled(n, args.seed),
-            (None, true) => Workbench::paper_scaled(20_000, args.seed),
-            (None, false) => Workbench::paper(args.seed),
-        }
-        .with_shards(args.shards);
+        let wb = workbench(args);
         let work = wb.paper_workload();
         wb.warm(&work, args.jobs);
         let names = wb.trace_names();
@@ -1015,11 +932,7 @@ fn submit_cmd(args: &Args) -> Result<(), String> {
             let path = if op == "run" { "/run" } else { "/series" };
             client::request_with_headers(url, "POST", path, &headers, Some(body.as_bytes()))
         }
-        other => {
-            return Err(format!(
-                "--op must be run, series, health, metrics, spans or shutdown, not {other}"
-            ))
-        }
+        other => return Err(format!("--op must be {}, not {other}", join(OPS, "or"))),
     }
     .map_err(|e| format!("{url}: {e}"))?;
     if resp.status != 200 {
@@ -1218,15 +1131,6 @@ fn check(args: &Args) -> Result<(), String> {
         blocks: args.blocks.unwrap_or(base.blocks),
         depth: args.depth.unwrap_or(base.depth),
     };
-    if cfg.cpus == 0 || cfg.cpus > 64 {
-        return Err("--cpus must be in 1..=64".to_string());
-    }
-    if cfg.blocks == 0 || cfg.blocks > 64 {
-        return Err("--blocks must be in 1..=64".to_string());
-    }
-    if cfg.depth == 0 {
-        return Err("--depth must be at least 1".to_string());
-    }
     let kinds = match &args.scheme {
         Some(want) => vec![scheme_by_name(want, cfg.cpus)?],
         None => dircc_check::default_kinds().to_vec(),
@@ -1424,11 +1328,7 @@ fn profile(args: &Args) -> Result<(), String> {
             usage()
         )
     })?;
-    let wb = match (args.refs, args.smoke) {
-        (Some(n), _) => Workbench::paper_scaled(n, args.seed),
-        (None, true) => Workbench::paper_scaled(20_000, args.seed),
-        (None, false) => Workbench::paper(args.seed),
-    };
+    let wb = workbench(args);
     let total_refs = wb.profiles()[0].total_refs;
     let window = args.window.unwrap_or_else(|| (total_refs / 64).max(1));
     let wb = wb.with_window(window);
@@ -1494,10 +1394,7 @@ fn profile(args: &Args) -> Result<(), String> {
     println!("time series -> {out_path} ({windows_written} windows)");
     println!("spans       -> {spans_path} ({} spans)", spans.len());
     if args.verbose {
-        let summary = wb.timing_summary();
-        if !summary.is_empty() {
-            eprint!("{summary}");
-        }
+        eprint!("{}", wb.timing_summary());
     }
     Ok(())
 }
@@ -1576,6 +1473,12 @@ fn benchcmp(args: &Args) -> Result<(), String> {
     }
 }
 
+/// Prints a standalone sweep's table.
+fn print_table(table: impl Display) -> Result<(), String> {
+    println!("{table}");
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -1588,29 +1491,15 @@ fn main() -> ExitCode {
         eprintln!("unknown command {}\n{}", args.command, usage());
         return ExitCode::FAILURE;
     };
+    let refs = |default| args.refs.unwrap_or(default);
     let result = match spec.kind {
         Kind::Record => record(&args),
         Kind::Replay => replay(&args),
         Kind::Stats => stats(&args),
         Kind::Sharing => sharing(&args),
-        Kind::Scaling => {
-            println!("{}", extensions::scaling(args.refs.unwrap_or(300_000), args.seed, args.jobs));
-            Ok(())
-        }
-        Kind::Network => {
-            println!(
-                "{}",
-                network::network_study(args.refs.unwrap_or(300_000), args.seed, args.jobs)
-            );
-            Ok(())
-        }
-        Kind::BlockSize => {
-            println!(
-                "{}",
-                extensions::block_size(args.refs.unwrap_or(400_000), args.seed, args.jobs)
-            );
-            Ok(())
-        }
+        Kind::Scaling => print_table(extensions::scaling(refs(300_000), args.seed, args.jobs)),
+        Kind::Network => print_table(network::network_study(refs(300_000), args.seed, args.jobs)),
+        Kind::BlockSize => print_table(extensions::block_size(refs(400_000), args.seed, args.jobs)),
         Kind::Workbench => run_workbench_command(&args, false),
         Kind::All => run_workbench_command(&args, true),
         Kind::Bench => bench(&args),

@@ -2,22 +2,8 @@
 
 use std::process::Command;
 
-use dircc_trace::codec::BinaryWriter;
-use dircc_trace::gen::Generator;
-
 fn dircc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dircc"))
-}
-
-/// Writes the `profile` trace at `refs` references and the CLI's default
-/// seed in the flat v1 format; `dircc record` writes only v2.
-fn write_v1(path: &std::path::Path, profile: &str, refs: u64) {
-    let profile = dircc_sim::profile_by_name(profile).unwrap().with_total_refs(refs);
-    let records: Vec<_> = Generator::new(profile, 1988).collect();
-    let file = std::fs::File::create(path).unwrap();
-    let mut w = BinaryWriter::new(std::io::BufWriter::new(file));
-    w.write_all(&records).unwrap();
-    w.finish().unwrap();
 }
 
 #[test]
@@ -47,7 +33,11 @@ fn gen_stats_sharing_roundtrip() {
     let path = dir.join("t.dcct");
     let path_s = path.to_str().unwrap();
 
-    write_v1(&path, "pero", 20000);
+    let out = dircc()
+        .args(["record", "--profile", "pero", "--refs", "20000", "--out", path_s])
+        .output()
+        .expect("run record");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
     let out = dircc().args(["stats", "--in", path_s]).output().expect("run stats");
     assert!(out.status.success());
@@ -331,11 +321,11 @@ fn usage_lists_every_subcommand() {
 #[test]
 fn serve_flags_are_validated() {
     let cases: [(&[&str], &str); 10] = [
-        (&["replay", "--addr", "127.0.0.1:0"], "only apply to serve"),
+        (&["replay", "--addr", "127.0.0.1:0"], "--addr only applies to serve"),
         (&["table1", "--serve", "http://x"], "only applies to submit and top"),
-        (&["replay", "--op", "run"], "only apply to submit"),
-        (&["replay", "--log-json"], "only apply to serve"),
-        (&["serve", "--once"], "only apply to top"),
+        (&["replay", "--op", "run"], "--op only applies to submit"),
+        (&["replay", "--log-json"], "--log-json only applies to serve"),
+        (&["serve", "--once"], "--once only applies to top"),
         (&["top", "--serve", "http://x", "--interval", "0"], "--interval must be"),
         (&["submit", "--serve", "http://x", "--op", "teapot"], "--op must be"),
         (&["submit", "--serve", "http://x", "--expect-cache", "warm"], "--expect-cache must be"),
@@ -511,8 +501,8 @@ fn check_scheme_filter() {
 fn check_flags_are_rejected_elsewhere() {
     let cases = [
         ("--cpus", "only applies to check and replay"),
-        ("--blocks", "only apply to check"),
-        ("--depth", "only apply to check"),
+        ("--blocks", "--blocks only applies to check"),
+        ("--depth", "--depth only applies to check"),
     ];
     for (flag, expect) in cases {
         let out = dircc().args(["table1", flag, "2"]).output().expect("run dircc");
@@ -932,7 +922,7 @@ fn record_replay_roundtrip_matches_in_memory() {
     assert!(!bogus.status.success());
     assert!(String::from_utf8_lossy(&bogus.stderr).contains("unknown scheme bogus"));
 
-    // `stats` auto-detects the v2 container.
+    // `stats` reads the same file.
     let stats = dircc().args(["stats", "--in", path_s]).output().expect("run stats");
     assert!(stats.status.success(), "{}", String::from_utf8_lossy(&stats.stderr));
     assert!(String::from_utf8_lossy(&stats.stdout).contains("references : 20000"));
@@ -995,23 +985,25 @@ fn replay_verbose_reports_one_decode_of_the_file() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `replay` also streams the flat v1 format (auto-detected), and the v1
-/// reader points v2 files at `dircc replay --in`.
+/// dircc reads chunked v2 only. A flat v1 file (its 5-byte header plus
+/// one record) fails every command that reads a trace, with a message
+/// naming the format and `dircc record`, which re-creates it as v2.
 #[test]
-fn replay_accepts_both_trace_versions() {
+fn flat_v1_traces_are_rejected_with_a_pointer_to_record() {
     let dir = std::env::temp_dir().join(format!("dircc_replay_v1_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let v1 = dir.join("v1.dcct");
     let v1_s = v1.to_str().unwrap();
-    write_v1(&v1, "thor", 20000);
+    // The record: flags, kind (read), cpu u16 LE, pid u16 LE, LEB128 address.
+    std::fs::write(&v1, b"DCCT\x01\x00\x01\x00\x00\x00\x00\x40").unwrap();
 
-    let from_v1 = dircc().args(["replay", "--in", v1_s]).output().expect("run replay v1");
-    assert!(from_v1.status.success(), "{}", String::from_utf8_lossy(&from_v1.stderr));
-    let in_memory = dircc()
-        .args(["replay", "--profile", "thor", "--refs", "20000"])
-        .output()
-        .expect("run replay in-memory");
-    assert_eq!(from_v1.stdout, in_memory.stdout, "v1 replay matches the in-memory path");
+    for cmd in ["replay", "stats", "sharing"] {
+        let out = dircc().args([cmd, "--in", v1_s]).output().expect("run dircc");
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        assert!(out.stdout.is_empty(), "{cmd}: {}", String::from_utf8_lossy(&out.stdout));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("flat v1") && err.contains("dircc record"), "{cmd}: {err}");
+    }
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

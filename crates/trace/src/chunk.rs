@@ -1,15 +1,13 @@
-//! Chunked binary trace format v2 — corpus-scale streaming I/O.
+//! The chunked binary trace format (v2), dircc's one on-disk trace format.
 //!
-//! The flat v1 format ([`crate::codec`]) spends ~10 bytes per reference
-//! and can only be consumed record-at-a-time. Replaying the paper's
-//! multi-million-reference workloads from disk wants a format that
-//! (a) streams with memory bounded by a *chunk*, not the trace, and
-//! (b) exploits the spatial locality every real address trace has. The
-//! v2 format does both: records are grouped into chunks, each chunk
-//! stores its minimum address once as a *base*, and every record stores
-//! only the LEB128-encoded delta from that base — so a chunk that stays
-//! inside a few megabytes of address space pays 2–4 bytes per address
-//! instead of up to 10.
+//! Replaying the paper's multi-million-reference workloads from disk wants
+//! a format that (a) streams with memory bounded by a *chunk*, not the
+//! trace, and (b) exploits the spatial locality every real address trace
+//! has. Records are grouped into chunks, each chunk stores its minimum
+//! address once as a *base*, and every record stores only the
+//! LEB128-encoded delta from that base — so a chunk that stays inside a
+//! few megabytes of address space pays 2–4 bytes per address instead of
+//! up to 10.
 //!
 //! # On-disk layout
 //!
@@ -19,7 +17,7 @@
 //! sections repeated:
 //!   chunk:
 //!     marker   u8      0x01
-//!     records  u32 LE  number of records in the chunk (> 0)
+//!     records  u32 LE  number of records in the chunk (1..=MAX_CHUNK_RECORDS)
 //!     bytes    u32 LE  payload length in bytes
 //!     base     u64 LE  minimum address in the chunk
 //!     payload  `bytes` bytes, per record:
@@ -37,25 +35,31 @@
 //! payloads) in file order; the footer itself is not checksummed. Bytes
 //! after the footer are an error. An empty trace is header + footer.
 //!
+//! Version 1, a flat record-per-record format, is no longer read: its
+//! header is rejected with a pointer to `dircc record`, which re-creates
+//! any generated trace as v2 from its profile, length and seed.
+//!
 //! # Streaming
 //!
 //! [`ChunkedReader`] implements [`ChunkSource`]: it reads one on-disk
 //! chunk's payload at a time (checksummed as it is read) and decodes it
 //! lazily, at most one replay batch ([`BATCH_RECORDS`]) per call, into a
 //! caller-supplied buffer. Resident trace memory is one chunk's encoded
-//! payload plus one batch of records, however long the trace is. The
+//! payload plus one batch of records, however long the trace is, and the
+//! payload buffer grows only as bytes arrive, so a chunk header that
+//! claims more than the file holds costs no more than the file. The
 //! engine's streaming replay consumes any `ChunkSource`; [`IterChunks`]
-//! batches a fallible record iterator (a v1 [`BinaryReader`], or an
-//! in-memory slice mapped through `Ok`) so every source replays through
-//! one path.
-//!
-//! [`BinaryReader`]: crate::codec::BinaryReader
+//! batches a fallible record iterator (an in-memory slice mapped through
+//! `Ok`) so every source replays through one path.
 
-use crate::codec::{self, kind_from_byte, kind_to_byte, read_leb128, write_leb128, MAGIC};
 use crate::record::{RecordFlags, TraceRecord};
-use dircc_types::{Address, CpuId, ProcessId};
+use dircc_types::{AccessKind, Address, CpuId, ProcessId};
 use std::io::{self, Read, Write};
 
+/// Magic bytes at the start of a trace file.
+const MAGIC: [u8; 4] = *b"DCCT";
+/// Version byte of the retired flat format, recognized only to name it.
+const VERSION_V1: u8 = 1;
 /// Version byte of the chunked format.
 pub const VERSION_V2: u8 = 2;
 /// Default records per chunk: about half a MB of encoded payload, which
@@ -64,10 +68,10 @@ pub const VERSION_V2: u8 = 2;
 /// headers.
 pub const DEFAULT_CHUNK_RECORDS: usize = 64 * 1024;
 /// Upper bound on records per chunk (keeps the u32 payload-length field
-/// sound: a record encodes to at most 31 bytes).
+/// sound: a record encodes to at most 31 bytes). The writer never exceeds
+/// it, and the reader rejects a chunk header that claims more.
 pub const MAX_CHUNK_RECORDS: usize = 1 << 26;
-/// Records per replay batch: the most a trace reader ([`ChunkedReader`],
-/// or [`open_trace`] for either version) yields per
+/// Records per replay batch: the most a [`ChunkedReader`] yields per
 /// [`ChunkSource::next_chunk`] call, and the batch the engine interns,
 /// splits and replays at a time. One batch's arrays stay comfortably
 /// inside L1 alongside a protocol's working set.
@@ -82,6 +86,76 @@ const MIN_RECORD_BYTES: u64 = 4;
 const TAG_KIND_MASK: u8 = 0x03;
 const TAG_FLAGS_SHIFT: u32 = 4;
 const TAG_KNOWN_MASK: u8 = 0x33;
+
+fn kind_to_byte(k: AccessKind) -> u8 {
+    match k {
+        AccessKind::InstrFetch => 0,
+        AccessKind::Read => 1,
+        AccessKind::Write => 2,
+    }
+}
+
+fn kind_from_byte(b: u8) -> Option<AccessKind> {
+    match b {
+        0 => Some(AccessKind::InstrFetch),
+        1 => Some(AccessKind::Read),
+        2 => Some(AccessKind::Write),
+        _ => None,
+    }
+}
+
+/// Writes `v` in the canonical (minimal-length) LEB128 encoding.
+fn write_leb128(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// Reads an unsigned LEB128 value.
+///
+/// The writer always emits the canonical minimal encoding; the reader is
+/// permissive about redundant zero padding *within* the 10 bytes a u64 can
+/// occupy, but rejects anything that cannot denote a u64: a 10th byte with
+/// payload bits above bit 63 ("overflows u64") or with its continuation
+/// bit still set ("continues past 10 bytes").
+fn read_leb128<R: Read>(r: &mut R) -> io::Result<u64> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let mut buf = [0u8; 1];
+        r.read_exact(&mut buf)?;
+        let byte = buf[0];
+        if shift == 63 {
+            // The 10th byte holds only bit 63: payload must be 0 or 1 and
+            // the encoding cannot continue. Report the two failure modes
+            // distinctly — a continuation bit here is a length violation,
+            // not an overflow.
+            if byte & 0x7f > 1 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "LEB128 value overflows u64",
+                ));
+            }
+            if byte & 0x80 != 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "LEB128 encoding continues past 10 bytes",
+                ));
+            }
+        }
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
 
 /// FNV-1a 64-bit running checksum.
 #[derive(Debug, Clone, Copy)]
@@ -108,11 +182,11 @@ impl Fnv64 {
 ///
 /// Implementors fill a caller-supplied buffer so the caller controls the
 /// allocation and can reuse it across pieces; nothing proportional to the
-/// whole trace is ever resident. The trace readers yield at most
-/// [`BATCH_RECORDS`] records per call, so the buffer stays one replay
-/// batch whatever chunk size a file was written with; a streaming replay
-/// decodes each piece once and replays it through every protocol it
-/// drives.
+/// whole trace is ever resident. The trace reader ([`ChunkedReader`])
+/// yields at most [`BATCH_RECORDS`] records per call, so the buffer stays
+/// one replay batch whatever chunk size a file was written with; a
+/// streaming replay decodes each piece once and replays it through every
+/// protocol it drives.
 pub trait ChunkSource {
     /// Replaces `buf`'s contents with the next piece of records. Returns
     /// `Ok(false)` (leaving `buf` empty) at end of stream.
@@ -223,9 +297,9 @@ impl<W: Write> ChunkedWriter<W> {
         for r in &self.chunk {
             let tag = kind_to_byte(r.kind) | (r.flags.bits() << TAG_FLAGS_SHIFT);
             self.payload.push(tag);
-            write_leb128(&mut self.payload, u64::from(r.cpu.raw()))?;
-            write_leb128(&mut self.payload, u64::from(r.pid.raw()))?;
-            write_leb128(&mut self.payload, r.addr.raw() - base)?;
+            write_leb128(&mut self.payload, u64::from(r.cpu.raw()));
+            write_leb128(&mut self.payload, u64::from(r.pid.raw()));
+            write_leb128(&mut self.payload, r.addr.raw() - base);
         }
         let count = u32::try_from(self.chunk.len()).expect("chunk size bounded");
         let bytes = u32::try_from(self.payload.len()).expect("payload bounded by chunk size");
@@ -304,40 +378,34 @@ impl<R: Read> ChunkedReader<R> {
     /// # Errors
     ///
     /// Returns `InvalidData` if the magic or version is wrong (a flat v1
-    /// trace gets a pointer to [`crate::codec::BinaryReader`]); propagates
-    /// I/O errors.
+    /// trace is named as one, with a pointer to `dircc record`);
+    /// propagates I/O errors.
     pub fn new(mut inner: R) -> io::Result<Self> {
         let mut header = [0u8; 5];
         inner.read_exact(&mut header)?;
         if header[..4] != MAGIC {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "not a dircc binary trace"));
         }
-        if header[4] != VERSION_V2 {
-            let hint = if header[4] == codec::VERSION {
-                " (a flat v1 trace: read it with BinaryReader / `dircc stats`, \
-                 or re-record it as v2 with `dircc record`)"
-            } else {
-                ""
-            };
-            return Err(io::Error::new(
+        match header[4] {
+            VERSION_V2 => Ok(ChunkedReader {
+                inner,
+                payload: Vec::new(),
+                pos: 0,
+                pending: 0,
+                base: 0,
+                records_read: 0,
+                checksum: Fnv64::new(),
+                done: false,
+            }),
+            VERSION_V1 => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("unsupported trace version {}{hint}", header[4]),
-            ));
-        }
-        Ok(ChunkedReader::from_body(inner))
-    }
-
-    /// Creates a reader positioned just past an already-consumed v2 header.
-    pub(crate) fn from_body(inner: R) -> Self {
-        ChunkedReader {
-            inner,
-            payload: Vec::new(),
-            pos: 0,
-            pending: 0,
-            base: 0,
-            records_read: 0,
-            checksum: Fnv64::new(),
-            done: false,
+                "a flat v1 trace, a format dircc no longer reads; re-create it as chunked v2 \
+                 with `dircc record --profile P --refs N --seed S`",
+            )),
+            v => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unsupported trace version {v} (dircc reads chunked v2 only)"),
+            )),
         }
     }
 
@@ -382,6 +450,12 @@ impl<R: Read> ChunkedReader<R> {
         if count == 0 {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "empty chunk"));
         }
+        if count as usize > MAX_CHUNK_RECORDS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("chunk claims {count} records, more than the {MAX_CHUNK_RECORDS} allowed"),
+            ));
+        }
         let (count64, bytes64) = (u64::from(count), u64::from(bytes));
         if bytes64 < count64 * MIN_RECORD_BYTES || bytes64 > count64 * MAX_RECORD_BYTES {
             return Err(io::Error::new(
@@ -391,9 +465,14 @@ impl<R: Read> ChunkedReader<R> {
         }
         self.checksum.update(&[CHUNK_MARKER]);
         self.checksum.update(&header);
+        // Grow the buffer only as payload bytes arrive: the header's length
+        // is unchecked until then, and a file that ends early must not cost
+        // the memory its header claims.
         self.payload.clear();
-        self.payload.resize(bytes as usize, 0);
-        self.inner.read_exact(&mut self.payload).map_err(truncated)?;
+        (&mut self.inner).take(bytes64).read_to_end(&mut self.payload)?;
+        if self.payload.len() as u64 != bytes64 {
+            return Err(truncated(io::ErrorKind::UnexpectedEof.into()));
+        }
         self.checksum.update(&self.payload);
         self.pos = 0;
         self.pending = count;
@@ -511,9 +590,8 @@ impl<R: Read> ChunkSource for ChunkedReader<R> {
     }
 }
 
-/// Batches a fallible record iterator (e.g. a v1
-/// [`crate::codec::BinaryReader`], which [`open_trace`] batches at
-/// [`BATCH_RECORDS`]) into fixed-size chunks.
+/// Batches a fallible record iterator (e.g. an in-memory slice mapped
+/// through `Ok`) into fixed-size chunks.
 #[derive(Debug)]
 pub struct IterChunks<I> {
     iter: I,
@@ -556,64 +634,15 @@ impl<I: Iterator<Item = io::Result<TraceRecord>>> ChunkSource for IterChunks<I> 
     }
 }
 
-/// A trace reader for either on-disk format, chosen by sniffing the
-/// version byte. Both variants stream through [`ChunkSource`].
-#[derive(Debug)]
-pub enum AnyTraceReader<R: Read> {
-    /// A flat v1 trace, batched into chunks.
-    V1(IterChunks<codec::BinaryReader<R>>),
-    /// A chunked v2 trace.
-    V2(ChunkedReader<R>),
-}
-
-impl<R: Read> AnyTraceReader<R> {
-    /// The format version this reader is decoding (1 or 2).
-    pub fn version(&self) -> u8 {
-        match self {
-            AnyTraceReader::V1(_) => codec::VERSION,
-            AnyTraceReader::V2(_) => VERSION_V2,
-        }
-    }
-
-    /// Adapts the reader into a record-at-a-time iterator.
-    pub fn records(self) -> Records<Self> {
-        Records::new(self)
-    }
-}
-
-impl<R: Read> ChunkSource for AnyTraceReader<R> {
-    fn next_chunk(&mut self, buf: &mut Vec<TraceRecord>) -> io::Result<bool> {
-        match self {
-            AnyTraceReader::V1(s) => s.next_chunk(buf),
-            AnyTraceReader::V2(s) => s.next_chunk(buf),
-        }
-    }
-}
-
-/// Opens a binary trace of either version, validating the shared magic and
-/// dispatching on the version byte.
+/// Opens a trace file: [`ChunkedReader::new`], under the name the CLI and
+/// benchmarks open files by.
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` for a bad magic or an unknown version; propagates
-/// I/O errors.
-pub fn open_trace<R: Read>(mut inner: R) -> io::Result<AnyTraceReader<R>> {
-    let mut header = [0u8; 5];
-    inner.read_exact(&mut header)?;
-    if header[..4] != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not a dircc binary trace"));
-    }
-    match header[4] {
-        v if v == codec::VERSION => Ok(AnyTraceReader::V1(IterChunks::new(
-            codec::BinaryReader::from_body(inner),
-            BATCH_RECORDS,
-        ))),
-        VERSION_V2 => Ok(AnyTraceReader::V2(ChunkedReader::from_body(inner))),
-        v => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported trace version {v} (known: 1 flat, 2 chunked)"),
-        )),
-    }
+/// As [`ChunkedReader::new`]: `InvalidData` for a bad magic or any version
+/// but 2 (a flat v1 trace is named as one); propagates I/O errors.
+pub fn open_trace<R: Read>(inner: R) -> io::Result<ChunkedReader<R>> {
+    ChunkedReader::new(inner)
 }
 
 /// Record-at-a-time iterator over any [`ChunkSource`], buffering one piece.
@@ -664,9 +693,7 @@ impl<S: ChunkSource> Iterator for Records<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{BinaryReader, BinaryWriter};
     use crate::gen::{Generator, Profile};
-    use dircc_types::AccessKind;
 
     fn trace(n: u64) -> Vec<TraceRecord> {
         Generator::new(Profile::pops().with_total_refs(n), 11).collect()
@@ -693,16 +720,24 @@ mod tests {
 
     #[test]
     fn v2_is_denser_than_v1() {
+        // The retired flat v1 layout spent a 5-byte header, then per record
+        // 6 fixed bytes (flags, kind, cpu u16, pid u16) plus the LEB128
+        // address.
         let records = trace(50_000);
         let v2 = encode(&records, DEFAULT_CHUNK_RECORDS);
-        let mut w = BinaryWriter::new(Vec::new());
-        w.write_all(&records).unwrap();
-        let v1 = w.finish().unwrap();
+        let mut addr = Vec::new();
+        let v1_len = 5 + records
+            .iter()
+            .map(|r| {
+                addr.clear();
+                write_leb128(&mut addr, r.addr.raw());
+                6 + addr.len()
+            })
+            .sum::<usize>();
         assert!(
-            v2.len() < v1.len(),
-            "delta+varint should beat flat encoding: v2={} v1={}",
-            v2.len(),
-            v1.len()
+            v2.len() < v1_len,
+            "delta+varint should beat flat encoding: v2={} v1={v1_len}",
+            v2.len()
         );
     }
 
@@ -728,33 +763,56 @@ mod tests {
         // The reusable buffer never grew past one chunk (plus Vec headroom).
         assert!(buf.capacity() < 2 * 512, "capacity {} not bounded", buf.capacity());
 
-        // Chunks larger than a replay batch — default-size v2 chunks, and
-        // a flat v1 file through `open_trace` — still yield one batch per
-        // call, so the buffer stays batch-sized.
+        // Default-size chunks, larger than a replay batch, still yield one
+        // batch per call through `open_trace`, so the buffer stays
+        // batch-sized.
         let records = trace(DEFAULT_CHUNK_RECORDS as u64 + 5_000);
-        let mut w = BinaryWriter::new(Vec::new());
-        w.write_all(&records).unwrap();
-        let v1 = w.finish().unwrap();
-        let v2 = encode(&records, DEFAULT_CHUNK_RECORDS);
-        for (version, bytes) in [(2, &v2), (1, &v1)] {
-            let mut reader = open_trace(&bytes[..]).unwrap();
-            assert_eq!(reader.version(), version);
-            let mut got = Vec::with_capacity(records.len());
-            while reader.next_chunk(&mut buf).unwrap() {
-                assert!(
-                    buf.len() <= BATCH_RECORDS,
-                    "v{version}: {} records in one call",
-                    buf.len()
-                );
-                assert!(
-                    buf.capacity() < 2 * BATCH_RECORDS,
-                    "v{version}: capacity {} not bounded by the batch",
-                    buf.capacity()
-                );
-                got.extend_from_slice(&buf);
-            }
-            assert_eq!(got, records, "v{version}");
+        let bytes = encode(&records, DEFAULT_CHUNK_RECORDS);
+        let mut reader = open_trace(&bytes[..]).unwrap();
+        let mut got = Vec::with_capacity(records.len());
+        while reader.next_chunk(&mut buf).unwrap() {
+            assert!(buf.len() <= BATCH_RECORDS, "{} records in one call", buf.len());
+            assert!(
+                buf.capacity() < 2 * BATCH_RECORDS,
+                "capacity {} not bounded by the batch",
+                buf.capacity()
+            );
+            got.extend_from_slice(&buf);
         }
+        assert_eq!(got, records);
+    }
+
+    /// A v2 header and one chunk header claiming `count` records in `bytes`
+    /// payload bytes, with no payload: 22 bytes in all.
+    fn chunk_header_only(count: u32, bytes: u32) -> Vec<u8> {
+        let mut file = b"DCCT\x02\x01".to_vec();
+        file.extend_from_slice(&count.to_le_bytes());
+        file.extend_from_slice(&bytes.to_le_bytes());
+        file.extend_from_slice(&0u64.to_le_bytes());
+        file
+    }
+
+    #[test]
+    fn hostile_chunk_headers_allocate_nothing_the_file_lacks() {
+        // A chunk of the largest legal count, claiming 2 GB of payload the
+        // file does not hold: the read fails as truncated, and the payload
+        // buffer never grew toward the claimed size.
+        let file = chunk_header_only(MAX_CHUNK_RECORDS as u32, 2_000_000_000);
+        assert_eq!(file.len(), 22);
+        let mut reader = ChunkedReader::new(&file[..]).unwrap();
+        let err = reader.next_chunk(&mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "got {err}");
+        assert!(
+            reader.payload.capacity() < 1 << 20,
+            "payload buffer grew to {} bytes",
+            reader.payload.capacity()
+        );
+
+        // One record more than a chunk may hold is rejected on its header.
+        let over = MAX_CHUNK_RECORDS as u32 + 1;
+        let err = decode(&chunk_header_only(over, 4 * over)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("more than the 67108864 allowed"), "got {err}");
     }
 
     #[test]
@@ -837,15 +895,30 @@ mod tests {
         assert!(err.to_string().contains("trailing bytes"), "got {err}");
     }
 
-    #[test]
-    fn v1_trace_rejected_by_v2_reader_with_hint() {
-        let mut w = BinaryWriter::new(Vec::new());
-        w.write_all(&trace(3)).unwrap();
-        let bytes = w.finish().unwrap();
-        let err = ChunkedReader::new(&bytes[..]).unwrap_err();
+    /// A flat v1 file: its 5-byte header, then one record (flags, kind, cpu
+    /// u16 LE, pid u16 LE, LEB128 address).
+    const FLAT_V1: &[u8] = b"DCCT\x01\x00\x01\x00\x00\x00\x00\x40";
+
+    fn assert_v1_hint(err: &io::Error) {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let msg = err.to_string();
+        assert!(msg.contains("flat v1"), "names the format: {msg}");
         assert!(msg.contains("dircc record"), "hint should name the converter: {msg}");
+    }
+
+    #[test]
+    fn v1_trace_rejected_by_v2_reader_with_hint() {
+        assert_v1_hint(&ChunkedReader::new(FLAT_V1).unwrap_err());
+    }
+
+    #[test]
+    fn open_trace_reads_v2_and_rejects_v1() {
+        let records = trace(1_000);
+        let v2 = encode(&records, 128);
+        let got: Vec<_> =
+            open_trace(&v2[..]).unwrap().records().collect::<io::Result<_>>().unwrap();
+        assert_eq!(got, records);
+        assert_v1_hint(&open_trace(FLAT_V1).unwrap_err());
     }
 
     #[test]
@@ -856,24 +929,7 @@ mod tests {
         );
         assert_eq!(open_trace(&b"NOPE\x02"[..]).unwrap_err().kind(), io::ErrorKind::InvalidData);
         let err = open_trace(&b"DCCT\x63"[..]).unwrap_err();
-        assert!(err.to_string().contains("known: 1 flat, 2 chunked"), "got {err}");
-    }
-
-    #[test]
-    fn open_trace_reads_both_versions() {
-        let records = trace(1_000);
-        let mut w = BinaryWriter::new(Vec::new());
-        w.write_all(&records).unwrap();
-        let v1 = w.finish().unwrap();
-        let v2 = encode(&records, 128);
-        let r1 = open_trace(&v1[..]).unwrap();
-        assert_eq!(r1.version(), 1);
-        let got1: Vec<_> = r1.records().collect::<io::Result<_>>().unwrap();
-        let r2 = open_trace(&v2[..]).unwrap();
-        assert_eq!(r2.version(), 2);
-        let got2: Vec<_> = r2.records().collect::<io::Result<_>>().unwrap();
-        assert_eq!(got1, records);
-        assert_eq!(got2, records);
+        assert!(err.to_string().contains("chunked v2 only"), "got {err}");
     }
 
     #[test]
@@ -893,22 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_reader_streams_through_iter_chunks() {
-        let records = trace(1_000);
-        let mut w = BinaryWriter::new(Vec::new());
-        w.write_all(&records).unwrap();
-        let bytes = w.finish().unwrap();
-        let mut source = IterChunks::new(BinaryReader::new(&bytes[..]).unwrap(), 100);
-        let mut buf = Vec::new();
-        let mut got = Vec::new();
-        while source.next_chunk(&mut buf).unwrap() {
-            assert!(buf.len() <= 100);
-            got.extend_from_slice(&buf);
-        }
-        assert_eq!(got, records);
-    }
-
-    #[test]
     fn unknown_tag_bits_rejected() {
         let mut bytes = encode(&trace(1), 1);
         // First record's tag byte sits right after the 5-byte file header
@@ -916,5 +956,107 @@ mod tests {
         bytes[22] |= 0x40;
         let err = decode(&bytes).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A reader that yields one byte at a time, interposing a spurious
+    /// `Interrupted` error before every byte — what a signal-heavy
+    /// environment can do to a real file descriptor.
+    struct Interrupting<'a> {
+        data: &'a [u8],
+        ready: bool,
+    }
+
+    impl Read for Interrupting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !self.ready {
+                self.ready = true;
+                return Err(io::Error::new(io::ErrorKind::Interrupted, "signal"));
+            }
+            self.ready = false;
+            if self.data.is_empty() || buf.is_empty() {
+                return Ok(0);
+            }
+            buf[0] = self.data[0];
+            self.data = &self.data[1..];
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried_not_fatal() {
+        // Every read of the header, the section markers, the chunk headers
+        // and payloads, the footer and the trailing-byte probe must retry
+        // `Interrupted` rather than surface it (or mistake it for EOF).
+        let records = trace(200);
+        let bytes = encode(&records, 64);
+        let reader = ChunkedReader::new(Interrupting { data: &bytes, ready: false }).unwrap();
+        let got: Vec<_> = reader.records().collect::<io::Result<_>>().unwrap();
+        assert_eq!(got, records);
+    }
+
+    #[test]
+    fn leb128_extremes() {
+        for v in [0u64, 1, 127, 128, u64::MAX] {
+            let mut buf = Vec::new();
+            write_leb128(&mut buf, v);
+            assert_eq!(read_leb128(&mut &buf[..]).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn leb128_round_trips_every_shift_boundary() {
+        // Values straddling each 7-bit group boundary: 2^(7k) - 1 and
+        // 2^(7k), where the encoded length changes.
+        for k in 1..10u32 {
+            let boundary = 1u64 << (7 * k);
+            for v in [boundary - 1, boundary, u64::MAX >> 1, (u64::MAX >> 1) + 1] {
+                let mut buf = Vec::new();
+                write_leb128(&mut buf, v);
+                assert!(buf.len() <= 10);
+                assert_eq!(read_leb128(&mut &buf[..]).unwrap(), v, "value {v:#x}");
+            }
+        }
+        // Canonical u64::MAX is exactly 10 bytes, last byte 0x01.
+        let mut buf = Vec::new();
+        write_leb128(&mut buf, u64::MAX);
+        assert_eq!(buf.len(), 10);
+        assert_eq!(buf[9], 0x01);
+        // Canonical 0 is a single zero byte.
+        let mut buf = Vec::new();
+        write_leb128(&mut buf, 0);
+        assert_eq!(buf, [0x00]);
+    }
+
+    #[test]
+    fn leb128_overflow_rejected() {
+        // 10th byte with payload above bit 63: a true overflow.
+        let mut buf = vec![0xffu8; 9];
+        buf.push(0x02);
+        let err = read_leb128(&mut &buf[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("overflows"), "got {err}");
+    }
+
+    #[test]
+    fn leb128_overlong_continuation_rejected_distinctly() {
+        // A continuation bit on the 10th byte is a length violation and
+        // must not be misreported as an overflow — even for the padding
+        // byte 0x80 whose payload is zero.
+        for tenth in [0x80u8, 0x81] {
+            let mut buf = vec![0x80u8; 9];
+            buf.push(tenth);
+            buf.push(0x00);
+            let err = read_leb128(&mut &buf[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("continues past 10 bytes"), "got {err}");
+        }
+    }
+
+    #[test]
+    fn leb128_accepts_redundant_padding_within_bounds() {
+        // Permissive decode: zero padding inside the 10-byte window is
+        // decodable even though the writer never emits it.
+        assert_eq!(read_leb128(&mut &[0x80u8, 0x00][..]).unwrap(), 0);
+        assert_eq!(read_leb128(&mut &[0xc0u8, 0x00][..]).unwrap(), 0x40);
     }
 }

@@ -12,13 +12,12 @@
 //!   plus flags marking lock accesses (needed by the paper's §5.2 spin-lock
 //!   experiment) and operating-system references (Table 3 reports a user/sys
 //!   split).
-//! * [`codec`] — a compact binary format and a line-oriented text format,
-//!   with streaming [`reader`](codec::BinaryReader)s and writers.
-//! * [`chunk`] — the chunked v2 binary format for corpus-scale traces:
-//!   per-chunk delta + LEB128 address compression, a checksummed footer,
-//!   and [`ChunkSource`](chunk::ChunkSource) streaming, one replay batch
-//!   per call, with memory bounded by a chunk's payload and one batch
-//!   rather than the trace length.
+//! * [`chunk`] — the one on-disk trace format, chunked v2: per-chunk
+//!   delta + LEB128 address compression, a checksummed footer, and
+//!   [`ChunkSource`](chunk::ChunkSource) streaming, one replay batch per
+//!   call, with memory bounded by a chunk's payload and one batch rather
+//!   than the trace length. [`ChunkedWriter`] writes it and
+//!   [`ChunkedReader`] (or [`open_trace`]) reads it.
 //! * [`stats`] — reference-stream statistics reproducing Table 3.
 //! * [`gen`] — the synthetic workload generator with calibrated profiles
 //!   `pops`, `thor` and `pero`, plus primitive sharing kernels for tests.
@@ -56,7 +55,6 @@
 //! ```
 
 pub mod chunk;
-pub mod codec;
 pub mod filter;
 pub mod gen;
 pub mod intern;
@@ -67,7 +65,7 @@ pub mod soa;
 pub mod stats;
 pub mod store;
 
-pub use chunk::{open_trace, AnyTraceReader, ChunkSource, ChunkedReader, ChunkedWriter, Records};
+pub use chunk::{open_trace, ChunkSource, ChunkedReader, ChunkedWriter, Records};
 pub use intern::BlockInterner;
 pub use record::{RecordFlags, TraceRecord};
 pub use shard::{Shard, ShardedStream};

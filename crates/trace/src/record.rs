@@ -24,22 +24,12 @@ impl RecordFlags {
 
     /// Creates flags from their raw bit representation (unknown bits kept).
     ///
-    /// Use [`RecordFlags::from_bits_checked`] at trust boundaries (the
-    /// codecs do): undefined bits would otherwise flow unnoticed into
-    /// shard routing and filter decisions.
+    /// Trust boundaries must reject undefined bits first, as the trace
+    /// reader does: they would otherwise flow unnoticed into shard routing
+    /// and filter decisions.
     #[inline]
     pub const fn from_bits(bits: u8) -> Self {
         RecordFlags(bits)
-    }
-
-    /// Creates flags from raw bits, rejecting undefined bits.
-    #[inline]
-    pub const fn from_bits_checked(bits: u8) -> Option<Self> {
-        if bits & !RecordFlags::ALL.0 != 0 {
-            None
-        } else {
-            Some(RecordFlags(bits))
-        }
     }
 
     /// Returns the raw bit representation.

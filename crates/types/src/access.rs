@@ -40,24 +40,14 @@ impl AccessKind {
         matches!(self, AccessKind::Write)
     }
 
-    /// Returns a stable single-character code used by the text trace format
-    /// (`I`, `R`, `W`).
+    /// Returns a stable single-character code (`I`, `R`, `W`), as a trace
+    /// record's `Display` prints it.
     #[inline]
     pub const fn code(self) -> char {
         match self {
             AccessKind::InstrFetch => 'I',
             AccessKind::Read => 'R',
             AccessKind::Write => 'W',
-        }
-    }
-
-    /// Parses the single-character code produced by [`AccessKind::code`].
-    pub const fn from_code(c: char) -> Option<Self> {
-        match c {
-            'I' => Some(AccessKind::InstrFetch),
-            'R' => Some(AccessKind::Read),
-            'W' => Some(AccessKind::Write),
-            _ => None,
         }
     }
 }
@@ -84,14 +74,6 @@ mod tests {
         assert!(AccessKind::Write.is_data());
         assert!(AccessKind::Write.is_write());
         assert!(!AccessKind::Read.is_write());
-    }
-
-    #[test]
-    fn code_round_trips() {
-        for k in AccessKind::ALL {
-            assert_eq!(AccessKind::from_code(k.code()), Some(k));
-        }
-        assert_eq!(AccessKind::from_code('x'), None);
     }
 
     #[test]

@@ -5,24 +5,23 @@
 //! ```
 //!
 //! Demonstrates the trace substrate end to end: synthesize a THOR-like
-//! trace, write it in the compact binary format, read it back, verify the
-//! round-trip, print Table 3-style statistics, and dump the first few
-//! records in the text format.
+//! trace, write it in the chunked v2 format, stream it back, verify the
+//! round-trip, print Table 3-style statistics, and print the first few
+//! records.
 
-use dircc::trace::codec::{write_text, BinaryReader, BinaryWriter};
 use dircc::trace::gen::{Generator, Profile};
 use dircc::trace::stats::TraceStats;
-use dircc::trace::TraceRecord;
+use dircc::trace::{ChunkedReader, ChunkedWriter, TraceRecord};
 use std::io::{BufReader, BufWriter};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = Profile::thor().with_total_refs(100_000);
     let records: Vec<TraceRecord> = Generator::new(profile, 2024).collect();
 
-    // Serialize to the binary format.
-    let path = std::env::temp_dir().join("dircc_demo_trace.dcct");
+    // Serialize to the chunked v2 format.
+    let path = std::env::temp_dir().join(format!("dircc_demo_trace_{}.dcct", std::process::id()));
     let file = std::fs::File::create(&path)?;
-    let mut writer = BinaryWriter::new(BufWriter::new(file));
+    let mut writer = ChunkedWriter::new(BufWriter::new(file));
     writer.write_all(&records)?;
     writer.finish()?;
     let bytes = std::fs::metadata(&path)?.len();
@@ -34,11 +33,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bytes as f64 / records.len() as f64
     );
 
-    // Read back and verify the round-trip.
+    // Stream it back and verify the round-trip.
     let file = std::fs::File::open(&path)?;
     let reloaded: Vec<TraceRecord> =
-        BinaryReader::new(BufReader::new(file))?.collect::<Result<_, _>>()?;
-    assert_eq!(reloaded, records, "binary round-trip must be lossless");
+        ChunkedReader::new(BufReader::new(file))?.records().collect::<Result<_, _>>()?;
+    std::fs::remove_file(&path)?;
+    assert_eq!(reloaded, records, "v2 round-trip must be lossless");
     println!("round-trip verified");
     println!();
 
@@ -54,12 +54,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  blocks     : {}", stats.distinct_data_blocks());
     println!();
 
-    // Text format for human inspection.
-    println!("first 10 records (text format: cpu pid kind addr flags):");
-    let mut head = Vec::new();
-    write_text(&mut head, &reloaded[..10])?;
-    print!("{}", String::from_utf8_lossy(&head));
-
-    std::fs::remove_file(&path)?;
+    println!("first 10 records (cpu pid kind addr flags):");
+    for r in &reloaded[..10] {
+        println!("  {r}");
+    }
     Ok(())
 }

@@ -1,13 +1,15 @@
-//! Property tests for the trace codecs and generator determinism.
+//! Property tests for the chunked v2 trace codec and generator determinism.
 
-use dircc::trace::codec::{read_text, write_text, BinaryReader, BinaryWriter};
+use dircc::trace::chunk::{ChunkedReader, ChunkedWriter, DEFAULT_CHUNK_RECORDS};
 use dircc::trace::gen::{Generator, Profile};
 use dircc::trace::{RecordFlags, TraceRecord};
 use dircc::types::{AccessKind, Address, CpuId, ProcessId};
 use proptest::prelude::*;
 
+/// Any record the format can hold: full `u16` cpu and pid, any `u64`
+/// address, every access kind and every defined flag bit.
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
-    (any::<u16>(), any::<u16>(), 0u8..3, any::<u64>(), 0u8..4).prop_map(
+    (any::<u16>(), any::<u16>(), 0u8..3, any::<u64>(), 0..RecordFlags::ALL.bits() + 1).prop_map(
         |(cpu, pid, kind, addr, flags)| {
             let kind = match kind {
                 0 => AccessKind::InstrFetch,
@@ -25,52 +27,50 @@ fn arb_record() -> impl Strategy<Value = TraceRecord> {
     )
 }
 
+fn encode(records: &[TraceRecord], chunk: usize) -> Vec<u8> {
+    let mut w = ChunkedWriter::with_chunk_records(Vec::new(), chunk);
+    w.write_all(records).unwrap();
+    w.finish().unwrap()
+}
+
+fn decode(bytes: &[u8]) -> std::io::Result<Vec<TraceRecord>> {
+    ChunkedReader::new(bytes)?.records().collect()
+}
+
 proptest! {
     #[test]
-    fn binary_codec_round_trips(records in prop::collection::vec(arb_record(), 0..200)) {
-        let mut buf = Vec::new();
-        let mut w = BinaryWriter::new(&mut buf);
-        w.write_all(&records).unwrap();
-        w.finish().unwrap();
-        let got: Vec<TraceRecord> =
-            BinaryReader::new(&buf[..]).unwrap().collect::<Result<_, _>>().unwrap();
+    fn binary_codec_round_trips(
+        records in prop::collection::vec(arb_record(), 0..200),
+        chunk in 1usize..65
+    ) {
+        let got = decode(&encode(&records, chunk)).unwrap();
         prop_assert_eq!(got, records);
     }
 
     #[test]
-    fn text_codec_round_trips(records in prop::collection::vec(arb_record(), 0..100)) {
-        let mut buf = Vec::new();
-        write_text(&mut buf, &records).unwrap();
-        let got = read_text(&buf[..]).unwrap();
-        prop_assert_eq!(got, records);
-    }
-
-    #[test]
-    fn binary_encoding_is_compact(records in prop::collection::vec(arb_record(), 1..200)) {
-        // Header (5) + at most 16 bytes per record (6 fixed + 10 LEB128).
-        let mut buf = Vec::new();
-        let mut w = BinaryWriter::new(&mut buf);
-        w.write_all(&records).unwrap();
-        w.finish().unwrap();
-        prop_assert!(buf.len() <= 5 + records.len() * 16);
-        prop_assert!(buf.len() >= 5 + records.len() * 7);
+    fn binary_encoding_is_compact(
+        records in prop::collection::vec(arb_record(), 1..200),
+        chunk in 1usize..65
+    ) {
+        // File header (5) and footer (17), a 17-byte header per chunk, and
+        // per record a tag byte plus three LEB128 fields of 1 to 10 bytes.
+        let framing = 5 + 17 + 17 * records.len().div_ceil(chunk);
+        let len = encode(&records, chunk).len();
+        prop_assert!(len <= framing + records.len() * 31);
+        prop_assert!(len >= framing + records.len() * 4);
     }
 
     #[test]
     fn truncating_a_binary_trace_never_panics(
         records in prop::collection::vec(arb_record(), 1..50),
+        chunk in 1usize..65,
         cut in 0usize..1000
     ) {
-        let mut buf = Vec::new();
-        let mut w = BinaryWriter::new(&mut buf);
-        w.write_all(&records).unwrap();
-        w.finish().unwrap();
-        let cut = cut.min(buf.len());
-        let truncated = &buf[..cut];
-        // Must either parse a prefix or report an error — never panic.
-        if let Ok(reader) = BinaryReader::new(truncated) {
-            let _ = reader.collect::<Vec<_>>();
-        }
+        // Any strict prefix must fail to decode (a header, section or
+        // footer cut short), never decode cleanly and never panic.
+        let bytes = encode(&records, chunk);
+        let cut = cut % bytes.len();
+        prop_assert!(decode(&bytes[..cut]).is_err(), "cut at {} of {} decoded", cut, bytes.len());
     }
 
     #[test]
@@ -86,17 +86,12 @@ proptest! {
 fn generated_traces_round_trip_through_the_binary_codec() {
     let records: Vec<TraceRecord> =
         Generator::new(Profile::thor().with_total_refs(30_000), 5).collect();
-    let mut buf = Vec::new();
-    let mut w = BinaryWriter::new(&mut buf);
-    w.write_all(&records).unwrap();
-    w.finish().unwrap();
-    let got: Vec<TraceRecord> =
-        BinaryReader::new(&buf[..]).unwrap().collect::<Result<_, _>>().unwrap();
-    assert_eq!(got, records);
+    let bytes = encode(&records, DEFAULT_CHUNK_RECORDS);
+    assert_eq!(decode(&bytes).unwrap(), records);
     assert!(
-        buf.len() < records.len() * 12,
+        bytes.len() < records.len() * 8,
         "generated traces should encode compactly: {} bytes for {} records",
-        buf.len(),
+        bytes.len(),
         records.len()
     );
 }

@@ -58,6 +58,11 @@ diff /tmp/replay_file_small.txt /tmp/replay_mem.txt
 # Trace example gate: the example writes a generated trace as chunked v2,
 # streams it back and asserts the round trip is lossless.
 cargo run --release --example trace_tools
+# Every other example runs to completion (each well under a second).
+for example in quickstart spin_lock_study scalability_sweep protocol_shootout \
+    effective_processors; do
+    cargo run --release --example "$example" > /dev/null
+done
 # Serve gate: the HTTP daemon on an ephemeral port — served /run
 # responses diffed byte-for-byte against `dircc replay --json` (cache
 # miss, cache hit, sharded), 400 /run requests from four concurrent

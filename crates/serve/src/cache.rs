@@ -78,6 +78,11 @@ impl<V> Lru<V> {
         None
     }
 
+    /// The cached values, in no particular order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values()
+    }
+
     /// Removes `key` outright (used to drop failed fills).
     pub fn remove(&mut self, key: &str) {
         if self.map.remove(key).is_some() {

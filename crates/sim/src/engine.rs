@@ -21,17 +21,17 @@
 //! # One loop, several batch sources
 //!
 //! Every entry point drives the same loop, `Core::replay`, with
-//! structure-of-arrays batches ([`SoaStream`]): flat `kind` / `cache_idx`
-//! / dense `block_id` / `first_ref` arrays over the batch's *data*
-//! references plus a count of its instruction fetches, the records it
-//! was built from (read only by the cold paths) and, for shard
-//! sub-streams, global reference numbers. The loop is generic over
-//! `P: Protocol + ?Sized`, so a `Box<dyn Protocol>` is just another type
-//! argument. Per batch it takes a quiet body when every cold path is
-//! provably dead — no window, no verifier, infinite caches, no invariant
-//! cadence, and a batch `max_cache_idx` below the cache count — which
-//! adds the instruction count in bulk — and otherwise the full checking
-//! body, which observes each record one at a time.
+//! structure-of-arrays batches ([`SoaStream`]): flat columns over the
+//! batch's *data* references, one bit per reference placing its
+//! instruction fetches, the renaming back to original blocks and, for
+//! shard sub-streams, global reference numbers; no record reaches the
+//! loop. The loop is generic over `P: Protocol + ?Sized`, so a
+//! `Box<dyn Protocol>` is just another type argument. Per batch it takes
+//! a quiet body when every cold path is provably dead — no window, no
+//! verifier, infinite caches, no invariant cadence, and a batch
+//! `max_cache_idx` below the cache count — which adds the instruction
+//! count in bulk — and otherwise the full checking body, which observes
+//! each reference one at a time.
 //!
 //! The sources differ only in how a batch is filled:
 //!
@@ -49,8 +49,8 @@
 //!
 //! Renaming blocks to dense ids is a bijection and protocols only compare
 //! blocks for identity, so every source produces bit-identical counters;
-//! finite tag stores still key on the **original** address because set
-//! selection uses raw address bits.
+//! finite tag stores still key on the **original** block, read back from
+//! the renaming, because set selection uses raw address bits.
 //!
 //! # Observability
 //!
@@ -70,8 +70,8 @@ use dircc_core::{
 };
 use dircc_obs::{WindowSample, WindowedRecorder};
 use dircc_trace::chunk::{IterChunks, BATCH_RECORDS};
-use dircc_trace::{BlockInterner, ChunkSource, ShardedStream, SoaStream, TraceRecord};
-use dircc_types::{BlockAddr, BlockGeometry, CacheId};
+use dircc_trace::{ChunkSource, ShardedStream, SoaStream, TraceRecord};
+use dircc_types::{BlockAddr, BlockGeometry, CacheId, CpuId, ProcessId};
 use std::time::{Duration, Instant};
 
 pub use dircc_types::SharingModel;
@@ -236,9 +236,8 @@ pub fn run_chunked_many<P: Protocol + ?Sized, S: ChunkSource>(
     source: &mut S,
     cfg: &RunConfig,
 ) -> Vec<Result<RunResult, String>> {
-    let mut interner = BlockInterner::new(cfg.geometry);
     let mut records = Vec::new();
-    let mut batch = SoaStream::new(cfg.sharing);
+    let mut batch = SoaStream::build([], cfg.geometry, cfg.sharing);
     // `Ok` while a protocol replays; its error once it has stopped.
     let mut runs: Vec<Result<Core<'_, P>, String>> =
         protocols.iter_mut().map(|p| Ok(Core::new(&mut **p, cfg, 0, None))).collect();
@@ -257,10 +256,10 @@ pub fn run_chunked_many<P: Protocol + ?Sized, S: ChunkSource>(
         // Cache-sized batches: each is filled once and replayed through
         // every protocol while hot.
         for chunk in records.chunks(BATCH_RECORDS) {
-            batch.refill(chunk, cfg.geometry, |block| interner.intern(block));
+            batch.refill(chunk);
             for run in &mut runs {
                 if let Ok(core) = run {
-                    if let Err(e) = core.replay(chunk, &batch, None) {
+                    if let Err(e) = core.replay(&batch, None) {
                         *run = Err(e.msg);
                     }
                 }
@@ -272,44 +271,27 @@ pub fn run_chunked_many<P: Protocol + ?Sized, S: ChunkSource>(
         .collect()
 }
 
-/// Replays a structure-of-arrays stream through a fresh instance of
-/// `kind` sized for the stream's blocks, resolved to its concrete type so
-/// the loop is monomorphized per scheme.
-///
-/// `records` must be the stream `soa` was built from (e.g. the
-/// [`TraceStore::records`](dircc_trace::TraceStore::records) /
-/// [`TraceStore::soa`](dircc_trace::TraceStore::soa) pair): the hot loop
-/// never touches it, but the checking loop walks it for the instruction
-/// fetches the stream only counts, set selection and diagnostics.
+/// Replays a structure-of-arrays stream (e.g. a
+/// [`TraceStore::soa`](dircc_trace::TraceStore::soa) memo) through a
+/// fresh instance of `kind` sized for the stream's blocks, resolved to
+/// its concrete type so the loop is monomorphized per scheme.
 ///
 /// # Errors
 ///
-/// As [`run`]; additionally errs if `soa` is misaligned with `records` or
-/// was built under a different sharing model than `cfg` uses.
+/// As [`run`]; additionally errs if `soa` was built under a different
+/// sharing model than `cfg` uses.
 pub fn run_indexed(
     kind: ProtocolKind,
     n_caches: usize,
-    records: &[TraceRecord],
     soa: &SoaStream,
     cfg: &RunConfig,
 ) -> Result<RunResult, String> {
-    check_aligned(records, soa.refs(), soa.sharing, cfg)?;
-    replay_dispatched(kind, n_caches, records, soa, None, cfg).map(finish_result).map_err(|e| e.msg)
+    check_sharing(soa.sharing, cfg)?;
+    replay_dispatched(kind, n_caches, soa, None, cfg).map(finish_result).map_err(|e| e.msg)
 }
 
-/// Checks that a stream covering `covered` references fits `records`.
-fn check_aligned(
-    records: &[TraceRecord],
-    covered: u64,
-    sharing: SharingModel,
-    cfg: &RunConfig,
-) -> Result<(), String> {
-    if records.len() as u64 != covered {
-        return Err(format!(
-            "soa stream covers {covered} refs for {} records; rebuild it from the same stream",
-            records.len()
-        ));
-    }
+/// Checks that a stream was built under `cfg`'s sharing model.
+fn check_sharing(sharing: SharingModel, cfg: &RunConfig) -> Result<(), String> {
     if sharing != cfg.sharing {
         return Err(format!(
             "soa stream was built under {sharing:?} sharing but the run uses {:?}; rebuild it \
@@ -320,32 +302,25 @@ fn check_aligned(
     Ok(())
 }
 
-/// Builds the block-sharded partition of `soa`, built from `records`
-/// under `cfg`'s geometry and sharing model.
+/// Builds the block-sharded partition of `soa`, built under `cfg`'s
+/// sharing model.
 ///
 /// Infinite-cache runs shard by `block_id % shards` — the same router
 /// [`dircc_trace::TraceStore::sharded`] memoizes, so engine-level and
 /// store-level partitions agree. Finite-cache runs shard by the tag
-/// store's *set index* of the original block instead: LRU eviction is
+/// store's *set index* of the original block (read back from the
+/// stream's renaming) instead: LRU eviction is
 /// confined to a set, so keeping every set's accesses in one shard
 /// preserves victim choice exactly. A finite config cannot honour more
 /// shards than it has sets, so the shard count is clamped to `sets`
 /// (falling back to 1 shard for a single-set cache).
-pub fn shard_stream(
-    records: &[TraceRecord],
-    soa: &SoaStream,
-    shards: usize,
-    cfg: &RunConfig,
-) -> ShardedStream {
+pub fn shard_stream(soa: &SoaStream, shards: usize, cfg: &RunConfig) -> ShardedStream {
     let shards = shards.max(1);
     match cfg.finite_cache {
-        None => ShardedStream::build(records, soa, shards, |_, gid| gid as usize % shards),
+        None => ShardedStream::build(soa, shards, |gid| gid as usize % shards),
         Some(fc) => {
             let shards = shards.min(fc.sets);
-            let geometry = cfg.geometry;
-            ShardedStream::build(records, soa, shards, |r, _| {
-                fc.set_of(geometry.block_of(r.addr)) % shards
-            })
+            ShardedStream::build(soa, shards, |gid| fc.set_of(soa.blocks.block_addr(gid)) % shards)
         }
     }
 }
@@ -380,9 +355,6 @@ pub fn shard_stream(
 /// Shards replay on [`std::thread::scope`] workers (inline when there is
 /// only one shard).
 ///
-/// `records` must be the stream `sharded` partitions: finite-cache set
-/// selection and diagnostics find a shard's records by number there.
-///
 /// # Errors
 ///
 /// As [`run_indexed`], checked per shard; across shards the error with
@@ -392,11 +364,10 @@ pub fn shard_stream(
 pub fn run_sharded(
     kind: ProtocolKind,
     n_caches: usize,
-    records: &[TraceRecord],
     sharded: &ShardedStream,
     cfg: &RunConfig,
 ) -> Result<RunResult, String> {
-    run_sharded_with(kind, n_caches, records, sharded, cfg, |_, _, _, _| ())
+    run_sharded_with(kind, n_caches, sharded, cfg, |_, _, _, _| ())
 }
 
 /// [`run_sharded`] with an observer called once per shard replay —
@@ -410,7 +381,6 @@ pub fn run_sharded(
 pub fn run_sharded_with<O>(
     kind: ProtocolKind,
     n_caches: usize,
-    records: &[TraceRecord],
     sharded: &ShardedStream,
     cfg: &RunConfig,
     observe: O,
@@ -425,13 +395,13 @@ where
     }
     let shards = sharded.shards();
     for sh in shards {
-        check_aligned(records, sharded.total_records() as u64, sh.soa.sharing, cfg)?;
+        check_sharing(sh.soa.sharing, cfg)?;
     }
     fan_out(shards.len(), sharded.instr(), |idx| {
         let sh = &shards[idx];
         let started = Instant::now();
         let shard = Some((&sh.global_refs[..], &sh.global_ids[..]));
-        let res = replay_dispatched(kind, n_caches, records, &sh.soa, shard, cfg);
+        let res = replay_dispatched(kind, n_caches, &sh.soa, shard, cfg);
         let refs = res.as_ref().map_or(sh.soa.refs(), |o| o.refs);
         observe(idx, started, started.elapsed(), refs);
         res
@@ -491,13 +461,11 @@ fn merge_shard_results(results: Vec<Result<CoreResult, EngineError>>) -> Result<
 fn replay_dispatched(
     kind: ProtocolKind,
     n_caches: usize,
-    records: &[TraceRecord],
     soa: &SoaStream,
     shard: Option<(&[u64], &[u32])>,
     cfg: &RunConfig,
 ) -> Result<CoreResult, EngineError> {
     struct Replay<'a> {
-        records: &'a [TraceRecord],
         soa: &'a SoaStream,
         shard: Option<(&'a [u64], &'a [u32])>,
         cfg: &'a RunConfig,
@@ -505,24 +473,23 @@ fn replay_dispatched(
     impl ProtocolVisitor for Replay<'_> {
         type Output = Result<CoreResult, EngineError>;
         fn visit<P: Protocol + Clone + 'static>(self, mut protocol: P) -> Self::Output {
-            let Replay { records, soa, shard, cfg } = self;
+            let Replay { soa, shard, cfg } = self;
             protocol.reserve_blocks(soa.data.num_blocks);
-            replay_memory(&mut protocol, records, soa, shard, cfg)
+            replay_memory(&mut protocol, soa, shard, cfg)
         }
     }
-    dispatch(kind, n_caches, Replay { records, soa, shard, cfg })
+    dispatch(kind, n_caches, Replay { soa, shard, cfg })
 }
 
 /// Replays one in-memory stream (or shard sub-stream) as a single batch.
 fn replay_memory<P: Protocol + ?Sized>(
     protocol: &mut P,
-    records: &[TraceRecord],
     soa: &SoaStream,
     shard: Option<(&[u64], &[u32])>,
     cfg: &RunConfig,
 ) -> Result<CoreResult, EngineError> {
     let mut core = Core::new(protocol, cfg, soa.data.num_blocks, shard.map(|s| s.1));
-    core.replay(records, soa, shard.map(|s| s.0))?;
+    core.replay(soa, shard.map(|s| s.0))?;
     core.finish()
 }
 
@@ -545,7 +512,8 @@ struct Core<'a, P: ?Sized> {
     /// victims are evicted from the protocol. Tags invalidated by remote
     /// writes linger until replaced (as in real caches). Set selection
     /// uses raw address bits, so the stores are keyed on the ORIGINAL
-    /// block address and carry the dense address as their state.
+    /// block (from the stream's renaming) and carry the dense address as
+    /// their state.
     tag_stores: Option<Vec<SetAssocCache<BlockAddr>>>,
     /// References replayed so far.
     refs: u64,
@@ -574,23 +542,18 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
     }
 
     /// The replay loop: the one place references reach
-    /// [`Protocol::access`]. Replays one batch — `soa` built from
-    /// `records`, `grefs` the 1-based *global* reference numbers of a
-    /// shard sub-stream's entries in `records` (`None`: the running
-    /// reference count), used in error and violation messages so sharded
-    /// findings merge back in trace order. The window recorder sees the
-    /// cumulative counters once per reference, after every counter
-    /// mutation that reference caused (eviction traffic included), so
-    /// windowed deltas partition the run exactly.
-    fn replay(
-        &mut self,
-        records: &[TraceRecord],
-        soa: &SoaStream,
-        grefs: Option<&[u64]>,
-    ) -> Result<(), EngineError> {
+    /// [`Protocol::access`]. Replays one batch — `soa`, with `grefs` the
+    /// 1-based *global* reference numbers of a shard sub-stream's entries
+    /// (`None`: the running reference count), used in error and violation
+    /// messages so sharded findings merge back in trace order. The window
+    /// recorder sees the cumulative counters once per reference, after
+    /// every counter mutation that reference caused (eviction traffic
+    /// included), so windowed deltas partition the run exactly.
+    fn replay(&mut self, soa: &SoaStream, grefs: Option<&[u64]>) -> Result<(), EngineError> {
         let n = self.protocol.num_caches();
         let data = &*soa.data;
         let len = soa.len();
+        let cache_idx = &soa.cache_idx()[..len];
         let base = self.refs;
         let cfg = self.cfg;
         let every = cfg.check_invariants_every;
@@ -599,37 +562,28 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
         // (max_cache_idx proves the bounds check dead), no state beyond
         // the protocol and counters exists, and the batch specializes
         // down to the quiet loop over data references.
-        let quiet = self.windows.is_none()
+        let is_quiet = self.windows.is_none()
             && self.values.is_none()
             && self.tag_stores.is_none()
             && every == 0
             && usize::from(soa.max_cache_idx) < n;
-        if quiet {
-            let protocol = &mut *self.protocol;
-            let counters = &mut self.counters;
-            let kind = &data.kind[..len];
-            let cache_idx = &soa.cache_idx[..len];
-            let block_id = &data.block_id[..len];
-            let first_ref = &data.first_ref[..len];
-            for j in 0..len {
-                let out = protocol.access(
-                    CacheId::new(cache_idx[j]),
-                    kind[j],
-                    BlockAddr::from_index(u64::from(block_id[j])),
-                    first_ref[j],
-                );
-                counters.observe(&out);
-            }
-            counters.observe_instr_fetches(data.instr);
+        if is_quiet {
+            quiet(&mut *self.protocol, &mut self.counters, soa);
             self.refs = base + soa.refs();
             return Ok(());
         }
 
         // Full loop: every check, reference for reference, with the
         // invariant modulo test hoisted to segment boundaries (segments
-        // end exactly where the cadence checks). It walks the records, `d`
-        // indexing the SoA; a shard walks its entries, records by number.
-        let positions = if grefs.is_some() { len } else { records.len() };
+        // end exactly where the cadence checks). It walks the references,
+        // the data bits placing the instruction fetches and `d` indexing
+        // the columns; a shard holds data references only.
+        let positions = soa.refs() as usize;
+        // The original block behind a (possibly shard-local) dense id.
+        let global_ids = self.global_ids;
+        let orig = |block: BlockAddr| {
+            soa.blocks.block_addr(global_block(global_ids, block).index() as u32)
+        };
         let mut d = 0usize;
         let mut i = 0usize;
         while i < positions {
@@ -645,11 +599,7 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
             let mut ends_on_data = false;
             for j in i..end {
                 let refs = base + j as u64 + 1;
-                let (gref, r) = match grefs {
-                    None => (refs, &records[j]),
-                    Some(g) => (g[d], &records[(g[d] - 1) as usize]),
-                };
-                ends_on_data = r.is_data();
+                ends_on_data = data.is_data(j);
                 if !ends_on_data {
                     self.counters.observe(&Outcome::quiet(Event::Instr));
                     if let Some(w) = self.windows.as_mut() {
@@ -657,20 +607,23 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
                     }
                     continue;
                 }
-                let (k, cache_idx) = (data.kind[d], soa.cache_idx[d]);
-                if usize::from(cache_idx) >= n {
+                let gref = grefs.map_or(refs, |g| g[d]);
+                let (k, c) = (data.kind[d], cache_idx[d]);
+                let block = BlockAddr::from_index(u64::from(data.block_id[d]));
+                if usize::from(c) >= n {
+                    // The store holds no byte offset: name the block's base.
+                    let at = soa.blocks.geometry().block_base(orig(block));
+                    let (cpu, pid) = (CpuId::new(data.cpu[d]), ProcessId::new(data.pid[d]));
                     return Err(EngineError {
                         gref,
                         msg: format!(
-                            "reference {gref}: cache index {cache_idx} out of range for {n} \
-                             caches ({}, {}, {:?} at {}; did you size the protocol for the \
-                             sharing model?)",
-                            r.cpu, r.pid, r.kind, r.addr
+                            "reference {gref}: cache index {c} out of range for {n} caches \
+                             ({cpu}, {pid}, {k:?} at {at}; did you size the protocol for the \
+                             sharing model?)"
                         ),
                     });
                 }
-                let cache = CacheId::new(cache_idx);
-                let block = BlockAddr::from_index(u64::from(data.block_id[d]));
+                let cache = CacheId::new(c);
                 let out = self.protocol.access(cache, k, block, data.first_ref[d]);
                 d += 1;
                 self.counters.observe(&out);
@@ -681,10 +634,9 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
                     note(&mut self.violations, gref, verdict);
                 }
                 if let Some(stores) = self.tag_stores.as_mut() {
-                    let orig_block = cfg.geometry.block_of(r.addr);
                     let store = &mut stores[cache.index()];
                     if let Lookup::Inserted { evicted: Some(victim) } =
-                        store.lookup_or_insert(orig_block, block)
+                        store.lookup_or_insert(orig(block), block)
                     {
                         let evo = self.protocol.evict(cache, victim.state);
                         self.counters.observe_eviction(&evo);
@@ -734,6 +686,22 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
             windows,
         })
     }
+}
+
+/// The quiet body of [`Core::replay`], a function of its own so that the
+/// hot loop is optimized apart from the checking body.
+#[inline(never)]
+fn quiet<P: Protocol + ?Sized>(protocol: &mut P, counters: &mut EventCounters, soa: &SoaStream) {
+    let (data, len) = (&*soa.data, soa.len());
+    let cache_idx = &soa.cache_idx()[..len];
+    let (kind, block_id, first_ref) =
+        (&data.kind[..len], &data.block_id[..len], &data.first_ref[..len]);
+    for j in 0..len {
+        let block = BlockAddr::from_index(u64::from(block_id[j]));
+        let out = protocol.access(CacheId::new(cache_idx[j]), kind[j], block, first_ref[j]);
+        counters.observe(&out);
+    }
+    counters.observe_instr_fetches(data.instr);
 }
 
 /// The block a finding names: `block` itself, or for a shard sub-stream
@@ -960,6 +928,35 @@ mod tests {
     }
 
     #[test]
+    fn bounds_error_names_the_block_base_of_an_unaligned_reference() {
+        // The store keeps blocks, not byte offsets: a reference to 0x1234
+        // is reported at its 16-byte block's base, 0x1230, on every path.
+        let trace = vec![
+            TraceRecord::new(
+                CpuId::new(0),
+                ProcessId::new(0),
+                AccessKind::InstrFetch,
+                Address::new(0),
+            ),
+            TraceRecord::new(
+                CpuId::new(5),
+                ProcessId::new(6),
+                AccessKind::Write,
+                Address::new(0x1234),
+            ),
+        ];
+        let want = "reference 2: cache index 5 out of range for 4 caches (cpu5, pid6, Write at \
+                    0x1230; did you size the protocol for the sharing model?)";
+        let cfg = RunConfig::default();
+        let mut p = build(ProtocolKind::Dir0B, 4);
+        assert_eq!(run(p.as_mut(), trace.clone(), &cfg).unwrap_err(), want);
+        let soa = soa(&trace, &cfg);
+        assert_eq!(run_indexed(ProtocolKind::Dir0B, 4, &soa, &cfg).unwrap_err(), want);
+        let sharded = shard_stream(&soa, 2, &cfg);
+        assert_eq!(run_sharded(ProtocolKind::Dir0B, 4, &sharded, &cfg).unwrap_err(), want);
+    }
+
+    #[test]
     fn verifier_catches_a_broken_protocol() {
         /// A deliberately broken protocol: never invalidates other copies.
         #[derive(Debug)]
@@ -1018,8 +1015,7 @@ mod tests {
 
     /// The SoA split of `records` under `cfg`'s geometry and sharing.
     fn soa(records: &[TraceRecord], cfg: &RunConfig) -> SoaStream {
-        let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-        SoaStream::build(records, &interner, cfg.sharing)
+        SoaStream::build(records.iter().copied(), cfg.geometry, cfg.sharing)
     }
 
     #[test]
@@ -1031,7 +1027,7 @@ mod tests {
         let plain_cfg = RunConfig::default().with_finite_caches(FiniteCacheConfig::new(2, 2));
         let cfg = RunConfig { window: 17, ..plain_cfg };
         let kind = ProtocolKind::WriteOnce;
-        let res = run_indexed(kind, 4, &trace, &soa(&trace, &cfg), &cfg).unwrap();
+        let res = run_indexed(kind, 4, &soa(&trace, &cfg), &cfg).unwrap();
         let samples = &res.windows;
         assert!(samples.len() > 2, "windowing at 17 refs must produce several windows");
         assert_eq!(samples.last().unwrap().end_ref, res.refs);
@@ -1056,9 +1052,8 @@ mod tests {
         use dircc_trace::store::{TraceFilter, TraceStore};
         let store = TraceStore::new(vec![Profile::pops().with_total_refs(5_000)], 11);
         let cfg = RunConfig { window: 512, ..RunConfig::default().with_process_sharing() };
-        let records = store.records(0, TraceFilter::Full);
         let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
-        let res = run_indexed(ProtocolKind::Dir0B, 4, &records, &soa, &cfg).unwrap();
+        let res = run_indexed(ProtocolKind::Dir0B, 4, &soa, &cfg).unwrap();
         let mut sum = EventCounters::new();
         for s in &res.windows {
             sum.merge(&s.counters);
@@ -1089,11 +1084,11 @@ mod tests {
             ProtocolKind::Firefly,
             ProtocolKind::Mesi,
         ] {
-            let serial = run_indexed(kind, 4, &records, &soa, &cfg).unwrap();
+            let serial = run_indexed(kind, 4, &soa, &cfg).unwrap();
             for shards in [1, 2, 3, 8] {
-                let sharded = shard_stream(&records, &soa, shards, &cfg);
+                let sharded = shard_stream(&soa, shards, &cfg);
                 assert_eq!(sharded.num_shards(), shards, "infinite caches honour the count");
-                let res = run_sharded(kind, 4, &records, &sharded, &cfg).unwrap();
+                let res = run_sharded(kind, 4, &sharded, &cfg).unwrap();
                 assert_eq!(serial.counters, res.counters, "{kind} at {shards} shards");
                 assert_eq!(serial.refs, res.refs);
                 assert_eq!(serial.violations, res.violations);
@@ -1124,12 +1119,12 @@ mod tests {
         };
         let soa = soa(&trace, &cfg);
         for kind in [ProtocolKind::Dir0B, ProtocolKind::Berkeley, ProtocolKind::Mesi] {
-            let serial = run_indexed(kind, 4, &trace, &soa, &cfg).unwrap();
+            let serial = run_indexed(kind, 4, &soa, &cfg).unwrap();
             assert!(serial.counters.cache_evictions() > 0, "exercise eviction traffic");
             for shards in [2, 3, 4, 8] {
-                let sharded = shard_stream(&trace, &soa, shards, &cfg);
+                let sharded = shard_stream(&soa, shards, &cfg);
                 assert!(sharded.num_shards() <= 4, "clamped to the set count");
-                let res = run_sharded(kind, 4, &trace, &sharded, &cfg).unwrap();
+                let res = run_sharded(kind, 4, &sharded, &cfg).unwrap();
                 assert_eq!(serial.counters, res.counters, "{kind} at {shards} shards");
                 assert_eq!(serial.violations, res.violations);
             }
@@ -1141,7 +1136,7 @@ mod tests {
         use dircc_cache::FiniteCacheConfig;
         let trace = patterns::migratory(4, 40);
         let cfg = RunConfig::default().with_finite_caches(FiniteCacheConfig::new(1, 2));
-        let sharded = shard_stream(&trace, &soa(&trace, &cfg), 8, &cfg);
+        let sharded = shard_stream(&soa(&trace, &cfg), 8, &cfg);
         assert_eq!(sharded.num_shards(), 1);
     }
 
@@ -1168,12 +1163,12 @@ mod tests {
         let serial = run(&mut p, trace.clone(), &cfg).unwrap();
         assert_eq!(serial.violations.len(), MAX_VIOLATIONS);
         for shards in [2, 3, 5] {
-            let sharded = shard_stream(&trace, &soa, shards, &cfg);
+            let sharded = shard_stream(&soa, shards, &cfg);
             let res = fan_out(shards, sharded.instr(), |idx| {
                 let sh = &sharded.shards()[idx];
                 let mut p = Stale(dircc_cache::CacheArray::new(4));
                 let shard = Some((&sh.global_refs[..], &sh.global_ids[..]));
-                replay_memory(&mut p, &trace, &sh.soa, shard, &cfg)
+                replay_memory(&mut p, &sh.soa, shard, &cfg)
             })
             .unwrap();
             assert_eq!(serial.violations, res.violations, "{shards} shards");
@@ -1192,10 +1187,10 @@ mod tests {
         );
         let cfg = RunConfig::default();
         let soa = soa(&trace, &cfg);
-        let serial = run_indexed(ProtocolKind::Dir0B, 4, &trace, &soa, &cfg).unwrap_err();
+        let serial = run_indexed(ProtocolKind::Dir0B, 4, &soa, &cfg).unwrap_err();
         for shards in [1, 2, 4] {
-            let sharded = shard_stream(&trace, &soa, shards, &cfg);
-            let err = run_sharded(ProtocolKind::Dir0B, 4, &trace, &sharded, &cfg).unwrap_err();
+            let sharded = shard_stream(&soa, shards, &cfg);
+            let err = run_sharded(ProtocolKind::Dir0B, 4, &sharded, &cfg).unwrap_err();
             assert_eq!(serial, err, "{shards} shards");
         }
     }
@@ -1205,10 +1200,10 @@ mod tests {
         use std::sync::Mutex;
         let trace = patterns::migratory(4, 200);
         let cfg = RunConfig::default();
-        let sharded = shard_stream(&trace, &soa(&trace, &cfg), 3, &cfg);
+        let sharded = shard_stream(&soa(&trace, &cfg), 3, &cfg);
         let seen: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::new());
         let observe = |shard, _, _, refs| seen.lock().unwrap().push((shard, refs));
-        let res = run_sharded_with(ProtocolKind::Mesi, 4, &trace, &sharded, &cfg, observe).unwrap();
+        let res = run_sharded_with(ProtocolKind::Mesi, 4, &sharded, &cfg, observe).unwrap();
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
         assert_eq!(seen.len(), 3);
@@ -1360,7 +1355,7 @@ mod tests {
                 assert_eq!(err, want, "cadence {every}, pieces of {piece}");
             }
             let soa = soa(&records, &cfg);
-            let err = replay_memory(&mut fresh(), &records, &soa, None, &cfg);
+            let err = replay_memory(&mut fresh(), &soa, None, &cfg);
             assert_eq!(
                 err.err().map(|e| e.msg).as_deref(),
                 Some(want),

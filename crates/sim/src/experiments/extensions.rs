@@ -66,29 +66,26 @@ pub fn finite_cache(wb: &Workbench) -> FiniteCacheStudy {
             let mut caches: Vec<SetAssocCache<()>> = (0..wb.n_caches())
                 .map(|_| SetAssocCache::new(FiniteCacheConfig::with_capacity(capacity, 4)))
                 .collect();
-            let mut total = 0u64;
             let mut replacement_misses = 0u64;
             let mut seen = std::collections::HashSet::new();
-            // Replays the workbench's shared stream (generated once per
-            // process) rather than re-running the generator.
-            for r in wb.records(t, TraceFilter::Full).iter().copied() {
-                total += 1;
-                if !r.is_data() {
-                    continue;
-                }
-                let cache = &mut caches[usize::from(r.pid.raw()) % wb.n_caches()];
-                let block = geometry.block_of(r.addr);
+            // Walks the workbench's shared columns (ingested once per
+            // process); caches select sets by the original block.
+            let (data, blocks) =
+                (wb.store().data(t, TraceFilter::Full, geometry), wb.store().interner(t, geometry));
+            for (&pid, &id) in data.pid.iter().zip(&data.block_id) {
+                let cache = &mut caches[usize::from(pid) % wb.n_caches()];
+                let block = blocks.block_addr(id);
                 if cache.get(block).is_none() {
                     cache.insert(block, ());
                     // A miss that an infinite cache would NOT have had
                     // (the block was seen by this cache before) is a
                     // replacement miss.
-                    if !seen.insert((r.pid.raw(), block)) {
+                    if !seen.insert((pid, id)) {
                         replacement_misses += 1;
                     }
                 }
             }
-            rates.push(replacement_misses as f64 / total as f64);
+            rates.push(replacement_misses as f64 / data.refs() as f64);
         }
         let replacement_miss_rate = mean(&rates);
         points.push(FiniteCachePoint {
@@ -160,9 +157,8 @@ impl ScalingStudy {
 /// machine size; modest sizes keep it fast).
 ///
 /// Fans the (machine size × scheme) matrix out over `jobs` threads; each
-/// machine size's trace is generated once into a shared [`TraceStore`] and
-/// replayed by slice, so results are deterministic and independent of
-/// `jobs`.
+/// machine size's trace is ingested once into a shared [`TraceStore`],
+/// so results are deterministic and independent of `jobs`.
 pub fn scaling(refs: u64, seed: u64, jobs: usize) -> ScalingStudy {
     let m = CostModel::pipelined();
     let cost_cfg = CostConfig::PAPER;
@@ -193,9 +189,8 @@ pub fn scaling(refs: u64, seed: u64, jobs: usize) -> ScalingStudy {
     let flat = par_map_indexed(work.len(), jobs, |i| {
         let (si, kind) = work[i];
         let cpus = usize::from(cpu_counts[si]);
-        let records = stores[si].records(0, TraceFilter::Full);
         let soa = stores[si].soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
-        let result = run_indexed(kind, cpus, &records, &soa, &cfg).expect("scaling replay");
+        let result = run_indexed(kind, cpus, &soa, &cfg).expect("scaling replay");
         let c = result.counters;
         let per_kref = |n: u64| 1000.0 * n as f64 / c.total() as f64;
         let messages_per_kref = per_kref(c.control_messages());
@@ -258,9 +253,8 @@ pub struct BlockSizeStudy {
 /// model (words per block).
 ///
 /// The trace is identical across every point (same profile and seed), so
-/// it is generated once into a [`TraceStore`] and all
-/// (block size × scheme) runs — fanned out over `jobs` threads — replay
-/// the same shared slice.
+/// one [`TraceStore`] ingests it once per block size and both schemes at
+/// that size — fanned out over `jobs` threads — replay the same columns.
 pub fn block_size(refs: u64, seed: u64, jobs: usize) -> BlockSizeStudy {
     const OFFSET_BITS: [u32; 4] = [3, 4, 5, 6];
     const KINDS: [ProtocolKind; 2] = [ProtocolKind::Dir0B, ProtocolKind::Dragon];
@@ -274,9 +268,8 @@ pub fn block_size(refs: u64, seed: u64, jobs: usize) -> BlockSizeStudy {
         };
         let m = CostModel::new(BusKind::Pipelined, timing);
         let cfg = RunConfig { geometry, ..RunConfig::default().with_process_sharing() };
-        let records = store.records(0, TraceFilter::Full);
         let soa = store.soa(0, TraceFilter::Full, geometry, cfg.sharing);
-        let result = run_indexed(kind, 4, &records, &soa, &cfg).expect("block-size replay");
+        let result = run_indexed(kind, 4, &soa, &cfg).expect("block-size replay");
         let eval = Evaluation::new(kind.display_name(4), kind, 4, result.counters);
         eval.cycles_per_ref(&m, &CostConfig::PAPER)
     });
@@ -341,9 +334,8 @@ pub fn footnote2(wb: &Workbench) -> Footnote2Study {
         let mut total = Vec::new();
         let mut wbs = Vec::new();
         for t in 0..wb.num_traces() {
-            // The workbench's memoized process-sharing SoA split of the
-            // full trace: interned once for the paper matrix, not per run.
-            let records = wb.records(t, TraceFilter::Full);
+            // The workbench's memoized process-sharing stream of the full
+            // trace: ingested once for the paper matrix, not per run.
             let soa =
                 wb.store().soa(t, TraceFilter::Full, BlockGeometry::PAPER, SharingModel::Process);
             let miss_pct = |kind: ProtocolKind| -> (f64, f64) {
@@ -351,8 +343,8 @@ pub fn footnote2(wb: &Workbench) -> Footnote2Study {
                 if let Some(capacity) = cap {
                     cfg = cfg.with_finite_caches(FiniteCacheConfig::with_capacity(capacity, 4));
                 }
-                let result = run_indexed(kind, wb.n_caches(), &records, &soa, &cfg)
-                    .expect("footnote2 replay");
+                let result =
+                    run_indexed(kind, wb.n_caches(), &soa, &cfg).expect("footnote2 replay");
                 let c = result.counters;
                 (c.pct(c.rm() + c.wm()), 1000.0 * c.cache_evictions() as f64 / c.total() as f64)
             };

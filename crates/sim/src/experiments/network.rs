@@ -108,9 +108,8 @@ impl NetworkStudy {
 
 fn measure(store: &TraceStore, kind: ProtocolKind, cpus: u16) -> EventCounters {
     let cfg = RunConfig::default().with_process_sharing();
-    let records = store.records(0, TraceFilter::Full);
     let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
-    let result = run_indexed(kind, usize::from(cpus), &records, &soa, &cfg);
+    let result = run_indexed(kind, usize::from(cpus), &soa, &cfg);
     result.expect("network replay").counters
 }
 

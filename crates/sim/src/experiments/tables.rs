@@ -110,12 +110,12 @@ pub fn table3(wb: &Workbench) -> Table3 {
             let s = wb.trace_stats(i);
             Table3Row {
                 name: wb.trace_names()[i].clone(),
-                refs: s.total(),
-                instr: s.instr(),
-                data_reads: s.reads(),
-                data_writes: s.writes(),
-                user: s.user(),
-                sys: s.system(),
+                refs: s.total,
+                instr: s.instr,
+                data_reads: s.reads,
+                data_writes: s.writes,
+                user: s.total - s.system,
+                sys: s.system,
                 spin_fraction: s.spin_fraction_of_reads(),
             }
         })

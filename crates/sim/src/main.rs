@@ -77,7 +77,7 @@ use dircc_trace::chunk::{DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS};
 use dircc_trace::gen::{Generator, Profile};
 use dircc_trace::sharing::SharingProfile;
 use dircc_trace::stats::TraceStats;
-use dircc_trace::{open_trace, BlockInterner, ChunkedWriter, Records, SoaStream, TraceRecord};
+use dircc_trace::{open_trace, ChunkedWriter, Records, SoaStream, TraceRecord};
 use std::fmt::Display;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
@@ -535,14 +535,12 @@ fn replay_memory(
     if let Some(n) = args.refs {
         profile = profile.with_total_refs(n);
     }
-    let records: Vec<TraceRecord> = Generator::new(profile, args.seed).collect();
-    let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    let soa = SoaStream::build(&records, &interner, cfg.sharing);
+    let soa = SoaStream::build(Generator::new(profile, args.seed), cfg.geometry, cfg.sharing);
     if args.shards <= 1 {
-        kinds.iter().map(|&kind| run_indexed(kind, cpus, &records, &soa, cfg)).collect()
+        kinds.iter().map(|&kind| run_indexed(kind, cpus, &soa, cfg)).collect()
     } else {
-        let sharded = shard_stream(&records, &soa, args.shards, cfg);
-        kinds.iter().map(|&kind| run_sharded(kind, cpus, &records, &sharded, cfg)).collect()
+        let sharded = shard_stream(&soa, args.shards, cfg);
+        kinds.iter().map(|&kind| run_sharded(kind, cpus, &sharded, cfg)).collect()
     }
 }
 
@@ -632,14 +630,20 @@ fn replay(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn stats(args: &Args) -> Result<(), String> {
-    let path = trace_path(args);
-    let file = std::fs::File::open(&path).map_err(|e| format!("{path}: {e}"))?;
-    let reader = open_trace(BufReader::new(file)).map_err(|e| format!("header: {e}"))?;
-    let mut s = TraceStats::new();
-    for r in Records::new(reader) {
-        s.observe(&r.map_err(|e| format!("read: {e}"))?);
+/// Streams every record of the trace at `path` into `observe`; every
+/// error, from opening the file to its last chunk, names the path.
+fn for_each_record(path: &str, mut observe: impl FnMut(&TraceRecord)) -> Result<(), String> {
+    let at = |e: std::io::Error| format!("{path}: {e}");
+    let file = std::fs::File::open(path).map_err(at)?;
+    for r in Records::new(open_trace(BufReader::new(file)).map_err(at)?) {
+        observe(&r.map_err(at)?);
     }
+    Ok(())
+}
+
+fn stats(args: &Args) -> Result<(), String> {
+    let mut s = TraceStats::new();
+    for_each_record(&trace_path(args), |r| s.observe(r))?;
     println!("references : {}", s.total());
     println!("instr      : {} ({:.2}%)", s.instr(), 100.0 * s.instr_fraction());
     println!("data reads : {} ({:.2}%)", s.reads(), 100.0 * s.read_fraction());
@@ -656,13 +660,8 @@ fn stats(args: &Args) -> Result<(), String> {
 }
 
 fn sharing(args: &Args) -> Result<(), String> {
-    let path = trace_path(args);
-    let file = std::fs::File::open(&path).map_err(|e| format!("{path}: {e}"))?;
-    let reader = open_trace(BufReader::new(file)).map_err(|e| format!("header: {e}"))?;
     let mut s = SharingProfile::new();
-    for r in Records::new(reader) {
-        s.observe(&r.map_err(|e| format!("read: {e}"))?);
-    }
+    for_each_record(&trace_path(args), |r| s.observe(r))?;
     println!("data refs          : {}", s.data_refs());
     println!("data blocks        : {}", s.total_blocks());
     println!(
@@ -1170,17 +1169,15 @@ fn check(args: &Args) -> Result<(), String> {
 fn shard_check(kinds: &[ProtocolKind], args: &Args) -> Result<(), String> {
     let shards = args.shards.max(2);
     let total_refs = if args.smoke { 5_000 } else { 20_000 };
-    let records: Vec<dircc_trace::TraceRecord> =
-        Generator::new(Profile::pops().with_total_refs(total_refs), args.seed).collect();
     let cfg = RunConfig { verify: true, ..RunConfig::default().with_process_sharing() };
-    let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    let soa = SoaStream::build(&records, &interner, cfg.sharing);
-    let sharded = shard_stream(&records, &soa, shards, &cfg);
+    let records = Generator::new(Profile::pops().with_total_refs(total_refs), args.seed);
+    let soa = SoaStream::build(records, cfg.geometry, cfg.sharing);
+    let sharded = shard_stream(&soa, shards, &cfg);
     let n_caches = usize::from(Profile::pops().cpus);
     for &kind in kinds {
-        let serial = run_indexed(kind, n_caches, &records, &soa, &cfg)
+        let serial = run_indexed(kind, n_caches, &soa, &cfg)
             .map_err(|e| format!("shard check: {kind}: serial replay failed: {e}"))?;
-        let split = run_sharded(kind, n_caches, &records, &sharded, &cfg)
+        let split = run_sharded(kind, n_caches, &sharded, &cfg)
             .map_err(|e| format!("shard check: {kind}: sharded replay failed: {e}"))?;
         if serial.counters != split.counters
             || serial.refs != split.refs

@@ -14,7 +14,9 @@ use std::sync::{Arc, Mutex};
 
 use dircc_bus::{CostConfig, CostModel};
 use dircc_core::{EventCounters, ProtocolKind};
-use dircc_obs::{chrome_trace, counters_json, window_jsonl_line, Counter, MetricsRegistry, Span};
+use dircc_obs::{
+    chrome_trace, counters_json, window_jsonl_line, Counter, Gauge, MetricsRegistry, Span,
+};
 use dircc_serve::{HandlerError, JobSpec, Lru, MAX_SPANS, MAX_WINDOWS};
 use dircc_trace::gen::Profile;
 use dircc_trace::store::TraceStore;
@@ -74,9 +76,9 @@ pub fn run_response_json(
     )
 }
 
-/// How many generated [`TraceStore`]s the handler keeps warm. Each
-/// distinct (trace, refs, seed) costs one generated record set; the
-/// paper suite plus a few scaled variants fit comfortably.
+/// How many [`TraceStore`]s the handler keeps warm, whatever their size.
+/// Each distinct (trace, refs, seed) costs one ingest, about 10 bytes per
+/// data reference; `dircc_trace_store_bytes` reports what they hold.
 const STORE_CACHE_ENTRIES: usize = 8;
 
 /// The [`JobHandler`](dircc_serve::JobHandler) the daemon runs:
@@ -93,6 +95,7 @@ pub struct WorkbenchHandler {
     refs_replayed: Counter,
     store_hits: Counter,
     store_misses: Counter,
+    store_bytes: Gauge,
 }
 
 impl Default for WorkbenchHandler {
@@ -110,6 +113,7 @@ impl WorkbenchHandler {
             refs_replayed: Counter::new(),
             store_hits: Counter::new(),
             store_misses: Counter::new(),
+            store_bytes: Gauge::new(),
         }
     }
 
@@ -131,12 +135,17 @@ impl WorkbenchHandler {
             ),
             store_hits: registry.counter(
                 "dircc_trace_store_hits_total",
-                "Generated-trace store hits (reused (trace, refs, seed) record sets).",
+                "Trace store hits (reused (trace, refs, seed) data-reference columns).",
                 &[],
             ),
             store_misses: registry.counter(
                 "dircc_trace_store_misses_total",
-                "Generated-trace store misses (fresh trace generation).",
+                "Trace store misses (a fresh trace store, ingested on first use).",
+                &[],
+            ),
+            store_bytes: registry.gauge(
+                "dircc_trace_store_bytes",
+                "Heap bytes the cached trace stores hold, summed after each job.",
                 &[],
             ),
         }
@@ -195,6 +204,9 @@ impl WorkbenchHandler {
             wb = wb.with_window(w);
         }
         let counters = EventCounters::clone(&wb.counters(kind, 0, filter));
+        let stores = self.stores.lock().expect("store cache");
+        self.store_bytes.set(stores.values().map(|s| s.heap_bytes() as i64).sum());
+        drop(stores);
         let trace_name = store.profiles()[0].name.to_string();
         let scheme_name = kind.display_name(n_caches);
         self.runs_executed.add(wb.executed_runs() as u64);

@@ -5,8 +5,9 @@
 //! each protocol's event frequencies are measured once and then re-priced
 //! under as many hardware models as needed.
 //!
-//! The workbench is `Send + Sync`: traces are materialized once into a
-//! shared [`TraceStore`] and every memoized run sits behind a per-key
+//! The workbench is `Send + Sync`: each trace is ingested once into a
+//! shared [`TraceStore`]'s data-reference columns and every memoized run
+//! sits behind a per-key
 //! [`OnceLock`], so the (protocol × trace × filter) matrix can be fanned
 //! out over threads with [`Workbench::warm`] while later lookups stay
 //! lock-free reads of the same `Arc`s. Results are deterministic: a run's
@@ -16,7 +17,9 @@
 //! # Observability
 //!
 //! Every actually-executed run records its internal phases (`generate`,
-//! `filter`, `intern`, `replay`) into a shared [`SpanLog`] — the single
+//! the one-pass ingest of generation, interning and columns; `filter`;
+//! `intern`, the replay stream or its shards; `replay`) into a shared
+//! [`SpanLog`] — the single
 //! timing path: the per-run wall-clock summary ([`Workbench::timings`],
 //! [`Workbench::timing_summary`]) is derived from the `replay` spans, and
 //! the whole log exports as Chrome trace-event JSON via `dircc profile`.
@@ -35,7 +38,7 @@ use crate::par::par_map_indexed;
 use dircc_core::{EventCounters, ProtocolKind};
 use dircc_obs::{RunMeta, SpanLog, WindowSample};
 use dircc_trace::gen::Profile;
-use dircc_trace::stats::TraceStats;
+use dircc_trace::stats::RefCounts;
 use dircc_trace::store::TraceStore;
 use dircc_trace::{ShardedStream, SoaStream};
 use std::collections::HashMap;
@@ -121,7 +124,6 @@ impl RunTiming {
 pub struct Workbench {
     store: Arc<TraceStore>,
     memo: Mutex<HashMap<MemoKey, Arc<OnceLock<Arc<EventCounters>>>>>,
-    stats_memo: Mutex<HashMap<usize, Arc<OnceLock<Arc<TraceStats>>>>>,
     spans: SpanLog,
     /// Window size in references (0 = no time series).
     window: u64,
@@ -168,7 +170,6 @@ impl Workbench {
         Workbench {
             store,
             memo: Mutex::new(HashMap::new()),
-            stats_memo: Mutex::new(HashMap::new()),
             spans: SpanLog::new(),
             window: 0,
             shards: 1,
@@ -237,35 +238,18 @@ impl Workbench {
         self.store.profiles()
     }
 
-    /// The shared trace store (generate-once record streams).
+    /// The shared trace store (ingest-once data-reference columns).
     pub fn store(&self) -> &TraceStore {
         &self.store
     }
 
-    /// The materialized record stream of one (trace, filter) pair.
+    /// Table 3's counts of one trace, taken by the store's ingest.
     ///
     /// # Panics
     ///
     /// Panics if `trace` is out of range.
-    pub fn records(&self, trace: usize, filter: TraceFilter) -> Arc<[dircc_trace::TraceRecord]> {
-        self.store.records(trace, filter)
-    }
-
-    /// Reference-stream statistics of one trace (memoized).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trace` is out of range.
-    pub fn trace_stats(&self, trace: usize) -> Arc<TraceStats> {
-        let cell = {
-            let mut memo = self.stats_memo.lock().expect("stats memo poisoned");
-            Arc::clone(memo.entry(trace).or_default())
-        };
-        cell.get_or_init(|| {
-            let records = self.store.records(trace, TraceFilter::Full);
-            Arc::new(records.iter().collect::<TraceStats>())
-        })
-        .clone()
+    pub fn trace_stats(&self, trace: usize) -> RefCounts {
+        self.store.counts(trace)
     }
 
     /// Event frequencies for one protocol on one trace (memoized; this is
@@ -309,15 +293,15 @@ impl Workbench {
             };
             // Phase spans wrap the store calls even when they hit warm
             // memos (duration ~0 then), so every executed run contributes
-            // all four phases to the exported trace.
-            let _ = self
-                .spans
-                .time("generate", Some(meta(0)), || self.store.records(trace, TraceFilter::Full));
-            let records =
-                self.spans.time("filter", Some(meta(0)), || self.store.records(trace, filter));
-            // Dense SoA replay: the store's interner renames blocks to
-            // dense u32 ids once per trace, each stream keeps its data
-            // references in flat arrays and counts its instruction fetches
+            // all four phases to the exported trace. `generate` is the
+            // store's one pass over the generator: blocks interned to
+            // dense u32 ids and data references appended to flat columns
+            // as records stream by; `filter` derives the no-spins columns
+            // from the full ones.
+            let g = cfg.geometry;
+            let _ = self.spans.time("generate", Some(meta(0)), || self.store.interner(trace, g));
+            let _ = self.spans.time("filter", Some(meta(0)), || self.store.data(trace, filter, g));
+            // The replay stream picks the sharing model's cache column
             // (block shards split it with the same mod router as the
             // engine's infinite-cache `shard_stream`); the replay loop
             // then runs with zero hashing and every per-block table
@@ -329,7 +313,6 @@ impl Workbench {
                 Sharded(Arc<ShardedStream>),
             }
             let stream = self.spans.time("intern", Some(meta(0)), || {
-                let g = cfg.geometry;
                 if self.shards > 1 && cfg.window == 0 {
                     Stream::Sharded(self.store.sharded(trace, filter, g, self.shards, cfg.sharing))
                 } else {
@@ -344,9 +327,9 @@ impl Workbench {
                         let meta = RunMeta { shard: Some(shard), ..meta(refs) };
                         self.spans.record_at("replay-shard", at, dur, Some(meta));
                     };
-                    run_sharded_with(kind, n, &records, sharded, &cfg, observe)
+                    run_sharded_with(kind, n, sharded, &cfg, observe)
                 }
-                Stream::Serial(soa) => run_indexed(kind, n, &records, soa, &cfg),
+                Stream::Serial(soa) => run_indexed(kind, n, soa, &cfg),
             }
             .expect("trace replay failed");
             self.spans.finish(timer, "replay", Some(meta(result.refs)));
@@ -461,10 +444,10 @@ impl Workbench {
             }
         }
         let before = self.executed_runs();
-        // Materialize traces first so workers contend on simulation only,
-        // not on the store's per-trace OnceLocks.
+        // Ingest traces first so workers contend on simulation only, not
+        // on the store's per-trace OnceLocks.
         for &(_, trace, filter) in &items {
-            let _ = self.store.records(trace, filter);
+            let _ = self.store.data(trace, filter, RunConfig::default().geometry);
         }
         par_map_indexed(items.len(), jobs, |i| {
             let (kind, trace, filter) = items[i];
@@ -604,9 +587,9 @@ mod tests {
     fn trace_stats_are_memoized_and_sized() {
         let wb = small();
         let s1 = wb.trace_stats(1);
-        let s2 = wb.trace_stats(1);
-        assert!(Arc::ptr_eq(&s1, &s2));
-        assert_eq!(s1.total(), 20_000);
+        assert_eq!(wb.trace_stats(1), s1);
+        assert_eq!(wb.store().generations(), 1, "Table 3 counts come with the ingest");
+        assert_eq!(s1.total, 20_000);
     }
 
     #[test]

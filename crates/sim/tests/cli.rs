@@ -1008,6 +1008,32 @@ fn flat_v1_traces_are_rejected_with_a_pointer_to_record() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A file too short for the 5-byte header, or a directory, fails every
+/// command that reads a trace with a message that starts with the path:
+/// never std's bare "failed to fill whole buffer", never a bare
+/// `header:` prefix.
+#[test]
+fn short_or_unreadable_trace_headers_name_the_file() {
+    let dir = std::env::temp_dir().join(format!("dircc_short_header_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (empty, short) = (dir.join("empty.dcct"), dir.join("short.dcct"));
+    std::fs::write(&empty, b"").unwrap();
+    std::fs::write(&short, b"DCC").unwrap();
+    for path in [&empty, &short, &dir] {
+        let path = path.to_str().unwrap();
+        for cmd in ["replay", "stats", "sharing"] {
+            let out = dircc().args([cmd, "--in", path]).output().expect("run dircc");
+            assert_eq!(out.status.code(), Some(1), "{cmd} {path}");
+            assert!(out.stdout.is_empty(), "{cmd}: {}", String::from_utf8_lossy(&out.stdout));
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.starts_with(&format!("{path}: ")), "{cmd} {path}: {err}");
+            assert!(!err.contains("failed to fill whole buffer"), "{cmd} {path}: {err}");
+            assert!(!err.contains("header:"), "{cmd} {path}: {err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The streaming flags belong to their subcommands: `--chunk` to record,
 /// `--verify` to replay; `--scheme` still errors elsewhere with the
 /// check-and-replay wording.

@@ -28,9 +28,8 @@ fn indexed_replay_matches_streaming_replay_on_all_workloads() {
             let soa = store.soa(trace, filter, cfg.geometry, cfg.sharing);
             for &kind in KINDS {
                 let mut raw = build(kind, wb.n_caches());
-                let a = run(raw.as_mut(), records.iter().copied(), &cfg).expect("streaming run");
-                let b =
-                    run_indexed(kind, wb.n_caches(), &records, &soa, &cfg).expect("indexed run");
+                let a = run(raw.as_mut(), records.iter(), &cfg).expect("streaming run");
+                let b = run_indexed(kind, wb.n_caches(), &soa, &cfg).expect("indexed run");
                 assert_eq!(
                     a.counters, b.counters,
                     "{kind} on trace {trace} {filter:?}: dense replay diverged"
@@ -58,25 +57,13 @@ fn indexed_replay_matches_with_finite_caches_and_verifier() {
     let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
     for &kind in KINDS {
         let mut raw = build(kind, wb.n_caches());
-        let a = run(raw.as_mut(), records.iter().copied(), &cfg).expect("streaming run");
-        let b = run_indexed(kind, wb.n_caches(), &records, &soa, &cfg).expect("indexed run");
+        let a = run(raw.as_mut(), records.iter(), &cfg).expect("streaming run");
+        let b = run_indexed(kind, wb.n_caches(), &soa, &cfg).expect("indexed run");
         assert_eq!(a.counters, b.counters, "{kind}: finite-cache dense replay diverged");
         assert!(a.violations.is_empty(), "{kind}: {:?}", a.violations);
         assert!(b.violations.is_empty(), "{kind}: {:?}", b.violations);
         assert!(a.counters.cache_evictions() > 0, "{kind}: thrash must evict");
     }
-}
-
-#[test]
-fn misaligned_dense_stream_is_an_error() {
-    let wb = Workbench::paper_scaled(1_000, 1);
-    let store = wb.store();
-    let cfg = RunConfig::default().with_process_sharing();
-    let records = store.records(0, TraceFilter::Full);
-    let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
-    let err =
-        run_indexed(ProtocolKind::Dir0B, wb.n_caches(), &records[1..], &soa, &cfg).unwrap_err();
-    assert!(err.contains("rebuild it from the same stream"), "{err}");
 }
 
 #[test]

@@ -16,7 +16,7 @@ use dircc_sim::{
     run, run_indexed, run_sharded, shard_stream, RunConfig, SharingModel, TraceFilter, Workbench,
 };
 use dircc_trace::gen::Profile;
-use dircc_trace::soa::{soa_reference_values, SoaStream};
+use dircc_trace::soa::SoaStream;
 use dircc_trace::store::TraceStore;
 use dircc_trace::TraceRecord;
 use dircc_types::BlockGeometry;
@@ -46,6 +46,30 @@ fn store() -> TraceStore {
     TraceStore::new(profiles, 9)
 }
 
+/// The values a [`SoaStream`] must hold, recomputed from the records and
+/// raw addresses (no interner): per data reference its kind, cache index
+/// and first-reference bit, then the instruction count.
+fn soa_reference_values(
+    records: &[TraceRecord],
+    geometry: BlockGeometry,
+    sharing: SharingModel,
+) -> (Vec<dircc_types::AccessKind>, Vec<u16>, Vec<bool>, u64) {
+    // Derived from raw addresses, not dense ids: renaming is a bijection,
+    // so address-level and dense-id first references must agree.
+    let mut seen = std::collections::HashSet::new();
+    let data: Vec<&TraceRecord> = records.iter().filter(|r| r.is_data()).collect();
+    let cache_of = |r: &&TraceRecord| match sharing {
+        SharingModel::Processor => r.cpu.raw(),
+        SharingModel::Process => r.pid.raw(),
+    };
+    (
+        data.iter().map(|r| r.kind).collect(),
+        data.iter().map(cache_of).collect(),
+        data.iter().map(|r| seen.insert(geometry.block_of(r.addr))).collect(),
+        (records.len() - data.len()) as u64,
+    )
+}
+
 /// The SoA precompute equals an independent AoS-derived recomputation for
 /// every trace × filter × geometry × sharing model — per data reference
 /// its cache index, first-reference bit, kind and dense block id, plus
@@ -57,14 +81,14 @@ fn soa_streams_match_aos_derivation_across_the_matrix() {
         for filter in TraceFilter::ALL {
             for geometry in [BlockGeometry::PAPER, BlockGeometry::new(5)] {
                 for sharing in [SharingModel::Processor, SharingModel::Process] {
-                    let records = store.records(trace, filter);
+                    let records: Vec<TraceRecord> = store.records(trace, filter).iter().collect();
                     let soa = store.soa(trace, filter, geometry, sharing);
                     let (kinds, cache_idx, first_ref, instr) =
                         soa_reference_values(&records, geometry, sharing);
                     let label = format!("trace {trace} {filter:?} {geometry:?} {sharing:?}");
                     assert_eq!(soa.len(), kinds.len(), "{label}: data references");
                     assert_eq!(soa.data.instr, instr, "{label}: instruction fetches");
-                    assert_eq!(soa.cache_idx, cache_idx, "{label}: cache indices");
+                    assert_eq!(soa.cache_idx(), cache_idx, "{label}: cache indices");
                     assert_eq!(soa.data.first_ref, first_ref, "{label}: first-ref bits");
                     assert_eq!(soa.data.kind, kinds, "{label}: kinds");
                     let dense = store.dense_blocks(trace, filter, geometry);
@@ -138,14 +162,14 @@ fn golden_counters_for_every_scheme_and_shard_count() {
         for (trace, want) in row.into_iter().enumerate() {
             let records = store.records(trace, TraceFilter::Full);
             let mut p = build(kind, CPUS);
-            let res = run(p.as_mut(), records.iter().copied(), &cfg).unwrap();
+            let res = run(p.as_mut(), records.iter(), &cfg).unwrap();
             assert_eq!(golden(&res), want, "{kind} trace {trace} serial");
             let soa = store.soa(trace, TraceFilter::Full, cfg.geometry, cfg.sharing);
-            let res = run_indexed(kind, CPUS, &records, &soa, &cfg).unwrap();
+            let res = run_indexed(kind, CPUS, &soa, &cfg).unwrap();
             assert_eq!(golden(&res), want, "{kind} trace {trace} indexed");
             for shards in [2usize, 8] {
-                let sharded = shard_stream(&records, &soa, shards, &cfg);
-                let res = run_sharded(kind, CPUS, &records, &sharded, &cfg).unwrap();
+                let sharded = shard_stream(&soa, shards, &cfg);
+                let res = run_sharded(kind, CPUS, &sharded, &cfg).unwrap();
                 assert_eq!(golden(&res), want, "{kind} trace {trace} @{shards} shards");
             }
         }
@@ -167,10 +191,10 @@ fn golden_finite_cache_counters() {
         for (trace, want) in row.into_iter().enumerate() {
             let records = store.records(trace, TraceFilter::Full);
             let mut p = build(kind, CPUS);
-            let res = run(p.as_mut(), records.iter().copied(), &cfg).unwrap();
+            let res = run(p.as_mut(), records.iter(), &cfg).unwrap();
             assert_eq!(golden(&res), want, "{kind} trace {trace} finite");
             let soa = store.soa(trace, TraceFilter::Full, cfg.geometry, cfg.sharing);
-            let res = run_indexed(kind, CPUS, &records, &soa, &cfg).unwrap();
+            let res = run_indexed(kind, CPUS, &soa, &cfg).unwrap();
             assert_eq!(golden(&res), want, "{kind} trace {trace} finite indexed");
         }
     }
@@ -190,7 +214,6 @@ fn golden_window_digests() {
     let store = Arc::new(store());
     let wb = Workbench::with_store(Arc::clone(&store)).with_window(700);
     let cfg = RunConfig { window: 700, ..RunConfig::default().with_process_sharing() };
-    let records = store.records(0, TraceFilter::Full);
     let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
     for (kind, want) in [ProtocolKind::Dir0B, ProtocolKind::Dragon].into_iter().zip(GOLDEN_WINDOWS)
     {
@@ -198,7 +221,7 @@ fn golden_window_digests() {
         let series = wb.time_series();
         let s = series.iter().find(|s| s.kind == kind).expect("windowed run leaves a series");
         assert_eq!(window_fold(&s.windows), want, "{kind} workbench window digests");
-        let res = run_indexed(kind, CPUS, &records, &soa, &cfg).unwrap();
+        let res = run_indexed(kind, CPUS, &soa, &cfg).unwrap();
         assert_eq!(window_fold(&res.windows), want, "{kind} window digests");
     }
 }
@@ -210,47 +233,32 @@ fn golden_bounds_error_text() {
     let cfg = RunConfig::default().with_process_sharing();
     let records = store.records(0, TraceFilter::Full);
     let mut p = build(ProtocolKind::Dir0B, 2);
-    let err = run(p.as_mut(), records.iter().copied(), &cfg).unwrap_err();
+    let err = run(p.as_mut(), records.iter(), &cfg).unwrap_err();
     assert_eq!(err, GOLDEN_BOUNDS_ERROR);
     let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
-    let err = run_indexed(ProtocolKind::Dir0B, 2, &records, &soa, &cfg).unwrap_err();
+    let err = run_indexed(ProtocolKind::Dir0B, 2, &soa, &cfg).unwrap_err();
     assert_eq!(err, GOLDEN_BOUNDS_ERROR);
 }
 
-/// Misaligned or wrong-sharing SoA streams are rejected up front, serial
-/// and sharded, and so is a window on a sharded replay.
+/// Wrong-sharing SoA streams are rejected up front, serial and sharded,
+/// and so is a window on a sharded replay.
 #[test]
 fn mismatched_soa_streams_are_rejected() {
-    let records: Vec<TraceRecord> = Vec::new();
-    let empty = SoaStream::new(SharingModel::Process);
+    let empty = SoaStream::build([], BlockGeometry::PAPER, SharingModel::Process);
     let cfg = RunConfig::default();
     // Sharing mismatch: cfg defaults to Processor, stream is Process.
-    let err = run_indexed(ProtocolKind::Wti, CPUS, &records, &empty, &cfg).unwrap_err();
+    let err = run_indexed(ProtocolKind::Wti, CPUS, &empty, &cfg).unwrap_err();
     assert!(err.contains("sharing"), "unexpected error: {err}");
-    // Length mismatch.
-    let store = store();
-    let recs = store.records(0, TraceFilter::Full);
-    let err = run_indexed(
-        ProtocolKind::Wti,
-        CPUS,
-        &recs,
-        &empty,
-        &RunConfig::default().with_process_sharing(),
-    )
-    .unwrap_err();
-    assert!(err.contains("rebuild it from the same stream"), "unexpected error: {err}");
     // A partition split under the wrong sharing model.
+    let store = store();
     let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
-    let sharded = shard_stream(&recs, &soa, 4, &cfg);
+    let sharded = shard_stream(&soa, 4, &cfg);
     let process = cfg.with_process_sharing();
-    let err = run_sharded(ProtocolKind::Wti, CPUS, &recs, &sharded, &process).unwrap_err();
+    let err = run_sharded(ProtocolKind::Wti, CPUS, &sharded, &process).unwrap_err();
     assert!(err.contains("sharing"), "unexpected error: {err}");
-    // A partition replayed against other records.
-    let err = run_sharded(ProtocolKind::Wti, CPUS, &recs[1..], &sharded, &cfg).unwrap_err();
-    assert!(err.contains("rebuild it from the same stream"), "unexpected error: {err}");
     // A window: no shard replays the global reference stream it slices.
     let windowed = RunConfig { window: 700, ..cfg };
-    let err = run_sharded(ProtocolKind::Wti, CPUS, &recs, &sharded, &windowed).unwrap_err();
+    let err = run_sharded(ProtocolKind::Wti, CPUS, &sharded, &windowed).unwrap_err();
     assert!(err.contains("window"), "unexpected error: {err}");
 }
 

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use dircc_serve::{client, json, JobHandler, JobSpec, Json, ServeConfig, Server};
 use dircc_sim::{profile_by_name, run_indexed, RunConfig, WorkbenchHandler};
 use dircc_trace::gen::Generator;
-use dircc_trace::{BlockInterner, SoaStream, TraceRecord};
+use dircc_trace::SoaStream;
 
 fn job(scheme: &str, trace: &str, refs: u64) -> JobSpec {
     JobSpec {
@@ -65,11 +65,10 @@ fn served_digest_matches_a_direct_run_indexed_replay() {
     let profile = profile_by_name("pops").expect("pops").with_total_refs(4000);
     let cpus = usize::from(profile.cpus);
     let cfg = RunConfig::default().with_process_sharing();
-    let records: Vec<TraceRecord> = Generator::new(profile, dircc_serve::DEFAULT_SEED).collect();
-    let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    let soa = SoaStream::build(&records, &interner, cfg.sharing);
+    let records = Generator::new(profile, dircc_serve::DEFAULT_SEED);
+    let soa = SoaStream::build(records, cfg.geometry, cfg.sharing);
     let kind = dircc_core::ProtocolKind::DirNb { pointers: 1 };
-    let res = run_indexed(kind, cpus, &records, &soa, &cfg).expect("replay");
+    let res = run_indexed(kind, cpus, &soa, &cfg).expect("replay");
 
     assert_eq!(digest_of(&body), format!("{:016x}", res.counters.digest()));
     assert!(body.contains(&format!("\"refs\": {}", res.refs)));
@@ -201,6 +200,27 @@ fn span_log_keeps_the_newest_max_spans() {
     assert_eq!(field(first, "request"), format!("req-{}", jobs - dircc_serve::MAX_SPANS / 4));
     assert_eq!(field(last, "name"), "replay");
     assert_eq!(field(last, "request"), format!("req-{}", jobs - 1));
+}
+
+/// `dircc_trace_store_bytes` sums the cached stores' heap bytes after
+/// each job: a job with a new seed ingests a new store and the gauge
+/// rises; a job that reuses a cached store leaves it where it was.
+#[test]
+fn trace_store_gauge_rises_per_new_store_and_holds_on_a_hit() {
+    let registry = dircc_obs::MetricsRegistry::new();
+    let handler = WorkbenchHandler::with_registry(&registry);
+    let gauge = registry.gauge("dircc_trace_store_bytes", "", &[]);
+    let mut last = gauge.get();
+    assert_eq!(last, 0);
+    for seed in 1..=3 {
+        let spec = JobSpec { seed, ..job("Dir1NB", "THOR", 20_000) };
+        handler.run(&spec, "gauge-miss").expect("run");
+        assert!(gauge.get() > last, "seed {seed}: {} after {last}", gauge.get());
+        last = gauge.get();
+        let hit = JobSpec { seed, ..job("Dragon", "THOR", 20_000) };
+        handler.run(&hit, "gauge-hit").expect("run");
+        assert_eq!(gauge.get(), last, "seed {seed}: a store hit holds no new bytes");
+    }
 }
 
 /// Unknown schemes and traces come back as 400s with the offending

@@ -13,7 +13,7 @@
 use dircc_cache::FiniteCacheConfig;
 use dircc_core::ProtocolKind;
 use dircc_sim::{run_indexed, run_sharded, shard_stream, RunConfig, TraceFilter, Workbench};
-use dircc_trace::{BlockInterner, SoaStream, TraceRecord};
+use dircc_trace::{SoaStream, TraceRecord};
 use dircc_types::{AccessKind, Address, CpuId, ProcessId};
 use proptest::prelude::*;
 
@@ -72,12 +72,11 @@ fn arb_trace() -> impl Strategy<Value = Vec<TraceRecord>> {
 
 /// Serial vs sharded replay of one trace under one config, for one kind.
 fn assert_shard_equivalent(kind: ProtocolKind, records: &[TraceRecord], cfg: &RunConfig) {
-    let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    let soa = SoaStream::build(records, &interner, cfg.sharing);
-    let serial = run_indexed(kind, CPUS, records, &soa, cfg);
+    let soa = SoaStream::build(records.iter().copied(), cfg.geometry, cfg.sharing);
+    let serial = run_indexed(kind, CPUS, &soa, cfg);
     for shards in [1usize, 2, 3, 8] {
-        let sharded = shard_stream(records, &soa, shards, cfg);
-        let split = run_sharded(kind, CPUS, records, &sharded, cfg);
+        let sharded = shard_stream(&soa, shards, cfg);
+        let split = run_sharded(kind, CPUS, &sharded, cfg);
         match (&serial, &split) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.counters, b.counters, "{kind} counters at {shards} shards");
@@ -143,12 +142,11 @@ fn more_shards_than_blocks_still_merges_exactly() {
         .map(|i| Op { cpu: (i % 4) as u16, kind: (i % 2) as u8, block: i % 3 }.record())
         .collect();
     let cfg = RunConfig { verify: true, ..RunConfig::default() };
-    let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    assert!(interner.num_blocks() < 8);
-    let soa = SoaStream::build(&records, &interner, cfg.sharing);
-    let serial = run_indexed(ProtocolKind::Mesi, CPUS, &records, &soa, &cfg).unwrap();
-    let sharded = shard_stream(&records, &soa, 8, &cfg);
-    let split = run_sharded(ProtocolKind::Mesi, CPUS, &records, &sharded, &cfg).unwrap();
+    let soa = SoaStream::build(records, cfg.geometry, cfg.sharing);
+    assert!(soa.blocks.num_blocks() < 8);
+    let serial = run_indexed(ProtocolKind::Mesi, CPUS, &soa, &cfg).unwrap();
+    let sharded = shard_stream(&soa, 8, &cfg);
+    let split = run_sharded(ProtocolKind::Mesi, CPUS, &sharded, &cfg).unwrap();
     assert_eq!(serial.counters, split.counters);
     assert_eq!(split.counters.total(), 40);
 }

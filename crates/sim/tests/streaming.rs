@@ -67,7 +67,7 @@ fn chunked_replay_is_bit_identical_for_every_scheme_trace_and_filter() {
     for cfg in [cfg(), RunConfig::verifying(500)] {
         for trace in 0..store.num_traces() {
             for filter in [TraceFilter::Full, TraceFilter::ExcludeLockSpins] {
-                let records = store.records(trace, filter);
+                let records: Vec<TraceRecord> = store.records(trace, filter).iter().collect();
                 let soa = store.soa(trace, filter, cfg.geometry, cfg.sharing);
                 // Odd chunk size exercises chunk-boundary handling. The
                 // streaming path interns its own (filtered) stream order
@@ -77,7 +77,7 @@ fn chunked_replay_is_bit_identical_for_every_scheme_trace_and_filter() {
                 let together = one_pass(&four, &mut source(), &cfg);
                 for (&kind, together) in kinds.iter().zip(&together) {
                     let what = format!("{kind} trace {trace} {filter:?} {:?}", cfg.sharing);
-                    let serial = Ok(run_indexed(kind, 4, &records, &soa, &cfg).unwrap());
+                    let serial = Ok(run_indexed(kind, 4, &soa, &cfg).unwrap());
                     let mut p = build(kind, 4);
                     let lone = run_chunked(p.as_mut(), &mut source(), &cfg);
                     assert_same(&serial, &lone, &format!("lone: {what}"));
@@ -92,13 +92,13 @@ fn chunked_replay_is_bit_identical_for_every_scheme_trace_and_filter() {
 fn v2_file_replay_is_bit_identical_to_in_memory() {
     let store = store();
     let cfg = cfg();
-    let records = store.records(1, TraceFilter::Full);
+    let records: Vec<TraceRecord> = store.records(1, TraceFilter::Full).iter().collect();
     let soa = store.soa(1, TraceFilter::Full, cfg.geometry, cfg.sharing);
     // Encode to an in-memory v2 "file" with a small chunk size, then
     // stream it back through the engine.
     let bytes = encode(&records, 1_024);
     for kind in default_kinds() {
-        let serial = run_indexed(kind, 4, &records, &soa, &cfg).unwrap();
+        let serial = run_indexed(kind, 4, &soa, &cfg).unwrap();
         let mut reader = ChunkedReader::new(&bytes[..]).unwrap();
         let mut p = build(kind, 4);
         let streamed = run_chunked(p.as_mut(), &mut reader, &cfg).unwrap();

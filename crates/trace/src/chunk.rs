@@ -377,12 +377,19 @@ impl<R: Read> ChunkedReader<R> {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` if the magic or version is wrong (a flat v1
-    /// trace is named as one, with a pointer to `dircc record`);
-    /// propagates I/O errors.
+    /// Returns `InvalidData` if the input is shorter than the 5-byte
+    /// header or the magic or version is wrong (a flat v1 trace is named
+    /// as one, with a pointer to `dircc record`); propagates other I/O
+    /// errors.
     pub fn new(mut inner: R) -> io::Result<Self> {
         let mut header = [0u8; 5];
-        inner.read_exact(&mut header)?;
+        inner.read_exact(&mut header).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => io::Error::new(
+                io::ErrorKind::InvalidData,
+                "not a dircc trace: shorter than the 5-byte trace header",
+            ),
+            _ => e,
+        })?;
         if header[..4] != MAGIC {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "not a dircc binary trace"));
         }
@@ -930,6 +937,15 @@ mod tests {
         assert_eq!(open_trace(&b"NOPE\x02"[..]).unwrap_err().kind(), io::ErrorKind::InvalidData);
         let err = open_trace(&b"DCCT\x63"[..]).unwrap_err();
         assert!(err.to_string().contains("chunked v2 only"), "got {err}");
+    }
+
+    #[test]
+    fn inputs_shorter_than_the_header_are_invalid_data() {
+        for n in 0..5 {
+            let err = ChunkedReader::new(&b"DCCT\x02"[..n]).map(|_| ()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{n} bytes");
+            assert!(err.to_string().contains("5-byte trace header"), "{n} bytes: {err}");
+        }
     }
 
     #[test]

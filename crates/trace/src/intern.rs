@@ -3,16 +3,17 @@
 //! Trace addresses are sparse — whatever the generator's region layout
 //! produces. Replaying through hash-mapped per-block state pays a
 //! SipHash probe for every table on every reference. A [`BlockInterner`]
-//! makes one pass over a stored stream and assigns each distinct block a
-//! dense [`BlockId`] in first-appearance order; replay then renames blocks
-//! to their dense ids, so every per-block structure (tag arrays, directory
-//! entries, first-reference set, verifier tables) becomes a flat vector.
+//! assigns each distinct block a dense [`BlockId`] in first-appearance
+//! order as a stream is ingested; replay then sees dense ids only, so every
+//! per-block structure (tag arrays, directory entries, first-reference
+//! set, verifier tables) becomes a flat vector. The inverse table
+//! ([`BlockInterner::block_addr`]) gives finite-cache set selection and
+//! diagnostics a dense id's original block.
 //!
 //! The renaming is a bijection per (trace, geometry). Protocols only ever
 //! compare blocks for identity, so dense replay produces bit-identical
 //! event counts — pinned by `dircc-sim`'s interned-vs-raw equality tests.
 
-use crate::record::TraceRecord;
 use dircc_types::{BlockAddr, BlockGeometry, BlockId};
 use std::collections::HashMap;
 
@@ -21,6 +22,8 @@ use std::collections::HashMap;
 pub struct BlockInterner {
     geometry: BlockGeometry,
     ids: HashMap<u64, u32>,
+    /// Dense id → original block index.
+    blocks: Vec<u64>,
 }
 
 impl BlockInterner {
@@ -28,33 +31,12 @@ impl BlockInterner {
     /// interns blocks chunk by chunk via [`BlockInterner::intern`] as it
     /// first sees them, never holding the whole stream.
     pub fn new(geometry: BlockGeometry) -> Self {
-        BlockInterner { geometry, ids: HashMap::new() }
-    }
-
-    /// Builds an interner over every *data* reference in `records`
-    /// (instruction fetches never reach block-level state), assigning
-    /// dense ids in first-appearance order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream touches more than `u32::MAX` distinct blocks.
-    pub fn from_records<'a, I>(records: I, geometry: BlockGeometry) -> Self
-    where
-        I: IntoIterator<Item = &'a TraceRecord>,
-    {
-        let mut interner = BlockInterner::new(geometry);
-        for r in records {
-            if r.is_data() {
-                interner.intern(geometry.block_of(r.addr));
-            }
-        }
-        interner
+        BlockInterner { geometry, ids: HashMap::new(), blocks: Vec::new() }
     }
 
     /// Interns `block`, returning its dense id and whether this is the
     /// block's first appearance. Ids are assigned in first-appearance
-    /// order, exactly as [`BlockInterner::from_records`] would over the
-    /// same stream.
+    /// order.
     ///
     /// # Panics
     ///
@@ -67,6 +49,9 @@ impl BlockInterner {
             first = true;
             u32::try_from(next).expect("more than u32::MAX distinct blocks")
         });
+        if first {
+            self.blocks.push(block.index());
+        }
         (id, first)
     }
 
@@ -86,23 +71,43 @@ impl BlockInterner {
     pub fn get(&self, block: BlockAddr) -> Option<BlockId> {
         self.ids.get(&block.index()).map(|&id| BlockId::new(id))
     }
+
+    /// The original block of dense id `id`: the inverse of
+    /// [`intern`](Self::intern). Panics if `id` was never assigned.
+    #[inline]
+    pub fn block_addr(&self, id: u32) -> BlockAddr {
+        BlockAddr::from_index(self.blocks[id as usize])
+    }
+
+    /// Bytes the renaming holds on the heap: the map's slots (key, value
+    /// and control byte each) and the inverse table.
+    pub fn heap_bytes(&self) -> usize {
+        self.ids.capacity() * (std::mem::size_of::<(u64, u32)>() + 1) + 8 * self.blocks.capacity()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::{Generator, Profile};
+    use crate::record::TraceRecord;
+    use crate::soa::DataRefs;
     use crate::stats::TraceStats;
 
     fn trace() -> Vec<TraceRecord> {
         Generator::new(Profile::pops().with_total_refs(20_000), 7).collect()
     }
 
+    /// The renaming an ingest of `records` builds.
+    fn interned(records: &[TraceRecord], geometry: BlockGeometry) -> BlockInterner {
+        DataRefs::ingest(records.iter().copied(), geometry, |_| ()).1
+    }
+
     #[test]
     fn ids_are_dense_and_first_appearance_ordered() {
         let records = trace();
         let geometry = BlockGeometry::PAPER;
-        let interner = BlockInterner::from_records(&records, geometry);
+        let interner = interned(&records, geometry);
         assert!(interner.num_blocks() > 0);
         assert_eq!(interner.geometry(), geometry);
         // First data record's block must be id 0; ids cover 0..n densely.
@@ -120,7 +125,7 @@ mod tests {
     #[test]
     fn count_matches_trace_stats() {
         let records = trace();
-        let interner = BlockInterner::from_records(&records, BlockGeometry::PAPER);
+        let interner = interned(&records, BlockGeometry::PAPER);
         let stats: TraceStats = records.iter().collect();
         assert_eq!(interner.num_blocks(), stats.distinct_data_blocks());
     }
@@ -129,7 +134,7 @@ mod tests {
     fn incremental_interning_matches_batch() {
         let records = trace();
         let geometry = BlockGeometry::PAPER;
-        let batch = BlockInterner::from_records(&records, geometry);
+        let batch = interned(&records, geometry);
         let mut inc = BlockInterner::new(geometry);
         let mut firsts = 0usize;
         for r in records.iter().filter(|r| r.is_data()) {
@@ -145,9 +150,21 @@ mod tests {
     }
 
     #[test]
+    fn block_addr_inverts_the_renaming() {
+        let records = trace();
+        let geometry = BlockGeometry::PAPER;
+        let interner = interned(&records, geometry);
+        for r in records.iter().filter(|r| r.is_data()) {
+            let block = geometry.block_of(r.addr);
+            assert_eq!(interner.block_addr(interner.get(block).unwrap().raw()), block);
+        }
+        assert!(interner.heap_bytes() >= 8 * interner.num_blocks());
+    }
+
+    #[test]
     fn unknown_block_is_none() {
         let records = trace();
-        let interner = BlockInterner::from_records(&records, BlockGeometry::PAPER);
+        let interner = interned(&records, BlockGeometry::PAPER);
         assert_eq!(interner.get(BlockAddr::from_index(u64::MAX >> 5)), None);
     }
 }

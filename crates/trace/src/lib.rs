@@ -22,9 +22,10 @@
 //! * [`gen`] — the synthetic workload generator with calibrated profiles
 //!   `pops`, `thor` and `pero`, plus primitive sharing kernels for tests.
 //! * [`filter`] — stream adaptors, e.g. excluding lock-test reads (§5.2).
-//! * [`store`] — generate-once shared storage: each (trace, filter) stream
-//!   is materialized exactly once per process into an `Arc<[TraceRecord]>`
-//!   and replayed by slice from any thread.
+//! * [`store`] — ingest-once shared storage: each generated trace streams
+//!   once per block geometry into data-reference columns, shared by every
+//!   filter, sharing model and thread; records are regenerated on demand,
+//!   never held.
 //! * [`intern`] — dense block ids: a [`BlockInterner`](intern::BlockInterner)
 //!   renames a stream's sparse block addresses to first-appearance-order
 //!   `u32` ids so replay state lives in flat vectors instead of hash maps.
@@ -33,12 +34,13 @@
 //!   into per-block shards (each its own [`SoaStream`], with shard-local
 //!   renaming and global reference numbers) so one run can replay its
 //!   shards in parallel and merge counters back bit-identically.
-//! * [`soa`] — structure-of-arrays replay streams: a
-//!   [`SoaStream`](soa::SoaStream) keeps a stream's data references in
-//!   flat `kind`/`cache_idx`/`block_id`/`first_ref` arrays with the
-//!   sharing model and address math precomputed (instruction fetches are
-//!   only counted), so the replay hot loop touches no [`TraceRecord`]. It
-//!   is also the batch a streaming replay refills for every protocol.
+//! * [`soa`] — structure-of-arrays streams, the one in-memory trace
+//!   representation: a [`DataRefs`](soa::DataRefs) keeps a stream's data
+//!   references in flat `kind`/`block_id`/`first_ref`/`cpu`/`pid` columns
+//!   plus one bit per reference placing the instruction fetches, which are
+//!   only counted, so replay touches no [`TraceRecord`]. A
+//!   [`SoaStream`](soa::SoaStream) adds the renaming and a sharing model;
+//!   it is also the batch a streaming replay refills for every protocol.
 //!
 //! # Examples
 //!
@@ -70,4 +72,4 @@ pub use intern::BlockInterner;
 pub use record::{RecordFlags, TraceRecord};
 pub use shard::{Shard, ShardedStream};
 pub use soa::{DataRefs, SoaStream};
-pub use store::{TraceFilter, TraceStore};
+pub use store::{RecordStream, TraceFilter, TraceStore};

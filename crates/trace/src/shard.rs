@@ -12,12 +12,14 @@
 //! * instruction fetches reach no shard: the partition keeps the
 //!   stream's count of them, which the merge adds once;
 //! * block ids are renamed to *shard-local* dense ids in first-appearance
-//!   order, so each shard's tables are sized for its blocks only;
-//! * each shard is itself a [`SoaStream`], so the partition is the one
-//!   in-memory replay representation;
-//! * every reference keeps its 1-based *global* reference number, which
-//!   finds its record in the whole stream's records (for finite-cache set
-//!   selection and diagnostics) and merges findings and errors back in
+//!   order, so each shard's tables are sized for its blocks only, and
+//!   `global_ids` leads each back to the stream's id (and through the
+//!   stream's renaming to its block, for finite-cache set selection and
+//!   diagnostics);
+//! * each shard is itself a [`SoaStream`] holding its references' columns,
+//!   so the partition is the one in-memory replay representation;
+//! * every reference keeps its 1-based *global* reference number, read off
+//!   the stream's data bits, which merges findings and errors back in
 //!   trace order.
 //!
 //! The router must be a pure function of the block (the builder asserts
@@ -27,20 +29,19 @@
 //!
 //! [`EventCounters`]: https://docs.rs/dircc-core
 
-use crate::record::TraceRecord;
-use crate::soa::{DataRefs, SoaStream};
+use crate::soa::{vec_bytes, DataRefs, SoaStream};
 use std::sync::Arc;
 
 /// One shard of a partitioned data-reference stream.
 #[derive(Debug, Clone)]
 pub struct Shard {
     /// The shard's data references, in global trace order: shard-local
-    /// dense block ids and first-reference bits, cache indices under the
-    /// partition's sharing model, no instruction fetches. Its
-    /// `num_blocks` counts the distinct data blocks routed here.
+    /// dense block ids and first-reference bits, the stream's renaming
+    /// and sharing model, no instruction fetches. Its `num_blocks` counts
+    /// the distinct data blocks routed here.
     pub soa: SoaStream,
-    /// 1-based global reference numbers, aligned with `soa`: the record
-    /// of entry `j` is `records[global_refs[j] - 1]`.
+    /// 1-based global reference numbers, aligned with `soa`: entry `j` is
+    /// reference `global_refs[j]` of the whole stream.
     pub global_refs: Vec<u64>,
     /// Maps each shard-local dense id back to the stream's global dense
     /// id (one entry per distinct block), so shard-local replay can
@@ -52,52 +53,46 @@ pub struct Shard {
 #[derive(Debug, Clone)]
 pub struct ShardedStream {
     shards: Vec<Shard>,
-    total_records: usize,
-    total_blocks: usize,
     instr: u64,
 }
 
 impl ShardedStream {
-    /// Partitions `soa`, built from `records`, into `shards` sub-streams.
-    /// `route(record, dense_id)` is called for every data reference and
-    /// must return the same shard for every occurrence of a block.
+    /// Partitions `soa` into `shards` sub-streams. `route(dense_id)` is
+    /// called for every data reference and must return the same shard for
+    /// every occurrence of a block.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero, `soa` was not built from `records`, the
-    /// router returns an out-of-range shard, or the router is not a pure
-    /// function of the block.
-    pub fn build<F>(records: &[TraceRecord], soa: &SoaStream, shards: usize, mut route: F) -> Self
+    /// Panics if `shards` is zero, the router returns an out-of-range
+    /// shard, or the router is not a pure function of the block.
+    pub fn build<F>(soa: &SoaStream, shards: usize, mut route: F) -> Self
     where
-        F: FnMut(&TraceRecord, u32) -> usize,
+        F: FnMut(u32) -> usize,
     {
         assert!(shards >= 1, "need at least one shard");
-        assert_eq!(soa.refs(), records.len() as u64, "soa stream must be built from `records`");
         let (data, num_blocks) = (&*soa.data, soa.data.num_blocks);
-        let empty =
-            Shard { soa: SoaStream::new(soa.sharing), global_refs: vec![], global_ids: vec![] };
-        let mut out = vec![(DataRefs::default(), empty); shards];
+        let mut out = vec![(DataRefs::default(), Vec::new(), Vec::new()); shards];
         // Shard-local renaming: ascending global id order within a shard
         // IS first-appearance order within the shard, so the rank map
         // below assigns shard-local ids in first-appearance order too.
         const UNSEEN: u32 = u32::MAX;
         let mut local = vec![UNSEEN; num_blocks];
         let mut owner = vec![UNSEEN; num_blocks];
-        let data_records = records.iter().enumerate().filter(|(_, r)| r.is_data());
-        for (j, (i, r)) in data_records.enumerate() {
+        let positions = (0..data.refs() as usize).filter(|&i| data.is_data(i));
+        for (j, i) in positions.enumerate() {
             let gid = data.block_id[j];
             let g = gid as usize;
             assert!(g < num_blocks, "dense id {gid} out of range for {num_blocks} blocks");
-            let s = route(r, gid);
+            let s = route(gid);
             assert!(s < shards, "router sent block {gid} to shard {s} of {shards}");
-            let (part, shard) = &mut out[s];
+            let (part, global_refs, global_ids) = &mut out[s];
             // A block's first appearance anywhere is its first appearance
             // in the one shard it routes to.
             let first = owner[g] == UNSEEN;
             if first {
                 owner[g] = s as u32;
                 local[g] = u32::try_from(part.num_blocks).expect("more than u32::MAX shard blocks");
-                shard.global_ids.push(gid);
+                global_ids.push(gid);
                 part.num_blocks += 1;
             } else {
                 assert_eq!(
@@ -105,23 +100,18 @@ impl ShardedStream {
                     "router must be a pure function of the block (block {g})"
                 );
             }
-            part.kind.push(data.kind[j]);
-            part.block_id.push(local[g]);
-            part.first_ref.push(first);
-            let c = soa.cache_idx[j];
-            shard.soa.cache_idx.push(c);
-            shard.soa.max_cache_idx = shard.soa.max_cache_idx.max(c);
-            shard.global_refs.push((i + 1) as u64);
+            part.push_data(data.kind[j], local[g], first, data.cpu[j], data.pid[j]);
+            global_refs.push((i + 1) as u64);
         }
-        let shards: Vec<Shard> = out
+        let shards = out
             .into_iter()
-            .map(|(part, mut shard)| {
-                shard.soa.data = Arc::new(part);
-                shard
+            .map(|(part, global_refs, global_ids)| Shard {
+                soa: SoaStream::new(Arc::new(part), Arc::clone(&soa.blocks), soa.sharing),
+                global_refs,
+                global_ids,
             })
             .collect();
-        let total_blocks = shards.iter().map(|s| s.soa.data.num_blocks).sum();
-        ShardedStream { shards, total_records: records.len(), total_blocks, instr: data.instr }
+        ShardedStream { shards, instr: data.instr }
     }
 
     /// The shards, in shard-index order.
@@ -134,20 +124,18 @@ impl ShardedStream {
         self.shards.len()
     }
 
-    /// Total records the partitioned stream covers (= its records'
-    /// length, instruction fetches included).
-    pub fn total_records(&self) -> usize {
-        self.total_records
-    }
-
-    /// Total distinct data blocks across all shards.
-    pub fn total_blocks(&self) -> usize {
-        self.total_blocks
-    }
-
     /// The stream's instruction fetches, which no shard holds.
     pub fn instr(&self) -> u64 {
         self.instr
+    }
+
+    /// Bytes the shards hold on the heap (the renaming they share with
+    /// the stream excluded).
+    pub fn heap_bytes(&self) -> usize {
+        let shard = |s: &Shard| {
+            s.soa.data.heap_bytes() + vec_bytes(&s.global_refs) + vec_bytes(&s.global_ids)
+        };
+        self.shards.iter().map(shard).sum()
     }
 }
 
@@ -155,14 +143,17 @@ impl ShardedStream {
 mod tests {
     use super::*;
     use crate::gen::{Generator, Profile};
-    use crate::intern::BlockInterner;
+    use crate::record::TraceRecord;
     use dircc_types::{BlockGeometry, SharingModel};
 
     fn stream() -> (Vec<TraceRecord>, SoaStream) {
         let records: Vec<TraceRecord> =
             Generator::new(Profile::pops().with_total_refs(4_000), 5).collect();
-        let interner = BlockInterner::from_records(records.iter(), BlockGeometry::PAPER);
-        let soa = SoaStream::build(&records, &interner, SharingModel::Processor);
+        let soa = SoaStream::build(
+            records.iter().copied(),
+            BlockGeometry::PAPER,
+            SharingModel::Processor,
+        );
         (records, soa)
     }
 
@@ -172,10 +163,10 @@ mod tests {
         let data: Vec<u64> =
             (1..=records.len() as u64).filter(|&g| records[(g - 1) as usize].is_data()).collect();
         for shards in [1, 2, 3, 8] {
-            let s = ShardedStream::build(&records, &soa, shards, |_, gid| gid as usize % shards);
+            let s = ShardedStream::build(&soa, shards, |gid| gid as usize % shards);
             assert_eq!(s.num_shards(), shards);
-            assert_eq!(s.total_records(), records.len());
-            assert_eq!(s.total_blocks(), soa.data.num_blocks);
+            let blocks: usize = s.shards().iter().map(|sh| sh.soa.data.num_blocks).sum();
+            assert_eq!(blocks, soa.data.num_blocks);
             assert_eq!(s.instr() + data.len() as u64, records.len() as u64);
             // Every data reference appears exactly once; global refs are
             // strictly increasing within a shard (order preserved) and
@@ -187,7 +178,7 @@ mod tests {
                 for (j, &g) in sh.global_refs.iter().enumerate() {
                     let r = &records[(g - 1) as usize];
                     assert_eq!(sh.soa.data.kind[j], r.kind, "reference kept its identity");
-                    assert_eq!(sh.soa.cache_idx[j], r.cpu.raw(), "reference kept its cache");
+                    assert_eq!(sh.soa.cache_idx()[j], r.cpu.raw(), "reference kept its cache");
                 }
                 all.extend(&sh.global_refs);
             }
@@ -199,7 +190,7 @@ mod tests {
     #[test]
     fn shard_local_ids_are_dense_and_first_appearance_ordered() {
         let (records, soa) = stream();
-        let s = ShardedStream::build(&records, &soa, 3, |_, gid| gid as usize % 3);
+        let s = ShardedStream::build(&soa, 3, |gid| gid as usize % 3);
         // The whole stream's dense id per global reference number.
         let mut dense = vec![u32::MAX; records.len() + 1];
         let data_refs = (1..=records.len()).filter(|&g| records[g - 1].is_data());
@@ -228,24 +219,25 @@ mod tests {
 
     #[test]
     fn single_shard_is_the_identity_partition() {
-        let (records, soa) = stream();
-        let s = ShardedStream::build(&records, &soa, 1, |_, _| 0);
+        let (_, soa) = stream();
+        let s = ShardedStream::build(&soa, 1, |_| 0);
         // With one shard, local ids equal global ids and the shard is the
         // whole data-reference stream.
         let sh = &s.shards()[0];
-        assert_eq!(sh.soa.cache_idx, soa.cache_idx);
+        assert_eq!(sh.soa.cache_idx(), soa.cache_idx());
         assert_eq!(sh.soa.data.kind, soa.data.kind);
         assert_eq!(sh.soa.data.block_id, soa.data.block_id);
         assert_eq!(sh.soa.data.first_ref, soa.data.first_ref);
         assert_eq!(sh.soa.data.num_blocks, soa.data.num_blocks);
+        assert_eq!(sh.global_ids.len(), soa.data.num_blocks);
     }
 
     #[test]
     #[should_panic(expected = "pure function")]
     fn inconsistent_router_is_rejected() {
-        let (records, soa) = stream();
+        let (_, soa) = stream();
         let mut flip = 0usize;
-        let _ = ShardedStream::build(&records, &soa, 2, |_, _| {
+        let _ = ShardedStream::build(&soa, 2, |_| {
             flip += 1;
             flip % 2
         });
@@ -254,7 +246,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        let (records, soa) = stream();
-        let _ = ShardedStream::build(&records, &soa, 0, |_, gid| gid as usize);
+        let (_, soa) = stream();
+        let _ = ShardedStream::build(&soa, 0, |gid| gid as usize);
     }
 }

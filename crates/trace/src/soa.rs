@@ -1,33 +1,34 @@
-//! Structure-of-arrays replay streams over data references only.
+//! Structure-of-arrays streams of data references: the one in-memory
+//! representation of a trace.
 //!
-//! The dense-id rewrite (see [`crate::intern`]) removed hashing from the
-//! replay loop but still walks 16-byte [`TraceRecord`]s and redoes the
-//! sharing-model match plus `geometry.block_of` address math per
-//! reference. A [`SoaStream`] finishes the job: it keeps one entry per
-//! *data* reference in four flat arrays — `kind` / `cache_idx` /
-//! `block_id` / `first_ref` — with the sharing-model cache index and the
-//! first-reference bit precomputed, so a replay loop touches no
-//! `TraceRecord` and performs no address math at all.
+//! The paper's simulator acts on a reference by its kind, its block and
+//! its cache (§4.1), and charges instruction fetches nothing. A
+//! [`DataRefs`] keeps one entry per *data* reference in flat columns —
+//! `kind` / `block_id` / `first_ref` / `cpu` / `pid` — and one bit per
+//! reference that places the instruction fetches, which are only counted,
+//! for reference numbers, windows and the invariant cadence. Blocks get
+//! dense ids as references are appended ([`DataRefs::extend`]); the trace
+//! store ingests a generated trace through [`DataRefs::ingest`], and a
+//! streaming replay refills one batch with the same `extend`.
 //!
-//! Instruction fetches never reach a protocol and the paper prices them
-//! at nothing (§4), so the stream only counts them ([`DataRefs::instr`]);
-//! a loop that must see every reference walks the records alongside.
-//! [`DataRefs`] holds the sharing-independent arrays behind an `Arc`: the
-//! trace store builds them once per (trace, filter, geometry) and each
-//! sharing model adds its own `cache_idx`. `max_cache_idx` below the
-//! protocol's cache count proves the per-reference bounds check dead. The
-//! same type serves as a whole in-memory stream, as one shard of a
-//! [`ShardedStream`](crate::shard::ShardedStream), and as the reusable
-//! per-chunk batch a streaming replay refills with [`SoaStream::refill`].
+//! A [`SoaStream`] is what the replay loop reads: the columns, the
+//! renaming back to original blocks ([`BlockInterner::block_addr`]), and
+//! a sharing model whose cache index is the matching column (`cpu` or
+//! `pid`, not a copy). `max_cache_idx` below the protocol's cache count
+//! proves the per-reference bounds check dead. The same type serves as a
+//! whole stream, as one shard of a
+//! [`ShardedStream`](crate::shard::ShardedStream), and as the batch a
+//! streaming replay refills with [`SoaStream::refill`].
 
+use crate::chunk::BATCH_RECORDS;
 use crate::intern::BlockInterner;
 use crate::record::TraceRecord;
-use dircc_types::{AccessKind, BlockAddr, BlockGeometry, SharingModel};
+use dircc_types::{AccessKind, BlockGeometry, SharingModel};
 use std::sync::Arc;
 
-/// The sharing-independent half of a [`SoaStream`]: one entry per data
-/// reference, in trace order, plus the count of instruction fetches
-/// skipped.
+/// The sharing-independent columns of a [`SoaStream`]: one entry per data
+/// reference, in trace order, plus one bit per reference and the count of
+/// instruction fetches.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DataRefs {
     /// Access kind per data reference (a read or a write).
@@ -37,141 +38,202 @@ pub struct DataRefs {
     pub block_id: Vec<u32>,
     /// Whether the reference is its block's first in this stream.
     pub first_ref: Vec<bool>,
+    /// Issuing CPU per data reference.
+    pub cpu: Vec<u16>,
+    /// Issuing process per data reference.
+    pub pid: Vec<u16>,
+    /// One bit per reference in stream order (bit `j % 64` of word
+    /// `j / 64`), set for a data reference.
+    pub data_bits: Vec<u64>,
     /// Instruction fetches skipped: counted, never stored.
     pub instr: u64,
     /// Distinct data blocks in the stream — sizes replay tables.
     pub num_blocks: usize,
 }
 
-impl DataRefs {
-    /// [`SoaStream::build`] without the cache indices.
-    pub(crate) fn build(records: &[TraceRecord], interner: &BlockInterner) -> Self {
-        let mut data = DataRefs { num_blocks: interner.num_blocks(), ..DataRefs::default() };
-        let mut seen = vec![false; data.num_blocks];
-        data.extend(records, interner.geometry(), |block| {
-            let id = interner.get(block).unwrap_or_else(|| panic!("{block}: not interned")).raw();
-            (id, !std::mem::replace(&mut seen[id as usize], true))
-        });
-        data
+/// Appends bit number `n` (the count pushed so far) to `bits`.
+pub(crate) fn push_bit(bits: &mut Vec<u64>, n: usize, set: bool) {
+    if n.is_multiple_of(64) {
+        bits.push(0);
     }
-
-    /// Appends the data references of `records` into arrays reserved
-    /// exactly, `block` naming each one's dense id and first-reference
-    /// bit, and counts the rest.
-    fn extend<F>(&mut self, records: &[TraceRecord], geometry: BlockGeometry, mut block: F)
-    where
-        F: FnMut(BlockAddr) -> (u32, bool),
-    {
-        let n = records.iter().filter(|r| r.is_data()).count();
-        self.kind.reserve_exact(n);
-        self.block_id.reserve_exact(n);
-        self.first_ref.reserve_exact(n);
-        for r in records {
-            if r.is_data() {
-                let (id, first) = block(geometry.block_of(r.addr));
-                self.kind.push(r.kind);
-                self.block_id.push(id);
-                self.first_ref.push(first);
-            } else {
-                self.instr += 1;
-            }
-        }
+    if set {
+        *bits.last_mut().expect("a word per 64 bits") |= 1 << (n % 64);
     }
 }
 
-/// A data-reference stream split into flat per-field arrays, with the
-/// sharing-model cache index and first-reference bit precomputed.
-///
-/// Every array has one entry per data reference, in trace order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Bit `j` of `bits`.
+#[inline]
+pub(crate) fn bit(bits: &[u64], j: usize) -> bool {
+    bits[j / 64] >> (j % 64) & 1 != 0
+}
+
+/// Heap bytes of `v`'s allocation.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+impl DataRefs {
+    /// References the stream covers: its data references plus its
+    /// instruction fetches.
+    pub fn refs(&self) -> u64 {
+        self.kind.len() as u64 + self.instr
+    }
+
+    /// Whether reference `j` (0-based, in stream order) is a data
+    /// reference.
+    #[inline]
+    pub fn is_data(&self, j: usize) -> bool {
+        bit(&self.data_bits, j)
+    }
+
+    /// Appends `records`: each data reference's columns, its block
+    /// interned into `blocks` (a first appearance sets `first_ref`), and
+    /// a bit per record; instruction fetches are counted.
+    pub fn extend(&mut self, records: &[TraceRecord], blocks: &mut BlockInterner) {
+        let geometry = blocks.geometry();
+        for r in records {
+            if r.is_data() {
+                let (id, first) = blocks.intern(geometry.block_of(r.addr));
+                self.push_data(r.kind, id, first, r.cpu.raw(), r.pid.raw());
+            } else {
+                self.push_instr();
+            }
+        }
+        self.num_blocks = blocks.num_blocks();
+    }
+
+    /// The one ingest: `records` in [`BATCH_RECORDS`] batches, each shown
+    /// to `observe` and then [appended](Self::extend) with its blocks
+    /// renamed under `geometry`. Returns the columns, trimmed to their
+    /// length, and the renaming.
+    pub fn ingest<I: IntoIterator<Item = TraceRecord>>(
+        records: I,
+        geometry: BlockGeometry,
+        mut observe: impl FnMut(&[TraceRecord]),
+    ) -> (DataRefs, BlockInterner) {
+        let (mut data, mut blocks) = (DataRefs::default(), BlockInterner::new(geometry));
+        let mut records = records.into_iter();
+        let mut batch = Vec::with_capacity(BATCH_RECORDS);
+        loop {
+            batch.clear();
+            batch.extend(records.by_ref().take(BATCH_RECORDS));
+            if batch.is_empty() {
+                break;
+            }
+            observe(&batch);
+            data.extend(&batch, &mut blocks);
+        }
+        data.shrink_to_fit();
+        (data, blocks)
+    }
+
+    /// Appends one data reference.
+    pub(crate) fn push_data(&mut self, kind: AccessKind, id: u32, first: bool, cpu: u16, pid: u16) {
+        let n = self.refs() as usize;
+        push_bit(&mut self.data_bits, n, true);
+        self.kind.push(kind);
+        self.block_id.push(id);
+        self.first_ref.push(first);
+        self.cpu.push(cpu);
+        self.pid.push(pid);
+    }
+
+    /// Appends one instruction fetch.
+    pub(crate) fn push_instr(&mut self) {
+        let n = self.refs() as usize;
+        push_bit(&mut self.data_bits, n, false);
+        self.instr += 1;
+    }
+
+    /// Trims every column to its length.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.kind.shrink_to_fit();
+        self.block_id.shrink_to_fit();
+        self.first_ref.shrink_to_fit();
+        self.cpu.shrink_to_fit();
+        self.pid.shrink_to_fit();
+        self.data_bits.shrink_to_fit();
+    }
+
+    /// Bytes the columns hold on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.kind)
+            + vec_bytes(&self.block_id)
+            + vec_bytes(&self.first_ref)
+            + vec_bytes(&self.cpu)
+            + vec_bytes(&self.pid)
+            + vec_bytes(&self.data_bits)
+    }
+}
+
+/// A data-reference stream as the replay loop reads it: the columns, the
+/// renaming their block ids index, and a sharing model.
+#[derive(Debug, Clone)]
 pub struct SoaStream {
-    /// Kinds, dense block ids, first-reference bits and the instruction
-    /// count: shared by every sharing model of one stream.
+    /// Kinds, dense block ids, first-reference bits, cpus, pids, the data
+    /// bits and the instruction count: shared by every sharing model of
+    /// one stream.
     pub data: Arc<DataRefs>,
-    /// Cache index per data reference under the stream's sharing model
-    /// (`cpu` for [`SharingModel::Processor`], `pid` for
-    /// [`SharingModel::Process`]).
-    pub cache_idx: Vec<u16>,
-    /// The sharing model `cache_idx` was computed under.
+    /// The renaming of the whole stream: dense id → original block. A
+    /// shard's ids are shard-local; its `global_ids` lead here.
+    pub blocks: Arc<BlockInterner>,
+    /// The sharing model [`cache_idx`](Self::cache_idx) follows.
     pub sharing: SharingModel,
-    /// Maximum `cache_idx` (0 if there are no data references): if this
+    /// Maximum cache index (0 if there are no data references): if this
     /// is below the protocol's cache count, no reference can fail the
     /// bounds check.
     pub max_cache_idx: u16,
 }
 
-/// The cache a record's reference maps to under `sharing`.
-fn cache_of(r: &TraceRecord, sharing: SharingModel) -> u16 {
-    match sharing {
-        SharingModel::Processor => r.cpu.raw(),
-        SharingModel::Process => r.pid.raw(),
-    }
-}
-
 impl SoaStream {
-    /// An empty batch under `sharing`, to be filled with
-    /// [`refill`](Self::refill).
-    pub fn new(sharing: SharingModel) -> Self {
-        Self::with_sharing(Arc::default(), &[], sharing)
-    }
-
-    /// The data references of `records` under `sharing`, named by
-    /// `interner`'s dense ids: one lookup per data reference, into arrays
-    /// reserved exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a data reference's block was not interned (i.e. `records`
-    /// is not drawn from the stream `interner` was built over).
-    pub fn build(records: &[TraceRecord], interner: &BlockInterner, sharing: SharingModel) -> Self {
-        Self::with_sharing(Arc::new(DataRefs::build(records, interner)), records, sharing)
-    }
-
-    /// Adds `sharing`'s cache indices to `data`, which must have been
-    /// built from `records`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `records` holds a different number of data references.
-    pub(crate) fn with_sharing(
-        data: Arc<DataRefs>,
-        records: &[TraceRecord],
-        sharing: SharingModel,
-    ) -> Self {
-        let cache_idx = Vec::with_capacity(data.kind.len());
-        let mut soa = SoaStream { data, cache_idx, sharing, max_cache_idx: 0 };
-        soa.index_caches(records);
-        assert_eq!(soa.cache_idx.len(), soa.len(), "data references must come from `records`");
+    /// The stream of `data`, whose ids `blocks` renamed, under `sharing`.
+    pub fn new(data: Arc<DataRefs>, blocks: Arc<BlockInterner>, sharing: SharingModel) -> Self {
+        let mut soa = SoaStream { data, blocks, sharing, max_cache_idx: 0 };
+        soa.max_cache_idx = soa.cache_idx().iter().copied().max().unwrap_or(0);
         soa
     }
 
-    /// Replaces the stream with the data references of `records`, keeping
-    /// its allocations and sharing model: `block` names each one's dense
-    /// id and first-reference bit (a streaming replay interns as it goes).
+    /// [Ingests](DataRefs::ingest) `records` under `geometry` into a
+    /// stream under `sharing`.
+    pub fn build<I: IntoIterator<Item = TraceRecord>>(
+        records: I,
+        geometry: BlockGeometry,
+        sharing: SharingModel,
+    ) -> Self {
+        let (data, blocks) = DataRefs::ingest(records, geometry, |_| ());
+        Self::new(Arc::new(data), Arc::new(blocks), sharing)
+    }
+
+    /// Cache index per data reference under the stream's sharing model:
+    /// the `cpu` column for [`SharingModel::Processor`], `pid` for
+    /// [`SharingModel::Process`].
+    pub fn cache_idx(&self) -> &[u16] {
+        match self.sharing {
+            SharingModel::Processor => &self.data.cpu,
+            SharingModel::Process => &self.data.pid,
+        }
+    }
+
+    /// Replaces the stream with `records`, keeping its allocations, its
+    /// renaming (a streaming replay interns as it goes) and its sharing
+    /// model.
     ///
     /// # Panics
     ///
-    /// Panics if the stream's arrays are shared with another stream.
-    pub fn refill<F>(&mut self, records: &[TraceRecord], geometry: BlockGeometry, block: F)
-    where
-        F: FnMut(BlockAddr) -> (u32, bool),
-    {
+    /// Panics if the stream's columns or renaming are shared with another
+    /// stream.
+    pub fn refill(&mut self, records: &[TraceRecord]) {
         let data = Arc::get_mut(&mut self.data).expect("a refilled stream is not shared");
+        let blocks = Arc::get_mut(&mut self.blocks).expect("a refilled stream is not shared");
         data.kind.clear();
         data.block_id.clear();
         data.first_ref.clear();
+        data.cpu.clear();
+        data.pid.clear();
+        data.data_bits.clear();
         data.instr = 0;
-        data.extend(records, geometry, block);
-        self.index_caches(records);
-    }
-
-    /// Recomputes `cache_idx` and `max_cache_idx` from the data
-    /// references of `records`.
-    fn index_caches(&mut self, records: &[TraceRecord]) {
-        let sharing = self.sharing;
-        self.cache_idx.clear();
-        self.cache_idx.extend(records.iter().filter(|r| r.is_data()).map(|r| cache_of(r, sharing)));
-        self.max_cache_idx = self.cache_idx.iter().copied().max().unwrap_or(0);
+        data.extend(records, blocks);
+        self.max_cache_idx = self.cache_idx().iter().copied().max().unwrap_or(0);
     }
 
     /// Number of data references in the stream.
@@ -184,32 +246,11 @@ impl SoaStream {
         self.data.kind.is_empty()
     }
 
-    /// References the stream covers: its data references plus the
-    /// instruction fetches it skipped.
+    /// References the stream covers: its data references plus its
+    /// instruction fetches.
     pub fn refs(&self) -> u64 {
-        self.len() as u64 + self.data.instr
+        self.data.refs()
     }
-}
-
-/// The values a [`SoaStream`] must hold, recomputed from the records and
-/// raw addresses (no interner): per data reference its kind, cache index
-/// and first-reference bit, then the instruction count. Shared by this
-/// module's tests and the sim crate's, so both pin one definition.
-pub fn soa_reference_values(
-    records: &[TraceRecord],
-    geometry: BlockGeometry,
-    sharing: SharingModel,
-) -> (Vec<AccessKind>, Vec<u16>, Vec<bool>, u64) {
-    // Derived from raw addresses, not dense ids: renaming is a bijection,
-    // so address-level and dense-id first references must agree.
-    let mut seen = std::collections::HashSet::new();
-    let data: Vec<&TraceRecord> = records.iter().filter(|r| r.is_data()).collect();
-    (
-        data.iter().map(|r| r.kind).collect(),
-        data.iter().map(|r| cache_of(r, sharing)).collect(),
-        data.iter().map(|r| seen.insert(geometry.block_of(r.addr))).collect(),
-        (records.len() - data.len()) as u64,
-    )
 }
 
 #[cfg(test)]
@@ -219,68 +260,102 @@ mod tests {
     use crate::shard::ShardedStream;
     use dircc_types::BlockGeometry;
 
-    fn stream() -> (Vec<TraceRecord>, BlockInterner) {
-        let records: Vec<TraceRecord> =
-            Generator::new(Profile::thor().with_total_refs(4_000), 11).collect();
-        let interner = BlockInterner::from_records(records.iter(), BlockGeometry::PAPER);
-        (records, interner)
+    fn records() -> Vec<TraceRecord> {
+        Generator::new(Profile::thor().with_total_refs(4_000), 11).collect()
     }
 
     #[test]
     fn soa_matches_aos_derivation() {
-        let (records, interner) = stream();
-        let n = interner.num_blocks();
+        let records = records();
+        let geometry = BlockGeometry::PAPER;
         for sharing in [SharingModel::Processor, SharingModel::Process] {
-            let soa = SoaStream::build(&records, &interner, sharing);
-            let (kind, cache_idx, first_ref, instr) =
-                soa_reference_values(&records, BlockGeometry::PAPER, sharing);
-            assert!(instr > 0, "THOR carries instruction fetches");
-            assert_eq!(soa.len(), kind.len());
+            let soa = SoaStream::build(records.iter().copied(), geometry, sharing);
+            let data: Vec<&TraceRecord> = records.iter().filter(|r| r.is_data()).collect();
+            assert!(data.len() < records.len(), "THOR carries instruction fetches");
+            assert_eq!(soa.len(), data.len());
             assert_eq!(soa.refs(), records.len() as u64);
-            assert_eq!(soa.data.num_blocks, n);
+            assert_eq!(soa.data.instr, (records.len() - data.len()) as u64);
             assert_eq!(soa.sharing, sharing);
-            assert_eq!(soa.data.kind, kind);
-            assert_eq!(soa.cache_idx, cache_idx);
-            assert_eq!(soa.data.first_ref, first_ref);
-            assert_eq!(soa.data.instr, instr);
-            let data = records.iter().filter(|r| r.is_data());
-            for (r, &id) in data.zip(&soa.data.block_id) {
-                assert_eq!(interner.get(BlockGeometry::PAPER.block_of(r.addr)).unwrap().raw(), id);
+            // Derived from raw addresses, not dense ids: renaming is a
+            // bijection, so both must agree on first references.
+            let mut seen = std::collections::HashSet::new();
+            for (d, r) in data.iter().enumerate() {
+                let block = geometry.block_of(r.addr);
+                let cache =
+                    if sharing == SharingModel::Process { r.pid.raw() } else { r.cpu.raw() };
+                assert_eq!(soa.data.kind[d], r.kind);
+                assert_eq!(soa.cache_idx()[d], cache);
+                assert_eq!(soa.data.first_ref[d], seen.insert(block));
+                assert_eq!(soa.blocks.block_addr(soa.data.block_id[d]), block);
+                assert_eq!((soa.data.cpu[d], soa.data.pid[d]), (r.cpu.raw(), r.pid.raw()));
             }
-            assert_eq!(soa.max_cache_idx, cache_idx.iter().copied().max().unwrap_or(0));
+            assert_eq!(soa.data.num_blocks, seen.len());
+            for (j, r) in records.iter().enumerate() {
+                assert_eq!(soa.data.is_data(j), r.is_data(), "data bit of reference {j}");
+            }
+            assert_eq!(soa.max_cache_idx, soa.cache_idx().iter().copied().max().unwrap_or(0));
         }
     }
 
     #[test]
     fn first_ref_bits_appear_once_per_block() {
-        let (records, interner) = stream();
-        let soa = SoaStream::build(&records, &interner, SharingModel::Processor);
+        let soa = SoaStream::build(records(), BlockGeometry::PAPER, SharingModel::Processor);
         let firsts = soa.data.first_ref.iter().filter(|&&f| f).count();
-        assert_eq!(firsts, interner.num_blocks(), "exactly one first reference per distinct block");
+        assert_eq!(firsts, soa.blocks.num_blocks(), "exactly one first reference per block");
+    }
+
+    #[test]
+    fn ingest_shows_every_batch_and_trims_the_columns() {
+        let records: Vec<TraceRecord> =
+            Generator::new(Profile::thor().with_total_refs(10_000), 11).collect();
+        let mut seen = Vec::new();
+        let (data, _) = DataRefs::ingest(records.iter().copied(), BlockGeometry::PAPER, |b| {
+            seen.push(b.len());
+        });
+        assert_eq!(seen, [BATCH_RECORDS, BATCH_RECORDS, records.len() - 2 * BATCH_RECORDS]);
+        assert_eq!(data.data_bits.len(), records.len().div_ceil(64));
+        let n = data.kind.len();
+        assert_eq!(data.heap_bytes(), 10 * n + 8 * data.data_bits.len(), "10 B per data ref");
     }
 
     #[test]
     fn refill_matches_a_build_over_the_same_records() {
-        // A batch refilled by incremental interning equals a build over
-        // the same records, however often it is refilled.
-        let (records, interner) = stream();
-        let mut batch = SoaStream::new(SharingModel::Process);
-        for _ in 0..2 {
-            let mut inc = BlockInterner::new(BlockGeometry::PAPER);
-            batch.refill(&records, BlockGeometry::PAPER, |b| inc.intern(b));
-            let mut want = SoaStream::build(&records, &interner, SharingModel::Process);
-            Arc::make_mut(&mut want.data).num_blocks = 0;
-            assert_eq!(batch, want);
+        // A batch refilled piece by piece keeps its renaming, so its
+        // successive contents join up to a build over the whole stream.
+        let records = records();
+        let (geometry, sharing) = (BlockGeometry::PAPER, SharingModel::Process);
+        let whole = SoaStream::build(records.iter().copied(), geometry, sharing);
+        let mut batch = SoaStream::build([], geometry, sharing);
+        let mut joined = DataRefs::default();
+        for piece in records.chunks(1_000) {
+            batch.refill(piece);
+            assert_eq!(batch.refs(), piece.len() as u64);
+            let b = &batch.data;
+            let mut d = 0;
+            for j in 0..piece.len() {
+                if b.is_data(j) {
+                    joined.push_data(b.kind[d], b.block_id[d], b.first_ref[d], b.cpu[d], b.pid[d]);
+                    d += 1;
+                } else {
+                    joined.push_instr();
+                }
+            }
+            let max = batch.cache_idx().iter().copied().max().unwrap_or(0);
+            assert_eq!(batch.max_cache_idx, max);
         }
+        joined.num_blocks = batch.data.num_blocks;
+        assert_eq!(joined, *whole.data);
+        assert_eq!(batch.blocks.num_blocks(), whole.blocks.num_blocks());
     }
 
     #[test]
     fn shard_splits_match_a_fresh_build() {
         // Each shard holds exactly the whole stream's entries at its
         // global reference numbers, with shard-local ids.
-        let (records, interner) = stream();
-        let soa = SoaStream::build(&records, &interner, SharingModel::Process);
-        let sharded = ShardedStream::build(&records, &soa, 3, |_, gid| gid as usize % 3);
+        let records = records();
+        let soa =
+            SoaStream::build(records.iter().copied(), BlockGeometry::PAPER, SharingModel::Process);
+        let sharded = ShardedStream::build(&soa, 3, |gid| gid as usize % 3);
         assert_eq!(sharded.instr(), soa.data.instr);
         for sh in sharded.shards() {
             let so = &sh.soa;
@@ -289,20 +364,12 @@ mod tests {
             for (j, &g) in sh.global_refs.iter().enumerate() {
                 let r = &records[(g - 1) as usize];
                 assert!(r.is_data(), "shards hold data references only");
+                assert!(so.data.is_data(j));
                 assert_eq!(so.data.kind[j], r.kind);
-                assert_eq!(so.cache_idx[j], r.pid.raw());
+                assert_eq!(so.cache_idx()[j], r.pid.raw());
                 let gid = sh.global_ids[so.data.block_id[j] as usize];
-                assert_eq!(interner.get(BlockGeometry::PAPER.block_of(r.addr)).unwrap().raw(), gid);
+                assert_eq!(so.blocks.block_addr(gid), BlockGeometry::PAPER.block_of(r.addr));
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not interned")]
-    fn misaligned_dense_rejected() {
-        // An interner that has seen none of these blocks cannot name them.
-        let (records, _) = stream();
-        let interner = BlockInterner::new(BlockGeometry::PAPER);
-        let _ = SoaStream::build(&records, &interner, SharingModel::Processor);
     }
 }

@@ -1,15 +1,60 @@
 //! Reference-stream statistics (the Table 3 columns, and more).
 //!
-//! [`TraceStats`] accumulates the per-trace characteristics the paper
-//! reports: total references, instruction fetches, data reads, data writes,
-//! user/system split — plus the extra quantities the methodology depends on:
-//! lock-spin reads (§4.4 reports roughly one third of reads in POPS and THOR
-//! are spins), distinct data blocks (first-reference misses), and per-CPU
-//! reference counts.
+//! [`RefCounts`] holds the counts Table 3 reports: total references,
+//! instruction fetches, data reads, data writes, the user/system split and
+//! lock spins (§4.4 reports roughly one third of reads in POPS and THOR
+//! are spins). The trace store takes them while it ingests a trace.
+//! [`TraceStats`] adds the quantities that need a set per trace: distinct
+//! data blocks (first-reference misses), processes and per-CPU reference
+//! counts.
 
 use crate::record::TraceRecord;
 use dircc_types::{AccessKind, BlockGeometry, CpuId, ProcessId};
 use std::collections::{HashMap, HashSet};
+
+/// Reference counts by kind, mode and lock use: Table 3's columns.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RefCounts {
+    /// References.
+    pub total: u64,
+    /// Instruction fetches.
+    pub instr: u64,
+    /// Data reads.
+    pub reads: u64,
+    /// Data writes.
+    pub writes: u64,
+    /// References issued by system code.
+    pub system: u64,
+    /// References that touched a lock word.
+    pub lock_refs: u64,
+    /// Lock-test reads (spins).
+    pub lock_spin_reads: u64,
+}
+
+impl RefCounts {
+    /// Accounts for one record.
+    pub fn observe(&mut self, r: &TraceRecord) {
+        self.total += 1;
+        match r.kind {
+            AccessKind::InstrFetch => self.instr += 1,
+            AccessKind::Read => self.reads += 1,
+            AccessKind::Write => self.writes += 1,
+        }
+        self.system += u64::from(r.flags.is_system());
+        self.lock_refs += u64::from(r.flags.is_lock());
+        self.lock_spin_reads += u64::from(r.is_lock_spin());
+    }
+
+    /// Fraction of data reads that are lock spins (§4.4: roughly one third
+    /// in POPS and THOR).
+    pub fn spin_fraction_of_reads(&self) -> f64 {
+        if self.reads == 0 {
+            0.0
+        } else {
+            self.lock_spin_reads as f64 / self.reads as f64
+        }
+    }
+}
 
 /// Accumulated statistics over a trace.
 ///
@@ -18,13 +63,7 @@ use std::collections::{HashMap, HashSet};
 #[derive(Debug, Clone)]
 pub struct TraceStats {
     geometry: BlockGeometry,
-    total: u64,
-    instr: u64,
-    reads: u64,
-    writes: u64,
-    system: u64,
-    lock_refs: u64,
-    lock_spin_reads: u64,
+    counts: RefCounts,
     per_cpu: HashMap<CpuId, u64>,
     processes: HashSet<ProcessId>,
     data_blocks: HashSet<u64>,
@@ -41,13 +80,7 @@ impl TraceStats {
     pub fn with_geometry(geometry: BlockGeometry) -> Self {
         TraceStats {
             geometry,
-            total: 0,
-            instr: 0,
-            reads: 0,
-            writes: 0,
-            system: 0,
-            lock_refs: 0,
-            lock_spin_reads: 0,
+            counts: RefCounts::default(),
             per_cpu: HashMap::new(),
             processes: HashSet::new(),
             data_blocks: HashSet::new(),
@@ -57,73 +90,51 @@ impl TraceStats {
 
     /// Accounts for one record.
     pub fn observe(&mut self, r: &TraceRecord) {
-        self.total += 1;
+        self.counts.observe(r);
         *self.per_cpu.entry(r.cpu).or_insert(0) += 1;
         self.processes.insert(r.pid);
-        let block = self.geometry.block_of(r.addr).index();
-        match r.kind {
-            AccessKind::InstrFetch => {
-                self.instr += 1;
-                self.instr_blocks.insert(block);
-            }
-            AccessKind::Read => {
-                self.reads += 1;
-                self.data_blocks.insert(block);
-            }
-            AccessKind::Write => {
-                self.writes += 1;
-                self.data_blocks.insert(block);
-            }
-        }
-        if r.flags.is_system() {
-            self.system += 1;
-        }
-        if r.flags.is_lock() {
-            self.lock_refs += 1;
-            if r.is_lock_spin() {
-                self.lock_spin_reads += 1;
-            }
-        }
+        let blocks = if r.is_data() { &mut self.data_blocks } else { &mut self.instr_blocks };
+        blocks.insert(self.geometry.block_of(r.addr).index());
     }
 
     /// Total number of references.
     pub fn total(&self) -> u64 {
-        self.total
+        self.counts.total
     }
 
     /// Number of instruction fetches.
     pub fn instr(&self) -> u64 {
-        self.instr
+        self.counts.instr
     }
 
     /// Number of data reads.
     pub fn reads(&self) -> u64 {
-        self.reads
+        self.counts.reads
     }
 
     /// Number of data writes.
     pub fn writes(&self) -> u64 {
-        self.writes
+        self.counts.writes
     }
 
     /// Number of references issued by system code.
     pub fn system(&self) -> u64 {
-        self.system
+        self.counts.system
     }
 
     /// Number of references issued by user code.
     pub fn user(&self) -> u64 {
-        self.total - self.system
+        self.counts.total - self.counts.system
     }
 
     /// Number of references that touched a lock word.
     pub fn lock_refs(&self) -> u64 {
-        self.lock_refs
+        self.counts.lock_refs
     }
 
     /// Number of lock-test reads (spins).
     pub fn lock_spin_reads(&self) -> u64 {
-        self.lock_spin_reads
+        self.counts.lock_spin_reads
     }
 
     /// Number of distinct data blocks referenced (equals the count of
@@ -154,48 +165,44 @@ impl TraceStats {
 
     /// Fraction of references that are instruction fetches.
     pub fn instr_fraction(&self) -> f64 {
-        self.frac(self.instr)
+        self.frac(self.counts.instr)
     }
 
     /// Fraction of references that are data reads.
     pub fn read_fraction(&self) -> f64 {
-        self.frac(self.reads)
+        self.frac(self.counts.reads)
     }
 
     /// Fraction of references that are data writes.
     pub fn write_fraction(&self) -> f64 {
-        self.frac(self.writes)
+        self.frac(self.counts.writes)
     }
 
     /// Fraction of references issued by system code.
     pub fn system_fraction(&self) -> f64 {
-        self.frac(self.system)
+        self.frac(self.counts.system)
     }
 
     /// Ratio of data reads to data writes.
     pub fn read_write_ratio(&self) -> f64 {
-        if self.writes == 0 {
+        if self.counts.writes == 0 {
             f64::INFINITY
         } else {
-            self.reads as f64 / self.writes as f64
+            self.counts.reads as f64 / self.counts.writes as f64
         }
     }
 
     /// Fraction of data reads that are lock spins (§4.4: roughly one third
     /// in POPS and THOR).
     pub fn spin_fraction_of_reads(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.lock_spin_reads as f64 / self.reads as f64
-        }
+        self.counts.spin_fraction_of_reads()
     }
 
     fn frac(&self, n: u64) -> f64 {
-        if self.total == 0 {
+        if self.counts.total == 0 {
             0.0
         } else {
-            n as f64 / self.total as f64
+            n as f64 / self.counts.total as f64
         }
     }
 }

@@ -13,8 +13,8 @@
 //! actually gates scaling: invalidation *messages* per reference.
 
 use dircc::bus::{CostConfig, CostModel};
-use dircc::core::{build, ProtocolKind};
-use dircc::sim::engine::{run, RunConfig};
+use dircc::core::ProtocolKind;
+use dircc::sim::engine::{run_indexed, RunConfig};
 use dircc::sim::metrics::Evaluation;
 use dircc::sim::{default_jobs, par_map_indexed};
 use dircc::trace::gen::Profile;
@@ -29,15 +29,14 @@ struct Row {
 }
 
 fn measure(store: &TraceStore, kind: ProtocolKind, cpus: u16) -> Result<Row, String> {
-    let mut protocol = build(kind, usize::from(cpus));
     let cfg = RunConfig::default().with_process_sharing();
-    let records = store.records(0, TraceFilter::Full);
-    let result = run(protocol.as_mut(), records.iter().copied(), &cfg)?;
+    let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
+    let result = run_indexed(kind, usize::from(cpus), &soa, &cfg)?;
     let c = result.counters;
     let per_kref = |n: u64| 1000.0 * n as f64 / c.total() as f64;
     let messages_per_kref = per_kref(c.control_messages());
     let broadcasts_per_kref = per_kref(c.broadcasts());
-    let eval = Evaluation::new(protocol.name(), kind, usize::from(cpus), c);
+    let eval = Evaluation::new(kind.display_name(usize::from(cpus)), kind, usize::from(cpus), c);
     Ok(Row {
         cycles: eval.cycles_per_ref(&CostModel::pipelined(), &CostConfig::PAPER),
         messages_per_kref,
@@ -64,7 +63,7 @@ fn main() -> Result<(), String> {
             "{:<12} {:>10} {:>12} {:>12}",
             "scheme", "cycles/ref", "invals/kref", "bcasts/kref"
         );
-        // One generate-once store per machine size; the scheme runs fan
+        // One ingest-once store per machine size; the scheme runs fan
         // out over worker threads and print in a fixed order.
         let store =
             TraceStore::new(vec![Profile::custom().with_cpus(cpus).with_total_refs(REFS)], 3);

@@ -55,6 +55,13 @@ diff /tmp/replay_file.txt /tmp/replay_sharded.txt
     --out /tmp/smoke_v2_small.dcct
 ./target/release/dircc replay --in /tmp/smoke_v2_small.dcct --verify > /tmp/replay_file_small.txt
 diff /tmp/replay_file_small.txt /tmp/replay_mem.txt
+# A multi-chunk file: 300,000 references in five default 65,536-record
+# chunks, each full one decoded in 16 batches with the checksum folded
+# across them.
+./target/release/dircc record --profile pops --refs 300000 --out /tmp/smoke_v2_pops.dcct
+./target/release/dircc replay --in /tmp/smoke_v2_pops.dcct --verify > /tmp/replay_file_pops.txt
+./target/release/dircc replay --profile pops --refs 300000 --verify > /tmp/replay_mem_pops.txt
+diff /tmp/replay_file_pops.txt /tmp/replay_mem_pops.txt
 # Trace example gate: the example writes a generated trace as chunked v2,
 # streams it back and asserts the round trip is lossless.
 cargo run --release --example trace_tools

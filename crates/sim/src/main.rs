@@ -509,7 +509,7 @@ fn replay_kinds(args: &Args, cpus: usize) -> Result<Vec<ProtocolKind>, String> {
 /// file is opened and decoded once, and each batch is replayed through
 /// every scheme via [`run_chunked_many`], so memory stays bounded by one
 /// chunk's payload and one batch however long the trace is. Results come
-/// back in scheme order, and the first error in that order wins.
+/// in scheme order; the first error in that order wins, prefixed by the path.
 fn replay_file(
     path: &str,
     kinds: &[ProtocolKind],
@@ -520,7 +520,10 @@ fn replay_file(
     let mut source = open_trace(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
     let mut boxed: Vec<_> = kinds.iter().map(|&kind| dircc_core::build(kind, cpus)).collect();
     let mut protocols: Vec<_> = boxed.iter_mut().map(|p| p.as_mut()).collect();
-    run_chunked_many(&mut protocols, &mut source, cfg).into_iter().collect()
+    run_chunked_many(&mut protocols, &mut source, cfg)
+        .into_iter()
+        .map(|result| result.map_err(|e| format!("{path}: {e}")))
+        .collect()
 }
 
 /// Replays the `--profile` trace fully in memory (the classic indexed

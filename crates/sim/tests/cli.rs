@@ -1034,6 +1034,60 @@ fn short_or_unreadable_trace_headers_name_the_file() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A whole v2 file, footer count and checksum valid, holding one 2-record
+/// chunk whose header claims 8 payload bytes: the first record takes 4,
+/// the second (a two-byte address delta) needs 5 and has 4.
+fn overrunning_chunk_file() -> Vec<u8> {
+    let mut sections = vec![0x01];
+    sections.extend_from_slice(&2u32.to_le_bytes());
+    sections.extend_from_slice(&8u32.to_le_bytes());
+    sections.extend_from_slice(&0u64.to_le_bytes());
+    sections.extend_from_slice(&[0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x80]);
+    // FNV-1a 64 over every section byte, as the footer stores it.
+    let checksum = sections
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    let mut file = b"DCCT\x02".to_vec();
+    file.extend_from_slice(&sections);
+    file.push(0x00);
+    file.extend_from_slice(&2u64.to_le_bytes());
+    file.extend_from_slice(&checksum.to_le_bytes());
+    file
+}
+
+/// An error found mid-stream starts with the path too, under every
+/// command that reads a trace: a file cut short is truncated, and a whole
+/// file whose chunk overruns its payload is corrupt.
+#[test]
+fn mid_stream_trace_errors_name_the_file() {
+    let dir = std::env::temp_dir().join(format!("dircc_mid_stream_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (cut, overrun) = (dir.join("cut.dcct"), dir.join("overrun.dcct"));
+    let cut_s = cut.to_str().unwrap();
+    let out =
+        dircc().args(["record", "--refs", "5000", "--out", cut_s]).output().expect("run record");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let bytes = std::fs::read(&cut).unwrap();
+    std::fs::write(&cut, &bytes[..bytes.len() - 40]).unwrap();
+    std::fs::write(&overrun, overrunning_chunk_file()).unwrap();
+
+    for (path, want) in [
+        (&cut, "trace truncated mid-section"),
+        (&overrun, "chunk payload shorter than its records"),
+    ] {
+        let path = path.to_str().unwrap();
+        for cmd in ["replay", "stats", "sharing"] {
+            let out = dircc().args([cmd, "--in", path]).output().expect("run dircc");
+            assert_eq!(out.status.code(), Some(1), "{cmd} {path}");
+            assert!(out.stdout.is_empty(), "{cmd}: {}", String::from_utf8_lossy(&out.stdout));
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.starts_with(&format!("{path}: ")), "{cmd} {path}: {err}");
+            assert!(err.contains(want), "{cmd} {path}: {err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The streaming flags belong to their subcommands: `--chunk` to record,
 /// `--verify` to replay; `--scheme` still errors elsewhere with the
 /// check-and-replay wording.

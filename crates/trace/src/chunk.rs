@@ -42,15 +42,17 @@
 //! # Streaming
 //!
 //! [`ChunkedReader`] implements [`ChunkSource`]: it reads one on-disk
-//! chunk's payload at a time (checksummed as it is read) and decodes it
-//! lazily, at most one replay batch ([`BATCH_RECORDS`]) per call, into a
-//! caller-supplied buffer. Resident trace memory is one chunk's encoded
-//! payload plus one batch of records, however long the trace is, and the
-//! payload buffer grows only as bytes arrive, so a chunk header that
-//! claims more than the file holds costs no more than the file. The
-//! engine's streaming replay consumes any `ChunkSource`; [`IterChunks`]
-//! batches a fallible record iterator (an in-memory slice mapped through
-//! `Ok`) so every source replays through one path.
+//! chunk's payload at a time and decodes it lazily, at most one replay
+//! batch ([`BATCH_RECORDS`]) per call, into a caller-supplied buffer,
+//! folding each record's bytes into the checksum as it parses them. The
+//! footer verifies the sum over every section byte, so a corrupt record
+//! that still parses is handed out before its file is rejected. Resident
+//! memory is one chunk's payload plus one batch of records, however long
+//! the trace is; the payload buffer grows only as bytes arrive, so a
+//! chunk header claiming more than the file holds costs no more than the
+//! file. The engine's streaming replay consumes any `ChunkSource`;
+//! [`IterChunks`] batches a fallible record iterator so every source
+//! replays through one path.
 
 use crate::record::{RecordFlags, TraceRecord};
 use dircc_types::{AccessKind, Address, CpuId, ProcessId};
@@ -117,20 +119,35 @@ fn write_leb128(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Reads an unsigned LEB128 value.
+/// The byte at `p[*at]`, advancing `at` past it. Running off the end is
+/// corrupt input: a chunk's payload is read whole before it is parsed.
+#[inline]
+fn next_byte(p: &[u8], at: &mut usize) -> io::Result<u8> {
+    let byte = *p.get(*at).ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidData, "chunk payload shorter than its records")
+    })?;
+    *at += 1;
+    Ok(byte)
+}
+
+/// Reads an unsigned LEB128 value at `p[*at..]`, advancing `at` past it.
 ///
 /// The writer always emits the canonical minimal encoding; the reader is
 /// permissive about redundant zero padding *within* the 10 bytes a u64 can
 /// occupy, but rejects anything that cannot denote a u64: a 10th byte with
 /// payload bits above bit 63 ("overflows u64") or with its continuation
 /// bit still set ("continues past 10 bytes").
-fn read_leb128<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
+#[inline]
+fn leb128(p: &[u8], at: &mut usize) -> io::Result<u64> {
+    // Most cpu, pid and delta fields fit in one byte.
+    let byte = next_byte(p, at)?;
+    if byte & 0x80 == 0 {
+        return Ok(u64::from(byte));
+    }
+    let mut v = u64::from(byte & 0x7f);
+    let mut shift = 7u32;
     loop {
-        let mut buf = [0u8; 1];
-        r.read_exact(&mut buf)?;
-        let byte = buf[0];
+        let byte = next_byte(p, at)?;
         if shift == 63 {
             // The 10th byte holds only bit 63: payload must be 0 or 1 and
             // the encoding cannot continue. Report the two failure modes
@@ -349,13 +366,14 @@ impl<W: Write> ChunkedWriter<W> {
 
 /// Streaming reader for the chunked v2 format.
 ///
-/// Reads each on-disk chunk whole — framing checked, payload folded into
-/// the checksum — and decodes it lazily: each [`ChunkSource::next_chunk`]
-/// call decodes at most [`BATCH_RECORDS`] of the current chunk's records,
+/// Reads each on-disk chunk whole, framing checked, and decodes it lazily:
+/// each [`ChunkSource::next_chunk`] call decodes at most [`BATCH_RECORDS`]
+/// of the current chunk's records, folding their bytes into the checksum,
 /// so the caller's buffer holds one replay batch however large the chunks
 /// are. A truncated payload is reported before any of its records; a
-/// malformed record when its batch is decoded. The footer's record count
-/// and checksum are verified at the end.
+/// malformed record, or one that overruns its payload, when its batch is
+/// decoded. The footer's record count, and the checksum over every section
+/// byte, are verified at the end.
 #[derive(Debug)]
 pub struct ChunkedReader<R: Read> {
     inner: R,
@@ -480,7 +498,6 @@ impl<R: Read> ChunkedReader<R> {
         if self.payload.len() as u64 != bytes64 {
             return Err(truncated(io::ErrorKind::UnexpectedEof.into()));
         }
-        self.checksum.update(&self.payload);
         self.pos = 0;
         self.pending = count;
         self.base = base;
@@ -488,17 +505,23 @@ impl<R: Read> ChunkedReader<R> {
         Ok(())
     }
 
-    /// Decodes the current chunk's next batch of records into `buf`.
+    /// Decodes the current chunk's next batch of records into `buf`,
+    /// folding each record's bytes into the checksum once it is parsed;
+    /// the sum stays in a local, so its multiply chain overlaps the parse.
     fn decode_batch(&mut self, buf: &mut Vec<TraceRecord>) -> io::Result<()> {
         let n = self.pending.min(BATCH_RECORDS as u32);
-        let mut cursor = &self.payload[self.pos..];
+        let (payload, base) = (&self.payload[..], self.base);
+        let (mut at, mut checksum) = (self.pos, self.checksum);
         buf.reserve(n as usize);
         for _ in 0..n {
-            buf.push(decode_record(&mut cursor, self.base)?);
+            let start = at;
+            buf.push(decode_record(payload, &mut at, base)?);
+            checksum.update(&payload[start..at]);
         }
-        self.pos = self.payload.len() - cursor.len();
+        self.checksum = checksum;
+        self.pos = at;
         self.pending -= n;
-        if self.pending == 0 && !cursor.is_empty() {
+        if self.pending == 0 && at != payload.len() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "chunk payload longer than its records",
@@ -528,10 +551,11 @@ fn read_one<R: Read>(r: &mut R, buf: &mut [u8; 1]) -> io::Result<Option<u8>> {
     }
 }
 
-fn decode_record(cursor: &mut &[u8], base: u64) -> io::Result<TraceRecord> {
-    let mut tag_buf = [0u8; 1];
-    cursor.read_exact(&mut tag_buf).map_err(truncated)?;
-    let tag = tag_buf[0];
+/// Parses the record at `p[*at..]` in a chunk based at `base`, advancing
+/// `at` past it.
+#[inline]
+fn decode_record(p: &[u8], at: &mut usize, base: u64) -> io::Result<TraceRecord> {
+    let tag = next_byte(p, at)?;
     if tag & !TAG_KNOWN_MASK != 0 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -542,11 +566,16 @@ fn decode_record(cursor: &mut &[u8], base: u64) -> io::Result<TraceRecord> {
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad access kind in tag"))?;
     // The flag bits are masked to exactly the defined set by TAG_KNOWN_MASK.
     let flags = RecordFlags::from_bits(tag >> TAG_FLAGS_SHIFT);
-    let cpu = field_u16(cursor, "cpu")?;
-    let pid = field_u16(cursor, "pid")?;
-    let delta = read_leb128(cursor).map_err(truncated)?;
+    let mut id = |name: &str| {
+        let v = leb128(p, at)?;
+        u16::try_from(v).map_err(|_| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("{name} id {v} overflows u16"))
+        })
+    };
+    let cpu = id("cpu")?;
+    let pid = id("pid")?;
     let addr = base
-        .checked_add(delta)
+        .checked_add(leb128(p, at)?)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "address delta overflows u64"))?;
     Ok(TraceRecord {
         cpu: CpuId::new(cpu),
@@ -554,13 +583,6 @@ fn decode_record(cursor: &mut &[u8], base: u64) -> io::Result<TraceRecord> {
         kind,
         addr: Address::new(addr),
         flags,
-    })
-}
-
-fn field_u16(cursor: &mut &[u8], name: &str) -> io::Result<u16> {
-    let v = read_leb128(cursor).map_err(truncated)?;
-    u16::try_from(v).map_err(|_| {
-        io::Error::new(io::ErrorKind::InvalidData, format!("{name} id {v} overflows u16"))
     })
 }
 
@@ -701,6 +723,195 @@ impl<S: ChunkSource> Iterator for Records<S> {
 mod tests {
     use super::*;
     use crate::gen::{Generator, Profile};
+    use proptest::prelude::*;
+
+    /// The `Read`-based LEB128 reader the slice parser replaced, kept as
+    /// the reference [`leb128`] must agree with.
+    fn read_leb128<R: Read>(r: &mut R) -> io::Result<u64> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let mut buf = [0u8; 1];
+            r.read_exact(&mut buf)?;
+            let byte = buf[0];
+            if shift == 63 {
+                if byte & 0x7f > 1 {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "LEB128 value overflows u64",
+                    ));
+                }
+                if byte & 0x80 != 0 {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "LEB128 encoding continues past 10 bytes",
+                    ));
+                }
+            }
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    /// Running out of bytes as the slice parser reports it: the payload
+    /// was read whole, so a record that overruns it is corrupt.
+    fn short(e: io::Error) -> io::Error {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            io::Error::new(io::ErrorKind::InvalidData, "chunk payload shorter than its records")
+        } else {
+            e
+        }
+    }
+
+    /// The `read_exact`-based record decoder the slice parser replaced,
+    /// kept as the reference [`decode_record`] must agree with.
+    fn read_record(cursor: &mut &[u8], base: u64) -> io::Result<TraceRecord> {
+        fn field_u16(cursor: &mut &[u8], name: &str) -> io::Result<u16> {
+            let v = read_leb128(cursor).map_err(short)?;
+            u16::try_from(v).map_err(|_| {
+                io::Error::new(io::ErrorKind::InvalidData, format!("{name} id {v} overflows u16"))
+            })
+        }
+        let mut tag_buf = [0u8; 1];
+        cursor.read_exact(&mut tag_buf).map_err(short)?;
+        let tag = tag_buf[0];
+        if tag & !TAG_KNOWN_MASK != 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unknown bits in record tag {tag:#04x}"),
+            ));
+        }
+        let kind = kind_from_byte(tag & TAG_KIND_MASK)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad access kind in tag"))?;
+        let flags = RecordFlags::from_bits(tag >> TAG_FLAGS_SHIFT);
+        let cpu = field_u16(cursor, "cpu")?;
+        let pid = field_u16(cursor, "pid")?;
+        let delta = read_leb128(cursor).map_err(short)?;
+        let addr = base.checked_add(delta).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidData, "address delta overflows u64")
+        })?;
+        Ok(TraceRecord {
+            cpu: CpuId::new(cpu),
+            pid: ProcessId::new(pid),
+            kind,
+            addr: Address::new(addr),
+            flags,
+        })
+    }
+
+    /// One LEB128 value parsed from the start of `bytes` by the slice
+    /// parser.
+    fn leb(bytes: &[u8]) -> io::Result<u64> {
+        leb128(bytes, &mut 0)
+    }
+
+    /// One LEB128 field as a parser may meet it: `sel` picks a canonical
+    /// encoding of a value of some size (one byte, two, around `u16::MAX`,
+    /// any, near `u64::MAX`) or a 10-byte edge case: nine continuation
+    /// bytes, then a tenth that ends the value, overflows or continues.
+    fn field(sel: u8, v: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        match sel % 8 {
+            0 => write_leb128(&mut out, v & 0x7f),
+            1 => write_leb128(&mut out, v & 0x3fff),
+            2 => write_leb128(&mut out, 0xfff0 + (v & 0x1f)),
+            3 => write_leb128(&mut out, v),
+            4 => write_leb128(&mut out, u64::MAX - (v & 1)),
+            _ => {
+                out.extend_from_slice(&[if v & 1 == 0 { 0x80 } else { 0xff }; 9]);
+                out.push([0x00, 0x01, 0x02, 0x7f, 0x80, 0x81][(v >> 1) as usize % 6]);
+            }
+        }
+        out
+    }
+
+    /// A byte string of at most 40 bytes for the parsers: random bytes
+    /// (`mode` 0), or a tag (masked to the defined bits in `mode` 1) and
+    /// three [`field`]s of at most 10 bytes each, whole (`mode` 1 and 2)
+    /// or cut short (`mode` 3).
+    fn parser_input(mode: u8, noise: &[u8], sels: (u8, u8, u8), vals: (u64, u64, u64)) -> Vec<u8> {
+        if mode == 0 {
+            return noise.to_vec();
+        }
+        let tag = noise.first().copied().unwrap_or(0);
+        let mut bytes = vec![if mode == 1 { tag & TAG_KNOWN_MASK } else { tag }];
+        bytes.extend(field(sels.0, vals.0));
+        bytes.extend(field(sels.1, vals.1));
+        bytes.extend(field(sels.2, vals.2));
+        if mode == 3 {
+            bytes.truncate(noise.len() % (bytes.len() + 1));
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn slice_parser_agrees_with_the_read_exact_reference(
+            base in any::<u64>(),
+            mode in 0u8..4,
+            noise in prop::collection::vec(any::<u8>(), 0..41),
+            sels in (any::<u8>(), any::<u8>(), any::<u8>()),
+            vals in (any::<u64>(), any::<u64>(), any::<u64>())
+        ) {
+            let bytes = parser_input(mode, &noise, sels, vals);
+            let mut at = 0;
+            let got = decode_record(&bytes, &mut at, base);
+            let mut cursor = &bytes[..];
+            let want = read_record(&mut cursor, base);
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(at, bytes.len() - cursor.len(), "bytes consumed");
+                }
+                (Err(got), Err(want)) => {
+                    prop_assert_eq!(got.kind(), want.kind());
+                    prop_assert_eq!(got.to_string(), want.to_string());
+                }
+                (got, want) => prop_assert!(false, "parser {:?}, reference {:?}", got, want),
+            }
+            // A bare LEB128 value at the start of the same bytes.
+            let mut at = 0;
+            let got = leb128(&bytes, &mut at);
+            let mut cursor = &bytes[..];
+            match (got, read_leb128(&mut cursor).map_err(short)) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(at, bytes.len() - cursor.len(), "LEB128 bytes consumed");
+                }
+                (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
+                (got, want) => prop_assert!(false, "leb128 {:?}, reference {:?}", got, want),
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_that_overruns_its_chunk_is_corrupt_not_truncated() {
+        // One 2-record chunk whose header claims 8 payload bytes: the first
+        // record (tag, cpu 0, pid 0, delta 0) takes 4, the second (delta
+        // 128, two LEB128 bytes) needs 5 but has 4. The footer's count and
+        // checksum are valid, so the file is whole; its chunk is corrupt.
+        let mut sections = vec![CHUNK_MARKER];
+        sections.extend_from_slice(&2u32.to_le_bytes());
+        sections.extend_from_slice(&8u32.to_le_bytes());
+        sections.extend_from_slice(&0u64.to_le_bytes());
+        sections.extend_from_slice(&[0x01, 0x00, 0x00, 0x00]);
+        sections.extend_from_slice(&[0x01, 0x00, 0x00, 0x80]);
+        let mut checksum = Fnv64::new();
+        checksum.update(&sections);
+        let mut file = b"DCCT\x02".to_vec();
+        file.extend_from_slice(&sections);
+        file.push(FOOTER_MARKER);
+        file.extend_from_slice(&2u64.to_le_bytes());
+        file.extend_from_slice(&checksum.value().to_le_bytes());
+        let err = decode(&file).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "got {err}");
+        assert_eq!(err.to_string(), "chunk payload shorter than its records");
+    }
 
     fn trace(n: u64) -> Vec<TraceRecord> {
         Generator::new(Profile::pops().with_total_refs(n), 11).collect()
@@ -1015,7 +1226,7 @@ mod tests {
         for v in [0u64, 1, 127, 128, u64::MAX] {
             let mut buf = Vec::new();
             write_leb128(&mut buf, v);
-            assert_eq!(read_leb128(&mut &buf[..]).unwrap(), v);
+            assert_eq!(leb(&buf).unwrap(), v);
         }
     }
 
@@ -1029,7 +1240,7 @@ mod tests {
                 let mut buf = Vec::new();
                 write_leb128(&mut buf, v);
                 assert!(buf.len() <= 10);
-                assert_eq!(read_leb128(&mut &buf[..]).unwrap(), v, "value {v:#x}");
+                assert_eq!(leb(&buf).unwrap(), v, "value {v:#x}");
             }
         }
         // Canonical u64::MAX is exactly 10 bytes, last byte 0x01.
@@ -1048,7 +1259,7 @@ mod tests {
         // 10th byte with payload above bit 63: a true overflow.
         let mut buf = vec![0xffu8; 9];
         buf.push(0x02);
-        let err = read_leb128(&mut &buf[..]).unwrap_err();
+        let err = leb(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("overflows"), "got {err}");
     }
@@ -1062,7 +1273,7 @@ mod tests {
             let mut buf = vec![0x80u8; 9];
             buf.push(tenth);
             buf.push(0x00);
-            let err = read_leb128(&mut &buf[..]).unwrap_err();
+            let err = leb(&buf).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("continues past 10 bytes"), "got {err}");
         }
@@ -1072,7 +1283,7 @@ mod tests {
     fn leb128_accepts_redundant_padding_within_bounds() {
         // Permissive decode: zero padding inside the 10-byte window is
         // decodable even though the writer never emits it.
-        assert_eq!(read_leb128(&mut &[0x80u8, 0x00][..]).unwrap(), 0);
-        assert_eq!(read_leb128(&mut &[0xc0u8, 0x00][..]).unwrap(), 0x40);
+        assert_eq!(leb(&[0x80, 0x00]).unwrap(), 0);
+        assert_eq!(leb(&[0xc0, 0x00]).unwrap(), 0x40);
     }
 }

@@ -13,15 +13,59 @@
 //! The renaming is a bijection per (trace, geometry). Protocols only ever
 //! compare blocks for identity, so dense replay produces bit-identical
 //! event counts — pinned by `dircc-sim`'s interned-vs-raw equality tests.
+//!
+//! Each lookup hashes a block index by one multiply-fold, not SipHash: the
+//! 128-bit product `(index ^ key) * K`, high half XOR low half. The key is
+//! drawn per interner from [`RandomState`]: `dircc replay --in` reads files
+//! from outside, and under a fixed key a crafted trace could put all its
+//! blocks in one probe sequence. Ids follow first appearance whatever the
+//! key, so no id, counter or digest depends on it.
 
 use dircc_types::{BlockAddr, BlockGeometry, BlockId};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
+
+/// The keyed multiply-fold that hashes block indices, and its own builder.
+#[derive(Debug, Clone, Copy)]
+struct Fold {
+    key: u64,
+    hash: u64,
+}
+
+impl BuildHasher for Fold {
+    type Hasher = Fold;
+
+    fn build_hasher(&self) -> Fold {
+        *self
+    }
+}
+
+impl Hasher for Fold {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        // 2^64 over the golden ratio: odd, with well-spread bits.
+        let product = u128::from(x ^ self.key) * 0x9e37_79b9_7f4a_7c15;
+        self.hash = (product >> 64) as u64 ^ product as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Block indices hash through `write_u64`; other input folds bytewise.
+        for &b in bytes {
+            self.write_u64(self.hash ^ u64::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
 
 /// A dense renaming of the blocks in one (trace, geometry) stream.
 #[derive(Debug, Clone)]
 pub struct BlockInterner {
     geometry: BlockGeometry,
-    ids: HashMap<u64, u32>,
+    ids: HashMap<u64, u32, Fold>,
     /// Dense id → original block index.
     blocks: Vec<u64>,
 }
@@ -31,7 +75,8 @@ impl BlockInterner {
     /// interns blocks chunk by chunk via [`BlockInterner::intern`] as it
     /// first sees them, never holding the whole stream.
     pub fn new(geometry: BlockGeometry) -> Self {
-        BlockInterner { geometry, ids: HashMap::new(), blocks: Vec::new() }
+        let fold = Fold { key: RandomState::new().hash_one(0u64), hash: 0 };
+        BlockInterner { geometry, ids: HashMap::with_hasher(fold), blocks: Vec::new() }
     }
 
     /// Interns `block`, returning its dense id and whether this is the
@@ -159,6 +204,46 @@ mod tests {
             assert_eq!(interner.block_addr(interner.get(block).unwrap().raw()), block);
         }
         assert!(interner.heap_bytes() >= 8 * interner.num_blocks());
+    }
+
+    /// An interner whose hash uses `key`.
+    fn keyed(geometry: BlockGeometry, key: u64) -> BlockInterner {
+        BlockInterner {
+            geometry,
+            ids: HashMap::with_hasher(Fold { key, hash: 0 }),
+            blocks: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn the_fold_spreads_strided_blocks_over_the_low_bits() {
+        // The map picks a bucket from a hash's low bits. An unmixed
+        // multiply sends indices 2^12 apart to a single low-12-bit bucket;
+        // the fold of the product's high half into its low half must
+        // spread them at every stride.
+        for key in [0, 0x0123_4567_89ab_cdef] {
+            let fold = Fold { key, hash: 0 };
+            for shift in 0..=40 {
+                let mut buckets = std::collections::HashSet::new();
+                for i in 0..4096u64 {
+                    buckets.insert(fold.hash_one(i << shift) & 0xfff);
+                }
+                assert!(buckets.len() >= 1024, "stride 2^{shift}: {} buckets", buckets.len());
+            }
+        }
+    }
+
+    #[test]
+    fn ids_do_not_depend_on_the_key() {
+        let records = trace();
+        let geometry = BlockGeometry::PAPER;
+        let (mut a, mut b) = (keyed(geometry, 1), keyed(geometry, 0xdead_beef_f00d_cafe));
+        for r in records.iter().filter(|r| r.is_data()) {
+            let block = geometry.block_of(r.addr);
+            assert_eq!(a.intern(block), b.intern(block));
+        }
+        assert_eq!(a.blocks, b.blocks);
+        assert_eq!(a.blocks, interned(&records, geometry).blocks, "as a randomly keyed ingest");
     }
 
     #[test]

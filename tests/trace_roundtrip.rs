@@ -1,6 +1,6 @@
 //! Property tests for the chunked v2 trace codec and generator determinism.
 
-use dircc::trace::chunk::{ChunkedReader, ChunkedWriter, DEFAULT_CHUNK_RECORDS};
+use dircc::trace::chunk::{ChunkedReader, ChunkedWriter, BATCH_RECORDS, DEFAULT_CHUNK_RECORDS};
 use dircc::trace::gen::{Generator, Profile};
 use dircc::trace::{RecordFlags, TraceRecord};
 use dircc::types::{AccessKind, Address, CpuId, ProcessId};
@@ -74,11 +74,45 @@ proptest! {
     }
 
     #[test]
+    fn every_single_byte_change_is_detected(
+        records in prop::collection::vec(arb_record(), 1..40),
+        chunk in 1usize..65,
+        flip in 0u8..255
+    ) {
+        // FNV-1a's step is a bijection per byte, so changing any one byte
+        // of a section changes the checksum; framing checks may fail
+        // first. Either way, no changed file decodes and none panics.
+        let (bytes, flip) = (encode(&records, chunk), flip + 1);
+        prop_assert_eq!(decode(&bytes).unwrap(), records);
+        for at in 0..bytes.len() {
+            let mut changed = bytes.clone();
+            changed[at] ^= flip;
+            prop_assert!(decode(&changed).is_err(), "byte {} of {} ^ {:#04x}", at, bytes.len(), flip);
+        }
+    }
+
+    #[test]
     fn generator_is_deterministic(seed in any::<u64>()) {
         let p = Profile::pero().with_total_refs(2_000);
         let a: Vec<TraceRecord> = Generator::new(p.clone(), seed).collect();
         let b: Vec<TraceRecord> = Generator::new(p, seed).collect();
         prop_assert_eq!(a, b);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn chunks_decoded_over_several_batches_round_trip(
+        records in prop::collection::vec(arb_record(), 0..3 * BATCH_RECORDS + 16),
+        chunk in BATCH_RECORDS - 8..2 * BATCH_RECORDS + 9
+    ) {
+        // A chunk past one batch is decoded over several calls, with the
+        // folded checksum carried from each call to the next; a fold that
+        // dropped or repeated bytes there would fail the footer check.
+        let got = decode(&encode(&records, chunk)).unwrap();
+        prop_assert_eq!(got, records);
     }
 }
 

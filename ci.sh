@@ -85,3 +85,6 @@ timeout 300 ./ci_serve_gate.sh
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
+# Docs gate: every library's rustdoc builds without a warning (`--lib`:
+# the `dircc` library and the `dircc` binary would collide in target/doc).
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib

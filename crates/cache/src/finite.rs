@@ -76,16 +76,18 @@ pub enum Lookup<S> {
     },
 }
 
-#[derive(Debug, Clone)]
-struct Way<S> {
-    block: BlockAddr,
-    state: S,
-    /// Larger = more recently used.
-    stamp: u64,
-}
-
 /// A set-associative cache with true-LRU replacement, mapping blocks to a
 /// protocol-defined state `S`.
+///
+/// The tag store is one flat array of `sets × ways` ways, set `s` at
+/// `s * ways..`, plus each set's occupancy. Every set keeps its occupied
+/// ways in recency order, most recent first: a touch (a hit, an insert,
+/// an overwrite) rotates its way to the front, and a full set evicts its
+/// last way. No stamps or clock are kept, and a hit on the most recent
+/// way costs one compare. The victim is exactly the one a per-way
+/// "last touched" stamp would choose (the minimum stamp is the least
+/// recently touched way, and the last of a recency-ordered set is that
+/// way), so replacement is true LRU.
 ///
 /// ```
 /// use dircc_cache::{FiniteCacheConfig, SetAssocCache};
@@ -102,48 +104,75 @@ struct Way<S> {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<S> {
     config: FiniteCacheConfig,
-    sets: Vec<Vec<Way<S>>>,
-    clock: u64,
+    /// `sets × ways` ways; a set's first `occupied[set]` are resident,
+    /// most recently touched first.
+    ways: Vec<(BlockAddr, S)>,
+    /// Resident ways per set.
+    occupied: Vec<usize>,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl<S> SetAssocCache<S> {
+impl<S: Copy + Default> SetAssocCache<S> {
     /// Creates an empty cache.
     pub fn new(config: FiniteCacheConfig) -> Self {
         SetAssocCache {
             config,
-            sets: (0..config.sets).map(|_| Vec::with_capacity(config.ways)).collect(),
-            clock: 0,
+            ways: vec![(BlockAddr::from_index(0), S::default()); config.capacity_blocks()],
+            occupied: vec![0; config.sets],
             hits: 0,
             misses: 0,
             evictions: 0,
         }
     }
 
-    /// Returns the configuration.
-    pub fn config(&self) -> FiniteCacheConfig {
-        self.config
+    /// `block`'s set, the index of the set's first way in `ways`, and
+    /// `block`'s position among the set's resident ways, if resident.
+    #[inline]
+    fn find(&self, block: BlockAddr) -> (usize, usize, Option<usize>) {
+        let set = self.config.set_of(block);
+        let base = set * self.config.ways;
+        let resident = &self.ways[base..base + self.occupied[set]];
+        (set, base, resident.iter().position(|w| w.0 == block))
     }
 
-    fn set_index(&self, block: BlockAddr) -> usize {
-        self.config.set_of(block)
+    /// Moves resident way `pos` of the set at `base` to the front.
+    #[inline]
+    fn touch(&mut self, base: usize, pos: usize) {
+        if pos > 0 {
+            self.ways[base..=base + pos].rotate_right(1);
+        }
+    }
+
+    /// Puts a block that is not resident at the front of its set,
+    /// evicting the set's last (least recent) way if the set is full.
+    #[inline]
+    fn push_front(&mut self, set: usize, base: usize, way: (BlockAddr, S)) -> Option<Eviction<S>> {
+        let len = self.occupied[set];
+        let evicted = if len == self.config.ways {
+            let (block, state) = self.ways[base + len - 1];
+            self.evictions += 1;
+            Some(Eviction { block, state })
+        } else {
+            self.occupied[set] = len + 1;
+            None
+        };
+        let end = base + self.occupied[set];
+        self.ways[base..end].rotate_right(1);
+        self.ways[base] = way;
+        evicted
     }
 
     /// Looks up a block, updating LRU order and hit/miss statistics.
     pub fn get(&mut self, block: BlockAddr) -> Option<&mut S> {
-        self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_index(block);
-        let found = self.sets[set].iter_mut().find(|w| w.block == block);
-        match found {
-            Some(w) => {
-                w.stamp = clock;
+        match self.find(block) {
+            (_, base, Some(pos)) => {
+                self.touch(base, pos);
                 self.hits += 1;
-                Some(&mut w.state)
+                Some(&mut self.ways[base].1)
             }
-            None => {
+            (_, _, None) => {
                 self.misses += 1;
                 None
             }
@@ -152,92 +181,61 @@ impl<S> SetAssocCache<S> {
 
     /// Looks up a block without touching LRU order or statistics.
     pub fn peek(&self, block: BlockAddr) -> Option<&S> {
-        let set = self.set_index(block);
-        self.sets[set].iter().find(|w| w.block == block).map(|w| &w.state)
+        let (_, base, pos) = self.find(block);
+        pos.map(|pos| &self.ways[base + pos].1)
     }
 
     /// Inserts (or overwrites) a block, returning the LRU eviction if the
     /// set was full. Overwriting an existing block never evicts.
     pub fn insert(&mut self, block: BlockAddr, state: S) -> Option<Eviction<S>> {
-        self.clock += 1;
-        let clock = self.clock;
-        let set_idx = self.set_index(block);
-        let ways = self.config.ways;
-        let set = &mut self.sets[set_idx];
-        if let Some(w) = set.iter_mut().find(|w| w.block == block) {
-            w.state = state;
-            w.stamp = clock;
-            return None;
+        match self.find(block) {
+            (_, base, Some(pos)) => {
+                self.touch(base, pos);
+                self.ways[base].1 = state;
+                None
+            }
+            (set, base, None) => self.push_front(set, base, (block, state)),
         }
-        let evicted = if set.len() == ways {
-            let lru = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.stamp)
-                .map(|(i, _)| i)
-                .expect("nonempty set");
-            let w = set.swap_remove(lru);
-            self.evictions += 1;
-            Some(Eviction { block: w.block, state: w.state })
-        } else {
-            None
-        };
-        set.push(Way { block, state, stamp: clock });
-        evicted
     }
 
     /// Combined probe: looks `block` up and, on a miss, inserts it with
-    /// `state` — walking the set once instead of the `get` + `insert`
-    /// double walk. Statistics and LRU stamps are updated exactly as the
-    /// two-call sequence would (the miss path advances the clock twice so
-    /// replacement order is bit-identical to `get` followed by `insert`).
+    /// `state`, walking the set once where `get` then `insert` would walk
+    /// it twice. Statistics and LRU order end exactly as that two-call
+    /// sequence leaves them.
+    #[inline]
     pub fn lookup_or_insert(&mut self, block: BlockAddr, state: S) -> Lookup<S> {
-        self.clock += 1;
-        let clock = self.clock;
-        let set_idx = self.set_index(block);
-        let ways = self.config.ways;
-        let set = &mut self.sets[set_idx];
-        if let Some(w) = set.iter_mut().find(|w| w.block == block) {
-            w.stamp = clock;
-            self.hits += 1;
-            return Lookup::Hit;
+        match self.find(block) {
+            (_, base, Some(pos)) => {
+                self.touch(base, pos);
+                self.hits += 1;
+                Lookup::Hit
+            }
+            (set, base, None) => {
+                self.misses += 1;
+                Lookup::Inserted { evicted: self.push_front(set, base, (block, state)) }
+            }
         }
-        self.misses += 1;
-        self.clock += 1;
-        let clock = self.clock;
-        let evicted = if set.len() == ways {
-            let lru = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.stamp)
-                .map(|(i, _)| i)
-                .expect("nonempty set");
-            let w = set.swap_remove(lru);
-            self.evictions += 1;
-            Some(Eviction { block: w.block, state: w.state })
-        } else {
-            None
-        };
-        set.push(Way { block, state, stamp: clock });
-        Lookup::Inserted { evicted }
     }
 
     /// Removes a block (e.g. an invalidation), returning its state.
     pub fn remove(&mut self, block: BlockAddr) -> Option<S> {
-        let set_idx = self.set_index(block);
-        let set = &mut self.sets[set_idx];
-        let pos = set.iter().position(|w| w.block == block)?;
-        Some(set.swap_remove(pos).state)
+        let (set, base, pos) = self.find(block);
+        let pos = pos?;
+        let end = base + self.occupied[set];
+        let state = self.ways[base + pos].1;
+        self.ways[base + pos..end].rotate_left(1);
+        self.occupied[set] -= 1;
+        Some(state)
     }
 
     /// Number of resident blocks.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.occupied.iter().sum()
     }
 
     /// Returns `true` if no blocks are resident.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(Vec::is_empty)
+        self.len() == 0
     }
 
     /// Lookup hits so far.

@@ -12,7 +12,9 @@
 //! [`SetAssocCache`] is the finite set-associative LRU cache used by the
 //! finite-cache extension experiments (the paper estimates finite-cache
 //! behaviour "to first order by adding the costs due to the finite cache
-//! size").
+//! size"). Its tag store is one flat, recency-ordered array per cache,
+//! with no stamps or clock; its docs say why its victims are exactly
+//! true LRU's.
 //!
 //! [`BlockMap`] and [`BlockSet`] are dense per-block containers for
 //! directory state: replay feeds protocols *interned* (dense) block

@@ -133,7 +133,11 @@ fn throughput(load: &BusLoad, seed: u64) -> (u64, f64, f64) {
     let mut transactions = 0u64;
     let horizon = load.horizon_cycles as f64;
 
-    while let Some(Reverse((tkey, p, refs))) = heap.pop() {
+    // Each processor holds exactly one entry, so keys are unique and
+    // rewriting the top in place (one sift) pops events in the same order
+    // as a pop followed by a push (two).
+    while let Some(mut top) = heap.peek_mut() {
+        let Reverse((tkey, p, refs)) = *top;
         let t = tkey as f64 / 1024.0;
         if t >= horizon {
             break;
@@ -149,7 +153,7 @@ fn throughput(load: &BusLoad, seed: u64) -> (u64, f64, f64) {
         bus_free_at = done;
         // The processor resumes at `done` and computes its next gap.
         let (dt, next_refs) = gap(&mut rng);
-        heap.push(Reverse((key(done + dt), p, next_refs)));
+        *top = Reverse((key(done + dt), p, next_refs));
     }
 
     let utilization = (busy_cycles / horizon).min(1.0);

@@ -28,10 +28,15 @@
 //! loop. The loop is generic over `P: Protocol + ?Sized`, so a
 //! `Box<dyn Protocol>` is just another type argument. Per batch it takes
 //! a quiet body when every cold path is provably dead — no window, no
-//! verifier, infinite caches, no invariant cadence, and a batch
-//! `max_cache_idx` below the cache count — which adds the instruction
-//! count in bulk — and otherwise the full checking body, which observes
-//! each reference one at a time.
+//! verifier, no invariant cadence, and a batch `max_cache_idx` below the
+//! cache count — which walks the data references only and adds the
+//! instruction count in bulk, and otherwise the full checking body,
+//! which observes each reference one at a time. Finite caches take
+//! either body: per data reference both run [`Protocol::access`], count
+//! its outcome, probe the accessing cache's tag store with the original
+//! block and, when that probe evicts an LRU victim, run
+//! [`Protocol::evict`] and count the eviction, in that order. For
+//! infinite caches the quiet body's tag step compiles away.
 //!
 //! The sources differ only in how a batch is filled:
 //!
@@ -560,15 +565,21 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
 
         // Every cold branch constant-false? Then no reference can error
         // (max_cache_idx proves the bounds check dead), no state beyond
-        // the protocol and counters exists, and the batch specializes
-        // down to the quiet loop over data references.
+        // the protocol, the counters and any tag stores exists, and the
+        // batch specializes down to the quiet loop over data references.
         let is_quiet = self.windows.is_none()
             && self.values.is_none()
-            && self.tag_stores.is_none()
             && every == 0
             && usize::from(soa.max_cache_idx) < n;
         if is_quiet {
-            quiet(&mut *self.protocol, &mut self.counters, soa);
+            let (protocol, counters) = (&mut *self.protocol, &mut self.counters);
+            match self.tag_stores.as_mut() {
+                None => quiet(protocol, counters, soa, ()),
+                Some(stores) => {
+                    let probe = TagProbe { stores, soa, global_ids: self.global_ids };
+                    quiet(protocol, counters, soa, probe);
+                }
+            }
             self.refs = base + soa.refs();
             return Ok(());
         }
@@ -689,19 +700,73 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
 }
 
 /// The quiet body of [`Core::replay`], a function of its own so that the
-/// hot loop is optimized apart from the checking body.
+/// hot loop is optimized apart from the checking body. `after` runs once
+/// per data reference, after its access is counted: `()` for infinite
+/// caches, where it compiles away, or a [`TagProbe`] for finite ones.
 #[inline(never)]
-fn quiet<P: Protocol + ?Sized>(protocol: &mut P, counters: &mut EventCounters, soa: &SoaStream) {
+fn quiet<P: Protocol + ?Sized, A: AfterAccess>(
+    protocol: &mut P,
+    counters: &mut EventCounters,
+    soa: &SoaStream,
+    mut after: A,
+) {
     let (data, len) = (&*soa.data, soa.len());
     let cache_idx = &soa.cache_idx()[..len];
     let (kind, block_id, first_ref) =
         (&data.kind[..len], &data.block_id[..len], &data.first_ref[..len]);
     for j in 0..len {
         let block = BlockAddr::from_index(u64::from(block_id[j]));
-        let out = protocol.access(CacheId::new(cache_idx[j]), kind[j], block, first_ref[j]);
+        let cache = CacheId::new(cache_idx[j]);
+        let out = protocol.access(cache, kind[j], block, first_ref[j]);
         counters.observe(&out);
+        after.after(protocol, counters, cache, block);
     }
     counters.observe_instr_fetches(data.instr);
+}
+
+/// The quiet body's per-reference step after the access is counted.
+trait AfterAccess {
+    /// Runs after `cache`'s access to (dense) `block` is counted; by
+    /// default nothing happens, as for infinite caches.
+    #[inline(always)]
+    fn after<P: Protocol + ?Sized>(
+        &mut self,
+        _protocol: &mut P,
+        _counters: &mut EventCounters,
+        _cache: CacheId,
+        _block: BlockAddr,
+    ) {
+    }
+}
+
+/// Infinite caches.
+impl AfterAccess for () {}
+
+/// Finite caches: the checking body's tag-store step without its
+/// verifier. The accessing cache's store is probed with the original
+/// block, and an LRU victim is evicted from the protocol and counted.
+struct TagProbe<'a> {
+    stores: &'a mut [SetAssocCache<BlockAddr>],
+    soa: &'a SoaStream,
+    global_ids: Option<&'a [u32]>,
+}
+
+impl AfterAccess for TagProbe<'_> {
+    #[inline(always)]
+    fn after<P: Protocol + ?Sized>(
+        &mut self,
+        protocol: &mut P,
+        counters: &mut EventCounters,
+        cache: CacheId,
+        block: BlockAddr,
+    ) {
+        let orig = self.soa.blocks.block_addr(global_block(self.global_ids, block).index() as u32);
+        if let Lookup::Inserted { evicted: Some(victim) } =
+            self.stores[cache.index()].lookup_or_insert(orig, block)
+        {
+            counters.observe_eviction(&protocol.evict(cache, victim.state));
+        }
+    }
 }
 
 /// The block a finding names: `block` itself, or for a shard sub-stream
@@ -1127,6 +1192,60 @@ mod tests {
                 let res = run_sharded(kind, 4, &sharded, &cfg).unwrap();
                 assert_eq!(serial.counters, res.counters, "{kind} at {shards} shards");
                 assert_eq!(serial.violations, res.violations);
+            }
+        }
+    }
+
+    /// A finite run with no verifier, window or cadence takes the quiet
+    /// body; forcing the checking body with the verifier (which never
+    /// changes counters) must give the same counters, serially, streamed
+    /// and set-sharded, and every scheme the same eviction count.
+    #[test]
+    fn quiet_finite_runs_match_the_checking_body() {
+        use dircc_cache::FiniteCacheConfig;
+        use dircc_trace::gen::{Generator, Profile};
+        let records: Vec<TraceRecord> =
+            Generator::new(Profile::pops().with_total_refs(12_000), 9).collect();
+        for (sets, ways) in [(2, 2), (4, 2), (64, 4)] {
+            let quiet = RunConfig::default()
+                .with_process_sharing()
+                .with_finite_caches(FiniteCacheConfig::new(sets, ways));
+            let checking = RunConfig { verify: true, ..quiet };
+            let soa = soa(&records, &quiet);
+            let mut evictions = None;
+            for kind in [
+                ProtocolKind::Dir0B,
+                ProtocolKind::DirNb { pointers: 1 },
+                ProtocolKind::DirNb { pointers: 4 },
+                ProtocolKind::DirB { pointers: 1 },
+                ProtocolKind::CodedSet,
+                ProtocolKind::Tang,
+                ProtocolKind::YenFu,
+                ProtocolKind::Wti,
+                ProtocolKind::Dragon,
+                ProtocolKind::Berkeley,
+                ProtocolKind::WriteOnce,
+                ProtocolKind::Firefly,
+                ProtocolKind::Mesi,
+            ] {
+                let at = format!("{kind} at {sets}x{ways}");
+                let want = run_indexed(kind, 4, &soa, &checking).unwrap();
+                assert!(want.violations.is_empty(), "{at}: {:?}", want.violations);
+                let got = run_indexed(kind, 4, &soa, &quiet).unwrap();
+                assert_eq!(got.counters, want.counters, "{at} indexed");
+                let mut p = build(kind, 4);
+                let streamed = run(p.as_mut(), records.iter().copied(), &quiet).unwrap();
+                assert_eq!(streamed.counters, want.counters, "{at} streamed");
+                for shards in [2, 3] {
+                    let sharded = shard_stream(&soa, shards, &quiet);
+                    let got = run_sharded(kind, 4, &sharded, &quiet).unwrap();
+                    assert_eq!(got.counters, want.counters, "{at} at {shards} shards");
+                }
+                // The tag stores see every data reference and never the
+                // protocol, so every scheme evicts alike.
+                let n = want.counters.cache_evictions();
+                assert!(n > 0, "{at}: exercise eviction traffic");
+                assert_eq!(*evictions.get_or_insert(n), n, "{at}: eviction count");
             }
         }
     }

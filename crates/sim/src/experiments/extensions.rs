@@ -21,7 +21,7 @@ use crate::report::{cycles, Table};
 use crate::workbench::{TraceFilter, Workbench};
 use core::fmt;
 use dircc_bus::{BusKind, BusTiming, CostConfig, CostModel};
-use dircc_cache::{FiniteCacheConfig, SetAssocCache};
+use dircc_cache::{FiniteCacheConfig, Lookup, SetAssocCache};
 use dircc_core::ProtocolKind;
 use dircc_trace::gen::Profile;
 use dircc_trace::store::TraceStore;
@@ -67,22 +67,26 @@ pub fn finite_cache(wb: &Workbench) -> FiniteCacheStudy {
                 .map(|_| SetAssocCache::new(FiniteCacheConfig::with_capacity(capacity, 4)))
                 .collect();
             let mut replacement_misses = 0u64;
-            let mut seen = std::collections::HashSet::new();
             // Walks the workbench's shared columns (ingested once per
             // process); caches select sets by the original block.
             let (data, blocks) =
                 (wb.store().data(t, TraceFilter::Full, geometry), wb.store().interner(t, geometry));
+            // One bit per (pid, dense block id) pair: set once the pair
+            // has missed.
+            let pids = data.pid.iter().max().map_or(0, |&p| usize::from(p) + 1);
+            let mut seen = vec![0u64; (pids * data.num_blocks).div_ceil(64)];
             for (&pid, &id) in data.pid.iter().zip(&data.block_id) {
                 let cache = &mut caches[usize::from(pid) % wb.n_caches()];
-                let block = blocks.block_addr(id);
-                if cache.get(block).is_none() {
-                    cache.insert(block, ());
+                if let Lookup::Inserted { .. } = cache.lookup_or_insert(blocks.block_addr(id), ()) {
                     // A miss that an infinite cache would NOT have had
                     // (the block was seen by this cache before) is a
                     // replacement miss.
-                    if !seen.insert((pid, id)) {
+                    let pair = usize::from(pid) * data.num_blocks + id as usize;
+                    let (word, bit) = (pair / 64, 1u64 << (pair % 64));
+                    if seen[word] & bit != 0 {
                         replacement_misses += 1;
                     }
+                    seen[word] |= bit;
                 }
             }
             rates.push(replacement_misses as f64 / data.refs() as f64);
@@ -325,8 +329,11 @@ pub struct Footnote2Study {
 
 /// Runs Dir0B through genuinely finite caches (protocol evictions and
 /// all), not just the first-order miss-count correction.
+///
+/// The infinite row reads the workbench's memoized counters: they are
+/// the paper matrix's runs of the same schemes under the same
+/// configuration.
 pub fn footnote2(wb: &Workbench) -> Footnote2Study {
-    use dircc_cache::FiniteCacheConfig;
     let mut points = Vec::new();
     let capacities: Vec<Option<usize>> = vec![Some(256), Some(1024), Some(4096), None];
     for cap in capacities {
@@ -339,13 +346,17 @@ pub fn footnote2(wb: &Workbench) -> Footnote2Study {
             let soa =
                 wb.store().soa(t, TraceFilter::Full, BlockGeometry::PAPER, SharingModel::Process);
             let miss_pct = |kind: ProtocolKind| -> (f64, f64) {
-                let mut cfg = RunConfig::default().with_process_sharing();
-                if let Some(capacity) = cap {
-                    cfg = cfg.with_finite_caches(FiniteCacheConfig::with_capacity(capacity, 4));
-                }
-                let result =
-                    run_indexed(kind, wb.n_caches(), &soa, &cfg).expect("footnote2 replay");
-                let c = result.counters;
+                let c = match cap {
+                    None => (*wb.counters(kind, t, TraceFilter::Full)).clone(),
+                    Some(capacity) => {
+                        let cfg = RunConfig::default()
+                            .with_process_sharing()
+                            .with_finite_caches(FiniteCacheConfig::with_capacity(capacity, 4));
+                        run_indexed(kind, wb.n_caches(), &soa, &cfg)
+                            .expect("footnote2 replay")
+                            .counters
+                    }
+                };
                 (c.pct(c.rm() + c.wm()), 1000.0 * c.cache_evictions() as f64 / c.total() as f64)
             };
             let (dir0b_miss, evictions) = miss_pct(ProtocolKind::Dir0B);
@@ -423,6 +434,67 @@ mod tests {
             assert!(p.dir0b_cycles_corrected >= s.dir0b_infinite);
         }
         assert!(s.to_string().contains("finite-cache"));
+    }
+
+    #[test]
+    fn footnote2_infinite_row_equals_fresh_replays() {
+        let wb = Workbench::paper_scaled(20_000, 3);
+        let s = footnote2(&wb);
+        let (mut coherence, mut total) = (Vec::new(), Vec::new());
+        for t in 0..wb.num_traces() {
+            let cfg = RunConfig::default().with_process_sharing();
+            let soa = wb.store().soa(t, TraceFilter::Full, cfg.geometry, cfg.sharing);
+            let miss_pct = |kind| {
+                let c = run_indexed(kind, wb.n_caches(), &soa, &cfg).unwrap().counters;
+                c.pct(c.rm() + c.wm())
+            };
+            let dir0b = miss_pct(ProtocolKind::Dir0B);
+            coherence.push((dir0b - miss_pct(ProtocolKind::Dragon)).max(0.0));
+            total.push(dir0b);
+        }
+        let infinite = s.points.last().unwrap();
+        assert_eq!(infinite.capacity_blocks, None);
+        assert_eq!(infinite.coherence_miss_pct.to_bits(), mean(&coherence).to_bits());
+        assert_eq!(infinite.total_miss_pct.to_bits(), mean(&total).to_bits());
+        assert_eq!(infinite.eviction_wb_per_kref, 0.0);
+    }
+
+    #[test]
+    fn finite_cache_equals_the_hash_set_reference() {
+        use std::collections::HashSet;
+        let wb = Workbench::paper_scaled(20_000, 3);
+        let s = finite_cache(&wb);
+        let geometry = BlockGeometry::PAPER;
+        for p in &s.points {
+            // The study's walk as first written: a get, an insert on a
+            // miss, and a hash set of the (pid, block) pairs that missed.
+            let mut rates = Vec::new();
+            for t in 0..wb.num_traces() {
+                let config = FiniteCacheConfig::with_capacity(p.capacity_blocks, 4);
+                let mut caches: Vec<SetAssocCache<()>> =
+                    (0..wb.n_caches()).map(|_| SetAssocCache::new(config)).collect();
+                let (data, blocks) = (
+                    wb.store().data(t, TraceFilter::Full, geometry),
+                    wb.store().interner(t, geometry),
+                );
+                let mut seen = HashSet::new();
+                let mut replacement_misses = 0u64;
+                for (&pid, &id) in data.pid.iter().zip(&data.block_id) {
+                    let cache = &mut caches[usize::from(pid) % wb.n_caches()];
+                    if cache.get(blocks.block_addr(id)).is_none() {
+                        cache.insert(blocks.block_addr(id), ());
+                        if !seen.insert((pid, id)) {
+                            replacement_misses += 1;
+                        }
+                    }
+                }
+                rates.push(replacement_misses as f64 / data.refs() as f64);
+            }
+            let rate = mean(&rates);
+            let at = p.capacity_blocks;
+            assert_eq!(p.replacement_miss_rate.to_bits(), rate.to_bits(), "{at} blocks");
+        }
+        assert!(s.points[0].replacement_miss_rate > 0.0, "the smallest cache replaces");
     }
 
     #[test]

@@ -200,6 +200,27 @@ fn golden_finite_cache_counters() {
     }
 }
 
+/// With the verifier off, finite runs take the loop's quiet body, which
+/// must reproduce the same recorded counters.
+#[test]
+fn golden_finite_cache_counters_on_the_quiet_body() {
+    let store = store();
+    let cfg = RunConfig::default()
+        .with_process_sharing()
+        .with_finite_caches(FiniteCacheConfig::new(4, 2));
+    for (kind, row) in FINITE_KINDS.into_iter().zip(GOLDEN_FINITE) {
+        for (trace, want) in row.into_iter().enumerate() {
+            let records = store.records(trace, TraceFilter::Full);
+            let mut p = build(kind, CPUS);
+            let res = run(p.as_mut(), records.iter(), &cfg).unwrap();
+            assert_eq!(golden(&res), want, "{kind} trace {trace} quiet finite");
+            let soa = store.soa(trace, TraceFilter::Full, cfg.geometry, cfg.sharing);
+            let res = run_indexed(kind, CPUS, &soa, &cfg).unwrap();
+            assert_eq!(golden(&res), want, "{kind} trace {trace} quiet finite indexed");
+        }
+    }
+}
+
 fn window_fold(windows: &[dircc_obs::WindowSample]) -> (usize, u64) {
     let fold = windows.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
         (h ^ w.counters.digest()).wrapping_mul(0x0100_0000_01b3)

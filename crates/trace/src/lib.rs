@@ -14,7 +14,7 @@
 //!   split).
 //! * [`chunk`] — the one on-disk trace format, chunked v2: per-chunk
 //!   delta + LEB128 address compression, a checksummed footer, and
-//!   [`ChunkSource`](chunk::ChunkSource) streaming, one replay batch per
+//!   [`ChunkSource`] streaming, one replay batch per
 //!   call, with memory bounded by a chunk's payload and one batch rather
 //!   than the trace length. [`ChunkedWriter`] writes it and
 //!   [`ChunkedReader`] (or [`open_trace`]) reads it.
@@ -26,20 +26,20 @@
 //!   once per block geometry into data-reference columns, shared by every
 //!   filter, sharing model and thread; records are regenerated on demand,
 //!   never held.
-//! * [`intern`] — dense block ids: a [`BlockInterner`](intern::BlockInterner)
+//! * [`intern`] — dense block ids: a [`BlockInterner`]
 //!   renames a stream's sparse block addresses to first-appearance-order
 //!   `u32` ids so replay state lives in flat vectors instead of hash maps.
 //! * [`shard`] — block-sharded sub-streams: a
-//!   [`ShardedStream`](shard::ShardedStream) partitions a [`SoaStream`]
+//!   [`ShardedStream`] partitions a [`SoaStream`]
 //!   into per-block shards (each its own [`SoaStream`], with shard-local
 //!   renaming and global reference numbers) so one run can replay its
 //!   shards in parallel and merge counters back bit-identically.
 //! * [`soa`] — structure-of-arrays streams, the one in-memory trace
-//!   representation: a [`DataRefs`](soa::DataRefs) keeps a stream's data
+//!   representation: a [`DataRefs`] keeps a stream's data
 //!   references in flat `kind`/`block_id`/`first_ref`/`cpu`/`pid` columns
 //!   plus one bit per reference placing the instruction fetches, which are
 //!   only counted, so replay touches no [`TraceRecord`]. A
-//!   [`SoaStream`](soa::SoaStream) adds the renaming and a sharing model;
+//!   [`SoaStream`] adds the renaming and a sharing model;
 //!   it is also the batch a streaming replay refills for every protocol.
 //!
 //! # Examples

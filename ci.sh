@@ -4,28 +4,22 @@ set -eux
 
 cargo build --release
 cargo test -q
-# Shard-equivalence gate: sharded replay must be bit-identical to serial
-# for every scheme, on random traces and the pinned workbench matrix.
-cargo test -q -p dircc-sim --test sharding
 # Golden replay gate: every batch source of the one replay loop must
-# reproduce the recorded counters of every scheme, serial and sharded,
+# reproduce the recorded counters of every scheme, streamed and indexed,
 # finite caches, windows and verifier included.
 cargo test -q -p dircc-sim --test replay
-# Correctness gate: bounded exhaustive model check of every protocol,
-# plus the serial-vs-sharded replay equivalence check it ends with, at
+# Correctness gate: bounded exhaustive model check of every protocol, at
 # the smoke bounds and at the default bounds users run (3 cpus x 2
 # blocks, depth 8; ~10-15 s single-threaded on a 2-vCPU host).
 ./target/release/dircc check --smoke
 ./target/release/dircc check
-# Counter-drift gate: write the sharded smoke report, then compare its
-# per-run counter digests and per-trace v2 sizes against the checked-in
-# baseline, field by field and byte for byte (every field is
-# deterministic). The bench replays with no window, so its runs take the
-# loop's quiet body, and running it at --shards 2 makes the shard merge
-# itself part of the drift surface. Wall-clock performance is
-# perfbench's job (below).
-./target/release/dircc bench --smoke --shards 2 --out /tmp/BENCH_smoke.json
-./target/release/dircc benchcmp --smoke --shards 2 --in BENCH_smoke.json
+# Counter-drift gate: write the smoke report, then compare its per-run
+# counter digests and per-trace v2 sizes against the checked-in baseline,
+# field by field and byte for byte (every field is deterministic). The
+# bench replays with no window, so its runs take the loop's quiet body.
+# Wall-clock performance is perfbench's job (below).
+./target/release/dircc bench --smoke --out /tmp/BENCH_smoke.json
+./target/release/dircc benchcmp --smoke --in BENCH_smoke.json
 diff /tmp/BENCH_smoke.json BENCH_smoke.json
 # Paper-output gate: `dircc all` at the default scale and seed must
 # print exactly the archived output.
@@ -41,16 +35,13 @@ diff /tmp/BENCH_smoke.json BENCH_smoke.json
 diff /tmp/PROFILE_headline.jsonl PROFILE_smoke.jsonl
 # Streaming round-trip gate: a recorded chunked v2 trace streamed from
 # disk must print byte-identical results to the in-memory replay of the
-# same profile, serial and block-sharded, verifier on. The first trace
+# same profile, verifier on. The first trace
 # is one 20,000-record chunk (larger than a replay batch); the second is
 # recorded in 1,000-record chunks (smaller than one).
 ./target/release/dircc record --profile thor --refs 20000 --out /tmp/smoke_v2.dcct
 ./target/release/dircc replay --in /tmp/smoke_v2.dcct --verify > /tmp/replay_file.txt
 ./target/release/dircc replay --profile thor --refs 20000 --verify > /tmp/replay_mem.txt
 diff /tmp/replay_file.txt /tmp/replay_mem.txt
-./target/release/dircc replay --profile thor --refs 20000 --verify --shards 3 \
-    > /tmp/replay_sharded.txt
-diff /tmp/replay_file.txt /tmp/replay_sharded.txt
 ./target/release/dircc record --profile thor --refs 20000 --chunk 1000 \
     --out /tmp/smoke_v2_small.dcct
 ./target/release/dircc replay --in /tmp/smoke_v2_small.dcct --verify > /tmp/replay_file_small.txt
@@ -72,7 +63,7 @@ for example in quickstart spin_lock_study scalability_sweep protocol_shootout \
 done
 # Serve gate: the HTTP daemon on an ephemeral port — served /run
 # responses diffed byte-for-byte against `dircc replay --json` (cache
-# miss, cache hit, sharded), 400 /run requests from four concurrent
+# miss, cache hit), 400 /run requests from four concurrent
 # `dircc submit` clients with every cache outcome and body asserted, a
 # request-ID log/span join, an exact /metrics reconciliation against the
 # scripted load (scrape kept as SERVE_metrics.prom), a `dircc top --once`

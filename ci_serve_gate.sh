@@ -1,8 +1,8 @@
 #!/bin/sh
 # Serve smoke gate, shared by ci.sh and .github/workflows/ci.yml: boot
 # the daemon on an ephemeral port, prove served /run responses are
-# byte-identical to a local `dircc replay --json` (and invariant across
-# shards), observe the repeat as a cache hit, drive a concurrent hit/miss
+# byte-identical to a local `dircc replay --json`, observe the repeat as
+# a cache hit, drive a concurrent hit/miss
 # workload whose every cache outcome and body is asserted, reject an
 # oversized /series, then drain via /shutdown and fail on any orphaned
 # daemon. Callers wrap this in `timeout` for a hard ceiling; every step
@@ -53,15 +53,10 @@ echo "serve gate: daemon at $URL (pid $PID)"
 "$DIRCC" replay --json --scheme Dir1NB --profile pops --refs 20000 \
     >"$TMP/local.json"
 diff "$TMP/served_miss.json" "$TMP/local.json"
-# ...then again as an observable cache hit serving the same bytes...
+# ...then again as an observable cache hit serving the same bytes.
 "$DIRCC" submit --serve "$URL" --scheme Dir1NB --profile pops --refs 20000 \
     --expect-cache hit >"$TMP/served_hit.json"
 diff "$TMP/served_miss.json" "$TMP/served_hit.json"
-# ...and once more sharded (a distinct cache key, so a miss) — counters
-# are pinned shard-invariant.
-"$DIRCC" submit --serve "$URL" --scheme Dir1NB --profile pops --refs 20000 \
-    --shards 3 --expect-cache miss >"$TMP/served_sharded.json"
-diff "$TMP/served_miss.json" "$TMP/served_sharded.json"
 
 # The other routes answer: health (with live queue/in-flight state), a
 # windowed series, the span export.
@@ -134,15 +129,14 @@ if ! "$DIRCC" submit --serve "$URL" --op spans | grep -q "$RID"; then
 fi
 
 # Telemetry gate: scrape /metrics (kept as a CI artifact) and reconcile
-# its counters *exactly* against the scripted load above: 404 /run
-# requests (3 byte-identity submits, 400 load requests, 1 tagged
-# submit), 389 cache hits (1 submit + 388 load), 15 misses (miss +
-# sharded miss + tagged miss + 12 load), and not a single error
-# response on any route.
+# its counters *exactly* against the scripted load above: 403 /run
+# requests (2 byte-identity submits, 400 load requests, 1 tagged
+# submit), 389 cache hits (1 submit + 388 load), 14 misses (miss +
+# tagged miss + 12 load), and not a single error response on any route.
 "$DIRCC" submit --serve "$URL" --op metrics >"$METRICS_OUT"
-want_runs=404
+want_runs=403
 want_hits=389
-want_misses=15
+want_misses=14
 got_runs=$(sed -n 's|^dircc_http_requests_total{route="/run"} ||p' "$METRICS_OUT")
 got_hits=$(sed -n 's|^dircc_result_cache_events_total{event="hit"} ||p' "$METRICS_OUT")
 got_misses=$(sed -n 's|^dircc_result_cache_events_total{event="miss"} ||p' "$METRICS_OUT")

@@ -35,10 +35,8 @@ impl FiniteCacheConfig {
     }
 
     /// The set `block` maps to — the same computation every
-    /// [`SetAssocCache`] of this shape uses internally. Exposed so the
-    /// sharded replay engine can partition a stream by set index (LRU
-    /// eviction is confined to a set, so set-sharding preserves victim
-    /// choice exactly).
+    /// [`SetAssocCache`] of this shape uses internally, so a reference
+    /// model can place blocks exactly as the tag store does.
     pub fn set_of(&self, block: BlockAddr) -> usize {
         (block.index() as usize) & (self.sets - 1)
     }

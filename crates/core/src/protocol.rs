@@ -118,11 +118,7 @@ impl fmt::Display for ProtocolKind {
 /// The driver (dircc-sim's engine) calls [`Protocol::access`] for every
 /// *data* reference in trace order; instruction fetches never reach the
 /// protocol (the paper assumes they cause no coherence traffic).
-///
-/// `Send` is a supertrait because the sharded replay path constructs one
-/// instance per block shard and moves each onto its worker thread;
-/// protocols are plain owned state machines, so this costs nothing.
-pub trait Protocol: Send {
+pub trait Protocol {
     /// The taxonomy point this protocol implements.
     fn kind(&self) -> ProtocolKind;
 

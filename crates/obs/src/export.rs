@@ -34,10 +34,9 @@ pub fn escape(s: &str) -> String {
 /// per span, `ts`/`dur` in microseconds since the log's epoch).
 ///
 /// Run-scoped spans carry `scheme`/`trace`/`filter`/`refs` in `args`
-/// (plus `shard` for per-shard replay spans and `request` for
-/// daemon-served runs), so Perfetto's query and aggregation views can
-/// group by run, by shard, and by the request ID that appears in the
-/// daemon's `x-request-id` headers and log lines.
+/// (plus `request` for daemon-served runs), so Perfetto's query and
+/// aggregation views can group by run and by the request ID that appears
+/// in the daemon's `x-request-id` headers and log lines.
 pub fn chrome_trace(spans: &[Span]) -> String {
     let mut out = String::from("[\n");
     for (i, s) in spans.iter().enumerate() {
@@ -60,9 +59,6 @@ pub fn chrome_trace(spans: &[Span]) -> String {
                 escape(&m.filter),
                 m.refs
             );
-            if let Some(shard) = m.shard {
-                let _ = write!(out, ", \"shard\": {shard}");
-            }
             if let Some(request) = &m.request {
                 let _ = write!(out, ", \"request\": \"{}\"", escape(request));
             }
@@ -78,7 +74,7 @@ pub fn chrome_trace(spans: &[Span]) -> String {
 /// Renders the complete [`EventCounters`](dircc_core::EventCounters)
 /// state as one JSON object — every getter, the invalidation histogram
 /// and the FNV-1a digest (hex, the same rendering `dircc bench` rows
-/// use). The digest is shard- and engine-invariant, so two responses
+/// use). The digest is invariant across replay paths, so two responses
 /// describing the same run are bit-identical however they were
 /// computed; the serve daemon's `/run` responses and `dircc replay
 /// --json` both embed this object, which is what lets CI diff them.
@@ -210,19 +206,17 @@ mod tests {
                 trace: "POPS".into(),
                 filter: "full".into(),
                 refs: 42,
-                shard: None,
                 request: Some("ab12-0001".into()),
             }),
             || (),
         );
         log.time(
-            "replay-shard",
+            "replay",
             Some(RunMeta {
                 scheme: "Dir1NB".into(),
                 trace: "POPS".into(),
                 filter: "full".into(),
                 refs: 21,
-                shard: Some(1),
                 request: None,
             }),
             || (),
@@ -234,10 +228,8 @@ mod tests {
         assert!(json.contains("\"name\": \"replay\""));
         assert!(json.contains("\"scheme\": \"Dir1NB\""));
         assert!(json.contains("\"refs\": 42"));
-        assert!(json.contains("\"refs\": 21, \"shard\": 1"));
-        assert!(!json.contains("\"refs\": 42, \"shard\""), "unsharded spans omit the field");
         assert!(json.contains("\"request\": \"ab12-0001\""), "request ids join spans to logs");
-        assert!(!json.contains("\"shard\": 1, \"request\""), "requestless spans omit the field");
+        assert!(json.contains("\"refs\": 21}"), "requestless spans omit the field");
         assert_eq!(json.matches("\"cat\": \"dircc\"").count(), 3);
         // Spans with meta once emitted an unbalanced extra `}`, which
         // broke every consumer that actually parsed the export.

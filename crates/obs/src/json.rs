@@ -7,7 +7,7 @@
 //! linear time.
 //! Errors carry the byte offset so a 400 response can point at the
 //! problem. Duplicate object keys are rejected — a job that says
-//! `"shards": 1, "shards": 8` is a client bug, not a tie to break
+//! `"seed": 1, "seed": 8` is a client bug, not a tie to break
 //! silently.
 
 use std::collections::BTreeMap;
@@ -283,12 +283,12 @@ mod tests {
 
     #[test]
     fn parses_a_job_shaped_object() {
-        let v = parse(br#"{"scheme": "DirB(1)", "trace": "POPS", "refs": 20000, "shards": 4}"#)
+        let v = parse(br#"{"scheme": "DirB(1)", "trace": "POPS", "refs": 20000, "seed": 4}"#)
             .expect("valid json");
         let obj = v.as_obj().expect("object");
         assert_eq!(obj["scheme"].as_str(), Some("DirB(1)"));
         assert_eq!(obj["refs"].as_u64(), Some(20_000));
-        assert_eq!(obj["shards"].as_u64(), Some(4));
+        assert_eq!(obj["seed"].as_u64(), Some(4));
     }
 
     #[test]
@@ -320,7 +320,7 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_keys() {
-        let err = parse(br#"{"shards": 1, "shards": 8}"#).expect_err("dup key");
+        let err = parse(br#"{"seed": 1, "seed": 8}"#).expect_err("dup key");
         assert!(err.message.contains("duplicate key"), "{err}");
     }
 

@@ -22,9 +22,6 @@ pub struct RunMeta {
     pub filter: String,
     /// References the phase covered.
     pub refs: u64,
-    /// Which block shard of a sharded replay this phase covered
-    /// (`None` for whole-run phases and unsharded replays).
-    pub shard: Option<usize>,
     /// The serve-daemon request ID that triggered this phase (`None`
     /// outside the daemon). Joins `/spans` output against the daemon's
     /// `x-request-id` response headers and log lines.
@@ -109,26 +106,6 @@ impl SpanLog {
         value
     }
 
-    /// Records an interval measured externally (e.g. by the sharded
-    /// replay engine's per-shard observer). The span is attributed to the
-    /// *calling* thread, so call this from the thread that did the work.
-    pub fn record_at(
-        &self,
-        name: impl Into<String>,
-        started: Instant,
-        dur: Duration,
-        meta: Option<RunMeta>,
-    ) {
-        let span = Span {
-            name: name.into(),
-            tid: self.current_tid(),
-            start: started.saturating_duration_since(self.epoch),
-            dur,
-            meta,
-        };
-        self.spans.lock().expect("span log poisoned").push(span);
-    }
-
     /// Snapshot of every span recorded so far, in completion order.
     pub fn spans(&self) -> Vec<Span> {
         self.spans.lock().expect("span log poisoned").clone()
@@ -163,7 +140,6 @@ mod tests {
             trace: "POPS".into(),
             filter: "full".into(),
             refs: 100,
-            shard: None,
             request: None,
         }
     }
@@ -204,18 +180,5 @@ mod tests {
         assert!(dur < Duration::from_secs(1));
         assert!(!log.is_empty());
         assert_eq!(log.len(), 1);
-    }
-
-    #[test]
-    fn external_intervals_are_recorded_with_shard_meta() {
-        let log = SpanLog::new();
-        let started = Instant::now();
-        let m = RunMeta { shard: Some(2), ..meta() };
-        log.record_at("replay-shard", started, Duration::from_millis(3), Some(m));
-        let spans = log.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "replay-shard");
-        assert_eq!(spans[0].dur, Duration::from_millis(3));
-        assert_eq!(spans[0].meta.as_ref().unwrap().shard, Some(2));
     }
 }

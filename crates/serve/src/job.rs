@@ -2,8 +2,8 @@
 //! cache key.
 //!
 //! Validation happens here so every route (and the 400 body) can report
-//! a *field-level* error: `"field 'shards': must be between 1 and 64"`,
-//! not just "bad request". What counts as a valid scheme or trace name
+//! a *field-level* error: `"field 'window': must be at least 1"`, not
+//! just "bad request". What counts as a valid scheme or trace name
 //! is the caller's business — the service layer resolves those against
 //! the protocol registry — but the structural rules (types, ranges,
 //! unknown fields) live in the crate so they are testable without a
@@ -25,8 +25,6 @@ pub struct JobSpec {
     pub seed: u64,
     /// `"full"` or `"no-spins"`.
     pub filter: String,
-    /// Block shards for parallel replay, 1..=64.
-    pub shards: u64,
     /// Window size for `/series` streaming; `None` = auto. A `/series`
     /// may ask for at most [`MAX_WINDOWS`] windows over its trace (checked
     /// by the handler, which knows each profile's length).
@@ -69,12 +67,12 @@ pub const MAX_REFS: u64 = 1 << 24;
 pub const MAX_WINDOWS: u64 = 4_096;
 
 /// The most spans the daemon's span log keeps for `/spans`: the newest,
-/// about a thousand executed runs' worth (each leaves four spans, plus one
-/// per shard). Older spans are dropped, so the log stays bounded however
-/// long the daemon runs.
+/// about a thousand executed runs' worth (each leaves four spans). Older
+/// spans are dropped, so the log stays bounded however long the daemon
+/// runs.
 pub const MAX_SPANS: usize = 4_096;
 
-const KNOWN_FIELDS: &[&str] = &["scheme", "trace", "refs", "seed", "filter", "shards", "window"];
+const KNOWN_FIELDS: &[&str] = &["scheme", "trace", "refs", "seed", "filter", "window"];
 
 impl JobSpec {
     /// Parses and validates a job body. Every failure names a field.
@@ -128,35 +126,26 @@ impl JobSpec {
             }
             Some(_) => return Err(JobError::new("filter", "must be a string")),
         };
-        let shards = optional_u64("shards")?.unwrap_or(1);
-        if !(1..=64).contains(&shards) {
-            return Err(JobError::new("shards", "must be between 1 and 64"));
-        }
         let window = optional_u64("window")?;
         if window == Some(0) {
             return Err(JobError::new("window", "must be at least 1"));
         }
 
-        Ok(JobSpec { scheme, trace, refs, seed, filter, shards, window })
+        Ok(JobSpec { scheme, trace, refs, seed, filter, window })
     }
 
     /// The canonical cache key. Scheme and trace names are
     /// case-folded so `"tang"` and `"Tang"` share a cache entry; the
     /// window is *excluded* because it only shapes `/series` streaming,
-    /// never the counters a `/run` response carries. Shards are
-    /// *included* even though results are bit-identical across them — the
-    /// cache also memoizes which execution produced the spans, and
-    /// keeping the key total makes the bit-identity property something
-    /// CI asserts rather than something the cache assumes.
+    /// never the counters a `/run` response carries.
     pub fn canonical(&self) -> String {
         format!(
-            "scheme={};trace={};refs={};seed={};filter={};shards={}",
+            "scheme={};trace={};refs={};seed={};filter={}",
             self.scheme.to_ascii_lowercase(),
             self.trace.to_ascii_lowercase(),
             self.refs.map_or_else(|| "profile".to_string(), |n| n.to_string()),
             self.seed,
             self.filter,
-            self.shards,
         )
     }
 }
@@ -177,19 +166,17 @@ mod tests {
         assert_eq!(j.refs, None);
         assert_eq!(j.seed, DEFAULT_SEED);
         assert_eq!(j.filter, "full");
-        assert_eq!(j.shards, 1);
         assert_eq!(j.window, None);
     }
 
     #[test]
     fn full_job_parses() {
         let j = job(r#"{"scheme": "tang", "trace": "pero", "refs": 50000, "seed": 7,
-                "filter": "no-spins", "shards": 8, "window": 1000}"#)
+                "filter": "no-spins", "window": 1000}"#)
         .expect("valid");
         assert_eq!(j.refs, Some(50_000));
         assert_eq!(j.seed, 7);
         assert_eq!(j.filter, "no-spins");
-        assert_eq!(j.shards, 8);
         assert_eq!(j.window, Some(1000));
     }
 
@@ -205,8 +192,7 @@ mod tests {
             (r#"{"scheme": "Tang", "trace": "POPS", "refs": 16777217}"#, "refs"),
             (r#"{"scheme": "Tang", "trace": "POPS", "refs": 18446744073709551615}"#, "refs"),
             (r#"{"scheme": "Tang", "trace": "POPS", "filter": "spins"}"#, "filter"),
-            (r#"{"scheme": "Tang", "trace": "POPS", "shards": 0}"#, "shards"),
-            (r#"{"scheme": "Tang", "trace": "POPS", "shards": 65}"#, "shards"),
+            (r#"{"scheme": "Tang", "trace": "POPS", "shards": 1}"#, "shards"),
             (r#"{"scheme": "Tang", "trace": "POPS", "engine": "mono"}"#, "engine"),
             (r#"{"scheme": "Tang", "trace": "POPS", "window": 0}"#, "window"),
             (r#"{"scheme": "Tang", "trace": "POPS", "color": "red"}"#, "color"),
@@ -227,8 +213,6 @@ mod tests {
         let a = job(r#"{"scheme": "Tang", "trace": "POPS", "window": 10}"#).unwrap();
         let b = job(r#"{"scheme": "tang", "trace": "pops", "window": 999}"#).unwrap();
         assert_eq!(a.canonical(), b.canonical());
-        let c = job(r#"{"scheme": "tang", "trace": "pops", "shards": 2}"#).unwrap();
-        assert_ne!(a.canonical(), c.canonical(), "shards are part of the key");
     }
 
     #[test]

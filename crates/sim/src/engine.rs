@@ -23,15 +23,14 @@
 //! Every entry point drives the same loop, `Core::replay`, with
 //! structure-of-arrays batches ([`SoaStream`]): flat columns over the
 //! batch's *data* references, one bit per reference placing its
-//! instruction fetches, the renaming back to original blocks and, for
-//! shard sub-streams, global reference numbers; no record reaches the
-//! loop. The loop is generic over `P: Protocol + ?Sized`, so a
-//! `Box<dyn Protocol>` is just another type argument. Per batch it takes
-//! a quiet body when every cold path is provably dead — no window, no
-//! verifier, no invariant cadence, and a batch `max_cache_idx` below the
-//! cache count — which walks the data references only and adds the
-//! instruction count in bulk, and otherwise the full checking body,
-//! which observes each reference one at a time. Finite caches take
+//! instruction fetches, and the renaming back to original blocks; no
+//! record reaches the loop. The loop is generic over
+//! `P: Protocol + ?Sized`, so a `Box<dyn Protocol>` is just another type
+//! argument. Per batch it takes a quiet body when every cold path is
+//! provably dead — no window, no verifier, no invariant cadence, and a
+//! batch `max_cache_idx` below the cache count — which walks the data
+//! references only and adds the instruction count in bulk, and otherwise
+//! the full checking body, which observes each reference one at a time. Finite caches take
 //! either body: per data reference both run [`Protocol::access`], count
 //! its outcome, probe the accessing cache's tag store with the original
 //! block and, when that probe evicts an LRU victim, run
@@ -48,9 +47,7 @@
 //!   protocols: each batch is decoded, interned (blocks renamed on the
 //!   fly in first-appearance order) and split once, then replayed through
 //!   every protocol still running; [`run_chunked`] and [`run`] are its
-//!   one-protocol case;
-//! * [`run_sharded`] replays in-memory block shards on scoped threads and
-//!   merges them exactly, adding the stream's instruction fetches once.
+//!   one-protocol case.
 //!
 //! Renaming blocks to dense ids is a bijection and protocols only compare
 //! blocks for identity, so every source produces bit-identical counters;
@@ -62,12 +59,9 @@
 //! A nonzero [`RunConfig::window`] makes the loop sample the cumulative
 //! counters after every reference into a [`WindowedRecorder`], and
 //! [`RunResult::windows`] returns the per-window deltas, which partition
-//! the run. Windows are a slice of the global reference stream, so
-//! [`run_sharded`] rejects them. With the window off, the quiet body runs
-//! (the `benchcmp` CI gate pins the counters against the checked-in
-//! baseline).
+//! the run. With the window off, the quiet body runs (the `benchcmp` CI
+//! gate pins the counters against the checked-in baseline).
 
-use crate::par::par_map_indexed;
 use dircc_cache::{FiniteCacheConfig, Lookup, SetAssocCache};
 use dircc_check::ValueModel;
 use dircc_core::{
@@ -75,9 +69,8 @@ use dircc_core::{
 };
 use dircc_obs::{WindowSample, WindowedRecorder};
 use dircc_trace::chunk::{IterChunks, BATCH_RECORDS};
-use dircc_trace::{ChunkSource, ShardedStream, SoaStream, TraceRecord};
+use dircc_trace::{ChunkSource, SoaStream, TraceRecord};
 use dircc_types::{BlockAddr, BlockGeometry, CacheId, CpuId, ProcessId};
-use std::time::{Duration, Instant};
 
 pub use dircc_types::SharingModel;
 
@@ -155,34 +148,6 @@ pub struct RunResult {
 /// Cap on retained verifier violation messages.
 pub const MAX_VIOLATIONS: usize = 16;
 
-/// Internal run result before violation formatting: each finding keeps
-/// its 1-based global reference number so sharded runs can merge findings
-/// back into trace order before applying the [`MAX_VIOLATIONS`] cap.
-pub(crate) struct CoreResult {
-    pub(crate) counters: EventCounters,
-    pub(crate) refs: u64,
-    pub(crate) violations: Vec<(u64, String)>,
-    pub(crate) windows: Vec<WindowSample>,
-}
-
-/// Internal engine error: the 1-based global reference number it occurred
-/// at (`u64::MAX` for the end-of-run invariant check), for deterministic
-/// first-error selection across shards.
-pub(crate) struct EngineError {
-    pub(crate) gref: u64,
-    pub(crate) msg: String,
-}
-
-pub(crate) fn finish_result(raw: CoreResult) -> RunResult {
-    let violations = raw.violations.into_iter().map(|(gref, msg)| format!("ref {gref}: {msg}"));
-    RunResult {
-        counters: raw.counters,
-        refs: raw.refs,
-        violations: violations.collect(),
-        windows: raw.windows,
-    }
-}
-
 /// Replays `records` through `protocol`, returning counters and any
 /// verifier findings.
 ///
@@ -245,7 +210,7 @@ pub fn run_chunked_many<P: Protocol + ?Sized, S: ChunkSource>(
     let mut batch = SoaStream::build([], cfg.geometry, cfg.sharing);
     // `Ok` while a protocol replays; its error once it has stopped.
     let mut runs: Vec<Result<Core<'_, P>, String>> =
-        protocols.iter_mut().map(|p| Ok(Core::new(&mut **p, cfg, 0, None))).collect();
+        protocols.iter_mut().map(|p| Ok(Core::new(&mut **p, cfg, 0))).collect();
     while runs.iter().any(Result::is_ok) {
         match source.next_chunk(&mut records) {
             Ok(true) => {}
@@ -264,16 +229,14 @@ pub fn run_chunked_many<P: Protocol + ?Sized, S: ChunkSource>(
             batch.refill(chunk);
             for run in &mut runs {
                 if let Ok(core) = run {
-                    if let Err(e) = core.replay(&batch, None) {
-                        *run = Err(e.msg);
+                    if let Err(e) = core.replay(&batch) {
+                        *run = Err(e);
                     }
                 }
             }
         }
     }
-    runs.into_iter()
-        .map(|run| run.and_then(|core| core.finish().map(finish_result).map_err(|e| e.msg)))
-        .collect()
+    runs.into_iter().map(|run| run.and_then(Core::finish)).collect()
 }
 
 /// Replays a structure-of-arrays stream (e.g. a
@@ -291,210 +254,49 @@ pub fn run_indexed(
     soa: &SoaStream,
     cfg: &RunConfig,
 ) -> Result<RunResult, String> {
-    check_sharing(soa.sharing, cfg)?;
-    replay_dispatched(kind, n_caches, soa, None, cfg).map(finish_result).map_err(|e| e.msg)
-}
-
-/// Checks that a stream was built under `cfg`'s sharing model.
-fn check_sharing(sharing: SharingModel, cfg: &RunConfig) -> Result<(), String> {
-    if sharing != cfg.sharing {
+    if soa.sharing != cfg.sharing {
         return Err(format!(
-            "soa stream was built under {sharing:?} sharing but the run uses {:?}; rebuild it \
-             for this sharing model",
-            cfg.sharing
+            "soa stream was built under {:?} sharing but the run uses {:?}; rebuild it for \
+             this sharing model",
+            soa.sharing, cfg.sharing
         ));
     }
-    Ok(())
+    replay_dispatched(kind, n_caches, soa, cfg)
 }
 
-/// Builds the block-sharded partition of `soa`, built under `cfg`'s
-/// sharing model.
-///
-/// Infinite-cache runs shard by `block_id % shards` — the same router
-/// [`dircc_trace::TraceStore::sharded`] memoizes, so engine-level and
-/// store-level partitions agree. Finite-cache runs shard by the tag
-/// store's *set index* of the original block (read back from the
-/// stream's renaming) instead: LRU eviction is
-/// confined to a set, so keeping every set's accesses in one shard
-/// preserves victim choice exactly. A finite config cannot honour more
-/// shards than it has sets, so the shard count is clamped to `sets`
-/// (falling back to 1 shard for a single-set cache).
-pub fn shard_stream(soa: &SoaStream, shards: usize, cfg: &RunConfig) -> ShardedStream {
-    let shards = shards.max(1);
-    match cfg.finite_cache {
-        None => ShardedStream::build(soa, shards, |gid| gid as usize % shards),
-        Some(fc) => {
-            let shards = shards.min(fc.sets);
-            ShardedStream::build(soa, shards, |gid| fc.set_of(soa.blocks.block_addr(gid)) % shards)
-        }
-    }
-}
-
-/// Replays a block-sharded stream through one monomorphized instance of
-/// `kind` per shard and folds the per-shard results into one
-/// [`RunResult`] **bit-identical to [`run_indexed`]** on the unsharded
-/// stream.
-///
-/// Why the fold is exact:
-///
-/// * with infinite caches every per-block table (cache states, directory
-///   entries, verifier versions, first-ref bits) is touched by exactly
-///   one shard, and shard-local renaming preserves first-appearance
-///   order, so each shard computes exactly the slice of state the serial
-///   run would;
-/// * [`EventCounters`] are purely additive, so merging per-shard counters
-///   in shard order reproduces the serial totals;
-/// * verifier findings carry global reference numbers; merging them in
-///   trace order and then applying the [`MAX_VIOLATIONS`] cap retains
-///   exactly the serial run's first `MAX_VIOLATIONS` findings (a finding
-///   within the first 16 globally is within the first 16 of its shard);
-/// * finite-cache runs are sharded by set index (see [`shard_stream`]),
-///   which preserves relative LRU-stamp order within every set and hence
-///   eviction choice.
-///
-/// The only intentional divergence: `check_invariants_every` cadences on
-/// the *shard-local* count of data references, so a broken protocol may
-/// be caught at a different reference than serially. Correct protocols
-/// are unaffected.
-///
-/// Shards replay on [`std::thread::scope`] workers (inline when there is
-/// only one shard).
-///
-/// # Errors
-///
-/// As [`run_indexed`], checked per shard; across shards the error with
-/// the smallest global reference number wins, deterministically. A
-/// nonzero [`RunConfig::window`] is an error: a window is a slice of the
-/// global reference stream, which no shard replays.
-pub fn run_sharded(
-    kind: ProtocolKind,
-    n_caches: usize,
-    sharded: &ShardedStream,
-    cfg: &RunConfig,
-) -> Result<RunResult, String> {
-    run_sharded_with(kind, n_caches, sharded, cfg, |_, _, _, _| ())
-}
-
-/// [`run_sharded`] with an observer called once per shard replay —
-/// `observe(shard, started, wall, refs)`, `refs` counting the shard's
-/// data references — from the thread that replayed it, so callers can
-/// attribute per-shard spans. Counters are unaffected by the observer.
-///
-/// # Errors
-///
-/// As [`run_sharded`].
-pub fn run_sharded_with<O>(
-    kind: ProtocolKind,
-    n_caches: usize,
-    sharded: &ShardedStream,
-    cfg: &RunConfig,
-    observe: O,
-) -> Result<RunResult, String>
-where
-    O: Fn(usize, Instant, Duration, u64) + Sync,
-{
-    if cfg.window > 0 {
-        return Err("sharded replay rejects a window: windowed sampling observes the global \
-                    reference stream, which no shard replays; replay serially"
-            .to_string());
-    }
-    let shards = sharded.shards();
-    for sh in shards {
-        check_sharing(sh.soa.sharing, cfg)?;
-    }
-    fan_out(shards.len(), sharded.instr(), |idx| {
-        let sh = &shards[idx];
-        let started = Instant::now();
-        let shard = Some((&sh.global_refs[..], &sh.global_ids[..]));
-        let res = replay_dispatched(kind, n_caches, &sh.soa, shard, cfg);
-        let refs = res.as_ref().map_or(sh.soa.refs(), |o| o.refs);
-        observe(idx, started, started.elapsed(), refs);
-        res
-    })
-}
-
-/// Replays shards `0..shards` — `replay_shard(idx)` each — one scoped
-/// thread per shard ([`par_map_indexed`]; inline for one shard) and
-/// merges the results with [`merge_shard_results`], adding the stream's
-/// `instr` instruction fetches once: the fan-out behind
-/// [`run_sharded_with`].
-fn fan_out<F>(shards: usize, instr: u64, replay_shard: F) -> Result<RunResult, String>
-where
-    F: Fn(usize) -> Result<CoreResult, EngineError> + Sync,
-{
-    let mut merged = merge_shard_results(par_map_indexed(shards, shards, replay_shard))?;
-    merged.counters.observe_instr_fetches(instr);
-    merged.refs += instr;
-    Ok(merged)
-}
-
-/// Folds per-shard replay results into one [`RunResult`] — additive
-/// counter merge in shard order, findings re-sorted by global reference
-/// number then capped, smallest `(gref, shard)` error winning.
-fn merge_shard_results(results: Vec<Result<CoreResult, EngineError>>) -> Result<RunResult, String> {
-    let mut counters = EventCounters::new();
-    let mut refs = 0u64;
-    let mut findings: Vec<(u64, String)> = Vec::new();
-    let mut first_err: Option<(u64, usize, String)> = None;
-    for (idx, res) in results.into_iter().enumerate() {
-        match res {
-            Ok(o) => {
-                counters.merge(&o.counters);
-                refs += o.refs;
-                findings.extend(o.violations);
-            }
-            Err(e) => {
-                if first_err.as_ref().is_none_or(|(g, s, _)| (e.gref, idx) < (*g, *s)) {
-                    first_err = Some((e.gref, idx, e.msg));
-                }
-            }
-        }
-    }
-    if let Some((_, _, msg)) = first_err {
-        return Err(msg);
-    }
-    findings.sort_by_key(|(gref, _)| *gref);
-    findings.truncate(MAX_VIOLATIONS);
-    Ok(finish_result(CoreResult { counters, refs, violations: findings, windows: Vec::new() }))
-}
-
-/// Replays one in-memory stream (or shard sub-stream, whose `shard`
-/// carries its global reference numbers and shard-local → global dense
-/// ids) through a fresh instance of `kind` sized for the stream's blocks
-/// and resolved to its concrete type ([`dispatch`]), so
-/// [`Protocol::access`] is statically dispatched and inlinable.
+/// Replays one in-memory stream through a fresh instance of `kind` sized
+/// for the stream's blocks and resolved to its concrete type
+/// ([`dispatch`]), so [`Protocol::access`] is statically dispatched and
+/// inlinable.
 fn replay_dispatched(
     kind: ProtocolKind,
     n_caches: usize,
     soa: &SoaStream,
-    shard: Option<(&[u64], &[u32])>,
     cfg: &RunConfig,
-) -> Result<CoreResult, EngineError> {
+) -> Result<RunResult, String> {
     struct Replay<'a> {
         soa: &'a SoaStream,
-        shard: Option<(&'a [u64], &'a [u32])>,
         cfg: &'a RunConfig,
     }
     impl ProtocolVisitor for Replay<'_> {
-        type Output = Result<CoreResult, EngineError>;
+        type Output = Result<RunResult, String>;
         fn visit<P: Protocol + Clone + 'static>(self, mut protocol: P) -> Self::Output {
-            let Replay { soa, shard, cfg } = self;
+            let Replay { soa, cfg } = self;
             protocol.reserve_blocks(soa.data.num_blocks);
-            replay_memory(&mut protocol, soa, shard, cfg)
+            replay_memory(&mut protocol, soa, cfg)
         }
     }
-    dispatch(kind, n_caches, Replay { soa, shard, cfg })
+    dispatch(kind, n_caches, Replay { soa, cfg })
 }
 
-/// Replays one in-memory stream (or shard sub-stream) as a single batch.
+/// Replays one in-memory stream as a single batch.
 fn replay_memory<P: Protocol + ?Sized>(
     protocol: &mut P,
     soa: &SoaStream,
-    shard: Option<(&[u64], &[u32])>,
     cfg: &RunConfig,
-) -> Result<CoreResult, EngineError> {
-    let mut core = Core::new(protocol, cfg, soa.data.num_blocks, shard.map(|s| s.1));
-    core.replay(soa, shard.map(|s| s.0))?;
+) -> Result<RunResult, String> {
+    let mut core = Core::new(protocol, cfg, soa.data.num_blocks);
+    core.replay(soa)?;
     core.finish()
 }
 
@@ -502,15 +304,12 @@ fn replay_memory<P: Protocol + ?Sized>(
 struct Core<'a, P: ?Sized> {
     protocol: &'a mut P,
     cfg: &'a RunConfig,
-    /// Shard-local → global dense ids (`None` for unsharded streams), so
-    /// sharded violation text names blocks exactly as the serial run does.
-    global_ids: Option<&'a [u32]>,
     counters: EventCounters,
     /// The value oracle, when the config verifies.
     values: Option<ValueModel>,
-    /// Its findings, each at its global reference number, capped at
+    /// Its findings, each prefixed with its reference number, capped at
     /// [`MAX_VIOLATIONS`].
-    violations: Vec<(u64, String)>,
+    violations: Vec<String>,
     /// Counter snapshots every [`RunConfig::window`] references.
     windows: Option<WindowedRecorder>,
     /// Finite-mode tag stores mirror each cache's resident blocks; LRU
@@ -526,12 +325,7 @@ struct Core<'a, P: ?Sized> {
 
 impl<'a, P: Protocol + ?Sized> Core<'a, P> {
     /// `block_capacity` pre-sizes the value oracle's dense tables.
-    fn new(
-        protocol: &'a mut P,
-        cfg: &'a RunConfig,
-        block_capacity: usize,
-        global_ids: Option<&'a [u32]>,
-    ) -> Self {
+    fn new(protocol: &'a mut P, cfg: &'a RunConfig, block_capacity: usize) -> Self {
         let n = protocol.num_caches();
         Core {
             values: cfg.verify.then(|| ValueModel::new(n, block_capacity)),
@@ -539,7 +333,6 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
             tag_stores: cfg.finite_cache.map(|fc| (0..n).map(|_| SetAssocCache::new(fc)).collect()),
             protocol,
             cfg,
-            global_ids,
             counters: EventCounters::new(),
             violations: Vec::new(),
             refs: 0,
@@ -547,14 +340,13 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
     }
 
     /// The replay loop: the one place references reach
-    /// [`Protocol::access`]. Replays one batch — `soa`, with `grefs` the
-    /// 1-based *global* reference numbers of a shard sub-stream's entries
-    /// (`None`: the running reference count), used in error and violation
-    /// messages so sharded findings merge back in trace order. The window
-    /// recorder sees the cumulative counters once per reference, after
-    /// every counter mutation that reference caused (eviction traffic
-    /// included), so windowed deltas partition the run exactly.
-    fn replay(&mut self, soa: &SoaStream, grefs: Option<&[u64]>) -> Result<(), EngineError> {
+    /// [`Protocol::access`]. Replays one batch, `soa`, numbering its
+    /// references on from the running count for error and violation
+    /// messages. The window recorder sees the cumulative counters once per
+    /// reference, after every counter mutation that reference caused
+    /// (eviction traffic included), so windowed deltas partition the run
+    /// exactly.
+    fn replay(&mut self, soa: &SoaStream) -> Result<(), String> {
         let n = self.protocol.num_caches();
         let data = &*soa.data;
         let len = soa.len();
@@ -576,7 +368,7 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
             match self.tag_stores.as_mut() {
                 None => quiet(protocol, counters, soa, ()),
                 Some(stores) => {
-                    let probe = TagProbe { stores, soa, global_ids: self.global_ids };
+                    let probe = TagProbe { stores, soa };
                     quiet(protocol, counters, soa, probe);
                 }
             }
@@ -588,13 +380,10 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
         // invariant modulo test hoisted to segment boundaries (segments
         // end exactly where the cadence checks). It walks the references,
         // the data bits placing the instruction fetches and `d` indexing
-        // the columns; a shard holds data references only.
+        // the columns.
         let positions = soa.refs() as usize;
-        // The original block behind a (possibly shard-local) dense id.
-        let global_ids = self.global_ids;
-        let orig = |block: BlockAddr| {
-            soa.blocks.block_addr(global_block(global_ids, block).index() as u32)
-        };
+        // The original block behind a dense id.
+        let orig = |block: BlockAddr| soa.blocks.block_addr(block.index() as u32);
         let mut d = 0usize;
         let mut i = 0usize;
         while i < positions {
@@ -618,21 +407,16 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
                     }
                     continue;
                 }
-                let gref = grefs.map_or(refs, |g| g[d]);
                 let (k, c) = (data.kind[d], cache_idx[d]);
                 let block = BlockAddr::from_index(u64::from(data.block_id[d]));
                 if usize::from(c) >= n {
                     // The store holds no byte offset: name the block's base.
                     let at = soa.blocks.geometry().block_base(orig(block));
                     let (cpu, pid) = (CpuId::new(data.cpu[d]), ProcessId::new(data.pid[d]));
-                    return Err(EngineError {
-                        gref,
-                        msg: format!(
-                            "reference {gref}: cache index {c} out of range for {n} caches \
-                             ({cpu}, {pid}, {k:?} at {at}; did you size the protocol for the \
-                             sharing model?)"
-                        ),
-                    });
+                    return Err(format!(
+                        "reference {refs}: cache index {c} out of range for {n} caches ({cpu}, \
+                         {pid}, {k:?} at {at}; did you size the protocol for the sharing model?)"
+                    ));
                 }
                 let cache = CacheId::new(c);
                 let out = self.protocol.access(cache, k, block, data.first_ref[d]);
@@ -640,9 +424,8 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
                 self.counters.observe(&out);
 
                 if let Some(values) = self.values.as_mut() {
-                    let shown = global_block(self.global_ids, block);
-                    let verdict = values.access(&*self.protocol, cache, k, block, shown, &out);
-                    note(&mut self.violations, gref, verdict);
+                    let verdict = values.access(&*self.protocol, cache, k, block, block, &out);
+                    note(&mut self.violations, refs, verdict);
                 }
                 if let Some(stores) = self.tag_stores.as_mut() {
                     let store = &mut stores[cache.index()];
@@ -652,9 +435,8 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
                         let evo = self.protocol.evict(cache, victim.state);
                         self.counters.observe_eviction(&evo);
                         if let Some(values) = self.values.as_mut().filter(|_| evo.write_back) {
-                            let shown = global_block(self.global_ids, victim.state);
-                            let verdict = values.write_back(cache, victim.state, shown);
-                            note(&mut self.violations, gref, verdict);
+                            let verdict = values.write_back(cache, victim.state, victim.state);
+                            note(&mut self.violations, refs, verdict);
                         }
                     }
                 }
@@ -668,11 +450,7 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
             let done = base + i as u64;
             if every > 0 && done.is_multiple_of(every) && ends_on_data {
                 if let Err(e) = self.protocol.check_invariants() {
-                    let gref = grefs.map_or(done, |g| g[d - 1]);
-                    return Err(EngineError {
-                        gref,
-                        msg: format!("invariant violation at reference {gref}: {e}"),
-                    });
+                    return Err(format!("invariant violation at reference {done}: {e}"));
                 }
             }
         }
@@ -682,15 +460,14 @@ impl<'a, P: Protocol + ?Sized> Core<'a, P> {
 
     /// Ends the stream: the final invariant check (when a cadence is set)
     /// and the last, possibly shorter, window.
-    fn finish(self) -> Result<CoreResult, EngineError> {
+    fn finish(self) -> Result<RunResult, String> {
         if self.cfg.check_invariants_every > 0 {
-            self.protocol.check_invariants().map_err(|e| EngineError {
-                gref: u64::MAX,
-                msg: format!("final invariant violation: {e}"),
-            })?;
+            self.protocol
+                .check_invariants()
+                .map_err(|e| format!("final invariant violation: {e}"))?;
         }
         let windows = self.windows.map_or_else(Vec::new, |w| w.finish(self.refs, &self.counters));
-        Ok(CoreResult {
+        Ok(RunResult {
             counters: self.counters,
             refs: self.refs,
             violations: self.violations,
@@ -748,7 +525,6 @@ impl AfterAccess for () {}
 struct TagProbe<'a> {
     stores: &'a mut [SetAssocCache<BlockAddr>],
     soa: &'a SoaStream,
-    global_ids: Option<&'a [u32]>,
 }
 
 impl AfterAccess for TagProbe<'_> {
@@ -760,7 +536,7 @@ impl AfterAccess for TagProbe<'_> {
         cache: CacheId,
         block: BlockAddr,
     ) {
-        let orig = self.soa.blocks.block_addr(global_block(self.global_ids, block).index() as u32);
+        let orig = self.soa.blocks.block_addr(block.index() as u32);
         if let Lookup::Inserted { evicted: Some(victim) } =
             self.stores[cache.index()].lookup_or_insert(orig, block)
         {
@@ -769,20 +545,11 @@ impl AfterAccess for TagProbe<'_> {
     }
 }
 
-/// The block a finding names: `block` itself, or for a shard sub-stream
-/// (`global_ids` set) its global dense id, as the serial run names it.
-fn global_block(global_ids: Option<&[u32]>, block: BlockAddr) -> BlockAddr {
-    match global_ids {
-        None => block,
-        Some(g) => BlockAddr::from_index(u64::from(g[block.index() as usize])),
-    }
-}
-
-/// Keeps a value-oracle finding at reference `gref`, up to the cap.
-fn note(violations: &mut Vec<(u64, String)>, gref: u64, verdict: Result<(), String>) {
+/// Keeps a value-oracle finding at reference `at`, up to the cap.
+fn note(violations: &mut Vec<String>, at: u64, verdict: Result<(), String>) {
     if let Err(msg) = verdict {
         if violations.len() < MAX_VIOLATIONS {
-            violations.push((gref, msg));
+            violations.push(format!("ref {at}: {msg}"));
         }
     }
 }
@@ -1017,8 +784,6 @@ mod tests {
         assert_eq!(run(p.as_mut(), trace.clone(), &cfg).unwrap_err(), want);
         let soa = soa(&trace, &cfg);
         assert_eq!(run_indexed(ProtocolKind::Dir0B, 4, &soa, &cfg).unwrap_err(), want);
-        let sharded = shard_stream(&soa, 2, &cfg);
-        assert_eq!(run_sharded(ProtocolKind::Dir0B, 4, &sharded, &cfg).unwrap_err(), want);
     }
 
     #[test]
@@ -1127,79 +892,10 @@ mod tests {
         assert_eq!(res.windows.len(), 5_000usize.div_ceil(512));
     }
 
-    #[test]
-    fn sharded_replay_is_bit_identical_for_every_scheme() {
-        use dircc_trace::gen::{Generator, Profile};
-        let records: Vec<TraceRecord> =
-            Generator::new(Profile::pops().with_total_refs(6_000), 9).collect();
-        let cfg = RunConfig { verify: true, ..RunConfig::default().with_process_sharing() };
-        let soa = soa(&records, &cfg);
-        for kind in [
-            ProtocolKind::DirNb { pointers: 1 },
-            ProtocolKind::DirNb { pointers: 4 },
-            ProtocolKind::Dir0B,
-            ProtocolKind::DirB { pointers: 1 },
-            ProtocolKind::CodedSet,
-            ProtocolKind::Tang,
-            ProtocolKind::YenFu,
-            ProtocolKind::Wti,
-            ProtocolKind::Dragon,
-            ProtocolKind::Berkeley,
-            ProtocolKind::WriteOnce,
-            ProtocolKind::Firefly,
-            ProtocolKind::Mesi,
-        ] {
-            let serial = run_indexed(kind, 4, &soa, &cfg).unwrap();
-            for shards in [1, 2, 3, 8] {
-                let sharded = shard_stream(&soa, shards, &cfg);
-                assert_eq!(sharded.num_shards(), shards, "infinite caches honour the count");
-                let res = run_sharded(kind, 4, &sharded, &cfg).unwrap();
-                assert_eq!(serial.counters, res.counters, "{kind} at {shards} shards");
-                assert_eq!(serial.refs, res.refs);
-                assert_eq!(serial.violations, res.violations);
-            }
-        }
-    }
-
-    #[test]
-    fn set_sharded_finite_caches_are_bit_identical() {
-        use dircc_cache::FiniteCacheConfig;
-        // Four CPUs cycling writes through 24 blocks — 6 blocks per set of
-        // a 4-set × 2-way cache, so every set thrashes and evicts.
-        let trace: Vec<TraceRecord> = (0..1200u64)
-            .map(|i| {
-                let cpu = (i % 4) as u16;
-                let block = (i / 4 * 5 + i % 4) % 24;
-                TraceRecord::new(
-                    CpuId::new(cpu),
-                    ProcessId::new(cpu),
-                    if i % 3 == 0 { AccessKind::Write } else { AccessKind::Read },
-                    Address::new(block * 16),
-                )
-            })
-            .collect();
-        let cfg = RunConfig {
-            verify: true,
-            ..RunConfig::default().with_finite_caches(FiniteCacheConfig::new(4, 2))
-        };
-        let soa = soa(&trace, &cfg);
-        for kind in [ProtocolKind::Dir0B, ProtocolKind::Berkeley, ProtocolKind::Mesi] {
-            let serial = run_indexed(kind, 4, &soa, &cfg).unwrap();
-            assert!(serial.counters.cache_evictions() > 0, "exercise eviction traffic");
-            for shards in [2, 3, 4, 8] {
-                let sharded = shard_stream(&soa, shards, &cfg);
-                assert!(sharded.num_shards() <= 4, "clamped to the set count");
-                let res = run_sharded(kind, 4, &sharded, &cfg).unwrap();
-                assert_eq!(serial.counters, res.counters, "{kind} at {shards} shards");
-                assert_eq!(serial.violations, res.violations);
-            }
-        }
-    }
-
     /// A finite run with no verifier, window or cadence takes the quiet
     /// body; forcing the checking body with the verifier (which never
-    /// changes counters) must give the same counters, serially, streamed
-    /// and set-sharded, and every scheme the same eviction count.
+    /// changes counters) must give the same counters, indexed and
+    /// streamed, and every scheme the same eviction count.
     #[test]
     fn quiet_finite_runs_match_the_checking_body() {
         use dircc_cache::FiniteCacheConfig;
@@ -1236,11 +932,6 @@ mod tests {
                 let mut p = build(kind, 4);
                 let streamed = run(p.as_mut(), records.iter().copied(), &quiet).unwrap();
                 assert_eq!(streamed.counters, want.counters, "{at} streamed");
-                for shards in [2, 3] {
-                    let sharded = shard_stream(&soa, shards, &quiet);
-                    let got = run_sharded(kind, 4, &sharded, &quiet).unwrap();
-                    assert_eq!(got.counters, want.counters, "{at} at {shards} shards");
-                }
                 // The tag stores see every data reference and never the
                 // protocol, so every scheme evicts alike.
                 let n = want.counters.cache_evictions();
@@ -1248,86 +939,6 @@ mod tests {
                 assert_eq!(*evictions.get_or_insert(n), n, "{at}: eviction count");
             }
         }
-    }
-
-    #[test]
-    fn finite_single_set_falls_back_to_one_shard() {
-        use dircc_cache::FiniteCacheConfig;
-        let trace = patterns::migratory(4, 40);
-        let cfg = RunConfig::default().with_finite_caches(FiniteCacheConfig::new(1, 2));
-        let sharded = shard_stream(&soa(&trace, &cfg), 8, &cfg);
-        assert_eq!(sharded.num_shards(), 1);
-    }
-
-    #[test]
-    fn sharded_violations_merge_in_trace_order_with_the_serial_cap() {
-        // The Stale protocol violates on every access; over many
-        // blocks the violations land in different shards, so this pins
-        // the cap-after-merge semantics: exactly the serial run's first
-        // MAX_VIOLATIONS findings, in its order.
-        use dircc_types::{Address, CpuId, ProcessId};
-        let trace: Vec<TraceRecord> = (0..120u64)
-            .map(|i| {
-                TraceRecord::new(
-                    CpuId::new((i % 4) as u16),
-                    ProcessId::new((i % 4) as u16),
-                    if i % 3 == 0 { AccessKind::Write } else { AccessKind::Read },
-                    Address::new((i % 9) * 16),
-                )
-            })
-            .collect();
-        let cfg = RunConfig::verifying(0);
-        let soa = soa(&trace, &cfg);
-        let mut p = Stale(dircc_cache::CacheArray::new(4));
-        let serial = run(&mut p, trace.clone(), &cfg).unwrap();
-        assert_eq!(serial.violations.len(), MAX_VIOLATIONS);
-        for shards in [2, 3, 5] {
-            let sharded = shard_stream(&soa, shards, &cfg);
-            let res = fan_out(shards, sharded.instr(), |idx| {
-                let sh = &sharded.shards()[idx];
-                let mut p = Stale(dircc_cache::CacheArray::new(4));
-                let shard = Some((&sh.global_refs[..], &sh.global_ids[..]));
-                replay_memory(&mut p, &sh.soa, shard, &cfg)
-            })
-            .unwrap();
-            assert_eq!(serial.violations, res.violations, "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn sharded_error_is_the_serial_first_error() {
-        // An out-of-range CPU in the middle of the stream: whichever shard
-        // it lands in, the reported error must be the serial one.
-        use dircc_types::{Address, CpuId, ProcessId};
-        let mut trace = patterns::migratory(4, 60);
-        trace.insert(
-            30,
-            TraceRecord::new(CpuId::new(9), ProcessId::new(9), AccessKind::Read, Address::new(0)),
-        );
-        let cfg = RunConfig::default();
-        let soa = soa(&trace, &cfg);
-        let serial = run_indexed(ProtocolKind::Dir0B, 4, &soa, &cfg).unwrap_err();
-        for shards in [1, 2, 4] {
-            let sharded = shard_stream(&soa, shards, &cfg);
-            let err = run_sharded(ProtocolKind::Dir0B, 4, &sharded, &cfg).unwrap_err();
-            assert_eq!(serial, err, "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn sharded_observer_sees_every_shard_once() {
-        use std::sync::Mutex;
-        let trace = patterns::migratory(4, 200);
-        let cfg = RunConfig::default();
-        let sharded = shard_stream(&soa(&trace, &cfg), 3, &cfg);
-        let seen: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::new());
-        let observe = |shard, _, _, refs| seen.lock().unwrap().push((shard, refs));
-        let res = run_sharded_with(ProtocolKind::Mesi, 4, &sharded, &cfg, observe).unwrap();
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen.len(), 3);
-        assert_eq!(seen.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(seen.iter().map(|(_, r)| *r).sum::<u64>(), res.refs);
     }
 
     #[test]
@@ -1473,13 +1084,8 @@ mod tests {
                 let err = run_chunked(&mut fresh(), &mut source, &cfg).unwrap_err();
                 assert_eq!(err, want, "cadence {every}, pieces of {piece}");
             }
-            let soa = soa(&records, &cfg);
-            let err = replay_memory(&mut fresh(), &soa, None, &cfg);
-            assert_eq!(
-                err.err().map(|e| e.msg).as_deref(),
-                Some(want),
-                "cadence {every}, in memory"
-            );
+            let err = replay_memory(&mut fresh(), &soa(&records, &cfg), &cfg).unwrap_err();
+            assert_eq!(err, want, "cadence {every}, in memory");
         }
     }
 }

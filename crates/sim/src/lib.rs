@@ -6,8 +6,8 @@
 //!
 //! * [`engine`] — the one replay loop: structure-of-arrays batches
 //!   (precomputed `kind`/`cache_idx`/`block_id`/`first_ref` arrays) from
-//!   in-memory, streamed or sharded sources, replayed through
-//!   any [`Protocol`](dircc_core::Protocol) — statically dispatched per
+//!   in-memory or streamed sources, replayed through any
+//!   [`Protocol`](dircc_core::Protocol) — statically dispatched per
 //!   scheme where the source allows — with an optional value-level
 //!   coherence verifier;
 //! * [`metrics`] — bus-cycles-per-reference and per-transaction metrics;
@@ -51,8 +51,7 @@ pub mod service;
 pub mod workbench;
 
 pub use engine::{
-    run, run_chunked, run_chunked_many, run_indexed, run_sharded, run_sharded_with, shard_stream,
-    RunConfig, RunResult, SharingModel,
+    run, run_chunked, run_chunked_many, run_indexed, RunConfig, RunResult, SharingModel,
 };
 pub use metrics::Evaluation;
 pub use par::{default_jobs, par_map_indexed};

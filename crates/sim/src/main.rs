@@ -10,7 +10,7 @@
 //! dircc all                          # everything, in paper order
 //! dircc record --profile pops --out t.dcct  # write a chunked v2 trace
 //! dircc replay --in t.dcct [--scheme S] [--verify]   # stream a trace file
-//! dircc replay --profile pops [--shards N]  # replay a generated trace in memory
+//! dircc replay --profile pops             # replay a generated trace in memory
 //! dircc stats --in t.dcct                 # Table 3 stats of a trace file
 //! dircc bench [--smoke] [--out FILE]      # counter-digest report of the paper matrix
 //! dircc benchcmp [--smoke] [--in FILE]    # counter-drift gate against a report
@@ -26,8 +26,8 @@
 //! PASS/FAIL table; any violation prints a minimal counterexample and
 //! fails the process. `dircc bench` writes the counter digest of every
 //! paper-matrix run and the v2-encoded size of every trace; every field
-//! is deterministic, so the report is byte-identical across `--jobs` and
-//! `--shards`. `dircc benchcmp` rebuilds that report and fails if any
+//! is deterministic, so the report is byte-identical across `--jobs`.
+//! `dircc benchcmp` rebuilds that report and fails if any
 //! field drifts from a checked-in baseline. Wall-clock performance is
 //! measured by the `perfbench` package, not by `dircc`.
 //! `dircc profile` replays an experiment's work list with windowed
@@ -42,21 +42,20 @@
 //! in one serial pass that decodes the file once for every scheme, with
 //! memory bounded by one chunk's payload and one replay batch. Without
 //! `--in`, `replay` generates the `--profile` trace in memory and replays
-//! the classic indexed path (block-sharded with `--shards N`); stdout is
-//! byte-identical between the two modes. `replay --in` rejects
-//! `--shards`: sharding needs the whole trace in memory.
+//! the classic indexed path; stdout is byte-identical between the two
+//! modes.
 //!
 //! Common flags: `--refs N` (references per trace; default = paper scale),
 //! `--seed S` (default 1988), `--jobs N` (worker threads; default = the
-//! machine's available parallelism), `--shards N` (block shards per
-//! replay; default 1). Any other flag applies only to the commands its
-//! `FLAGS` row names, and is rejected elsewhere. Results are independent of `--jobs` and
-//! `--shards`: stdout is byte-identical for any combination (sharded
-//! counters are bit-identical by construction; see the engine's
-//! `run_sharded`); the per-run wall-clock timing summary goes to stderr,
-//! and only with `--verbose`. `dircc profile` rejects `--shards` —
-//! windowed sampling observes the global reference stream, which pins the
-//! replay to one shard — and so does `dircc replay --in`.
+//! machine's available parallelism). Any other flag applies only to the
+//! commands its `FLAGS` row names, and is rejected elsewhere. Results are
+//! independent of `--jobs`: stdout is byte-identical for any value; the
+//! per-run wall-clock timing summary goes to stderr, and only with
+//! `--verbose`. Everything a command prints goes through [`out`], so a
+//! closed or full stdout ends the command with an error, not a panic.
+
+// `print!` panics on a closed or full stdout; `out!` returns the error.
+#![deny(clippy::print_stdout)]
 
 use dircc_bus::{CostConfig, CostModel};
 use dircc_check::{check_protocol, CheckConfig};
@@ -70,11 +69,11 @@ use dircc_serve::{client, JobHandler, ServeConfig, Server, MAX_REFS};
 use dircc_sim::experiments::{extensions, figures, network, studies, system, tables};
 use dircc_sim::{
     default_jobs, filter_label, profile_by_name, report, run_chunked_many, run_indexed,
-    run_response_json, run_sharded, scheme_by_name, shard_stream, Evaluation, RunConfig, RunResult,
-    TraceFilter, Workbench, WorkbenchHandler,
+    run_response_json, scheme_by_name, Evaluation, RunConfig, RunResult, TraceFilter, Workbench,
+    WorkbenchHandler,
 };
 use dircc_trace::chunk::{DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS};
-use dircc_trace::gen::{Generator, Profile};
+use dircc_trace::gen::Generator;
 use dircc_trace::sharing::SharingProfile;
 use dircc_trace::stats::TraceStats;
 use dircc_trace::{open_trace, ChunkedWriter, Records, SoaStream, TraceRecord};
@@ -83,6 +82,28 @@ use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
+
+/// The CLI's one way to stdout: writes as `print!` does, through the
+/// line-buffered `io::stdout()`, but a closed or full stdout is an
+/// `Err("stdout: …")` where `print!` would panic.
+fn out(args: std::fmt::Arguments) -> Result<(), String> {
+    use std::io::Write as _;
+    std::io::stdout().write_fmt(args).map_err(|e| format!("stdout: {e}"))
+}
+
+/// `print!` through [`out`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`out`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// What a subcommand does with `--in`/`--out`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,7 +211,6 @@ struct Args {
     refs: Option<u64>,
     seed: u64,
     jobs: usize,
-    shards: usize,
     profile: String,
     out: Option<String>,
     input: Option<String>,
@@ -241,7 +261,6 @@ const fn flag(
 const ANY: &[&str] = &[];
 /// In a flag's command list: every [`Kind::Workbench`] command.
 const EXPERIMENTS: &str = "workbench experiments";
-const SHARDED: &[&str] = &[EXPERIMENTS, "all", "bench", "benchcmp", "check", "replay", "submit"];
 /// The `dircc submit` operations.
 const OPS: &[&str] = &["run", "series", "health", "metrics", "spans", "shutdown"];
 
@@ -255,7 +274,6 @@ const FLAGS: &[FlagSpec] = &[
     }),
     flag("--seed", "S", ANY, |a, v| v.parse().map(|n| a.seed = n)),
     flag("--jobs", "N", ANY, |a, v| v.positive().map(|n| a.jobs = n)),
-    flag("--shards", "N", SHARDED, |a, v| v.positive().map(|n| a.shards = n)),
     flag("--profile", "pops|thor|pero|custom", ANY, |a, v| v.parse().map(|s| a.profile = s)),
     flag("--out", "FILE", ANY, |a, v| v.parse().map(|s| a.out = Some(s))),
     flag("--in", "FILE", ANY, |a, v| v.parse().map(|s| a.input = Some(s))),
@@ -357,7 +375,6 @@ fn parse_args() -> Result<Args, String> {
         command,
         seed: 1988,
         jobs: default_jobs(),
-        shards: 1,
         profile: "pops".to_string(),
         ..Args::default()
     };
@@ -381,19 +398,14 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Rejects a flag given to a command it does not apply to, and the
-/// combinations no single flag can rule out: `--shards` on `profile` or
-/// `replay --in`, a positional argument outside `profile`, and `--in`/
-/// `--out` against the command's data direction (e.g. `dircc record --in
-/// t.dcct` would otherwise write to the `--in` path).
+/// combinations no single flag can rule out: a positional argument outside
+/// `profile`, and `--in`/`--out` against the command's data direction
+/// (e.g. `dircc record --in t.dcct` would otherwise write to the `--in`
+/// path).
 fn validate(args: &Args, given: &[&FlagSpec]) -> Result<(), String> {
     let Some(spec) = spec_for(&args.command) else {
         return Ok(()); // unknown commands error later, with the usage text
     };
-    if spec.kind == Kind::Profile && args.shards > 1 {
-        return Err("profile rejects --shards: windowed sampling observes the global \
-             reference stream, which pins the replay to one shard"
-            .to_string());
-    }
     for flag in given {
         let applies = flag.commands.is_empty()
             || flag
@@ -413,12 +425,6 @@ fn validate(args: &Args, given: &[&FlagSpec]) -> Result<(), String> {
         if let Some(target) = &args.target {
             return Err(format!("{} takes no positional argument (got {target})", spec.name));
         }
-    }
-    if spec.kind == Kind::Replay && args.input.is_some() && args.shards > 1 {
-        return Err("replay --in streams the file in one serial pass and takes no \
-             --shards; for sharded replay, generate the trace in memory instead: \
-             dircc replay --profile P --shards N"
-            .to_string());
     }
     match spec.io {
         Io::None if args.out.is_some() || args.input.is_some() => {
@@ -468,7 +474,6 @@ fn workbench(args: &Args) -> Workbench {
         (None, true) => Workbench::paper_scaled(20_000, args.seed),
         (None, false) => Workbench::paper(args.seed),
     }
-    .with_shards(args.shards)
 }
 
 fn trace_path(args: &Args) -> String {
@@ -492,7 +497,7 @@ fn record(args: &Args) -> Result<(), String> {
     let chunks = records.div_ceil(chunk as u64);
     w.finish().map_err(|e| format!("finish: {e}"))?;
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    println!("wrote {records} references to {path} ({chunks} chunk(s), v2, {bytes} bytes)");
+    outln!("wrote {records} references to {path} ({chunks} chunk(s), v2, {bytes} bytes)")?;
     Ok(())
 }
 
@@ -539,20 +544,15 @@ fn replay_memory(
         profile = profile.with_total_refs(n);
     }
     let soa = SoaStream::build(Generator::new(profile, args.seed), cfg.geometry, cfg.sharing);
-    if args.shards <= 1 {
-        kinds.iter().map(|&kind| run_indexed(kind, cpus, &soa, cfg)).collect()
-    } else {
-        let sharded = shard_stream(&soa, args.shards, cfg);
-        kinds.iter().map(|&kind| run_sharded(kind, cpus, &sharded, cfg)).collect()
-    }
+    kinds.iter().map(|&kind| run_indexed(kind, cpus, &soa, cfg)).collect()
 }
 
 /// `dircc replay`: streams a recorded v2 trace (`--in`) or an in-memory
 /// `--profile` trace through the paper's headline schemes (or one
 /// `--scheme`), printing the deterministic per-scheme counter row and
 /// pipelined cycles-per-reference. stdout is byte-identical between the
-/// file and in-memory modes and across the in-memory mode's `--shards`;
-/// ingest timing goes to stderr, only with `--verbose`.
+/// file and in-memory modes; ingest timing goes to stderr, only with
+/// `--verbose`.
 fn replay(args: &Args) -> Result<(), String> {
     let cpus = args.cpus.unwrap_or(4);
     if args.json {
@@ -580,38 +580,43 @@ fn replay(args: &Args) -> Result<(), String> {
         let trace_name = profile_by_name(&args.profile)?.name.to_string();
         for (&kind, res) in kinds.iter().zip(&results) {
             let eval = Evaluation::new(kind.display_name(cpus), kind, cpus, res.counters.clone());
-            print!("{}", run_response_json(&eval, &trace_name, args.refs, args.seed, "full"));
+            out!("{}", run_response_json(&eval, &trace_name, args.refs, args.seed, "full"))?;
         }
         return Ok(());
     }
 
     let (model, cost_cfg) = (CostModel::pipelined(), CostConfig::PAPER);
-    println!(
+    outln!(
         "{:<12} {:>10} {:>9} {:>9} {:>9} {:>9}   cyc/ref",
-        "scheme", "refs", "rd-miss", "wr-miss", "wr-hit", "wr-back"
-    );
+        "scheme",
+        "refs",
+        "rd-miss",
+        "wr-miss",
+        "wr-hit",
+        "wr-back"
+    )?;
     let mut violations = 0usize;
     for (&kind, res) in kinds.iter().zip(&results) {
         let name = kind.display_name(cpus);
         let c = &res.counters;
         let cpr =
             Evaluation::new(name.clone(), kind, cpus, c.clone()).cycles_per_ref(&model, &cost_cfg);
-        println!(
+        outln!(
             "{name:<12} {:>10} {:>9} {:>9} {:>9} {:>9}   {cpr:.4}",
             res.refs,
             c.rm(),
             c.wm(),
             c.wh(),
             c.write_backs()
-        );
+        )?;
         violations += res.violations.len();
         for v in &res.violations {
-            println!("  violation: {name}: {v}");
+            outln!("  violation: {name}: {v}")?;
         }
     }
     if args.verify {
         if violations == 0 {
-            println!("verify: {} scheme(s), no violations", kinds.len());
+            outln!("verify: {} scheme(s), no violations", kinds.len())?;
         } else {
             return Err(format!("replay: {violations} coherence violation(s)"));
         }
@@ -647,38 +652,38 @@ fn for_each_record(path: &str, mut observe: impl FnMut(&TraceRecord)) -> Result<
 fn stats(args: &Args) -> Result<(), String> {
     let mut s = TraceStats::new();
     for_each_record(&trace_path(args), |r| s.observe(r))?;
-    println!("references : {}", s.total());
-    println!("instr      : {} ({:.2}%)", s.instr(), 100.0 * s.instr_fraction());
-    println!("data reads : {} ({:.2}%)", s.reads(), 100.0 * s.read_fraction());
-    println!("data writes: {} ({:.2}%)", s.writes(), 100.0 * s.write_fraction());
-    println!("system refs: {} ({:.2}%)", s.system(), 100.0 * s.system_fraction());
-    println!(
+    outln!("references : {}", s.total())?;
+    outln!("instr      : {} ({:.2}%)", s.instr(), 100.0 * s.instr_fraction())?;
+    outln!("data reads : {} ({:.2}%)", s.reads(), 100.0 * s.read_fraction())?;
+    outln!("data writes: {} ({:.2}%)", s.writes(), 100.0 * s.write_fraction())?;
+    outln!("system refs: {} ({:.2}%)", s.system(), 100.0 * s.system_fraction())?;
+    outln!(
         "lock spins : {} ({:.2}% of reads)",
         s.lock_spin_reads(),
         100.0 * s.spin_fraction_of_reads()
-    );
-    println!("data blocks: {}", s.distinct_data_blocks());
-    println!("cpus       : {}   processes: {}", s.distinct_cpus(), s.distinct_processes());
+    )?;
+    outln!("data blocks: {}", s.distinct_data_blocks())?;
+    outln!("cpus       : {}   processes: {}", s.distinct_cpus(), s.distinct_processes())?;
     Ok(())
 }
 
 fn sharing(args: &Args) -> Result<(), String> {
     let mut s = SharingProfile::new();
     for_each_record(&trace_path(args), |r| s.observe(r))?;
-    println!("data refs          : {}", s.data_refs());
-    println!("data blocks        : {}", s.total_blocks());
-    println!(
+    outln!("data refs          : {}", s.data_refs())?;
+    outln!("data blocks        : {}", s.total_blocks())?;
+    outln!(
         "shared blocks      : {} ({:.2}%)",
         s.shared_blocks(),
         100.0 * s.shared_blocks() as f64 / s.total_blocks().max(1) as f64
-    );
-    println!("refs to shared     : {:.2}%", 100.0 * s.shared_ref_fraction());
-    println!("writes to shared   : {:.2}%", 100.0 * s.shared_write_fraction());
-    println!("mean sharers/shared: {:.2}", s.mean_sharers_of_shared());
+    )?;
+    outln!("refs to shared     : {:.2}%", 100.0 * s.shared_ref_fraction())?;
+    outln!("writes to shared   : {:.2}%", 100.0 * s.shared_write_fraction())?;
+    outln!("mean sharers/shared: {:.2}", s.mean_sharers_of_shared())?;
     let hist = s.sharer_histogram(6);
     for (i, count) in hist.iter().enumerate() {
         let label = if i + 1 < hist.len() { format!("{}", i + 1) } else { format!("{}+", i + 1) };
-        println!("  blocks with {label} sharer(s): {count}");
+        outln!("  blocks with {label} sharer(s): {count}")?;
     }
     Ok(())
 }
@@ -738,7 +743,7 @@ fn run_workbench_command(args: &Args, all: bool) -> Result<(), String> {
     } else {
         vec![&args.command]
     };
-    let result = names.iter().try_for_each(|c| run_experiment(c, &wb).map(|s| println!("{s}")));
+    let result = names.iter().try_for_each(|c| run_experiment(c, &wb).and_then(|s| outln!("{s}")));
     if args.verbose {
         eprint!("{}", wb.timing_summary());
     }
@@ -756,8 +761,8 @@ impl BenchReport {
     /// Replays the paper matrix (the (protocol, filter) x trace work list
     /// `dircc all` warms) on the [`workbench`] the flags select. Each trace
     /// is also encoded as v2 (same generator, default chunking) into a
-    /// byte counter. Counters are shard-invariant and the memo makes them
-    /// independent of `--jobs`, so the report is too.
+    /// byte counter. The memo makes counters independent of `--jobs`, so
+    /// the report is too.
     fn measure(args: &Args) -> Result<BenchReport, String> {
         let wb = workbench(args);
         let work = wb.paper_workload();
@@ -828,7 +833,7 @@ fn bench(args: &Args) -> Result<(), String> {
     let report = BenchReport::measure(args)?;
     let path = args.out.clone().unwrap_or_else(|| "BENCH_replay.json".to_string());
     write_output(&path, &report.to_json())?;
-    println!("bench: {} runs, {} ingest rows -> {path}", report.runs.len(), report.ingest.len());
+    outln!("bench: {} runs, {} ingest rows -> {path}", report.runs.len(), report.ingest.len())?;
     Ok(())
 }
 
@@ -855,18 +860,17 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
         registry,
     )
     .map_err(|e| format!("bind {addr}: {e}"))?;
-    println!("dircc serve: listening on http://{}", server.local_addr());
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
+    // Line-buffered: the line is out before the accept loop starts.
+    outln!("dircc serve: listening on http://{}", server.local_addr())?;
     let stats = server.run();
-    println!(
+    outln!(
         "dircc serve: drained after {} request(s) ({} cache hit(s), {} miss(es), \
          {} workbench run(s))",
         stats.requests,
         stats.cache_hits,
         stats.cache_misses,
         handler.executed_runs()
-    );
+    )?;
     Ok(())
 }
 
@@ -895,9 +899,6 @@ fn submit_job_json(args: &Args) -> Result<String, String> {
     }
     if let Some(filter) = &args.filter {
         let _ = write!(body, ", \"filter\": \"{filter}\"");
-    }
-    if args.shards > 1 {
-        let _ = write!(body, ", \"shards\": {}", args.shards);
     }
     if let Some(window) = args.window {
         let _ = write!(body, ", \"window\": {window}");
@@ -946,7 +947,7 @@ fn submit_cmd(args: &Args) -> Result<(), String> {
             return Err(format!("expected X-Cache: {want}, server answered X-Cache: {got}"));
         }
     }
-    print!("{}", resp.text());
+    out!("{}", resp.text())?;
     Ok(())
 }
 
@@ -1058,29 +1059,29 @@ fn top_cmd(args: &Args) -> Result<(), String> {
     let first = TopSnapshot::take(&samples);
     if args.once {
         let q = |q: f64| first.run_quantile_since(None, q).map_or(0.0, |us| us / 1e3);
-        println!("uptime_s {:.0}", first.uptime);
-        println!("requests_total {:.0}", first.requests);
-        println!("errors_total {:.0}", first.errors);
-        println!("refused_total {:.0}", first.refused);
-        println!("queue_depth {:.0}", first.queue);
-        println!("inflight {:.0}", first.inflight);
-        println!("cache_hits {:.0}", first.hits);
-        println!("cache_misses {:.0}", first.misses);
-        println!("cache_evictions {:.0}", first.evictions);
-        println!("coalesced {:.0}", first.coalesced);
-        println!("runs_executed {:.0}", first.runs);
-        println!("refs_replayed {:.0}", first.refs);
-        println!("run_p50_ms {:.3}", q(0.50));
-        println!("run_p90_ms {:.3}", q(0.90));
-        println!("run_p99_ms {:.3}", q(0.99));
+        outln!("uptime_s {:.0}", first.uptime)?;
+        outln!("requests_total {:.0}", first.requests)?;
+        outln!("errors_total {:.0}", first.errors)?;
+        outln!("refused_total {:.0}", first.refused)?;
+        outln!("queue_depth {:.0}", first.queue)?;
+        outln!("inflight {:.0}", first.inflight)?;
+        outln!("cache_hits {:.0}", first.hits)?;
+        outln!("cache_misses {:.0}", first.misses)?;
+        outln!("cache_evictions {:.0}", first.evictions)?;
+        outln!("coalesced {:.0}", first.coalesced)?;
+        outln!("runs_executed {:.0}", first.runs)?;
+        outln!("refs_replayed {:.0}", first.refs)?;
+        outln!("run_p50_ms {:.3}", q(0.50))?;
+        outln!("run_p90_ms {:.3}", q(0.90))?;
+        outln!("run_p99_ms {:.3}", q(0.99))?;
         return Ok(());
     }
     let interval = Duration::from_secs_f64(args.interval.unwrap_or(2.0));
-    println!(
+    outln!(
         "dircc top: {url} every {:.1}s — rps, /run p50/p90/p99 (ms), queue, inflight, \
          hit% over each interval; ctrl-c to quit",
         interval.as_secs_f64()
-    );
+    )?;
     let mut prev = first;
     let mut history: Vec<f64> = Vec::new();
     loop {
@@ -1090,7 +1091,7 @@ fn top_cmd(args: &Args) -> Result<(), String> {
             Err(e) => {
                 // A drained daemon closes its listener; that is the
                 // normal end of a watch session, not a failure.
-                println!("dircc top: daemon unreachable ({e}); exiting");
+                outln!("dircc top: daemon unreachable ({e}); exiting")?;
                 return Ok(());
             }
         };
@@ -1107,7 +1108,7 @@ fn top_cmd(args: &Args) -> Result<(), String> {
         let misses_d = (cur.misses - prev.misses).max(0.0);
         let hit_pct =
             if hits_d + misses_d > 0.0 { 100.0 * hits_d / (hits_d + misses_d) } else { 0.0 };
-        println!(
+        outln!(
             "up {:>5.0}s  rps {rps:>7.1}  p50 {:>7.2}  p90 {:>7.2}  p99 {:>7.2}  \
              q {:>3.0}  infl {:>3.0}  hit% {hit_pct:>5.1}  err {:>3.0}  {}",
             cur.uptime,
@@ -1118,7 +1119,7 @@ fn top_cmd(args: &Args) -> Result<(), String> {
             cur.inflight,
             cur.errors,
             report::sparkline(&history, peak.max(1.0)),
-        );
+        )?;
         prev = cur;
     }
 }
@@ -1137,67 +1138,28 @@ fn check(args: &Args) -> Result<(), String> {
         Some(want) => vec![scheme_by_name(want, cfg.cpus)?],
         None => dircc_check::default_kinds().to_vec(),
     };
-    println!("model check: {} cpus x {} blocks, depth {}", cfg.cpus, cfg.blocks, cfg.depth);
-    println!("{:<12} {:>10} {:>12}  result", "scheme", "states", "transitions");
+    outln!("model check: {} cpus x {} blocks, depth {}", cfg.cpus, cfg.blocks, cfg.depth)?;
+    outln!("{:<12} {:>10} {:>12}  result", "scheme", "states", "transitions")?;
     let reports =
         dircc_sim::par_map_indexed(kinds.len(), args.jobs, |i| check_protocol(kinds[i], &cfg));
     let mut failed = 0usize;
     for r in &reports {
-        println!(
+        outln!(
             "{:<12} {:>10} {:>12}  {}",
             r.name,
             r.states,
             r.transitions,
             if r.passed() { "PASS" } else { "FAIL" }
-        );
+        )?;
         if let Some(ce) = &r.counterexample {
-            println!("  counterexample: {ce}");
+            outln!("  counterexample: {ce}")?;
             failed += 1;
         }
     }
     if failed > 0 {
         return Err(format!("model check: {failed} of {} scheme(s) FAILED", reports.len()));
     }
-    println!("model check: all {} scheme(s) PASS", reports.len());
-    shard_check(&kinds, args)?;
-    Ok(())
-}
-
-/// Replay-equivalence pass run after the model-check table: every checked
-/// scheme replays a short trace through the sharded engine (one protocol
-/// instance per shard, sized for that shard's blocks) and must reproduce
-/// the serial replay's counters, first-ref classification and verifier
-/// verdicts bit for bit. Uses `--shards` (at least 2, so the per-shard construction
-/// path is always exercised — including in `--smoke --scheme X` CI runs).
-fn shard_check(kinds: &[ProtocolKind], args: &Args) -> Result<(), String> {
-    let shards = args.shards.max(2);
-    let total_refs = if args.smoke { 5_000 } else { 20_000 };
-    let cfg = RunConfig { verify: true, ..RunConfig::default().with_process_sharing() };
-    let records = Generator::new(Profile::pops().with_total_refs(total_refs), args.seed);
-    let soa = SoaStream::build(records, cfg.geometry, cfg.sharing);
-    let sharded = shard_stream(&soa, shards, &cfg);
-    let n_caches = usize::from(Profile::pops().cpus);
-    for &kind in kinds {
-        let serial = run_indexed(kind, n_caches, &soa, &cfg)
-            .map_err(|e| format!("shard check: {kind}: serial replay failed: {e}"))?;
-        let split = run_sharded(kind, n_caches, &sharded, &cfg)
-            .map_err(|e| format!("shard check: {kind}: sharded replay failed: {e}"))?;
-        if serial.counters != split.counters
-            || serial.refs != split.refs
-            || serial.violations != split.violations
-        {
-            return Err(format!(
-                "shard check: {kind}: sharded replay diverged from serial at {shards} shards"
-            ));
-        }
-    }
-    println!(
-        "shard check: {} scheme(s) x {} refs: counters, first-ref classes and verifier \
-         verdicts bit-identical at {shards} shards",
-        kinds.len(),
-        total_refs
-    );
-    Ok(())
+    outln!("model check: all {} scheme(s) PASS", reports.len())
 }
 
 /// One run row of a `dircc bench` report.
@@ -1339,7 +1301,7 @@ fn profile(args: &Args) -> Result<(), String> {
 
     // Series complete in scheduler order; walk the work list instead so
     // the JSONL file and the stdout table are independent of --jobs.
-    println!("profile {target}: {executed} runs, window {window} refs");
+    outln!("profile {target}: {executed} runs, window {window} refs")?;
     let mut jsonl = String::new();
     let mut windows_written = 0usize;
     for &(kind, filter) in &work {
@@ -1354,7 +1316,6 @@ fn profile(args: &Args) -> Result<(), String> {
                 trace: s.trace_name.clone(),
                 filter: label.to_string(),
                 refs: s.refs,
-                shard: None,
                 request: None,
             };
             // Price each window's delta under the paper's pipelined model
@@ -1374,7 +1335,7 @@ fn profile(args: &Args) -> Result<(), String> {
                 windows_written += 1;
             }
             let max = cprs.iter().copied().fold(0.0f64, f64::max);
-            println!(
+            outln!(
                 "  {:<10} {:<6} {:<9} {:>4} windows  max {:>7.4} cyc/ref  |{}|",
                 s.scheme,
                 s.trace_name,
@@ -1382,7 +1343,7 @@ fn profile(args: &Args) -> Result<(), String> {
                 s.windows.len(),
                 max,
                 report::sparkline(&cprs, max)
-            );
+            )?;
         }
     }
 
@@ -1391,17 +1352,17 @@ fn profile(args: &Args) -> Result<(), String> {
     let spans = wb.span_log().spans();
     let spans_path = args.spans_out.clone().unwrap_or_else(|| "PROFILE_spans.json".to_string());
     write_output(&spans_path, &chrome_trace(&spans))?;
-    println!("time series -> {out_path} ({windows_written} windows)");
-    println!("spans       -> {spans_path} ({} spans)", spans.len());
+    outln!("time series -> {out_path} ({windows_written} windows)")?;
+    outln!("spans       -> {spans_path} ({} spans)", spans.len())?;
     if args.verbose {
         eprint!("{}", wb.timing_summary());
     }
     Ok(())
 }
 
-/// `dircc benchcmp`: rebuilds the [`BenchReport`] (at `--shards`,
-/// default 1) and compares every field against a baseline report (`--in`,
-/// default `BENCH_smoke.json` with `--smoke`, else `BENCH_replay.json`).
+/// `dircc benchcmp`: rebuilds the [`BenchReport`] and compares every field
+/// against a baseline report (`--in`, default `BENCH_smoke.json` with
+/// `--smoke`, else `BENCH_replay.json`).
 /// Runs are matched by sorted key — older reports list runs in
 /// completion order, which varies with `--jobs`. A baseline whose schema
 /// predates the `digest` field or the `ingest` rows is rejected with a
@@ -1463,7 +1424,7 @@ fn benchcmp(args: &Args) -> Result<(), String> {
         }
     }
     if drift.is_empty() {
-        println!("benchcmp: PASS — {} run(s) match {path}", baseline.runs.len());
+        outln!("benchcmp: PASS — {} run(s) match {path}", baseline.runs.len())?;
         Ok(())
     } else {
         for d in &drift {
@@ -1475,8 +1436,7 @@ fn benchcmp(args: &Args) -> Result<(), String> {
 
 /// Prints a standalone sweep's table.
 fn print_table(table: impl Display) -> Result<(), String> {
-    println!("{table}");
-    Ok(())
+    outln!("{table}")
 }
 
 fn main() -> ExitCode {

@@ -50,9 +50,7 @@ pub fn scheme_by_name(name: &str, cpus: usize) -> Result<ProtocolKind, String> {
 /// the full counter state (with digest) and the paper's pipelined-model
 /// evaluation. One JSON line. `dircc replay --json` prints this same
 /// rendering from a local replay, so served-vs-local diffs are
-/// byte-exact. The echo deliberately omits shards: counters are
-/// shard-invariant (pinned elsewhere), so responses describing the same
-/// run compare equal however it was executed.
+/// byte-exact.
 pub fn run_response_json(
     eval: &Evaluation,
     trace: &str,
@@ -199,7 +197,7 @@ impl WorkbenchHandler {
         let kind = scheme_by_name(&job.scheme, n_caches).map_err(HandlerError::bad_request)?;
         let filter = filter_from_label(&job.filter)
             .ok_or_else(|| HandlerError::bad_request(format!("unknown filter {}", job.filter)))?;
-        let mut wb = Workbench::with_store(Arc::clone(&store)).with_shards(job.shards as usize);
+        let mut wb = Workbench::with_store(Arc::clone(&store));
         if let Some(w) = window {
             wb = wb.with_window(w);
         }

@@ -18,7 +18,7 @@
 //!
 //! Every actually-executed run records its internal phases (`generate`,
 //! the one-pass ingest of generation, interning and columns; `filter`;
-//! `intern`, the replay stream or its shards; `replay`) into a shared
+//! `intern`, the replay stream; `replay`) into a shared
 //! [`SpanLog`] — the single
 //! timing path: the per-run wall-clock summary ([`Workbench::timings`],
 //! [`Workbench::timing_summary`]) is derived from the `replay` spans, and
@@ -26,13 +26,8 @@
 //! With [`Workbench::with_window`], each run additionally samples counter
 //! deltas every K references ([`RunConfig::window`]) into a [`RunSeries`];
 //! counters stay bit-identical (pinned by tests and the `benchcmp` gate).
-//! With [`Workbench::with_shards`],
-//! each replay is block-sharded across worker threads and the log gains
-//! one `replay-shard` span per shard (shard-id tagged) nested under the
-//! run's `replay` span; windowed runs pin shards to 1 (a window is a
-//! slice of the global reference stream).
 
-use crate::engine::{run_indexed, run_sharded_with, RunConfig};
+use crate::engine::{run_indexed, RunConfig};
 use crate::metrics::Evaluation;
 use crate::par::par_map_indexed;
 use dircc_core::{EventCounters, ProtocolKind};
@@ -40,7 +35,6 @@ use dircc_obs::{RunMeta, SpanLog, WindowSample};
 use dircc_trace::gen::Profile;
 use dircc_trace::stats::RefCounts;
 use dircc_trace::store::TraceStore;
-use dircc_trace::{ShardedStream, SoaStream};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -127,7 +121,6 @@ pub struct Workbench {
     spans: SpanLog,
     /// Window size in references (0 = no time series).
     window: u64,
-    shards: usize,
     series: Mutex<Vec<RunSeries>>,
 }
 
@@ -172,7 +165,6 @@ impl Workbench {
             memo: Mutex::new(HashMap::new()),
             spans: SpanLog::new(),
             window: 0,
-            shards: 1,
             series: Mutex::new(Vec::new()),
         }
     }
@@ -191,31 +183,6 @@ impl Workbench {
         assert!(window > 0, "window size must be at least 1 reference");
         self.window = window;
         self
-    }
-
-    /// Splits every subsequently executed replay into `shards` block
-    /// shards replayed on worker threads ([`run_sharded_with`]),
-    /// with per-shard `replay-shard` spans in the log. Counters are
-    /// **bit-identical** to the unsharded replay (pinned by tests); only
-    /// wall-clock changes.
-    ///
-    /// Windowed recording ([`Self::with_window`]) pins the replay to one
-    /// shard: a window is a contiguous slice of the *global* reference
-    /// stream, which a per-shard replay cannot observe, so windowed runs
-    /// stay on the serial path regardless of this setting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        self.shards = shards;
-        self
-    }
-
-    /// The shard count replays use (1 = serial replay).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Number of caches (= CPUs) in the simulated machine.
@@ -288,7 +255,6 @@ impl Workbench {
                 trace: trace_name.clone(),
                 filter: filter_label(filter).to_string(),
                 refs,
-                shard: None,
                 request: None,
             };
             // Phase spans wrap the store calls even when they hit warm
@@ -301,37 +267,18 @@ impl Workbench {
             let g = cfg.geometry;
             let _ = self.spans.time("generate", Some(meta(0)), || self.store.interner(trace, g));
             let _ = self.spans.time("filter", Some(meta(0)), || self.store.data(trace, filter, g));
-            // The replay stream picks the sharing model's cache column
-            // (block shards split it with the same mod router as the
-            // engine's infinite-cache `shard_stream`); the replay loop
-            // then runs with zero hashing and every per-block table
-            // pre-sized. Bit-identical to un-interned replay (renaming is
-            // a bijection; pinned by the engine's equality tests). Built
-            // inside the intern span so replay spans time replay work only.
-            enum Stream {
-                Serial(Arc<SoaStream>),
-                Sharded(Arc<ShardedStream>),
-            }
-            let stream = self.spans.time("intern", Some(meta(0)), || {
-                if self.shards > 1 && cfg.window == 0 {
-                    Stream::Sharded(self.store.sharded(trace, filter, g, self.shards, cfg.sharing))
-                } else {
-                    Stream::Serial(self.store.soa(trace, filter, g, cfg.sharing))
-                }
-            });
-            let n = self.n_caches();
+            // The replay stream picks the sharing model's cache column;
+            // the replay loop then runs with zero hashing and every
+            // per-block table pre-sized. Bit-identical to un-interned
+            // replay (renaming is a bijection; pinned by the engine's
+            // equality tests). Built inside the intern span so replay
+            // spans time replay work only.
+            let soa = self
+                .spans
+                .time("intern", Some(meta(0)), || self.store.soa(trace, filter, g, cfg.sharing));
             let timer = self.spans.start();
-            let mut result = match &stream {
-                Stream::Sharded(sharded) => {
-                    let observe = |shard: usize, at: std::time::Instant, dur: Duration, refs| {
-                        let meta = RunMeta { shard: Some(shard), ..meta(refs) };
-                        self.spans.record_at("replay-shard", at, dur, Some(meta));
-                    };
-                    run_sharded_with(kind, n, sharded, &cfg, observe)
-                }
-                Stream::Serial(soa) => run_indexed(kind, n, soa, &cfg),
-            }
-            .expect("trace replay failed");
+            let mut result =
+                run_indexed(kind, self.n_caches(), &soa, &cfg).expect("trace replay failed");
             self.spans.finish(timer, "replay", Some(meta(result.refs)));
             if cfg.window > 0 {
                 self.series.lock().expect("series poisoned").push(RunSeries {
@@ -703,52 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_workbench_is_bit_identical_and_logs_per_shard_spans() {
-        let work = [
-            (ProtocolKind::Dir0B, TraceFilter::Full),
-            (ProtocolKind::Dragon, TraceFilter::ExcludeLockSpins),
-        ];
-        let serial = Workbench::paper_scaled(9_000, 3);
-        let sharded = Workbench::paper_scaled(9_000, 3).with_shards(4);
-        assert_eq!(sharded.shards(), 4);
-        serial.warm(&work, 1);
-        sharded.warm(&work, 1);
-        for &(kind, filter) in &work {
-            for t in 0..serial.num_traces() {
-                assert_eq!(
-                    *serial.counters(kind, t, filter),
-                    *sharded.counters(kind, t, filter),
-                    "{kind} trace {t} {filter:?} diverged under sharding"
-                );
-            }
-        }
-        let spans = sharded.span_log().spans();
-        let per_shard: Vec<_> = spans.iter().filter(|s| s.name == "replay-shard").collect();
-        let replays = spans.iter().filter(|s| s.name == "replay").count();
-        assert_eq!(per_shard.len(), replays * 4, "four shard spans per run");
-        for s in &per_shard {
-            let m = s.meta.as_ref().unwrap();
-            assert!(m.shard.is_some(), "shard spans carry their shard id");
-        }
-        // Shard ids 0..4 all appear.
-        let ids: std::collections::HashSet<usize> =
-            per_shard.iter().map(|s| s.meta.as_ref().unwrap().shard.unwrap()).collect();
-        assert_eq!(ids, (0..4).collect());
-        // Timings (and hence bench reports) still come from the outer
-        // replay span, one per run.
-        assert_eq!(sharded.timings().len(), serial.timings().len());
-    }
-
-    #[test]
-    fn windowed_workbench_pins_shards_to_one() {
-        let wb = Workbench::paper_scaled(4_000, 5).with_shards(8).with_window(1_000);
-        let _ = wb.counters(ProtocolKind::Dir0B, 0, TraceFilter::Full);
-        let spans = wb.span_log().spans();
-        assert!(spans.iter().all(|s| s.name != "replay-shard"), "windowed runs stay serial");
-        assert_eq!(wb.time_series().len(), 1, "the windowed series is still collected");
-    }
-
-    #[test]
     fn refs_per_sec_is_finite_even_for_zero_wall() {
         let t = RunTiming {
             scheme: "Dir0B".into(),
@@ -761,11 +662,5 @@ mod tests {
         assert!(t.refs_per_sec().is_finite());
         let t = RunTiming { wall: Duration::from_millis(500), ..t };
         assert_eq!(t.refs_per_sec(), 2_000.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_rejected() {
-        let _ = Workbench::paper_scaled(1_000, 1).with_shards(0);
     }
 }

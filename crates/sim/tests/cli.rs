@@ -140,58 +140,17 @@ fn jobs_do_not_change_stdout() {
     assert_eq!(run("1"), run("8"), "stdout must not depend on --jobs");
 }
 
-/// `--shards` must change wall-clock only: `dircc all` stdout is
-/// byte-identical across every (--jobs, --shards) combination.
-#[test]
-fn shards_do_not_change_stdout() {
-    let run = |jobs: &str, shards: &str| {
-        let out = dircc()
-            .args(["all", "--refs", "4000", "--seed", "3", "--jobs", jobs, "--shards", shards])
-            .output()
-            .expect("run dircc");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        out.stdout
-    };
-    let reference = run("1", "1");
-    for (jobs, shards) in [("1", "4"), ("2", "2"), ("8", "3")] {
-        assert_eq!(
-            reference,
-            run(jobs, shards),
-            "stdout must not depend on --jobs {jobs} --shards {shards}"
-        );
-    }
-}
-
-/// `--shards` belongs to the replaying commands; trace-file and profile
-/// commands reject it (profile with the windowed-sampling explanation).
-#[test]
-fn shards_flag_validation() {
-    let out = dircc().args(["table1", "--shards", "0"]).output().expect("run dircc");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--shards must be at least 1"));
-
-    let out = dircc().args(["record", "--shards", "2"]).output().expect("run dircc");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--shards only applies"));
-
-    let out = dircc().args(["profile", "all", "--shards", "2"]).output().expect("run dircc");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("profile rejects --shards"), "{err}");
-    assert!(err.contains("one shard"), "explains the windowed pin: {err}");
-}
-
-/// The shard count is not part of a bench report: one written without a
-/// `shards` field gates a fresh run at any `--shards`, and so does an
-/// older report that still carries the retired `shards` and timing fields.
+/// A bench report carries no shard count: one written without a `shards`
+/// field gates a fresh run, and so does an older report that still
+/// carries the retired `shards` and timing fields.
 #[test]
 fn benchcmp_accepts_a_baseline_without_shards_field() {
     let dir = std::env::temp_dir().join(format!("dircc_benchcmp_old_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("OLD.json");
-    let benchcmp_at_3_shards = || {
+    let benchcmp = || {
         let out = dircc()
-            .args(["benchcmp", "--refs", "2000", "--jobs", "2", "--shards", "3"])
+            .args(["benchcmp", "--refs", "2000", "--jobs", "2"])
             .args(["--in", path.to_str().unwrap()])
             .output()
             .expect("run benchcmp");
@@ -206,7 +165,7 @@ fn benchcmp_accepts_a_baseline_without_shards_field() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let json = std::fs::read_to_string(&path).unwrap();
     assert!(!json.contains("shards"), "{json}");
-    benchcmp_at_3_shards();
+    benchcmp();
 
     // Add the retired per-run fields back, as an older report had them.
     let old = json.replace(
@@ -215,7 +174,7 @@ fn benchcmp_accepts_a_baseline_without_shards_field() {
     );
     assert_ne!(json, old);
     std::fs::write(&path, old).unwrap();
-    benchcmp_at_3_shards();
+    benchcmp();
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -342,22 +301,48 @@ fn serve_flags_are_validated() {
 
 /// `--json` is replay-only and needs the in-memory profile mode. The
 /// retired HTTP load generator is gone: `bench` takes no `--serve`, and
-/// its flags and the bench `--repeat` are unknown.
+/// its flags and the bench `--repeat` are unknown. So is the retired
+/// block-shard count, on every command that once took it.
 #[test]
 fn replay_json_and_bench_serve_flag_gating() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 13] = [
         (&["record", "--json"], "only applies to replay"),
         (&["replay", "--json", "--in", "t.dcct"], "drop --in"),
         (&["bench", "--serve", "http://127.0.0.1:1"], "only applies to submit and top"),
         (&["bench", "--repeat", "5"], "unknown flag --repeat"),
         (&["bench", "--serve", "http://127.0.0.1:1", "--clients", "4"], "unknown flag --clients"),
         (&["bench", "--serve", "http://127.0.0.1:1", "--requests", "9"], "unknown flag --requests"),
+        (&["all", "--shards", "2"], "unknown flag --shards"),
+        (&["table3", "--shards", "2"], "unknown flag --shards"),
+        (&["bench", "--shards", "2"], "unknown flag --shards"),
+        (&["benchcmp", "--shards", "2"], "unknown flag --shards"),
+        (&["check", "--shards", "2"], "unknown flag --shards"),
+        (&["replay", "--shards", "2"], "unknown flag --shards"),
+        (&["submit", "--shards", "2"], "unknown flag --shards"),
     ];
     for (args, expect) in cases {
         let out = dircc().args(args).output().expect("run dircc");
         assert!(!out.status.success(), "{args:?} must fail");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(expect), "{args:?}: expected {expect:?} in {err}");
+    }
+}
+
+/// Block-sharded replay is gone, and with it the `--shards` flag. The
+/// inputs that once met its own checks (a zero count, a command that
+/// never replays, the windowed profile) now fail as an unknown flag.
+#[test]
+fn shards_flag_validation() {
+    let cases: [&[&str]; 3] = [
+        &["table1", "--shards", "0"],
+        &["record", "--shards", "2"],
+        &["profile", "all", "--shards", "2"],
+    ];
+    for args in cases {
+        let out = dircc().args(args).output().expect("run dircc");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag --shards"), "{args:?}: {err}");
     }
 }
 
@@ -468,27 +453,20 @@ fn check_smoke_passes_every_scheme() {
         assert!(text.contains(scheme), "table must list {scheme}: {text}");
     }
     assert!(!text.contains("FAIL"), "{text}");
-    assert!(
-        text.contains("bit-identical at 2 shards"),
-        "the replay-equivalence pass runs after the table: {text}"
-    );
+    assert!(text.trim_end().ends_with("model check: all 12 scheme(s) PASS"), "{text}");
 }
 
 /// `--scheme` narrows the check to one protocol; unknown names error out
 /// with the full list.
 #[test]
 fn check_scheme_filter() {
-    // `--smoke --scheme` also exercises the sharded engine's per-shard
-    // protocol construction (the shard check honours `--shards`).
     let out = dircc()
-        .args(["check", "--smoke", "--scheme", "mesi", "--shards", "3", "--jobs", "1"])
+        .args(["check", "--smoke", "--scheme", "mesi", "--jobs", "1"])
         .output()
         .expect("run check");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("MESI") && text.contains("all 1 scheme(s) PASS"), "{text}");
-    assert!(text.contains("shard check: 1 scheme(s)"), "{text}");
-    assert!(text.contains("bit-identical at 3 shards"), "{text}");
 
     let out = dircc().args(["check", "--scheme", "bogus"]).output().expect("run check");
     assert!(!out.status.success());
@@ -553,24 +531,16 @@ fn benchcmp_detects_injected_drift() {
 
 /// The engine's no-op recorder must leave the deterministic counters
 /// exactly where the checked-in smoke baseline pinned them before the
-/// observability layer existed. The baseline was written at `--shards 2`;
-/// counters are shard-invariant, so serial and sharded replays alike
-/// must reproduce it.
+/// observability layer existed.
 #[test]
 fn benchcmp_matches_the_checked_in_smoke_baseline() {
     let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_smoke.json");
-    for shards in ["1", "3"] {
-        let out = dircc()
-            .args(["benchcmp", "--smoke", "--jobs", "2", "--shards", shards, "--in", baseline])
-            .output()
-            .expect("run benchcmp");
-        assert!(
-            out.status.success(),
-            "--shards {shards}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(String::from_utf8_lossy(&out.stdout).contains("benchcmp: PASS"));
-    }
+    let out = dircc()
+        .args(["benchcmp", "--smoke", "--jobs", "2", "--in", baseline])
+        .output()
+        .expect("run benchcmp");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("benchcmp: PASS"));
 }
 
 /// `benchcmp` reads its baseline as JSON, not as one run per line: a
@@ -650,7 +620,8 @@ fn benchcmp_rejects_a_baseline_without_digests() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The trace writer reports a full disk as an error, not a panic.
+/// The trace writer reports a full disk as an error, not a panic, and so
+/// does every command whose stdout is full.
 #[cfg(target_os = "linux")]
 #[test]
 fn trace_writers_report_a_full_disk() {
@@ -666,6 +637,17 @@ fn trace_writers_report_a_full_disk() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("No space left on device"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+
+    let printers: [&[&str]; 2] =
+        [&["all", "--refs", "2000"], &["replay", "--profile", "thor", "--refs", "2000"]];
+    for args in printers {
+        let full = std::fs::OpenOptions::new().write(true).open("/dev/full").expect("/dev/full");
+        let out = dircc().args(args).stdout(full).output().expect("run printer");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail on a full stdout");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("stdout: No space left on device"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
 }
 
 /// `--refs` above the job cap is a usage error for every command, not a
@@ -686,24 +668,22 @@ fn refs_above_the_cap_exit_1_without_a_panic() {
 }
 
 /// Every field of a bench report is deterministic, so the file is
-/// byte-identical whatever the worker and shard counts.
+/// byte-identical whatever the worker count.
 #[test]
-fn bench_report_is_byte_identical_across_jobs_and_shards() {
+fn bench_report_is_byte_identical_across_jobs() {
     let dir = std::env::temp_dir().join(format!("dircc_bench_det_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let report = |jobs: &str, shards: &str| -> String {
-        let path = dir.join(format!("B_{jobs}_{shards}.json"));
+    let report = |jobs: &str| -> String {
+        let path = dir.join(format!("B_{jobs}.json"));
         let out = dircc()
-            .args(["bench", "--smoke", "--jobs", jobs, "--shards", shards])
+            .args(["bench", "--smoke", "--jobs", jobs])
             .args(["--out", path.to_str().unwrap()])
             .output()
             .expect("run bench");
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         std::fs::read_to_string(&path).unwrap()
     };
-    let reference = report("1", "1");
-    assert_eq!(reference, report("2", "1"), "--jobs 1 vs 2");
-    assert_eq!(reference, report("1", "2"), "--shards 1 vs 2");
+    assert_eq!(report("1"), report("2"), "--jobs 1 vs 2");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -886,25 +866,6 @@ fn record_replay_roundtrip_matches_in_memory() {
         assert!(text.contains(scheme), "headline scheme {scheme} in {text}");
     }
     assert!(text.contains("no violations"), "{text}");
-
-    // Sharding is an in-memory replay; it must not change stdout either.
-    let sharded = dircc()
-        .args(["replay", "--profile", "thor", "--refs", "20000", "--verify", "--shards", "3"])
-        .output()
-        .expect("run replay --shards");
-    assert!(sharded.status.success(), "{}", String::from_utf8_lossy(&sharded.stderr));
-    assert_eq!(streamed.stdout, sharded.stdout, "stdout must not depend on --shards");
-
-    // A file streams in one serial pass: `--in` with `--shards` is a usage
-    // error that names the in-memory alternative.
-    let out = dircc()
-        .args(["replay", "--in", path_s, "--shards", "3"])
-        .output()
-        .expect("run replay --in --shards");
-    assert_eq!(out.status.code(), Some(1));
-    assert!(out.stdout.is_empty());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("takes no --shards") && err.contains("--profile P --shards N"), "{err}");
 
     // `--scheme` narrows the table to one protocol.
     let one = dircc()

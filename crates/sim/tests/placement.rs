@@ -3,18 +3,17 @@
 //! In-memory streams hold data references only; one bit per reference
 //! places the instruction fetches for windows, for the invariant cadence
 //! (which skips a boundary landing on an instruction fetch) and for the
-//! reference numbers in messages and shards. Random traces with random
+//! reference numbers in messages. Random traces with random
 //! instruction runs — runs crossing 64-reference words and
 //! `BATCH_RECORDS` batches, traces that start or end with instruction
 //! fetches, traces with no data reference at all, and the odd
 //! out-of-range CPU — replay through every batch source: streaming
-//! `run`, `run_indexed` over columns built by the same ingest, and
-//! `run_sharded` at 2 and 3 shards. They must agree on counters,
-//! windows, violations and errors.
+//! `run` and `run_indexed` over columns built by the same ingest. They
+//! must agree on counters, windows, violations and errors.
 
 use dircc_cache::FiniteCacheConfig;
 use dircc_core::{build, ProtocolKind};
-use dircc_sim::{run, run_indexed, run_sharded, shard_stream, RunConfig, RunResult};
+use dircc_sim::{run, run_indexed, RunConfig, RunResult};
 use dircc_trace::chunk::BATCH_RECORDS;
 use dircc_trace::{SoaStream, TraceRecord};
 use dircc_types::{AccessKind, Address, CpuId, ProcessId};
@@ -119,10 +118,6 @@ proptest! {
             }
             let serial = run_indexed(kind, CPUS, &soa, &plain);
             same(&streamed, &serial, &format!("{kind} unwindowed"));
-            for shards in [2, 3] {
-                let sharded = run_sharded(kind, CPUS, &shard_stream(&soa, shards, &plain), &plain);
-                same(&serial, &sharded, &format!("{kind} at {shards} shards"));
-            }
         }
     }
 }

@@ -3,18 +3,15 @@
 //! The engine once carried a second, dynamically dispatched replay loop
 //! that served as the reference for the structure-of-arrays loop. Its
 //! results are recorded here — counter digests and verifier verdicts for
-//! every scheme × trace, finite caches, block sharding, windowed deltas
-//! and the undersized-protocol error text — and every batch source of the
-//! remaining loop (iterator, prebuilt SoA stream, in-memory shards) must
-//! reproduce them. The SoA arrays themselves are pinned against an
+//! every scheme × trace, finite caches, windowed deltas and the
+//! undersized-protocol error text — and every batch source of the
+//! remaining loop (iterator, prebuilt SoA stream) must reproduce them. The SoA arrays themselves are pinned against an
 //! independent AoS-derived recomputation first, so a precompute bug
 //! cannot hide behind a matching replay bug.
 
 use dircc_cache::FiniteCacheConfig;
 use dircc_core::{build, ProtocolKind};
-use dircc_sim::{
-    run, run_indexed, run_sharded, shard_stream, RunConfig, SharingModel, TraceFilter, Workbench,
-};
+use dircc_sim::{run, run_indexed, RunConfig, SharingModel, TraceFilter, Workbench};
 use dircc_trace::gen::Profile;
 use dircc_trace::soa::SoaStream;
 use dircc_trace::store::TraceStore;
@@ -152,10 +149,10 @@ fn golden(res: &dircc_sim::RunResult) -> (u64, usize) {
     (res.counters.digest(), res.violations.len())
 }
 
-/// Serial replay of every scheme on every trace, and block-sharded replay
-/// at 2 and 8 shards, reproduce the recorded counters and verdicts.
+/// Streamed and indexed replay of every scheme on every trace reproduce
+/// the recorded counters and verdicts.
 #[test]
-fn golden_counters_for_every_scheme_and_shard_count() {
+fn golden_counters_for_every_scheme() {
     let store = store();
     let cfg = RunConfig { verify: true, ..RunConfig::default().with_process_sharing() };
     for (kind, row) in KINDS.into_iter().zip(GOLDEN_SERIAL) {
@@ -167,11 +164,6 @@ fn golden_counters_for_every_scheme_and_shard_count() {
             let soa = store.soa(trace, TraceFilter::Full, cfg.geometry, cfg.sharing);
             let res = run_indexed(kind, CPUS, &soa, &cfg).unwrap();
             assert_eq!(golden(&res), want, "{kind} trace {trace} indexed");
-            for shards in [2usize, 8] {
-                let sharded = shard_stream(&soa, shards, &cfg);
-                let res = run_sharded(kind, CPUS, &sharded, &cfg).unwrap();
-                assert_eq!(golden(&res), want, "{kind} trace {trace} @{shards} shards");
-            }
         }
     }
 }
@@ -261,8 +253,7 @@ fn golden_bounds_error_text() {
     assert_eq!(err, GOLDEN_BOUNDS_ERROR);
 }
 
-/// Wrong-sharing SoA streams are rejected up front, serial and sharded,
-/// and so is a window on a sharded replay.
+/// Wrong-sharing SoA streams are rejected up front, empty or not.
 #[test]
 fn mismatched_soa_streams_are_rejected() {
     let empty = SoaStream::build([], BlockGeometry::PAPER, SharingModel::Process);
@@ -270,33 +261,28 @@ fn mismatched_soa_streams_are_rejected() {
     // Sharing mismatch: cfg defaults to Processor, stream is Process.
     let err = run_indexed(ProtocolKind::Wti, CPUS, &empty, &cfg).unwrap_err();
     assert!(err.contains("sharing"), "unexpected error: {err}");
-    // A partition split under the wrong sharing model.
+    // A stored stream split under the wrong sharing model.
     let store = store();
     let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
-    let sharded = shard_stream(&soa, 4, &cfg);
     let process = cfg.with_process_sharing();
-    let err = run_sharded(ProtocolKind::Wti, CPUS, &sharded, &process).unwrap_err();
+    let err = run_indexed(ProtocolKind::Wti, CPUS, &soa, &process).unwrap_err();
     assert!(err.contains("sharing"), "unexpected error: {err}");
-    // A window: no shard replays the global reference stream it slices.
-    let windowed = RunConfig { window: 700, ..cfg };
-    let err = run_sharded(ProtocolKind::Wti, CPUS, &sharded, &windowed).unwrap_err();
-    assert!(err.contains("window"), "unexpected error: {err}");
 }
 
-/// Two workbenches sharing one store generate each trace only once, and
-/// serial and sharded workbenches agree.
+/// Two workbenches sharing one store generate each trace only once and
+/// agree on every run.
 #[test]
 fn workbench_shares_the_store() {
     let store = Arc::new(store());
-    let serial = Workbench::with_store(Arc::clone(&store));
-    let sharded = Workbench::with_store(Arc::clone(&store)).with_shards(4);
+    let first = Workbench::with_store(Arc::clone(&store));
+    let second = Workbench::with_store(Arc::clone(&store));
     for kind in [ProtocolKind::DirNb { pointers: 1 }, ProtocolKind::Dragon, ProtocolKind::Tang] {
-        for trace in 0..serial.num_traces() {
+        for trace in 0..first.num_traces() {
             for filter in TraceFilter::ALL {
                 assert_eq!(
-                    *serial.counters(kind, trace, filter),
-                    *sharded.counters(kind, trace, filter),
-                    "{kind} trace {trace} {filter:?} diverged under sharding"
+                    *first.counters(kind, trace, filter),
+                    *second.counters(kind, trace, filter),
+                    "{kind} trace {trace} {filter:?} diverged across workbenches"
                 );
             }
         }

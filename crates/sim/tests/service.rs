@@ -17,7 +17,6 @@ fn job(scheme: &str, trace: &str, refs: u64) -> JobSpec {
         refs: Some(refs),
         seed: dircc_serve::DEFAULT_SEED,
         filter: "full".to_string(),
-        shards: 1,
         window: None,
     }
 }
@@ -72,18 +71,6 @@ fn served_digest_matches_a_direct_run_indexed_replay() {
 
     assert_eq!(digest_of(&body), format!("{:016x}", res.counters.digest()));
     assert!(body.contains(&format!("\"refs\": {}", res.refs)));
-}
-
-/// Counters are pinned shard-invariant, so any shard count serves the
-/// same bytes for the same run.
-#[test]
-fn served_body_is_invariant_across_shards() {
-    let handler = WorkbenchHandler::new();
-    let base = handler.run(&job("Wti", "THOR", 3000), "test-req-2").expect("run");
-    for shards in [4, 2, 3] {
-        let spec = JobSpec { shards, ..job("Wti", "THOR", 3000) };
-        assert_eq!(handler.run(&spec, "test-req-2").expect("run"), base, "{shards} shard(s)");
-    }
 }
 
 /// Full loop through the real server: miss, then hit, byte-identical

@@ -29,11 +29,6 @@
 //! * [`intern`] — dense block ids: a [`BlockInterner`]
 //!   renames a stream's sparse block addresses to first-appearance-order
 //!   `u32` ids so replay state lives in flat vectors instead of hash maps.
-//! * [`shard`] — block-sharded sub-streams: a
-//!   [`ShardedStream`] partitions a [`SoaStream`]
-//!   into per-block shards (each its own [`SoaStream`], with shard-local
-//!   renaming and global reference numbers) so one run can replay its
-//!   shards in parallel and merge counters back bit-identically.
 //! * [`soa`] — structure-of-arrays streams, the one in-memory trace
 //!   representation: a [`DataRefs`] keeps a stream's data
 //!   references in flat `kind`/`block_id`/`first_ref`/`cpu`/`pid` columns
@@ -61,7 +56,6 @@ pub mod filter;
 pub mod gen;
 pub mod intern;
 pub mod record;
-pub mod shard;
 pub mod sharing;
 pub mod soa;
 pub mod stats;
@@ -70,6 +64,5 @@ pub mod store;
 pub use chunk::{open_trace, ChunkSource, ChunkedReader, ChunkedWriter, Records};
 pub use intern::BlockInterner;
 pub use record::{RecordFlags, TraceRecord};
-pub use shard::{Shard, ShardedStream};
 pub use soa::{DataRefs, SoaStream};
 pub use store::{RecordStream, TraceFilter, TraceStore};

@@ -25,8 +25,8 @@ impl RecordFlags {
     /// Creates flags from their raw bit representation (unknown bits kept).
     ///
     /// Trust boundaries must reject undefined bits first, as the trace
-    /// reader does: they would otherwise flow unnoticed into shard routing
-    /// and filter decisions.
+    /// reader does: they would otherwise flow unnoticed into filter
+    /// decisions.
     #[inline]
     pub const fn from_bits(bits: u8) -> Self {
         RecordFlags(bits)

@@ -16,9 +16,8 @@
 //! a sharing model whose cache index is the matching column (`cpu` or
 //! `pid`, not a copy). `max_cache_idx` below the protocol's cache count
 //! proves the per-reference bounds check dead. The same type serves as a
-//! whole stream, as one shard of a
-//! [`ShardedStream`](crate::shard::ShardedStream), and as the batch a
-//! streaming replay refills with [`SoaStream::refill`].
+//! whole stream and as the batch a streaming replay refills with
+//! [`SoaStream::refill`].
 
 use crate::chunk::BATCH_RECORDS;
 use crate::intern::BlockInterner;
@@ -33,8 +32,7 @@ use std::sync::Arc;
 pub struct DataRefs {
     /// Access kind per data reference (a read or a write).
     pub kind: Vec<AccessKind>,
-    /// Dense block id per data reference (shard-local for shard
-    /// sub-streams).
+    /// Dense block id per data reference.
     pub block_id: Vec<u32>,
     /// Whether the reference is its block's first in this stream.
     pub first_ref: Vec<bool>,
@@ -174,8 +172,7 @@ pub struct SoaStream {
     /// bits and the instruction count: shared by every sharing model of
     /// one stream.
     pub data: Arc<DataRefs>,
-    /// The renaming of the whole stream: dense id → original block. A
-    /// shard's ids are shard-local; its `global_ids` lead here.
+    /// The renaming of the whole stream: dense id → original block.
     pub blocks: Arc<BlockInterner>,
     /// The sharing model [`cache_idx`](Self::cache_idx) follows.
     pub sharing: SharingModel,
@@ -257,7 +254,6 @@ impl SoaStream {
 mod tests {
     use super::*;
     use crate::gen::{Generator, Profile};
-    use crate::shard::ShardedStream;
     use dircc_types::BlockGeometry;
 
     fn records() -> Vec<TraceRecord> {
@@ -346,30 +342,5 @@ mod tests {
         joined.num_blocks = batch.data.num_blocks;
         assert_eq!(joined, *whole.data);
         assert_eq!(batch.blocks.num_blocks(), whole.blocks.num_blocks());
-    }
-
-    #[test]
-    fn shard_splits_match_a_fresh_build() {
-        // Each shard holds exactly the whole stream's entries at its
-        // global reference numbers, with shard-local ids.
-        let records = records();
-        let soa =
-            SoaStream::build(records.iter().copied(), BlockGeometry::PAPER, SharingModel::Process);
-        let sharded = ShardedStream::build(&soa, 3, |gid| gid as usize % 3);
-        assert_eq!(sharded.instr(), soa.data.instr);
-        for sh in sharded.shards() {
-            let so = &sh.soa;
-            assert_eq!(so.len(), sh.global_refs.len());
-            assert_eq!((so.sharing, so.data.instr), (SharingModel::Process, 0));
-            for (j, &g) in sh.global_refs.iter().enumerate() {
-                let r = &records[(g - 1) as usize];
-                assert!(r.is_data(), "shards hold data references only");
-                assert!(so.data.is_data(j));
-                assert_eq!(so.data.kind[j], r.kind);
-                assert_eq!(so.cache_idx()[j], r.pid.raw());
-                let gid = sh.global_ids[so.data.block_id[j] as usize];
-                assert_eq!(so.blocks.block_addr(gid), BlockGeometry::PAPER.block_of(r.addr));
-            }
-        }
     }
 }

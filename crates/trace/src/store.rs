@@ -9,14 +9,13 @@
 //! The no-spins stream is derived from the full stream's columns on first
 //! use, never by regenerating ([`TraceStore::generations`] pins that).
 //! [`TraceStore::records`] regenerates records for the cold paths that
-//! read them. Replay streams and block shards are memoized next to the
-//! columns, every sharing model sharing one [`DataRefs`]; concurrent
-//! requests block on a [`OnceLock`] instead of duplicating work.
+//! read them. Replay streams are memoized next to the columns, every
+//! sharing model sharing one [`DataRefs`]; concurrent requests block on
+//! a [`OnceLock`] instead of duplicating work.
 
 use crate::gen::{Generator, Profile};
 use crate::intern::BlockInterner;
 use crate::record::TraceRecord;
-use crate::shard::ShardedStream;
 use crate::soa::{bit, push_bit, vec_bytes, DataRefs, SoaStream};
 use crate::stats::RefCounts;
 use dircc_types::{BlockGeometry, SharingModel};
@@ -64,11 +63,6 @@ fn memo<K: Eq + Hash, V: Clone>(map: &MemoMap<K, V>, key: K, init: impl FnOnce()
     cell.get_or_init(init).clone()
 }
 
-/// The summed `bytes` of every value `map` holds.
-fn memo_bytes<K, V>(map: &MemoMap<K, V>, bytes: impl Fn(&V) -> usize) -> usize {
-    map.lock().expect("memo poisoned").values().filter_map(|cell| cell.get()).map(bytes).sum()
-}
-
 /// The no-spins stream of `full`: its references less those `spins`
 /// marks, first references recomputed, the full stream's renaming kept.
 fn without_spins(full: &DataRefs, spins: &[u64]) -> DataRefs {
@@ -114,9 +108,6 @@ pub struct TraceStore {
     generations: AtomicU64,
     /// Memoized ingests, one per (trace, geometry).
     ingests: MemoMap<(usize, BlockGeometry), Arc<Ingest>>,
-    /// Memoized block-sharded partitions, one per
-    /// (trace, filter, geometry, shard count, sharing model).
-    sharded: MemoMap<(usize, TraceFilter, BlockGeometry, usize, SharingModel), Arc<ShardedStream>>,
     /// Memoized replay streams, one per
     /// (trace, filter, geometry, sharing model).
     soa: MemoMap<(usize, TraceFilter, BlockGeometry, SharingModel), Arc<SoaStream>>,
@@ -155,7 +146,6 @@ impl TraceStore {
             seed,
             generations: AtomicU64::new(0),
             ingests: Mutex::new(HashMap::new()),
-            sharded: Mutex::new(HashMap::new()),
             soa: Mutex::new(HashMap::new()),
         }
     }
@@ -273,31 +263,6 @@ impl TraceStore {
         (0..data.refs() as usize).map(id).collect()
     }
 
-    /// The block-sharded partition of one (trace, filter) stream's
-    /// [`soa`](TraceStore::soa) under `geometry` and `sharing` — `shards`
-    /// sub-streams routed by `block_id % shards` (the infinite-cache
-    /// router), with shard-local dense ids and global reference numbers.
-    /// Materialized once per (trace, filter, geometry, shards, sharing)
-    /// and shared thereafter, alongside the unsharded streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trace` is out of range or `shards` is zero.
-    pub fn sharded(
-        &self,
-        trace: usize,
-        filter: TraceFilter,
-        geometry: BlockGeometry,
-        shards: usize,
-        sharing: SharingModel,
-    ) -> Arc<ShardedStream> {
-        assert!(shards >= 1, "need at least one shard");
-        memo(&self.sharded, (trace, filter, geometry, shards, sharing), || {
-            let soa = self.soa(trace, filter, geometry, sharing);
-            Arc::new(ShardedStream::build(&soa, shards, |gid| gid as usize % shards))
-        })
-    }
-
     /// The replay stream of one (trace, filter) pair under `geometry` and
     /// `sharing`: the [`data`](TraceStore::data) columns, the trace's
     /// renaming, and the cache index column `sharing` picks (see
@@ -320,14 +285,15 @@ impl TraceStore {
     }
 
     /// Bytes the store's memos hold on the heap: every ingest's columns,
-    /// renaming and spin bits, the derived no-spins columns and the block
-    /// shards. Replay streams add no column of their own.
+    /// renaming and spin bits, and the derived no-spins columns. Replay
+    /// streams add no column of their own.
     pub fn heap_bytes(&self) -> usize {
         let ingest = |i: &Arc<Ingest>| {
             let no_spins = i.no_spins.get().map_or(0, |d| d.heap_bytes());
             i.full.heap_bytes() + i.blocks.heap_bytes() + vec_bytes(&i.spins) + no_spins
         };
-        memo_bytes(&self.ingests, ingest) + memo_bytes(&self.sharded, |s| s.heap_bytes())
+        let ingests = self.ingests.lock().expect("memo poisoned");
+        ingests.values().filter_map(|cell| cell.get()).map(ingest).sum()
     }
 }
 
@@ -431,31 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_streams_are_memoized_and_partition_the_stream() {
-        let s = store();
-        let a = s.sharded(0, TraceFilter::Full, G, 4, SharingModel::Process);
-        let b = s.sharded(0, TraceFilter::Full, G, 4, SharingModel::Process);
-        assert!(Arc::ptr_eq(&a, &b), "same (trace, filter, shards) shares the partition");
-        let other = s.sharded(0, TraceFilter::Full, G, 2, SharingModel::Process);
-        assert!(!Arc::ptr_eq(&a, &other), "shard count is part of the key");
-        let proc = s.sharded(0, TraceFilter::Full, G, 4, SharingModel::Processor);
-        assert!(!Arc::ptr_eq(&a, &proc), "sharing model is part of the key");
-        assert_eq!(s.generations(), 1, "sharding reuses the ingest");
-        let records: Vec<TraceRecord> = s.records(0, TraceFilter::Full).iter().collect();
-        let blocks: usize = a.shards().iter().map(|sh| sh.soa.data.num_blocks).sum();
-        assert_eq!(blocks, s.interner(0, G).num_blocks());
-        // The mod router: every data reference's original dense id maps to
-        // shard gid % 4, i.e. local ids stride the global id space.
-        let dense = s.dense_blocks(0, TraceFilter::Full, G);
-        for (i, sh) in a.shards().iter().enumerate() {
-            for &g_ref in &sh.global_refs {
-                assert!(records[(g_ref - 1) as usize].is_data());
-                assert_eq!(dense[(g_ref - 1) as usize] as usize % 4, i);
-            }
-        }
-    }
-
-    #[test]
     fn soa_streams_are_memoized_per_sharing_model() {
         let s = store();
         let a = s.soa(0, TraceFilter::Full, G, SharingModel::Processor);
@@ -470,10 +411,6 @@ mod tests {
         let records: Vec<TraceRecord> = s.records(0, TraceFilter::Full).iter().collect();
         assert_eq!(a.len(), records.iter().filter(|r| r.is_data()).count(), "data references only");
         assert_eq!(a.refs(), records.len() as u64);
-        let sh = s.sharded(0, TraceFilter::Full, G, 3, SharingModel::Process);
-        assert_eq!(sh.num_shards(), 3);
-        let total: usize = sh.shards().iter().map(|s| s.soa.len()).sum();
-        assert_eq!(total, a.len());
     }
 
     #[test]

@@ -8,6 +8,10 @@ cargo test -q
 # reproduce the recorded counters of every scheme, streamed and indexed,
 # finite caches, windows and verifier included.
 cargo test -q -p dircc-sim --test replay
+# Generator digest gate: every record of a 200,000-reference stream,
+# folded into FNV-1a 64, for the three paper profiles and a time-shared,
+# migrating custom profile at three seeds, must equal the pinned values.
+cargo test -q -p dircc-trace --test generator_digest
 # Correctness gate: bounded exhaustive model check of every protocol, at
 # the smoke bounds and at the default bounds users run (3 cpus x 2
 # blocks, depth 8; ~10-15 s single-threaded on a 2-vCPU host).

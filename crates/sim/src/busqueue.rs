@@ -113,11 +113,14 @@ fn throughput(load: &BusLoad, seed: u64) -> (u64, f64, f64) {
     let mut heap: BinaryHeap<Reverse<(u64, u32, u64)>> = BinaryHeap::new();
     let key = |t: f64| (t.max(0.0) * 1024.0) as u64;
 
+    // References until the next transaction are geometric; `ln q` is
+    // taken once, not once per event.
+    let ln_q = (1.0 - load.transactions_per_ref).ln();
     let gap = |rng: &mut SmallRng| -> (f64, u64) {
-        // References until the next transaction (geometric) and the time
-        // they take to execute.
+        // References until the next transaction and the time they take
+        // to execute.
         let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let refs = (u.ln() / (1.0 - load.transactions_per_ref).ln()).floor() as u64 + 1;
+        let refs = (u.ln() / ln_q).floor() as u64 + 1;
         (refs as f64 / load.refs_per_cycle, refs)
     };
 

@@ -51,11 +51,13 @@
 //! commands its `FLAGS` row names, and is rejected elsewhere. Results are
 //! independent of `--jobs`: stdout is byte-identical for any value; the
 //! per-run wall-clock timing summary goes to stderr, and only with
-//! `--verbose`. Everything a command prints goes through [`out`], so a
-//! closed or full stdout ends the command with an error, not a panic.
+//! `--verbose`. Everything a command prints goes through [`out`] or
+//! [`err`], so a closed or full stdout or stderr ends the command with
+//! exit 1, not a panic.
 
-// `print!` panics on a closed or full stdout; `out!` returns the error.
-#![deny(clippy::print_stdout)]
+// `print!` and `eprint!` panic on a closed or full stream; `out!` and
+// `err!` return the error.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 use dircc_bus::{CostConfig, CostModel};
 use dircc_check::{check_protocol, CheckConfig};
@@ -83,12 +85,26 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-/// The CLI's one way to stdout: writes as `print!` does, through the
-/// line-buffered `io::stdout()`, but a closed or full stdout is an
-/// `Err("stdout: …")` where `print!` would panic.
+/// Writes to `stream`, called `name`, as `print!` and `eprint!` do, but
+/// a closed or full stream is an `Err("{name}: …")` where they would
+/// panic.
+fn write_stream(
+    mut stream: impl std::io::Write,
+    name: &str,
+    args: std::fmt::Arguments,
+) -> Result<(), String> {
+    stream.write_fmt(args).map_err(|e| format!("{name}: {e}"))
+}
+
+/// The CLI's one way to stdout, through the line-buffered `io::stdout()`.
 fn out(args: std::fmt::Arguments) -> Result<(), String> {
-    use std::io::Write as _;
-    std::io::stdout().write_fmt(args).map_err(|e| format!("stdout: {e}"))
+    write_stream(std::io::stdout(), "stdout", args)
+}
+
+/// The CLI's one way to stderr: timing tables, request IDs, drift lines
+/// and error messages.
+fn err(args: std::fmt::Arguments) -> Result<(), String> {
+    write_stream(std::io::stderr(), "stderr", args)
 }
 
 /// `print!` through [`out`].
@@ -102,6 +118,20 @@ macro_rules! out {
 macro_rules! outln {
     ($($arg:tt)*) => {
         out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `eprint!` through [`err`].
+macro_rules! err {
+    ($($arg:tt)*) => {
+        err(format_args!($($arg)*))
+    };
+}
+
+/// `eprintln!` through [`err`].
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        err(format_args!("{}\n", format_args!($($arg)*)))
     };
 }
 
@@ -626,13 +656,13 @@ fn replay(args: &Args) -> Result<(), String> {
             // One decode of the whole file, shared by every scheme.
             let mb = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0) as f64 / 1e6;
             let secs = wall.as_secs_f64().max(1e-9);
-            eprintln!(
+            errln!(
                 "replay: {mb:.1} MB ingested in {:.1} ms ({:.1} MB/s incl. replay)",
                 wall.as_secs_f64() * 1e3,
                 mb / secs
-            );
+            )?;
         } else {
-            eprintln!("replay: in-memory, {:.1} ms", wall.as_secs_f64() * 1e3);
+            errln!("replay: in-memory, {:.1} ms", wall.as_secs_f64() * 1e3)?;
         }
     }
     Ok(())
@@ -744,10 +774,8 @@ fn run_workbench_command(args: &Args, all: bool) -> Result<(), String> {
         vec![&args.command]
     };
     let result = names.iter().try_for_each(|c| run_experiment(c, &wb).and_then(|s| outln!("{s}")));
-    if args.verbose {
-        eprint!("{}", wb.timing_summary());
-    }
-    result
+    let timing = if args.verbose { err!("{}", wb.timing_summary()) } else { Ok(()) };
+    result.and(timing)
 }
 
 /// A `dircc bench` report: every paper-matrix run in work-list order,
@@ -923,7 +951,7 @@ fn submit_cmd(args: &Args) -> Result<(), String> {
     // the span meta, so scripts can join all three. Printed to stderr so
     // stdout stays verbatim response body.
     let request_id = mint_request_id("submit");
-    eprintln!("dircc submit: request-id {request_id}");
+    errln!("dircc submit: request-id {request_id}")?;
     let headers = [("x-request-id", request_id.as_str())];
     let resp = match op {
         "health" => client::request_with_headers(url, "GET", "/health", &headers, None),
@@ -1355,7 +1383,7 @@ fn profile(args: &Args) -> Result<(), String> {
     outln!("time series -> {out_path} ({windows_written} windows)")?;
     outln!("spans       -> {spans_path} ({} spans)", spans.len())?;
     if args.verbose {
-        eprint!("{}", wb.timing_summary());
+        err!("{}", wb.timing_summary())?;
     }
     Ok(())
 }
@@ -1428,7 +1456,7 @@ fn benchcmp(args: &Args) -> Result<(), String> {
         Ok(())
     } else {
         for d in &drift {
-            eprintln!("benchcmp: drift: {d}");
+            errln!("benchcmp: drift: {d}")?;
         }
         Err(format!("benchcmp: {} drifted run(s) vs {path}", drift.len()))
     }
@@ -1439,17 +1467,20 @@ fn print_table(table: impl Display) -> Result<(), String> {
     outln!("{table}")
 }
 
+/// Reports a failed command on stderr and exits 1. If stderr is closed
+/// or full too, the message is lost, but the exit code still says so.
+fn fail(message: &str) -> ExitCode {
+    let _ = errln!("{message}");
+    ExitCode::FAILURE
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&e),
     };
     let Some(spec) = spec_for(&args.command) else {
-        eprintln!("unknown command {}\n{}", args.command, usage());
-        return ExitCode::FAILURE;
+        return fail(&format!("unknown command {}\n{}", args.command, usage()));
     };
     let refs = |default| args.refs.unwrap_or(default);
     let result = match spec.kind {
@@ -1472,9 +1503,6 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(&e),
     }
 }

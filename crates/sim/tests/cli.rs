@@ -621,7 +621,7 @@ fn benchcmp_rejects_a_baseline_without_digests() {
 }
 
 /// The trace writer reports a full disk as an error, not a panic, and so
-/// does every command whose stdout is full.
+/// does every command whose stdout or stderr is full.
 #[cfg(target_os = "linux")]
 #[test]
 fn trace_writers_report_a_full_disk() {
@@ -647,6 +647,21 @@ fn trace_writers_report_a_full_disk() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("stdout: No space left on device"), "{args:?}: {err}");
         assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+
+    // A usage error and a `--verbose` timing table, each written to a
+    // full stderr: exit 1, where `eprintln!` would panic (exit 101).
+    let stderr_writers: [&[&str]; 2] =
+        [&["table1", "--bogus"], &["all", "--refs", "2000", "--verbose"]];
+    for args in stderr_writers {
+        let full = std::fs::OpenOptions::new().write(true).open("/dev/full").expect("/dev/full");
+        let status = dircc()
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(full)
+            .status()
+            .expect("run with a full stderr");
+        assert_eq!(status.code(), Some(1), "{args:?} must fail on a full stderr");
     }
 }
 

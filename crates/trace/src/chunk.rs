@@ -234,7 +234,6 @@ pub struct ChunkedWriter<W: Write> {
     chunk_records: usize,
     payload: Vec<u8>,
     records: u64,
-    chunks: u64,
     checksum: Fnv64,
 }
 
@@ -261,7 +260,6 @@ impl<W: Write> ChunkedWriter<W> {
             chunk_records,
             payload: Vec::new(),
             records: 0,
-            chunks: 0,
             checksum: Fnv64::new(),
         }
     }
@@ -330,18 +328,12 @@ impl<W: Write> ChunkedWriter<W> {
         self.inner.write_all(&header)?;
         self.inner.write_all(&self.payload)?;
         self.chunk.clear();
-        self.chunks += 1;
         Ok(())
     }
 
     /// Number of records written so far (including any still buffered).
     pub fn records_written(&self) -> u64 {
         self.records
-    }
-
-    /// Number of chunks flushed so far.
-    pub fn chunks_written(&self) -> u64 {
-        self.chunks
     }
 
     /// Flushes the final partial chunk, writes the footer, and returns the

@@ -50,22 +50,6 @@ where
     })
 }
 
-/// Keeps only references issued by the given CPU.
-pub fn only_cpu<I>(cpu: CpuId, records: I) -> impl Iterator<Item = TraceRecord>
-where
-    I: IntoIterator<Item = TraceRecord>,
-{
-    records.into_iter().filter(move |r| r.cpu == cpu)
-}
-
-/// Keeps only data references (drops instruction fetches).
-pub fn only_data<I>(records: I) -> impl Iterator<Item = TraceRecord>
-where
-    I: IntoIterator<Item = TraceRecord>,
-{
-    records.into_iter().filter(|r| r.is_data())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,27 +80,5 @@ mod tests {
             remap_cpu_to_process([rec(3, 7, AccessKind::Read, RecordFlags::NONE)]).collect();
         assert_eq!(out[0].cpu, CpuId::new(7));
         assert_eq!(out[0].pid, ProcessId::new(7));
-    }
-
-    #[test]
-    fn only_cpu_filters() {
-        let recs = vec![
-            rec(0, 0, AccessKind::Read, RecordFlags::NONE),
-            rec(1, 0, AccessKind::Read, RecordFlags::NONE),
-        ];
-        let out: Vec<_> = only_cpu(CpuId::new(1), recs).collect();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].cpu, CpuId::new(1));
-    }
-
-    #[test]
-    fn only_data_drops_instr() {
-        let recs = vec![
-            rec(0, 0, AccessKind::InstrFetch, RecordFlags::NONE),
-            rec(0, 0, AccessKind::Write, RecordFlags::NONE),
-        ];
-        let out: Vec<_> = only_data(recs).collect();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].kind, AccessKind::Write);
     }
 }

@@ -1,7 +1,7 @@
 //! The trace generator: schedules processes onto CPUs and interleaves
 //! their reference streams.
 
-use super::process::{sample_len, ProcessState, SharedState};
+use super::process::{Lengths, ProcessState, SharedState};
 use super::regions::Regions;
 use super::Profile;
 use crate::record::TraceRecord;
@@ -35,6 +35,7 @@ use std::collections::VecDeque;
 pub struct Generator {
     profile: Profile,
     regions: Regions,
+    lengths: Lengths,
     rng: SmallRng,
     shared: SharedState,
     procs: Vec<ProcessState>,
@@ -51,6 +52,7 @@ impl Generator {
     /// Creates a generator for a profile with a deterministic seed.
     pub fn new(profile: Profile, seed: u64) -> Self {
         let regions = Regions::new(&profile);
+        let lengths = Lengths::new(&profile);
         let shared = SharedState::new(&profile);
         let procs: Vec<ProcessState> = (0..profile.processes).map(ProcessState::new).collect();
         let on_cpu: Vec<u16> = (0..profile.cpus).collect();
@@ -58,6 +60,7 @@ impl Generator {
         Generator {
             rng: SmallRng::seed_from_u64(seed),
             regions,
+            lengths,
             shared,
             procs,
             on_cpu,
@@ -83,7 +86,7 @@ impl Generator {
     /// length, and apply context switches / migrations.
     fn next_burst(&mut self) {
         self.cur_cpu = (self.cur_cpu + 1) % self.profile.cpus;
-        self.burst_left = sample_len(&mut self.rng, self.profile.quantum_mean);
+        self.burst_left = self.lengths.quantum.sample(&mut self.rng);
 
         // Context switch: rotate the CPU's process with the ready queue.
         if !self.ready.is_empty() && self.rng.gen::<f64>() < self.profile.ctx_switch_prob {
@@ -106,6 +109,7 @@ impl Generator {
 impl Iterator for Generator {
     type Item = TraceRecord;
 
+    #[inline]
     fn next(&mut self) -> Option<TraceRecord> {
         if self.emitted >= self.profile.total_refs {
             return None;
@@ -119,6 +123,7 @@ impl Iterator for Generator {
             &mut self.rng,
             &self.profile,
             &self.regions,
+            &self.lengths,
         );
         self.burst_left -= 1;
         self.emitted += 1;

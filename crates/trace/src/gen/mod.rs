@@ -24,6 +24,14 @@
 //! * single-digit sharer counts at invalidation time (Figure 1);
 //! * rare process migration (§4.4: sharing is classified per process).
 //!
+//! Every replay of a generated trace generates it first, so the
+//! per-reference path is kept short: each process holds the references
+//! of one phase iteration, at most six, in an inline buffer, and each
+//! geometric phase-length sampler takes `ln(1 − 1/mean)` once per
+//! profile rather than once per draw. Neither moves a random draw: a
+//! `(profile, seed)` pair yields the same records bit for bit, which
+//! `tests/generator_digest.rs` pins with a digest of every record.
+//!
 //! [`patterns`] additionally provides tiny deterministic sharing kernels
 //! (ping-pong, migratory, read-only sharing, producer/consumer…) used
 //! throughout the workspace's unit tests, where exact event counts must be

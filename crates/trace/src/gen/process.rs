@@ -2,28 +2,81 @@
 //!
 //! Each synthetic process cycles through phases — private compute, lock
 //! acquire / critical section / release, shared read-only scans, producer/
-//! consumer exchanges and OS bursts — emitting a queue of references that
-//! the scheduler drains one at a time. Lock state is global: a process
-//! whose lock is held emits spin reads (the §4.4 test-and-test-and-set
-//! "first test") until the holder's release is observed.
+//! consumer exchanges and OS bursts — emitting the references of one phase
+//! iteration into a small inline buffer that the scheduler drains one at a
+//! time. Lock state is global: a process whose lock is held emits spin
+//! reads (the §4.4 test-and-test-and-set "first test") until the holder's
+//! release is observed.
+//!
+//! Generation is on the path of every trace the simulator replays, so the
+//! per-reference work is kept small without moving a random draw:
+//!
+//! * one iteration pushes at most [`MAX_STEP_REFS`] references, and the
+//!   buffer is refilled only once drained, so it is a fixed array with a
+//!   read cursor rather than a heap queue;
+//! * phase lengths are geometric, drawn as `floor(ln u / ln q) + 1` with
+//!   `q = 1 − 1/mean`. `ln q` depends only on the profile, so each
+//!   [`Geometric`] sampler takes it once and a draw takes one logarithm,
+//!   not two. The quotient is the same `f64`, so a seed yields the same
+//!   trace bit for bit.
 
 use super::regions::Regions;
 use super::Profile;
 use crate::record::RecordFlags;
-use dircc_types::AccessKind;
+use dircc_types::{AccessKind, Address};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::collections::VecDeque;
 
-/// Samples a geometric length with the given mean (≥ 1).
-pub(crate) fn sample_len(rng: &mut SmallRng, mean: f64) -> u32 {
-    if mean <= 1.0 {
-        return 1;
+/// A geometric length sampler with mean `mean`: `floor(ln u / ln q) + 1`
+/// for a uniform `u` and `q = 1 − 1/mean`, saturating, capped at 100,000.
+/// A mean of at most 1 always yields 1 and draws nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Geometric {
+    /// `ln q`, taken once; `None` for a mean of at most 1.
+    ln_q: Option<f64>,
+}
+
+impl Geometric {
+    pub fn new(mean: f64) -> Self {
+        let ln_q = if mean <= 1.0 { None } else { Some((1.0 - 1.0 / mean).ln()) };
+        Geometric { ln_q }
     }
-    let p = 1.0 / mean;
-    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    let len = (u.ln() / (1.0 - p).ln()).floor();
-    (len as u32).saturating_add(1).min(100_000)
+
+    /// Draws one length.
+    #[inline]
+    pub fn sample(self, rng: &mut SmallRng) -> u32 {
+        let Some(ln_q) = self.ln_q else {
+            return 1;
+        };
+        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+        let len = (u.ln() / ln_q).floor();
+        (len as u32).saturating_add(1).min(100_000)
+    }
+}
+
+/// The geometric lengths a profile draws: its scheduling burst and the
+/// iteration count of each phase.
+#[derive(Debug, Clone)]
+pub(crate) struct Lengths {
+    pub quantum: Geometric,
+    private: Geometric,
+    critical: Geometric,
+    shared_read: Geometric,
+    prodcons: Geometric,
+    syscall: Geometric,
+}
+
+impl Lengths {
+    pub fn new(p: &Profile) -> Self {
+        Lengths {
+            quantum: Geometric::new(p.quantum_mean),
+            private: Geometric::new(p.private_iters_mean),
+            critical: Geometric::new(p.critical_iters_mean),
+            shared_read: Geometric::new(p.shared_read_iters_mean),
+            prodcons: Geometric::new(p.prodcons_iters_mean),
+            syscall: Geometric::new(p.syscall_iters_mean),
+        }
+    }
 }
 
 /// One spin lock's global state.
@@ -55,9 +108,25 @@ impl SharedState {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingRef {
     pub kind: AccessKind,
-    pub addr: dircc_types::Address,
+    pub addr: Address,
     pub flags: RecordFlags,
 }
+
+impl PendingRef {
+    /// Fills the buffer's unused slots; never emitted.
+    const EMPTY: PendingRef = PendingRef {
+        kind: AccessKind::InstrFetch,
+        addr: Address::new(0),
+        flags: RecordFlags::NONE,
+    };
+}
+
+/// The most references one [`ProcessState::step`] pushes. The bound is
+/// the last iteration of a critical section that writes: an instruction
+/// fetch and a read of the object, an instruction fetch and a write of
+/// it, then an instruction fetch and the lock release. A lock acquire
+/// pushes at most four, every other phase two.
+const MAX_STEP_REFS: usize = 6;
 
 #[derive(Debug, Clone, Copy)]
 enum Activity {
@@ -75,7 +144,12 @@ enum Activity {
 pub(crate) struct ProcessState {
     pid: u16,
     activity: Activity,
-    pending: VecDeque<PendingRef>,
+    /// The references of the last phase iteration, in order.
+    pending: [PendingRef; MAX_STEP_REFS],
+    /// How many of `pending` the last iteration pushed.
+    pending_len: usize,
+    /// The next of them to emit.
+    pending_at: usize,
     code_pc: u64,
     os_pc: u64,
 }
@@ -85,7 +159,9 @@ impl ProcessState {
         ProcessState {
             pid,
             activity: Activity::Idle,
-            pending: VecDeque::with_capacity(8),
+            pending: [PendingRef::EMPTY; MAX_STEP_REFS],
+            pending_len: 0,
+            pending_at: 0,
             // Stagger instruction pointers so processes don't fetch in
             // lockstep from identical code offsets.
             code_pc: u64::from(pid) * 17,
@@ -93,27 +169,39 @@ impl ProcessState {
         }
     }
 
-    /// Emits the next reference, advancing the activity machine as needed.
+    /// Emits the next reference, advancing the activity machine once the
+    /// last iteration's references are drained.
+    #[inline]
     pub fn emit(
         &mut self,
         shared: &mut SharedState,
         rng: &mut SmallRng,
         p: &Profile,
         regions: &Regions,
+        lengths: &Lengths,
     ) -> PendingRef {
-        while self.pending.is_empty() {
-            self.step(shared, rng, p, regions);
+        if self.pending_at == self.pending_len {
+            self.pending_at = 0;
+            self.pending_len = 0;
+            while self.pending_len == 0 {
+                self.step(shared, rng, p, regions, lengths);
+            }
         }
-        self.pending.pop_front().expect("pending refilled")
+        let next = self.pending[self.pending_at];
+        self.pending_at += 1;
+        next
     }
 
-    fn push(&mut self, kind: AccessKind, addr: dircc_types::Address, flags: RecordFlags) {
-        self.pending.push_back(PendingRef { kind, addr, flags });
+    #[inline]
+    fn push(&mut self, kind: AccessKind, addr: Address, flags: RecordFlags) {
+        self.pending[self.pending_len] = PendingRef { kind, addr, flags };
+        self.pending_len += 1;
     }
 
     /// Pushes the instruction fetch that precedes a data reference, unless
     /// the profile's `extra_data_prob` skip fires (fine-tuning the global
     /// instruction fraction below 50%).
+    #[inline]
     fn push_instr(&mut self, rng: &mut SmallRng, p: &Profile, regions: &Regions, sys: bool) {
         if rng.gen::<f64>() < p.extra_data_prob {
             return;
@@ -129,7 +217,7 @@ impl ProcessState {
         }
     }
 
-    fn choose_next(&mut self, rng: &mut SmallRng, p: &Profile) {
+    fn choose_next(&mut self, rng: &mut SmallRng, p: &Profile, lengths: &Lengths) {
         let lock_w = if p.lock_count == 0 { 0 } else { p.weight_lock };
         let pc_w = if p.queue_count == 0 { 0 } else { p.weight_prodcons };
         let weights = [p.weight_private, lock_w, p.weight_shared_read, pc_w, p.weight_syscall];
@@ -145,25 +233,34 @@ impl ProcessState {
         }
         self.activity = match idx {
             1 => Activity::Acquire { lock: rng.gen_range(0..p.lock_count) },
-            2 => Activity::SharedRead { remaining: sample_len(rng, p.shared_read_iters_mean) },
+            2 => Activity::SharedRead { remaining: lengths.shared_read.sample(rng) },
             3 => Activity::ProdCons {
                 // Queues are pid-affine (one producer and one consumer per
                 // queue), like a real pipeline.
                 queue: u32::from(self.pid / 2) % p.queue_count,
-                remaining: sample_len(rng, p.prodcons_iters_mean),
+                remaining: lengths.prodcons.sample(rng),
                 produce: self.pid.is_multiple_of(2),
             },
-            4 => Activity::Syscall { remaining: sample_len(rng, p.syscall_iters_mean) },
-            _ => Activity::Private { remaining: sample_len(rng, p.private_iters_mean) },
+            4 => Activity::Syscall { remaining: lengths.syscall.sample(rng) },
+            _ => Activity::Private { remaining: lengths.private.sample(rng) },
         };
     }
 
-    /// Runs one phase iteration, pushing at least one reference unless the
-    /// process is choosing its next phase (which always terminates into a
-    /// pushing state on the following call).
-    fn step(&mut self, shared: &mut SharedState, rng: &mut SmallRng, p: &Profile, r: &Regions) {
+    /// Runs one phase iteration, pushing between one and
+    /// [`MAX_STEP_REFS`] references unless the process is choosing its
+    /// next phase (which always terminates into a pushing state on the
+    /// following call).
+    #[inline]
+    fn step(
+        &mut self,
+        shared: &mut SharedState,
+        rng: &mut SmallRng,
+        p: &Profile,
+        r: &Regions,
+        lengths: &Lengths,
+    ) {
         match self.activity {
-            Activity::Idle => self.choose_next(rng, p),
+            Activity::Idle => self.choose_next(rng, p, lengths),
             Activity::Private { remaining } => {
                 self.push_instr(rng, p, r, false);
                 let block = rng.gen_range(0..r.private_blocks());
@@ -190,10 +287,8 @@ impl ProcessState {
                     lockstate.held_by = Some(self.pid);
                     self.push_instr(rng, p, r, false);
                     self.push(AccessKind::Write, r.lock_word(lock), RecordFlags::LOCK);
-                    self.activity = Activity::Critical {
-                        lock,
-                        remaining: sample_len(rng, p.critical_iters_mean),
-                    };
+                    self.activity =
+                        Activity::Critical { lock, remaining: lengths.critical.sample(rng) };
                 }
                 // Held: that read was one spin iteration; stay in Acquire.
             }
@@ -282,43 +377,66 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn setup() -> (Profile, Regions, SharedState, SmallRng) {
+    fn setup() -> (Profile, Regions, Lengths, SharedState, SmallRng) {
         let p = Profile::pops().with_total_refs(1000);
         let r = Regions::new(&p);
+        let l = Lengths::new(&p);
         let s = SharedState::new(&p);
-        (p, r, s, SmallRng::seed_from_u64(1))
+        (p, r, l, s, SmallRng::seed_from_u64(1))
     }
 
     #[test]
     fn sample_len_is_positive_and_roughly_mean() {
         let mut rng = SmallRng::seed_from_u64(7);
         let n = 20_000;
-        let sum: u64 = (0..n).map(|_| u64::from(sample_len(&mut rng, 10.0))).sum();
+        let ten = Geometric::new(10.0);
+        let sum: u64 = (0..n).map(|_| u64::from(ten.sample(&mut rng))).sum();
         let mean = sum as f64 / n as f64;
         assert!((mean - 10.0).abs() < 1.0, "mean {mean} far from 10");
-        assert_eq!(sample_len(&mut rng, 1.0), 1);
-        assert_eq!(sample_len(&mut rng, 0.5), 1);
+        // A mean of at most 1 yields 1 without a draw.
+        let before = rng.clone();
+        assert_eq!(Geometric::new(1.0).sample(&mut rng), 1);
+        assert_eq!(Geometric::new(0.5).sample(&mut rng), 1);
+        assert_eq!(rng, before, "no draw for a mean of at most 1");
+    }
+
+    #[test]
+    fn a_releasing_critical_write_fills_the_buffer() {
+        // Every instruction fetch kept and every critical iteration a
+        // write: the releasing iteration pushes the most references.
+        let p = Profile { extra_data_prob: 0.0, critical_write_frac: 1.0, ..Profile::pops() };
+        let (r, l, mut s, mut rng) =
+            (Regions::new(&p), Lengths::new(&p), SharedState::new(&p), SmallRng::seed_from_u64(1));
+        let mut proc = ProcessState::new(0);
+        proc.activity = Activity::Critical { lock: 0, remaining: 1 };
+        s.locks[0].held_by = Some(0);
+        let kinds: Vec<_> =
+            (0..MAX_STEP_REFS).map(|_| proc.emit(&mut s, &mut rng, &p, &r, &l).kind).collect();
+        let (i, rd, wr) = (AccessKind::InstrFetch, AccessKind::Read, AccessKind::Write);
+        assert_eq!(kinds, [i, rd, i, wr, i, wr]);
+        assert_eq!(proc.pending_len, MAX_STEP_REFS);
+        assert_eq!(s.locks[0].held_by, None, "the last write released the lock");
     }
 
     #[test]
     fn emit_always_produces() {
-        let (p, r, mut s, mut rng) = setup();
+        let (p, r, l, mut s, mut rng) = setup();
         let mut proc = ProcessState::new(0);
         for _ in 0..5_000 {
-            let _ = proc.emit(&mut s, &mut rng, &p, &r);
+            let _ = proc.emit(&mut s, &mut rng, &p, &r, &l);
         }
     }
 
     #[test]
     fn held_lock_generates_spins_until_release() {
-        let (p, r, mut s, mut rng) = setup();
+        let (p, r, l, mut s, mut rng) = setup();
         // Process 1 holds lock 0.
         s.locks[0].held_by = Some(1);
         let mut proc = ProcessState::new(0);
         proc.activity = Activity::Acquire { lock: 0 };
         let mut spins = 0;
         for _ in 0..50 {
-            let pr = proc.emit(&mut s, &mut rng, &p, &r);
+            let pr = proc.emit(&mut s, &mut rng, &p, &r, &l);
             if pr.kind == AccessKind::Read && pr.flags.is_lock() {
                 spins += 1;
             }
@@ -332,7 +450,7 @@ mod tests {
         s.locks[0].held_by = None;
         let mut acquired = false;
         for _ in 0..10 {
-            let pr = proc.emit(&mut s, &mut rng, &p, &r);
+            let pr = proc.emit(&mut s, &mut rng, &p, &r, &l);
             if pr.kind == AccessKind::Write && pr.flags.is_lock() {
                 acquired = true;
                 break;
@@ -344,14 +462,14 @@ mod tests {
 
     #[test]
     fn critical_section_releases_lock() {
-        let (p, r, mut s, mut rng) = setup();
+        let (p, r, l, mut s, mut rng) = setup();
         let mut proc = ProcessState::new(2);
         proc.activity = Activity::Critical { lock: 1, remaining: 3 };
         s.locks[1].held_by = Some(2);
         // Drain until the release write appears.
         let mut released = false;
         for _ in 0..100 {
-            let pr = proc.emit(&mut s, &mut rng, &p, &r);
+            let pr = proc.emit(&mut s, &mut rng, &p, &r, &l);
             if pr.kind == AccessKind::Write && pr.flags.is_lock() {
                 released = true;
                 break;
@@ -363,11 +481,11 @@ mod tests {
 
     #[test]
     fn syscall_refs_are_flagged_system() {
-        let (p, r, mut s, mut rng) = setup();
+        let (p, r, l, mut s, mut rng) = setup();
         let mut proc = ProcessState::new(0);
         proc.activity = Activity::Syscall { remaining: 5 };
         for _ in 0..8 {
-            let pr = proc.emit(&mut s, &mut rng, &p, &r);
+            let pr = proc.emit(&mut s, &mut rng, &p, &r, &l);
             if matches!(proc.activity, Activity::Syscall { .. }) {
                 assert!(pr.flags.is_system(), "syscall refs carry SYSTEM flag");
             }
@@ -376,12 +494,12 @@ mod tests {
 
     #[test]
     fn producer_and_consumer_touch_same_queue() {
-        let (p, r, mut s, mut rng) = setup();
+        let (p, r, l, mut s, mut rng) = setup();
         let mut producer = ProcessState::new(0);
         producer.activity = Activity::ProdCons { queue: 0, remaining: 4, produce: true };
         let mut writes = Vec::new();
         for _ in 0..10 {
-            let pr = producer.emit(&mut s, &mut rng, &p, &r);
+            let pr = producer.emit(&mut s, &mut rng, &p, &r, &l);
             if pr.kind == AccessKind::Write {
                 writes.push(pr.addr);
             }
@@ -393,7 +511,7 @@ mod tests {
         consumer.activity = Activity::ProdCons { queue: 0, remaining: 4, produce: false };
         let mut read_any = false;
         for _ in 0..10 {
-            let pr = consumer.emit(&mut s, &mut rng, &p, &r);
+            let pr = consumer.emit(&mut s, &mut rng, &p, &r, &l);
             if pr.kind == AccessKind::Read && writes.contains(&pr.addr) {
                 read_any = true;
             }

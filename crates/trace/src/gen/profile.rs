@@ -243,13 +243,6 @@ impl Profile {
         self
     }
 
-    /// Sets the number of spin locks.
-    #[must_use]
-    pub fn with_lock_count(mut self, locks: u32) -> Self {
-        self.lock_count = locks;
-        self
-    }
-
     /// Scales the lock-phase weight, the main contention knob.
     #[must_use]
     pub fn with_lock_weight(mut self, weight: u32) -> Self {
@@ -261,18 +254,6 @@ impl Profile {
     #[must_use]
     pub fn with_migration_prob(mut self, p: f64) -> Self {
         self.migration_prob = p;
-        self
-    }
-
-    /// Sets the mean scheduling burst length.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `quantum_mean >= 1.0`.
-    #[must_use]
-    pub fn with_quantum_mean(mut self, q: f64) -> Self {
-        assert!(q >= 1.0, "quantum mean must be >= 1");
-        self.quantum_mean = q;
         self
     }
 }
@@ -301,11 +282,10 @@ mod tests {
 
     #[test]
     fn builders_adjust() {
-        let p = Profile::custom().with_cpus(8).with_total_refs(10).with_lock_count(5);
+        let p = Profile::custom().with_cpus(8).with_total_refs(10);
         assert_eq!(p.cpus, 8);
         assert_eq!(p.processes, 8, "processes raised to cpus");
         assert_eq!(p.total_refs, 10);
-        assert_eq!(p.lock_count, 5);
     }
 
     #[test]

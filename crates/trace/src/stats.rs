@@ -67,7 +67,6 @@ pub struct TraceStats {
     per_cpu: HashMap<CpuId, u64>,
     processes: HashSet<ProcessId>,
     data_blocks: HashSet<u64>,
-    instr_blocks: HashSet<u64>,
 }
 
 impl TraceStats {
@@ -84,7 +83,6 @@ impl TraceStats {
             per_cpu: HashMap::new(),
             processes: HashSet::new(),
             data_blocks: HashSet::new(),
-            instr_blocks: HashSet::new(),
         }
     }
 
@@ -93,8 +91,9 @@ impl TraceStats {
         self.counts.observe(r);
         *self.per_cpu.entry(r.cpu).or_insert(0) += 1;
         self.processes.insert(r.pid);
-        let blocks = if r.is_data() { &mut self.data_blocks } else { &mut self.instr_blocks };
-        blocks.insert(self.geometry.block_of(r.addr).index());
+        if r.is_data() {
+            self.data_blocks.insert(self.geometry.block_of(r.addr).index());
+        }
     }
 
     /// Total number of references.
@@ -141,11 +140,6 @@ impl TraceStats {
     /// first-reference misses in an infinite cache).
     pub fn distinct_data_blocks(&self) -> usize {
         self.data_blocks.len()
-    }
-
-    /// Number of distinct instruction blocks referenced.
-    pub fn distinct_instr_blocks(&self) -> usize {
-        self.instr_blocks.len()
     }
 
     /// Number of distinct processes observed.
@@ -284,8 +278,7 @@ mod tests {
             rec(0, 0, AccessKind::InstrFetch, 0x1000),
         ];
         let s: TraceStats = recs.iter().collect();
-        assert_eq!(s.distinct_data_blocks(), 2);
-        assert_eq!(s.distinct_instr_blocks(), 1);
+        assert_eq!(s.distinct_data_blocks(), 2, "instruction blocks are not counted");
     }
 
     #[test]

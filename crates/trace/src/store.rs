@@ -126,10 +126,8 @@ impl RecordStream<'_> {
     /// Runs the generator, then drops lock spins under the no-spins filter
     /// (as [`crate::filter::exclude_lock_spins`]); counts a generation.
     pub fn iter(&self) -> impl Iterator<Item = TraceRecord> {
-        self.store.generations.fetch_add(1, Ordering::Relaxed);
         let keep_spins = self.filter == TraceFilter::Full;
-        let profile = self.store.profiles[self.trace].clone();
-        Generator::new(profile, self.store.seed).filter(move |r| keep_spins || !r.is_lock_spin())
+        self.store.generate(self.trace).filter(move |r| keep_spins || !r.is_lock_spin())
     }
 }
 
@@ -182,13 +180,21 @@ impl TraceStore {
         self.generations.load(Ordering::Relaxed)
     }
 
+    /// A fresh generator of one trace's full record stream; counts a
+    /// generation.
+    fn generate(&self, trace: usize) -> Generator {
+        self.generations.fetch_add(1, Ordering::Relaxed);
+        Generator::new(self.profiles[trace].clone(), self.seed)
+    }
+
     /// The one pass over one trace under `geometry`: columns, renaming,
-    /// lock-spin bits and Table 3's counts.
+    /// lock-spin bits and Table 3's counts, read straight off the
+    /// generator.
     fn ingest(&self, trace: usize, geometry: BlockGeometry) -> Arc<Ingest> {
-        let records = self.records(trace, TraceFilter::Full);
+        assert!(trace < self.profiles.len(), "trace {trace} out of range");
         memo(&self.ingests, (trace, geometry), || {
             let (mut counts, mut spins) = (RefCounts::default(), Vec::new());
-            let (full, blocks) = DataRefs::ingest(records.iter(), geometry, |batch| {
+            let (full, blocks) = DataRefs::ingest(self.generate(trace), geometry, |batch| {
                 for r in batch {
                     if r.is_data() {
                         let n = (counts.reads + counts.writes) as usize;

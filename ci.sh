@@ -14,9 +14,13 @@ cargo test -q -p dircc-sim --test replay
 cargo test -q -p dircc-trace --test generator_digest
 # Correctness gate: bounded exhaustive model check of every protocol, at
 # the smoke bounds and at the default bounds users run (3 cpus x 2
-# blocks, depth 8; ~10-15 s single-threaded on a 2-vCPU host).
+# blocks, depth 8; ~10-15 s single-threaded on a 2-vCPU host). The
+# default run's states and transitions per scheme must equal the
+# checked-in CHECK_default.txt: a protocol refactor that keeps every
+# state class keeps every count.
 ./target/release/dircc check --smoke
-./target/release/dircc check
+./target/release/dircc check > /tmp/CHECK_default.txt
+diff /tmp/CHECK_default.txt CHECK_default.txt
 # Counter-drift gate: write the smoke report, then compare its per-run
 # counter digests and per-trace v2 sizes against the checked-in baseline,
 # field by field and byte for byte (every field is deterministic). The

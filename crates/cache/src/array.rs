@@ -88,11 +88,6 @@ impl<S> CacheArray<S> {
         self.caches.len()
     }
 
-    /// Iterates over all valid cache ids.
-    pub fn cache_ids(&self) -> impl Iterator<Item = CacheId> {
-        (0..self.caches.len() as u16).map(CacheId::new)
-    }
-
     /// Returns the state of `block` in `cache`, if present.
     ///
     /// # Panics
@@ -101,16 +96,6 @@ impl<S> CacheArray<S> {
     #[inline]
     pub fn state(&self, cache: CacheId, block: BlockAddr) -> Option<&S> {
         self.caches[cache.index()].get(dense_index(block)).and_then(Option::as_ref)
-    }
-
-    /// Returns a mutable reference to the state of `block` in `cache`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` is out of range.
-    #[inline]
-    pub fn state_mut(&mut self, cache: CacheId, block: BlockAddr) -> Option<&mut S> {
-        self.caches[cache.index()].get_mut(dense_index(block)).and_then(Option::as_mut)
     }
 
     /// Installs or updates `block` in `cache` with state `s`, returning the
@@ -184,18 +169,6 @@ impl<S> CacheArray<S> {
     /// Returns the number of distinct blocks resident anywhere.
     pub fn distinct_blocks(&self) -> usize {
         self.distinct
-    }
-
-    /// Iterates over `(block, state)` pairs of one cache, in block order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` is out of range.
-    pub fn iter_cache(&self, cache: CacheId) -> impl Iterator<Item = (BlockAddr, &S)> {
-        self.caches[cache.index()]
-            .iter()
-            .enumerate()
-            .filter_map(|(b, s)| Some((BlockAddr::from_index(b as u64), s.as_ref()?)))
     }
 
     /// Iterates over every block resident anywhere, with its holder set,
@@ -306,8 +279,6 @@ mod tests {
         assert_eq!(a.set(c(0), b(1), 9), Some(7));
         assert_eq!(a.state(c(0), b(1)), Some(&9));
         assert_eq!(a.state(c(1), b(1)), None);
-        *a.state_mut(c(0), b(1)).unwrap() = 11;
-        assert_eq!(a.state(c(0), b(1)), Some(&11));
     }
 
     #[test]
@@ -375,7 +346,6 @@ mod tests {
         let mut blocks: Vec<u64> = a.iter_blocks().map(|(blk, _)| blk.index()).collect();
         blocks.sort_unstable();
         assert_eq!(blocks, vec![1, 2]);
-        assert_eq!(a.iter_cache(c(0)).count(), 1);
     }
 
     #[test]
@@ -420,12 +390,5 @@ mod tests {
         grown.encode_states(&mut g, |s| u64::from(*s));
         CacheArray::<u8>::new(3).encode_states(&mut f, |s| u64::from(*s));
         assert_eq!(g, f);
-    }
-
-    #[test]
-    fn cache_ids_enumerates() {
-        let a: CacheArray<()> = CacheArray::new(3);
-        let ids: Vec<u16> = a.cache_ids().map(|c| c.raw()).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
     }
 }

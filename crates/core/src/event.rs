@@ -170,13 +170,6 @@ impl Outcome {
         self
     }
 
-    /// Builder-style setter for the broadcast flag.
-    #[must_use]
-    pub fn with_broadcast(mut self) -> Self {
-        self.used_broadcast = true;
-        self
-    }
-
     /// Builder-style setter marking a write-back (also marks memory
     /// updated).
     #[must_use]
@@ -243,9 +236,9 @@ mod tests {
 
     #[test]
     fn outcome_builders() {
-        let o = Outcome::quiet(Event::ReadHit).with_control(3).with_broadcast().with_write_back();
+        let o = Outcome::quiet(Event::ReadHit).with_control(3).with_write_back();
         assert_eq!(o.control_messages, 3);
-        assert!(o.used_broadcast);
+        assert!(!o.used_broadcast);
         assert!(o.write_back);
         assert!(o.memory_updated, "write-back implies memory updated");
         assert_eq!(o.updates, 0);

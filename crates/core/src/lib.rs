@@ -8,12 +8,14 @@
 //! fallback. This crate implements that whole design space plus the snoopy
 //! protocols the paper compares against:
 //!
-//! * [`directory::DirNb`] — `Dir1NB`, `DiriNB`, `DirnNB` (Censier-Feautrier)
-//! * [`directory::Dir0B`] — Archibald-Baer two-bit broadcast scheme
-//! * [`directory::DirB`] — `Dir1B` / `DiriB` limited pointers + broadcast bit
-//! * [`directory::CodedSet`] — §6 coded-set limited broadcast
-//! * [`directory::Tang`], [`directory::YenFu`] — the reviewed prior schemes
-//! * [`snoopy::Wti`], [`snoopy::Dragon`], [`snoopy::Berkeley`]
+//! * the directory schemes, as one state machine (many clean copies or one
+//!   dirty copy) over four per-block entry formats: FIFO pointers for
+//!   `Dir1NB`, `DiriNB`, `DirnNB` (Censier-Feautrier), Tang and Yen & Fu;
+//!   pointers plus a broadcast bit for `Dir1B` / `DiriB`; the
+//!   Archibald-Baer two bits for `Dir0B`; and the §6 coded set. They are
+//!   built by [`ProtocolKind`], through [`build`] or [`dispatch`].
+//! * [`snoopy::Wti`], [`snoopy::Dragon`], [`snoopy::Berkeley`],
+//!   [`snoopy::WriteOnce`], [`snoopy::Firefly`], [`snoopy::Mesi`]
 //!
 //! Each protocol consumes data references one at a time (via
 //! [`Protocol::access`]) and returns an [`Outcome`]: the event
@@ -36,7 +38,7 @@
 //! ```
 
 pub mod counters;
-pub mod directory;
+mod directory;
 pub mod event;
 pub mod protocol;
 pub mod snoopy;
@@ -103,15 +105,14 @@ pub trait ProtocolVisitor {
 /// Panics on invalid parameters: `DirNb`/`DirB` with zero pointers, or
 /// `n_caches` outside `1..=64`.
 pub fn dispatch<V: ProtocolVisitor>(kind: ProtocolKind, n_caches: usize, visitor: V) -> V::Output {
+    use directory::{Coded, Directory, Fifo, PtrB, TwoBit};
     match kind {
-        ProtocolKind::DirNb { pointers } => {
-            visitor.visit(directory::DirNb::new(pointers, n_caches))
+        ProtocolKind::DirNb { .. } | ProtocolKind::Tang | ProtocolKind::YenFu => {
+            visitor.visit(Directory::<Fifo>::new(kind, n_caches))
         }
-        ProtocolKind::Dir0B => visitor.visit(directory::Dir0B::new(n_caches)),
-        ProtocolKind::DirB { pointers } => visitor.visit(directory::DirB::new(pointers, n_caches)),
-        ProtocolKind::CodedSet => visitor.visit(directory::CodedSet::new(n_caches)),
-        ProtocolKind::Tang => visitor.visit(directory::Tang::new(n_caches)),
-        ProtocolKind::YenFu => visitor.visit(directory::YenFu::new(n_caches)),
+        ProtocolKind::DirB { .. } => visitor.visit(Directory::<PtrB>::new(kind, n_caches)),
+        ProtocolKind::Dir0B => visitor.visit(Directory::<TwoBit>::new(kind, n_caches)),
+        ProtocolKind::CodedSet => visitor.visit(Directory::<Coded>::new(kind, n_caches)),
         ProtocolKind::Wti => visitor.visit(snoopy::Wti::new(n_caches)),
         ProtocolKind::Dragon => visitor.visit(snoopy::Dragon::new(n_caches)),
         ProtocolKind::Berkeley => visitor.visit(snoopy::Berkeley::new(n_caches)),

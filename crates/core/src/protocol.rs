@@ -67,19 +67,6 @@ impl ProtocolKind {
         }
     }
 
-    /// Returns `true` for directory-based schemes (as opposed to snoopy).
-    pub fn is_directory(self) -> bool {
-        !matches!(
-            self,
-            ProtocolKind::Wti
-                | ProtocolKind::Dragon
-                | ProtocolKind::Berkeley
-                | ProtocolKind::WriteOnce
-                | ProtocolKind::Firefly
-                | ProtocolKind::Mesi
-        )
-    }
-
     /// Paper-style name, resolved against the machine size `n`: the
     /// [`Display`](fmt::Display) text, except that a full map prints as
     /// `DirnNB`.
@@ -220,17 +207,5 @@ mod tests {
         assert_eq!(ProtocolKind::WriteOnce.style(), CoherenceStyle::Invalidate);
         assert_eq!(ProtocolKind::Dir0B.style(), CoherenceStyle::Invalidate);
         assert_eq!(ProtocolKind::Berkeley.style(), CoherenceStyle::Invalidate);
-    }
-
-    #[test]
-    fn directory_vs_snoopy_classification() {
-        assert!(ProtocolKind::Dir0B.is_directory());
-        assert!(ProtocolKind::CodedSet.is_directory());
-        assert!(ProtocolKind::Tang.is_directory());
-        assert!(!ProtocolKind::Wti.is_directory());
-        assert!(!ProtocolKind::Dragon.is_directory());
-        assert!(!ProtocolKind::Berkeley.is_directory());
-        assert!(!ProtocolKind::WriteOnce.is_directory());
-        assert!(!ProtocolKind::Firefly.is_directory());
     }
 }

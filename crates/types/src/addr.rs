@@ -121,14 +121,6 @@ impl BlockId {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Reinterprets the dense id as a [`BlockAddr`], the currency of the
-    /// protocol API. The result is only meaningful to components fed by
-    /// the same interner.
-    #[inline]
-    pub const fn as_block_addr(self) -> BlockAddr {
-        BlockAddr::from_index(self.0 as u64)
-    }
 }
 
 impl fmt::Display for BlockId {
@@ -300,7 +292,6 @@ mod tests {
         let id = BlockId::new(7);
         assert_eq!(id.raw(), 7);
         assert_eq!(id.index(), 7);
-        assert_eq!(id.as_block_addr(), BlockAddr::from_index(7));
         assert_eq!(id.to_string(), "blk#7");
         assert!(BlockId::new(1) < BlockId::new(2));
     }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 const CPUS: usize = 4;
 
 /// Every taxonomy point the simulator replays.
-const KINDS: [ProtocolKind; 13] = [
+const KINDS: [ProtocolKind; 14] = [
     ProtocolKind::DirNb { pointers: 1 },
     ProtocolKind::DirNb { pointers: 2 },
     ProtocolKind::DirNb { pointers: 4 },
@@ -36,6 +36,7 @@ const KINDS: [ProtocolKind; 13] = [
     ProtocolKind::Berkeley,
     ProtocolKind::WriteOnce,
     ProtocolKind::Firefly,
+    ProtocolKind::Mesi,
 ];
 
 fn store() -> TraceStore {
@@ -106,11 +107,14 @@ fn soa_streams_match_aos_derivation_across_the_matrix() {
 }
 
 // Golden results, recorded from the former dynamically dispatched
-// reference loop at the commit that retired it.
+// reference loop at the commit that retired it. The MESI row and the
+// WTI, Dragon, Write-Once and Firefly finite rows came later, recorded
+// from the one loop before the six snoopy schemes became one state
+// machine.
 
 /// `(counter digest, violation count)` per [`KINDS`] entry × trace
 /// (POPS, THOR, PERO) at 6k refs, seed 9, process sharing, verifier on.
-const GOLDEN_SERIAL: [[(u64, usize); 3]; 13] = [
+const GOLDEN_SERIAL: [[(u64, usize); 3]; 14] = [
     [(0x5900cfbe19d65e3e, 0), (0xc6dd1da6ec1364f9, 0), (0x1b5a8c12d76fc28a, 0)],
     [(0x92e6cca5658fe093, 0), (0x1c5260020b31eb29, 0), (0x3c542eef6640d389, 0)],
     [(0xbfe193952056c8be, 0), (0xcbd31f8ad263b9a8, 0), (0xc4a1d2e59579b0b5, 0)],
@@ -124,17 +128,30 @@ const GOLDEN_SERIAL: [[(u64, usize); 3]; 13] = [
     [(0x108e5e14cc8657f2, 0), (0xf7b8ecc7f7c6edbd, 0), (0x6b4dc4c1a0dca23a, 0)],
     [(0x0fa1c4e6285c8f77, 0), (0x04ddfb4bae872644, 0), (0xc40dcde6b2c4579c, 0)],
     [(0xd3536e5890918eff, 0), (0x97365f84906f66cb, 0), (0x2556c21b3603f601, 0)],
+    [(0x573f1c48892b75aa, 0), (0x69d0a141fb0a4f29, 0), (0x5852e132eb32ca96, 0)],
 ];
 
-/// The finite-cache kinds of [`GOLDEN_FINITE`].
-const FINITE_KINDS: [ProtocolKind; 3] =
-    [ProtocolKind::Dir0B, ProtocolKind::Berkeley, ProtocolKind::Mesi];
+/// The finite-cache kinds of [`GOLDEN_FINITE`]: every snoopy scheme,
+/// since their eviction write-backs show only here, plus Dir0B.
+const FINITE_KINDS: [ProtocolKind; 7] = [
+    ProtocolKind::Dir0B,
+    ProtocolKind::Berkeley,
+    ProtocolKind::Mesi,
+    ProtocolKind::Wti,
+    ProtocolKind::Dragon,
+    ProtocolKind::WriteOnce,
+    ProtocolKind::Firefly,
+];
 
 /// As [`GOLDEN_SERIAL`] for 4-set × 2-way finite caches.
-const GOLDEN_FINITE: [[(u64, usize); 3]; 3] = [
+const GOLDEN_FINITE: [[(u64, usize); 3]; 7] = [
     [(0xbb963ba394c1938f, 0), (0xb651698c47e0396e, 0), (0x45eef2d59b95c1e7, 0)],
     [(0x00cbd24633debda4, 0), (0x96519a75ddb14be5, 0), (0x6819c3666ab3d5d4, 0)],
     [(0x5cb4feb8e1246e5d, 0), (0xabceecc1a943292b, 0), (0xcc2d9e6119a025b4, 0)],
+    [(0xc3e635bfa36fe744, 0), (0x40e32404d9afd02d, 0), (0x30a8ade67f3ab389, 0)],
+    [(0xd8ca8c219bf70338, 0), (0x13cb088f9a2dd100, 0), (0xf07db99048c69f19, 0)],
+    [(0x1fad8e567f015ff3, 0), (0x5b4660c566363be3, 0), (0xcdf295f09bfd411d, 0)],
+    [(0xb37dda42c1b0a13c, 0), (0x8bd6ddb2734aeec4, 0), (0xfd9ef154b138021a, 0)],
 ];
 
 /// `(window count, FNV fold of per-window digests)` of POPS windowed at

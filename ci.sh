@@ -29,6 +29,10 @@ diff /tmp/CHECK_default.txt CHECK_default.txt
 ./target/release/dircc bench --smoke --out /tmp/BENCH_smoke.json
 ./target/release/dircc benchcmp --smoke --in BENCH_smoke.json
 diff /tmp/BENCH_smoke.json BENCH_smoke.json
+# The same report at paper scale (42 runs, ~2 s on a 2-vCPU host) must
+# reproduce the checked-in BENCH_replay.json byte for byte.
+./target/release/dircc bench --out /tmp/BENCH_replay.json
+diff /tmp/BENCH_replay.json BENCH_replay.json
 # Paper-output gate: `dircc all` at the default scale and seed must
 # print exactly the archived output.
 ./target/release/dircc all | diff - experiments_full_output.txt

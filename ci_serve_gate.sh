@@ -119,10 +119,18 @@ if [ -z "$RID" ]; then
     echo "serve gate: submit printed no request id" >&2
     exit 1
 fi
-if ! grep -q "request_id=$RID" "$TMP/serve.err"; then
-    echo "serve gate: request id $RID missing from the daemon log" >&2
-    exit 1
-fi
+# The daemon logs a request only after writing its response (its wall_ms
+# includes the write), and `dircc submit` exits as soon as it has read
+# the body, so wait up to 5 s for the line instead of grepping once.
+i=0
+until grep -q "request_id=$RID" "$TMP/serve.err"; do
+    if [ $i -ge 50 ]; then
+        echo "serve gate: request id $RID missing from the daemon log" >&2
+        exit 1
+    fi
+    sleep 0.1
+    i=$((i + 1))
+done
 if ! "$DIRCC" submit --serve "$URL" --op spans | grep -q "$RID"; then
     echo "serve gate: request id $RID missing from /spans meta" >&2
     exit 1

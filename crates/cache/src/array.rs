@@ -36,12 +36,8 @@ pub struct CacheArray<S> {
     /// `caches[c][b]` is the state of block `b` in cache `c` (`None` = not
     /// resident). Each cache's table grows on demand.
     caches: Vec<Vec<Option<S>>>,
-    /// Per-cache resident-block counts (kept so `blocks_in` stays O(1)).
-    resident: Vec<usize>,
     /// `residency[b]` is the set of caches holding block `b`.
     residency: Vec<CacheIdSet>,
-    /// Number of blocks with a nonempty residency set.
-    distinct: usize,
 }
 
 impl<S> CacheArray<S> {
@@ -51,27 +47,13 @@ impl<S> CacheArray<S> {
     ///
     /// Panics if `n` is 0 or exceeds 64 (the [`CacheIdSet`] width).
     pub fn new(n: usize) -> Self {
-        Self::with_block_capacity(n, 0)
-    }
-
-    /// Creates `n` empty caches with room for `blocks` dense block indices
-    /// pre-allocated (the capacity hint an interner provides), avoiding
-    /// growth reallocations during replay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is 0 or exceeds 64 (the [`CacheIdSet`] width).
-    pub fn with_block_capacity(n: usize, blocks: usize) -> Self {
         assert!((1..=64).contains(&n), "cache count must be in 1..=64");
-        CacheArray {
-            caches: (0..n).map(|_| Vec::with_capacity(blocks)).collect(),
-            resident: vec![0; n],
-            residency: Vec::with_capacity(blocks),
-            distinct: 0,
-        }
+        CacheArray { caches: (0..n).map(|_| Vec::new()).collect(), residency: Vec::new() }
     }
 
-    /// Pre-allocates every table for `blocks` dense block indices.
+    /// Pre-allocates every table for `blocks` dense block indices (the
+    /// capacity hint an interner provides), avoiding growth reallocations
+    /// during replay.
     pub fn reserve_blocks(&mut self, blocks: usize) {
         for tags in &mut self.caches {
             if tags.len() < blocks {
@@ -113,12 +95,8 @@ impl<S> CacheArray<S> {
         }
         let prev = tags[b].replace(s);
         if prev.is_none() {
-            self.resident[cache.index()] += 1;
             if self.residency.len() <= b {
                 self.residency.resize(b + 1, CacheIdSet::new());
-            }
-            if self.residency[b].is_empty() {
-                self.distinct += 1;
             }
             self.residency[b].insert(cache);
         }
@@ -135,12 +113,7 @@ impl<S> CacheArray<S> {
         let b = dense_index(block);
         let prev = self.caches[cache.index()].get_mut(b).and_then(Option::take);
         if prev.is_some() {
-            self.resident[cache.index()] -= 1;
-            let set = &mut self.residency[b];
-            set.remove(cache);
-            if set.is_empty() {
-                self.distinct -= 1;
-            }
+            self.residency[b].remove(cache);
         }
         prev
     }
@@ -149,26 +122,6 @@ impl<S> CacheArray<S> {
     #[inline]
     pub fn holders(&self, block: BlockAddr) -> CacheIdSet {
         self.residency.get(dense_index(block)).copied().unwrap_or_default()
-    }
-
-    /// Returns the caches holding `block`, excluding `cache`.
-    #[inline]
-    pub fn other_holders(&self, cache: CacheId, block: BlockAddr) -> CacheIdSet {
-        self.holders(block).without(cache)
-    }
-
-    /// Returns the number of blocks resident in `cache`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` is out of range.
-    pub fn blocks_in(&self, cache: CacheId) -> usize {
-        self.resident[cache.index()]
-    }
-
-    /// Returns the number of distinct blocks resident anywhere.
-    pub fn distinct_blocks(&self) -> usize {
-        self.distinct
     }
 
     /// Iterates over every block resident anywhere, with its holder set,
@@ -188,8 +141,10 @@ impl<S> CacheArray<S> {
     /// they hold the same blocks in the same caches with `code`-equal
     /// states — the building block for `Protocol::encode_state`.
     pub fn encode_states(&self, out: &mut Vec<u64>, mut code: impl FnMut(&S) -> u64) {
-        out.push(self.distinct as u64);
+        let count = out.len();
+        out.push(0);
         for (block, holders) in self.iter_blocks() {
+            out[count] += 1;
             out.push(block.index());
             out.push(holders.bits());
             for cache in holders.iter() {
@@ -205,59 +160,24 @@ impl<S> CacheArray<S> {
     ///
     /// Returns a description of the first inconsistency found.
     pub fn check_residency(&self) -> Result<(), String> {
-        let mut distinct = 0;
         for (b, set) in self.residency.iter().enumerate() {
-            let block = BlockAddr::from_index(b as u64);
-            if !set.is_empty() {
-                distinct += 1;
-            }
             for cache in set.iter() {
                 if self.caches[cache.index()].get(b).is_none_or(Option::is_none) {
+                    let block = BlockAddr::from_index(b as u64);
                     return Err(format!("{block}: oracle claims {cache} but tag store disagrees"));
                 }
             }
         }
-        if distinct != self.distinct {
-            return Err(format!(
-                "distinct-block count {} disagrees with oracle ({distinct})",
-                self.distinct
-            ));
-        }
         for (i, tags) in self.caches.iter().enumerate() {
             let cache = CacheId::new(i as u16);
-            let mut resident = 0;
             for (b, s) in tags.iter().enumerate() {
-                if s.is_some() {
-                    resident += 1;
-                    let block = BlockAddr::from_index(b as u64);
-                    if !self.holders(block).contains(cache) {
-                        return Err(format!("{block}: in {cache} tag store but not in oracle"));
-                    }
+                let block = BlockAddr::from_index(b as u64);
+                if s.is_some() && !self.holders(block).contains(cache) {
+                    return Err(format!("{block}: in {cache} tag store but not in oracle"));
                 }
-            }
-            if resident != self.resident[i] {
-                return Err(format!(
-                    "{cache}: resident count {} disagrees with tag store ({resident})",
-                    self.resident[i]
-                ));
             }
         }
         Ok(())
-    }
-}
-
-impl<S: Clone> CacheArray<S> {
-    /// Removes `block` from every cache except `keep`, returning the caches
-    /// it was removed from. Pass `None` to remove from all.
-    pub fn remove_all_except(&mut self, block: BlockAddr, keep: Option<CacheId>) -> CacheIdSet {
-        let mut victims = self.holders(block);
-        if let Some(k) = keep {
-            victims.remove(k);
-        }
-        for c in victims.iter() {
-            self.remove(c, block);
-        }
-        victims
     }
 }
 
@@ -288,12 +208,12 @@ mod tests {
         a.set(c(2), b(5), ());
         a.set(c(2), b(6), ());
         assert_eq!(a.holders(b(5)).len(), 2);
-        assert_eq!(a.other_holders(c(0), b(5)).sole(), Some(c(2)));
+        assert_eq!(a.holders(b(5)).without(c(0)).sole(), Some(c(2)));
         a.remove(c(0), b(5));
         assert_eq!(a.holders(b(5)).sole(), Some(c(2)));
         a.remove(c(2), b(5));
         assert!(a.holders(b(5)).is_empty());
-        assert_eq!(a.distinct_blocks(), 1);
+        assert_eq!(a.iter_blocks().count(), 1);
         a.check_residency().unwrap();
     }
 
@@ -306,13 +226,16 @@ mod tests {
 
     #[test]
     fn remove_all_except_keeps_one() {
+        // An invalidating write: every holder but the writer drops out.
         let mut a: CacheArray<u8> = CacheArray::new(4);
         for i in 0..4 {
             a.set(c(i), b(9), i as u8);
         }
-        let removed = a.remove_all_except(b(9), Some(c(2)));
+        let removed = a.holders(b(9)).without(c(2));
+        for victim in removed.iter() {
+            assert_eq!(a.remove(victim, b(9)), Some(victim.raw() as u8));
+        }
         assert_eq!(removed.len(), 3);
-        assert!(!removed.contains(c(2)));
         assert_eq!(a.holders(b(9)).sole(), Some(c(2)));
         a.check_residency().unwrap();
     }
@@ -322,20 +245,12 @@ mod tests {
         let mut a: CacheArray<u8> = CacheArray::new(3);
         a.set(c(0), b(9), 0);
         a.set(c(1), b(9), 0);
-        let removed = a.remove_all_except(b(9), None);
-        assert_eq!(removed.len(), 2);
+        for victim in a.holders(b(9)).iter() {
+            a.remove(victim, b(9));
+        }
         assert!(a.holders(b(9)).is_empty());
-    }
-
-    #[test]
-    fn blocks_in_counts_per_cache() {
-        let mut a: CacheArray<()> = CacheArray::new(2);
-        a.set(c(0), b(1), ());
-        a.set(c(0), b(2), ());
-        a.set(c(1), b(1), ());
-        assert_eq!(a.blocks_in(c(0)), 2);
-        assert_eq!(a.blocks_in(c(1)), 1);
-        assert_eq!(a.distinct_blocks(), 2);
+        assert_eq!(a.iter_blocks().count(), 0);
+        a.check_residency().unwrap();
     }
 
     #[test]
@@ -350,11 +265,12 @@ mod tests {
 
     #[test]
     fn capacity_hint_preallocates() {
-        let mut a: CacheArray<u8> = CacheArray::with_block_capacity(2, 128);
+        let mut a: CacheArray<u8> = CacheArray::new(2);
+        a.reserve_blocks(128);
         for i in 0..128 {
             a.set(c(0), b(i), 0);
         }
-        assert_eq!(a.blocks_in(c(0)), 128);
+        assert_eq!(a.iter_blocks().count(), 128);
         a.reserve_blocks(256);
         a.check_residency().unwrap();
     }

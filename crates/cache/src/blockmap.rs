@@ -1,11 +1,11 @@
-//! Dense per-block containers for directory state.
+//! A dense per-block container for directory state.
 //!
-//! Directory protocols keep one entry per block (pointer lists, dirty
-//! bits, stale-memory marks). Replay feeds them interned block addresses,
-//! so those tables can be flat vectors indexed by the dense block index —
-//! the same trick [`crate::CacheArray`] uses for per-cache tag state.
-//! Both containers grow on demand so hand-built traces with small literal
-//! block numbers work without an interner.
+//! Directory protocols keep one entry per cached block (pointer lists,
+//! broadcast and dirty bits). Replay feeds them interned block addresses,
+//! so that table can be a flat vector indexed by the dense block index —
+//! the same trick [`crate::CacheArray`] uses for per-cache tag state. It
+//! grows on demand so hand-built traces with small literal block numbers
+//! work without an interner.
 
 use dircc_types::BlockAddr;
 
@@ -41,11 +41,6 @@ impl<V> BlockMap<V> {
     /// Creates an empty map.
     pub fn new() -> Self {
         BlockMap { slots: Vec::new(), len: 0 }
-    }
-
-    /// Creates an empty map with room for `blocks` dense block indices.
-    pub fn with_block_capacity(blocks: usize) -> Self {
-        BlockMap { slots: Vec::with_capacity(blocks), len: 0 }
     }
 
     /// Pre-allocates for `blocks` dense block indices.
@@ -132,104 +127,6 @@ impl<V: Default> BlockMap<V> {
     }
 }
 
-/// A set of blocks, backed by a bit vector.
-///
-/// ```
-/// use dircc_cache::BlockSet;
-/// use dircc_types::BlockAddr;
-///
-/// let mut s = BlockSet::new();
-/// let b = BlockAddr::from_index(70);
-/// assert!(s.insert(b));
-/// assert!(!s.insert(b));
-/// assert!(s.contains(b));
-/// assert!(s.remove(b));
-/// assert!(s.is_empty());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct BlockSet {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl BlockSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        BlockSet { words: Vec::new(), len: 0 }
-    }
-
-    /// Creates an empty set with room for `blocks` dense block indices.
-    pub fn with_block_capacity(blocks: usize) -> Self {
-        BlockSet { words: Vec::with_capacity(blocks.div_ceil(64)), len: 0 }
-    }
-
-    /// Pre-allocates for `blocks` dense block indices.
-    pub fn reserve_blocks(&mut self, blocks: usize) {
-        let words = blocks.div_ceil(64);
-        if self.words.len() < words {
-            self.words.reserve(words - self.words.len());
-        }
-    }
-
-    /// Number of blocks in the set.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Returns `true` if `block` is in the set.
-    #[inline]
-    pub fn contains(&self, block: BlockAddr) -> bool {
-        let b = dense_index(block);
-        self.words.get(b / 64).is_some_and(|w| w & (1u64 << (b % 64)) != 0)
-    }
-
-    /// Inserts `block`; returns `true` if it was newly inserted.
-    #[inline]
-    pub fn insert(&mut self, block: BlockAddr) -> bool {
-        let b = dense_index(block);
-        if self.words.len() <= b / 64 {
-            self.words.resize(b / 64 + 1, 0);
-        }
-        let bit = 1u64 << (b % 64);
-        let newly = self.words[b / 64] & bit == 0;
-        self.words[b / 64] |= bit;
-        if newly {
-            self.len += 1;
-        }
-        newly
-    }
-
-    /// Iterates over the blocks in the set, in block order.
-    pub fn iter(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64)
-                .filter(move |b| word & (1u64 << b) != 0)
-                .map(move |b| BlockAddr::from_index((w * 64 + b) as u64))
-        })
-    }
-
-    /// Removes `block`; returns `true` if it was present.
-    #[inline]
-    pub fn remove(&mut self, block: BlockAddr) -> bool {
-        let b = dense_index(block);
-        let Some(word) = self.words.get_mut(b / 64) else {
-            return false;
-        };
-        let bit = 1u64 << (b % 64);
-        let present = *word & bit != 0;
-        *word &= !bit;
-        if present {
-            self.len -= 1;
-        }
-        present
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,7 +137,7 @@ mod tests {
 
     #[test]
     fn map_insert_get_remove() {
-        let mut m: BlockMap<u8> = BlockMap::with_block_capacity(4);
+        let mut m: BlockMap<u8> = BlockMap::new();
         assert_eq!(m.insert(b(2), 5), None);
         assert_eq!(m.insert(b(2), 6), Some(5));
         assert_eq!(m.get(b(2)), Some(&6));
@@ -270,22 +167,5 @@ mod tests {
         assert_eq!(pairs, vec![(1, 1), (9, 9)]);
         m.reserve_blocks(64);
         assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn set_insert_contains_remove() {
-        let mut s = BlockSet::with_block_capacity(100);
-        assert!(s.insert(b(0)));
-        assert!(s.insert(b(64)));
-        assert!(!s.insert(b(64)));
-        assert_eq!(s.len(), 2);
-        assert!(s.contains(b(0)) && s.contains(b(64)));
-        assert!(!s.contains(b(1)));
-        assert!(s.remove(b(0)));
-        assert!(!s.remove(b(0)));
-        assert!(!s.remove(b(1000)));
-        assert_eq!(s.len(), 1);
-        s.reserve_blocks(1024);
-        assert!(!s.is_empty());
     }
 }

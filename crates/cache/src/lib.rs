@@ -16,9 +16,9 @@
 //! with no stamps or clock; its docs say why its victims are exactly
 //! true LRU's.
 //!
-//! [`BlockMap`] and [`BlockSet`] are dense per-block containers for
-//! directory state: replay feeds protocols *interned* (dense) block
-//! addresses, so per-block tables are flat vectors instead of hash maps.
+//! [`BlockMap`] is the dense per-block container for directory state:
+//! replay feeds protocols *interned* (dense) block addresses, so per-block
+//! tables are flat vectors instead of hash maps.
 //!
 //! # Examples
 //!
@@ -38,5 +38,5 @@ mod blockmap;
 mod finite;
 
 pub use array::CacheArray;
-pub use blockmap::{BlockMap, BlockSet};
+pub use blockmap::BlockMap;
 pub use finite::{Eviction, FiniteCacheConfig, Lookup, SetAssocCache};

@@ -362,7 +362,6 @@ mod tests {
     use super::*;
     use dircc_cache::CacheArray;
     use dircc_core::event::EvictOutcome;
-    use dircc_core::snoopy::Berkeley;
     use dircc_core::{Event, Outcome};
     use dircc_types::CacheIdSet;
 
@@ -497,19 +496,14 @@ mod tests {
     }
 
     /// A protocol that silently loses dirty data on eviction: the value
-    /// model (not SWMR) must catch the stale re-read.
+    /// model (not SWMR) must catch the stale re-read. It wraps whatever
+    /// type [`dispatch`] builds for Berkeley.
     #[derive(Debug, Clone)]
-    struct DropsDirtyData {
-        inner: Berkeley,
+    struct DropsDirtyData<P> {
+        inner: P,
     }
 
-    impl DropsDirtyData {
-        fn new(cpus: usize) -> Self {
-            DropsDirtyData { inner: Berkeley::new(cpus) }
-        }
-    }
-
-    impl Protocol for DropsDirtyData {
+    impl<P: Protocol> Protocol for DropsDirtyData<P> {
         fn kind(&self) -> ProtocolKind {
             self.inner.kind()
         }
@@ -544,14 +538,23 @@ mod tests {
 
     #[test]
     fn lost_write_back_is_caught_by_the_value_model() {
+        struct Mutant(CheckConfig);
+        impl ProtocolVisitor for Mutant {
+            type Output = ();
+            fn visit<P: Protocol + Clone + 'static>(self, protocol: P) {
+                let cfg = self.0;
+                let mut fresh = DropsDirtyData { inner: protocol.clone() };
+                let report = check(DropsDirtyData { inner: protocol }, &cfg);
+                let ce = report.counterexample.expect("dropping dirty data must fail");
+                // W, E, then a re-read misses against stale memory: 3 ops.
+                assert_eq!(ce.ops.len(), 3, "{ce}");
+                assert!(ce.violation.contains("supplied version"), "{ce}");
+                let replayed =
+                    replay(&mut fresh, cfg.cpus, &ce.ops).expect("replay reproduces the violation");
+                assert_eq!(replayed, ce.violation);
+            }
+        }
         let cfg = CheckConfig::default();
-        let report = check(DropsDirtyData::new(cfg.cpus), &cfg);
-        let ce = report.counterexample.expect("dropping dirty data must fail");
-        // W, E, then a re-read misses against stale memory: 3 ops.
-        assert_eq!(ce.ops.len(), 3, "{ce}");
-        assert!(ce.violation.contains("supplied version"), "{ce}");
-        let replayed = replay(&mut DropsDirtyData::new(cfg.cpus), cfg.cpus, &ce.ops)
-            .expect("replay reproduces the violation");
-        assert_eq!(replayed, ce.violation);
+        dispatch(ProtocolKind::Berkeley, cfg.cpus, Mutant(cfg));
     }
 }

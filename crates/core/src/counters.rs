@@ -354,7 +354,7 @@ impl EventCounters {
         self.cache_supplies
     }
 
-    /// Word updates distributed (Dragon).
+    /// Word updates distributed (Dragon, Firefly).
     pub fn updates(&self) -> u64 {
         self.updates
     }

@@ -135,7 +135,7 @@ impl<E: Entry> Directory<E> {
         }
         let holders = self.caches.holders(block);
         let entry = self.dir.entry(block);
-        let ctx = classify(holders, entry.dirty(), first_ref);
+        let ctx = MissContext::of(holders, entry.dirty(), first_ref);
         let mut out = Outcome::quiet(Event::ReadMiss(ctx));
         // The dirty owner writes back and keeps a clean copy.
         let flushed = if entry.dirty() {
@@ -181,7 +181,7 @@ impl<E: Entry> Directory<E> {
             };
             (Event::WriteHit(hit), Some(cache))
         } else {
-            (Event::WriteMiss(classify(holders, entry.dirty(), first_ref)), None)
+            (Event::WriteMiss(MissContext::of(holders, entry.dirty(), first_ref)), None)
         };
         let mut out = Outcome::quiet(event);
         let targets = except.map_or(holders, |writer| holders.without(writer));
@@ -198,21 +198,6 @@ impl<E: Entry> Directory<E> {
         }
         self.caches.set(cache, block, Copy::Dirty);
         out
-    }
-}
-
-/// Classifies a miss by what the other caches hold.
-fn classify(holders: CacheIdSet, dirty: bool, first_ref: bool) -> MissContext {
-    if holders.is_empty() {
-        if first_ref {
-            MissContext::FirstRef
-        } else {
-            MissContext::MemoryOnly
-        }
-    } else if dirty {
-        MissContext::DirtyElsewhere
-    } else {
-        MissContext::CleanElsewhere { copies: holders.len() as u32 }
     }
 }
 

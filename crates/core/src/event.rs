@@ -9,6 +9,7 @@
 //! cost half.
 
 use core::fmt;
+use dircc_types::CacheIdSet;
 
 /// Why a miss happened: what the rest of the system held at miss time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,12 +23,31 @@ pub enum MissContext {
         /// Number of other caches holding the block.
         copies: u32,
     },
-    /// The block is dirty in exactly one other cache (memory is stale).
+    /// Another cache owns the block: memory is stale, and the owner has
+    /// the current data.
     DirtyElsewhere,
     /// The block has been referenced before but is cached nowhere; memory
     /// is current. (Occurs in protocols that evict copies, e.g. limited-
     /// pointer directories.)
     MemoryOnly,
+}
+
+impl MissContext {
+    /// Classifies a miss by what the other caches hold: `holders`, one of
+    /// which owns the block if it is `dirty`.
+    pub(crate) fn of(holders: CacheIdSet, dirty: bool, first_ref: bool) -> Self {
+        if holders.is_empty() {
+            if first_ref {
+                MissContext::FirstRef
+            } else {
+                MissContext::MemoryOnly
+            }
+        } else if dirty {
+            MissContext::DirtyElsewhere
+        } else {
+            MissContext::CleanElsewhere { copies: holders.len() as u32 }
+        }
+    }
 }
 
 /// What the writer's cache and the rest of the system held on a write hit.
@@ -104,7 +124,7 @@ impl fmt::Display for Event {
 }
 
 /// Whether a protocol maintains coherence by invalidating stale copies or
-/// by updating them in place (Dragon).
+/// by updating them in place (Dragon, Firefly).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoherenceStyle {
     /// Stale copies are removed from other caches.
@@ -136,7 +156,8 @@ pub struct Outcome {
     /// `true` if the missing block was supplied cache-to-cache rather than
     /// from memory.
     pub cache_supplied: bool,
-    /// Number of word-update transactions distributed to sharers (Dragon).
+    /// Number of word-update transactions distributed to sharers (Dragon,
+    /// Firefly).
     pub updates: u32,
     /// Protocol-specific maintenance messages costing one cycle each
     /// (e.g. Yen & Fu single-bit updates).

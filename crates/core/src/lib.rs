@@ -14,8 +14,12 @@
 //!   pointers plus a broadcast bit for `Dir1B` / `DiriB`; the
 //!   Archibald-Baer two bits for `Dir0B`; and the §6 coded set. They are
 //!   built by [`ProtocolKind`], through [`build`] or [`dispatch`].
-//! * [`snoopy::Wti`], [`snoopy::Dragon`], [`snoopy::Berkeley`],
-//!   [`snoopy::WriteOnce`], [`snoopy::Firefly`], [`snoopy::Mesi`]
+//! * the snoopy schemes (WTI, Dragon, Berkeley, Write-Once, Firefly and
+//!   MESI), as one MOESI state machine: each copy is Modified, Owned,
+//!   Exclusive or Shared, and each scheme is the rules for what a read
+//!   miss and a write do to the copies. The directory body stays
+//!   separate, because shared owned copies and update writes break its
+//!   many-clean-or-one-dirty rule.
 //!
 //! Each protocol consumes data references one at a time (via
 //! [`Protocol::access`]) and returns an [`Outcome`]: the event
@@ -41,7 +45,7 @@ pub mod counters;
 mod directory;
 pub mod event;
 pub mod protocol;
-pub mod snoopy;
+mod snoopy;
 pub mod storage;
 
 pub use counters::{EventCounters, MAX_HISTOGRAM};
@@ -106,6 +110,7 @@ pub trait ProtocolVisitor {
 /// `n_caches` outside `1..=64`.
 pub fn dispatch<V: ProtocolVisitor>(kind: ProtocolKind, n_caches: usize, visitor: V) -> V::Output {
     use directory::{Coded, Directory, Fifo, PtrB, TwoBit};
+    use snoopy::Snoopy;
     match kind {
         ProtocolKind::DirNb { .. } | ProtocolKind::Tang | ProtocolKind::YenFu => {
             visitor.visit(Directory::<Fifo>::new(kind, n_caches))
@@ -113,12 +118,12 @@ pub fn dispatch<V: ProtocolVisitor>(kind: ProtocolKind, n_caches: usize, visitor
         ProtocolKind::DirB { .. } => visitor.visit(Directory::<PtrB>::new(kind, n_caches)),
         ProtocolKind::Dir0B => visitor.visit(Directory::<TwoBit>::new(kind, n_caches)),
         ProtocolKind::CodedSet => visitor.visit(Directory::<Coded>::new(kind, n_caches)),
-        ProtocolKind::Wti => visitor.visit(snoopy::Wti::new(n_caches)),
-        ProtocolKind::Dragon => visitor.visit(snoopy::Dragon::new(n_caches)),
-        ProtocolKind::Berkeley => visitor.visit(snoopy::Berkeley::new(n_caches)),
-        ProtocolKind::WriteOnce => visitor.visit(snoopy::WriteOnce::new(n_caches)),
-        ProtocolKind::Firefly => visitor.visit(snoopy::Firefly::new(n_caches)),
-        ProtocolKind::Mesi => visitor.visit(snoopy::Mesi::new(n_caches)),
+        ProtocolKind::Wti
+        | ProtocolKind::Dragon
+        | ProtocolKind::Berkeley
+        | ProtocolKind::WriteOnce
+        | ProtocolKind::Firefly
+        | ProtocolKind::Mesi => visitor.visit(Snoopy::new(kind, n_caches)),
     }
 }
 

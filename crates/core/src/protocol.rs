@@ -59,7 +59,8 @@ pub enum ProtocolKind {
 }
 
 impl ProtocolKind {
-    /// Returns the coherence style (Dragon is the only update protocol).
+    /// Returns the coherence style: Dragon and Firefly update, every other
+    /// scheme invalidates.
     pub fn style(self) -> CoherenceStyle {
         match self {
             ProtocolKind::Dragon | ProtocolKind::Firefly => CoherenceStyle::Update,
@@ -157,8 +158,8 @@ pub trait Protocol {
     /// future op sequence. The encoding must therefore be
     /// self-delimiting (length-prefix variable sections), must
     /// normalise representation artifacts that cannot affect behavior
-    /// (e.g. tombstone directory entries), and must exclude monotonic
-    /// statistics counters.
+    /// (e.g. the arrival order of a `Dir_i_B` entry's pointers), and must
+    /// exclude monotonic statistics counters.
     fn encode_state(&self, out: &mut Vec<u64>);
 
     /// Verifies every internal invariant (single-writer, directory/cache

@@ -13,7 +13,7 @@
 //! * [`core`] — the protocols: the `Dir_i_B` / `Dir_i_NB` directory
 //!   taxonomy (`Dir1NB`, `DiriNB`, `DirnNB`, `Dir0B`, `DiriB`, coded-set,
 //!   Tang, Yen-Fu) and the snoopy comparison points (WTI, Dragon,
-//!   Berkeley);
+//!   Berkeley, Write-Once, Firefly, MESI);
 //! * [`bus`] — the paper's pipelined and non-pipelined bus cost models;
 //! * [`obs`] — observability: windowed time series, span profiling,
 //!   structured export and the JSON parser;

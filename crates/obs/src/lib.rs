@@ -55,7 +55,9 @@ pub mod metrics;
 pub mod recorder;
 pub mod span;
 
-pub use export::{chrome_trace, counters_json, escape, window_jsonl_line};
+pub use export::{
+    chrome_trace, chrome_trace_array, chrome_trace_event, counters_json, escape, window_jsonl_line,
+};
 pub use json::Json;
 pub use metrics::{
     parse_exposition, samples_sum, Counter, Gauge, Histogram, MetricsRegistry, Sample,
